@@ -11,7 +11,8 @@ Conventions
 * All emitted JSON is byte-stable: sorted keys, two-space indent, trailing
   newline.  Two runs with the same inputs and seed write identical bytes.
 * Exit codes: 0 all checks pass; 2 a verification failed; 3 no admissible
-  embedding choice exists for the input; 4 input/configuration error.
+  embedding choice exists for the input; 4 input/configuration error,
+  including a count whose state space is over its guard.
 * ``TESSELLA_THREADS`` caps worker threads in the counting stages.
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
@@ -67,7 +68,7 @@ from .presentation import (
     psi_assignment_from_json,
     verify_psi_relations,
 )
-from .repcount import conjecture_probe_d1, enumerate_reps
+from .repcount import StateSpaceTooLarge, conjecture_probe_d1, enumerate_reps
 from .surfacemap import (
     dual_quiver,
     tiling_from_json,
@@ -905,7 +906,8 @@ def main(argv=None) -> int:
     except MissingPhiAction as exc:
         print(f"error: MissingPhiAction: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (InputError, StateSpaceTooLarge, OSError, ValueError, KeyError,
+            TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -27,6 +27,7 @@ isomorphism arrow appears in the transported potential with both signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -39,9 +40,11 @@ from .pathalg import (
     UnknownArrow,
     Word,
     _idkey,
+    _seam,
     cyclic_derivative,
     multiply,
     normalize,
+    word_product,
 )
 from .surfacemap import (
     BraneTiling,
@@ -622,13 +625,30 @@ def default_choice(quiver: Quiver, phi: QuiverAutomorphism,
     return OrbitChoice(generators, bases)
 
 
+@dataclass(frozen=True)
+class XiTable:
+    """The embedding's pieces, computed once per orbit quiver.
+
+    ``image[a]`` is xi(a) for every base arrow ``a``; ``member[(g, v)]`` is
+    the orbit member of generator ``g`` whose source is ``v``; ``unwind[b]``
+    is the inverse iso-prefix p_b^-1 of member ``b``, the iso letters from
+    target(b) back to the generator's target.
+    """
+
+    image: dict
+    member: dict
+    unwind: dict
+
+
 @dataclass
 class SemidirectQuiver:
     """The orbit quiver with its grading and provenance.
 
     ``quiver`` has the original vertices, the chosen generators, and the
     localized isomorphism arrows; ``degree`` grades iso arrows +1 and
-    everything else 0.
+    everything else 0.  The embedding reads :attr:`xi_table`, which is
+    built on first use: the choice search builds many orbit quivers and
+    embeds words in few of them.
     """
 
     quiver: Quiver
@@ -656,11 +676,27 @@ class SemidirectQuiver:
             letters = [(chain[t], -1) for t in range(pv, pu)]
         return normalize(self.quiver, letters, at=u if not letters else None)
 
+    @cached_property
+    def xi_table(self) -> XiTable:
+        """Fill the table from ``iso_word`` and ``normalize``: xi(a) is
+        ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the iso words from the
+        source of ``a`` to the source of its generator and from the
+        generator's target to the target of ``a``."""
+        image, member, unwind = {}, {}, {}
+        for a, (gen, _) in self.gen_of.items():
+            q = self.iso_word(self.base.source(a), self.base.source(gen))
+            p = self.iso_word(self.base.target(gen), self.base.target(a))
+            image[a] = normalize(self.quiver, p.letters + ((gen, 1),) + q.letters)
+            unwind[a] = self.iso_word(self.base.target(a),
+                                      self.base.target(gen)).letters
+        for g in self.choice.generators:
+            for j in range(self.phi.order):
+                b = self.phi.apply_arrow(g, j)
+                member.setdefault((g, self.base.source(b)), b)
+        return XiTable(image, member, unwind)
+
     def xi_arrow(self, a) -> Word:
-        gen, _ = self.gen_of[a]
-        q = self.iso_word(self.base.source(a), self.base.source(gen))
-        p = self.iso_word(self.base.target(gen), self.base.target(a))
-        return normalize(self.quiver, p.letters + ((gen, 1),) + q.letters)
+        return self.xi_table.image[a]
 
     def word_degree(self, w: Word) -> int:
         return sum(e * self.degree.get(a, 0) for a, e in w.letters)
@@ -753,7 +789,9 @@ def xi_embed(p, ctx: SemidirectQuiver) -> Word:
     """Embed a path of the base quiver into the orbit quiver.
 
     ``p`` may be a Word of the base quiver or a sequence of arrow ids in
-    written (right-to-left acting) order.
+    written (right-to-left acting) order.  Every letter is checked before
+    the images are joined; a seam whose arrows do not compose raises
+    ``NonComposable``.
     """
     if isinstance(p, Word):
         letters = p.letters
@@ -763,74 +801,68 @@ def xi_embed(p, ctx: SemidirectQuiver) -> Word:
         letters = tuple((a, 1) for a in p)
         if not letters:
             raise NonComposable("an empty path needs a Word carrying its vertex")
-    out: list = []
+    image = ctx.xi_table.image
     for a, e in letters:
         if e != 1:
             raise NonComposable(f"paths are inverse-free, got {a!r}^{e}")
-        if a not in ctx.gen_of:
+        if a not in image:
             raise UnknownArrow(a)
-        out.extend(ctx.xi_arrow(a).letters)
-    return normalize(ctx.quiver, out)
-
-
-def word_degree(w: Word, ctx: SemidirectQuiver) -> int:
-    """Sum of signed isomorphism-arrow exponents of a normalized word."""
-    return ctx.word_degree(w)
+    return word_product(ctx.quiver, *(image[a] for a, _ in letters))
 
 
 def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
-    """Split a word of the orbit quiver as ``q . xi(p)``.
+    """Split a normal word of the orbit quiver as ``q . xi(p)``.
 
     ``q`` is a word in isomorphism arrows only and ``p`` a path of the base
     quiver; when the word's degree vanishes mod the symmetry order, ``q``
     is a constant path and ``w`` lies in the image of the embedding.
+
+    One right-to-left pass over a letter stack: the rightmost generator
+    ``g`` and the iso tail after it must be xi(b) minus its iso-prefix for
+    the orbit member ``b`` of ``g`` starting where the word does; both are
+    popped and p_b^-1 is joined at the seam, which leaves the rest of the
+    word times p_b^-1, a normal word starting at target(b).
     """
-    n = ctx.phi.order
+    table = ctx.xi_table
     iso = {a for a in ctx.degree if ctx.degree[a] == 1}
+    stack = list(w.letters)
     p_letters: list = []
-    p_source = w.source
-    cur = w
+    v0 = w.source
     while True:
-        gen_idx = None
-        for i in range(len(cur.letters) - 1, -1, -1):
-            if cur.letters[i][0] not in iso:
-                gen_idx = i
-                break
-        if gen_idx is None:
+        gen_idx = len(stack) - 1
+        while gen_idx >= 0 and stack[gen_idx][0] in iso:
+            gen_idx -= 1
+        if gen_idx < 0:
             break
-        g, e = cur.letters[gen_idx]
+        g, e = stack[gen_idx]
         if e != 1 or g not in ctx.choice.generators:
             raise MalformedWord(f"letter {g!r}^{e} is not a generating arrow")
-        v0 = cur.source
-        if v0 not in ctx.chain_pos or \
-                ctx.chain_pos[v0][0] != ctx.chain_pos[ctx.quiver.source(g)][0]:
-            raise MalformedWord(
-                f"word source {v0!r} is not in the source orbit of {g!r}")
-        b = None
-        for j in range(n):
-            cand = ctx.phi.apply_arrow(g, j)
-            if ctx.base.source(cand) == v0:
-                b = cand
-                break
-        if b is None:
+        b = table.member.get((g, v0))
+        if b is None:  # a member exists only for sources in g's source orbit
+            if v0 not in ctx.chain_pos or \
+                    ctx.chain_pos[v0][0] != ctx.chain_pos[ctx.quiver.source(g)][0]:
+                raise MalformedWord(
+                    f"word source {v0!r} is not in the source orbit of {g!r}")
             raise MalformedWord(f"no orbit member of {g!r} has source {v0!r}")
-        tail = cur.letters[gen_idx + 1:]
-        img = ctx.xi_arrow(b)
-        if tail and img.letters[-len(tail):] != tail:
+        tail = tuple(stack[gen_idx + 1:])
+        if tail and table.image[b].letters[-len(tail):] != tail:
             raise MalformedWord(
                 f"the iso tail {tail!r} does not match the embedding of {b!r}")
-        # cur = rest . xi(b) with xi(b) = p_b . g . tail; drop g and the
-        # tail, then undo p_b
-        p_b_inv = ctx.iso_word(ctx.base.target(b), ctx.quiver.target(g)).letters
-        head = cur.letters[:gen_idx] + p_b_inv
-        p_letters.insert(0, (b, 1))
-        cur = normalize(ctx.quiver, head,
-                        at=ctx.base.target(b) if not head else None)
-    if any(letter[0] not in iso for letter in cur.letters):
-        raise MalformedWord(f"residue {cur!r} is not an iso-arrow word")
-    p = normalize(ctx.base, p_letters,
-                  at=p_source if not p_letters else None)
-    return cur, p
+        del stack[gen_idx:]
+        unwind = table.unwind[b]
+        if unwind:
+            k = _seam(stack, unwind)
+            del stack[len(stack) - k:]
+            stack.extend(unwind[k:])
+        p_letters.append((b, 1))
+        v0 = ctx.base.target(b)
+    # the walk stops only when every letter left is an iso arrow
+    if not p_letters:
+        return w, normalize(ctx.base, (), at=w.source)
+    # consecutive members compose by construction: each starts at the
+    # target of the one before
+    p_letters.reverse()
+    return Word(v0, w.target, tuple(stack)), Word(w.source, v0, tuple(p_letters))
 
 
 @dataclass

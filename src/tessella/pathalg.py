@@ -17,6 +17,12 @@ Conventions, fixed once and used everywhere:
   letters in written order.  For a cycle written ``t_0 t_1 ... t_{k-1}`` and
   an occurrence ``t_i == a`` the contribution is the linear word
   ``t_{i+1} ... t_{k-1} t_0 ... t_{i-1}``, a path target(a) -> source(a).
+* Every :class:`Word` is in normal form: its letters compose and no letter
+  stands next to its inverse.  :func:`normalize` (and ``Quiver.word``) is
+  the entry point for untrusted letter sequences and checks every
+  adjacency.  Products of words that are already normal go through
+  :func:`word_product`, which checks only the seams ``left.source ==
+  right.target`` and cancels only the letters meeting there.
 
 Coefficients are exact rationals throughout.
 """
@@ -217,6 +223,21 @@ def normalize(quiver: Quiver, letters: Sequence[Letter] | "Word", at=None) -> Wo
     return Word(source, target, tuple(stack))
 
 
+def _seam(left: Sequence[Letter], right: Sequence[Letter]) -> int:
+    """How many letters cancel where the normal runs ``left . right`` meet.
+
+    This is the stack walk of :func:`normalize` restricted to the junction:
+    the last ``k`` letters of ``left`` are the inverses of the first ``k``
+    of ``right``, read outward.
+    """
+    k = 0
+    for (a, e), (b, f) in zip(right, reversed(left)):
+        if a != b or e != -f:
+            break
+        k += 1
+    return k
+
+
 class Element:
     """Finite rational combination of normalized words."""
 
@@ -293,22 +314,29 @@ def multiply(quiver: Quiver, x: Element, y: Element) -> Element:
         for wy, cy in y.coeffs.items():
             if wx.source != wy.target:
                 continue
-            w = normalize(quiver, wx.letters + wy.letters,
-                          at=wy.source if not (wx.letters or wy.letters) else None)
+            w = word_product(quiver, wx, wy)
             out[w] = out.get(w, Fraction(0)) + cx * cy
     return Element(out)
 
 
 def word_product(quiver: Quiver, *words: Word) -> Word:
-    """Product of words (rightmost applied first); raises NonComposable."""
-    letters: list[Letter] = []
-    for w in words:
-        letters.extend(w.letters)
+    """Product of normal words (rightmost applied first); raises NonComposable.
+
+    Every seam is checked before any letter is joined, and letters cancel
+    only across seams; the result equals ``normalize`` of the concatenated
+    letters.
+    """
+    if not words:
+        raise NonComposable("constant word needs a vertex")
     for left, right in zip(words, words[1:]):
         if left.source != right.target:
             raise NonComposable(f"{left!r} after {right!r}")
-    at = words[-1].source if words else None
-    return normalize(quiver, letters, at=at if not letters else None)
+    letters: list[Letter] = []
+    for w in words:
+        k = _seam(letters, w.letters)
+        del letters[len(letters) - k:]
+        letters.extend(w.letters[k:])
+    return Word(words[-1].source, words[0].target, tuple(letters))
 
 
 # -- potentials --------------------------------------------------------------
@@ -551,11 +579,13 @@ def ideal_reduce(quiver: Quiver, x: Element, relations: Sequence[Element],
                 continue
             _, pos, lead, rem = best
             changed = True
-            prefix = w.letters[:pos]
-            suffix = w.letters[pos + len(lead.letters):]
+            # the letters around the occurrence are normal words that end
+            # where the leading word does
+            prefix = Word(lead.target, w.target, w.letters[:pos])
+            suffix = Word(w.source, lead.source,
+                          w.letters[pos + len(lead.letters):])
             for rw, rc in rem.coeffs.items():
-                glued = normalize(quiver, prefix + rw.letters + suffix,
-                                  at=w.source if not (prefix or rw.letters or suffix) else None)
+                glued = word_product(quiver, prefix, rw, suffix)
                 nxt = nxt + Element.from_word(glued, c * rc)
         current = nxt
         rounds += 1

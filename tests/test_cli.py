@@ -8,6 +8,8 @@ import json
 import os
 import stat
 import sys
+from importlib import metadata
+from pathlib import Path
 
 import pytest
 
@@ -419,8 +421,53 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def _scripts_by_lines(text: str) -> dict:
+    """``[project.scripts]`` of a pyproject file, read line by line (Python
+    3.10 has no ``tomllib``)."""
+    scripts, section = {}, None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, target = line.split("=", 1)
+            scripts[name.strip().strip('"')] = target.strip().strip('"')
+    return scripts
+
+
+def declared_scripts() -> dict:
+    text = PYPROJECT.read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        return _scripts_by_lines(text)
+    return tomllib.loads(text)["project"]["scripts"]
+
+
 def test_console_entry_point_is_exposed():
-    from importlib.metadata import entry_points
-    eps = entry_points(group="console_scripts")
-    ours = [e for e in eps if e.name == "tessella"]
+    assert declared_scripts()["tessella"] == "tessella.cli:main"
+    try:
+        dist = metadata.distribution("tessella")
+    except metadata.PackageNotFoundError:
+        return  # running from the source tree; the declaration is the contract
+    ours = [e for e in dist.entry_points
+            if e.group == "console_scripts" and e.name == "tessella"]
     assert ours and ours[0].value == "tessella.cli:main"
+
+
+def test_pyproject_line_parse_agrees_with_tomllib():
+    tomllib = pytest.importorskip("tomllib")
+    text = PYPROJECT.read_text()
+    assert _scripts_by_lines(text) == tomllib.loads(text)["project"]["scripts"]
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (7, 2)])
+def test_count_over_the_guard_exits_as_bad_input(q, d, capsys):
+    rc, out, err = run(["count", "--q", str(q), "--d", str(d)], capsys)
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: StateSpaceTooLarge: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

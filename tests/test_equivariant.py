@@ -1,5 +1,6 @@
 """Tests for tiling/quiver symmetries, orbit quivers, and the path embedding."""
 
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -36,7 +37,6 @@ from tessella.equivariant import (
     tiling_automorphism_from_json,
     transport_potential,
     verify_transport_identity,
-    word_degree,
     xi_embed,
 )
 from tessella.pathalg import (
@@ -443,6 +443,10 @@ def test_xi_on_paths_and_constants(paper):
         xi_embed(["zz"], ctx)
     with pytest.raises(NonComposable):
         xi_embed([], ctx)
+    with pytest.raises(NonComposable, match="inverse-free"):
+        xi_embed(Word(1, 1, (("a", -1),)), ctx)
+    with pytest.raises(UnknownArrow):  # every letter is checked before a seam
+        xi_embed(["c", "d", "zz"], ctx)
 
 
 def test_xi_identity_automorphism(paper):
@@ -458,9 +462,9 @@ def test_xi_identity_automorphism(paper):
 def test_word_degree(paper):
     ctx = paper[5]
     qp = ctx.quiver
-    assert word_degree(qp.word(parse_letters("rer")), ctx) == 2
-    assert word_degree(qp.word(parse_letters("r^-1 a r")), ctx) == 0
-    assert word_degree(qp.word((), at=1), ctx) == 0
+    assert ctx.word_degree(qp.word(parse_letters("rer"))) == 2
+    assert ctx.word_degree(qp.word(parse_letters("r^-1 a r"))) == 0
+    assert ctx.word_degree(qp.word((), at=1)) == 0
     assert ctx.word_degree(qp.word(parse_letters("r"))) == 1
 
 
@@ -523,6 +527,17 @@ def test_factor_word_malformed(paper):
     # a hand-built word whose iso tail cannot come from any embedded arrow
     with pytest.raises(MalformedWord, match="tail"):
         factor_word(Word(2, 2, (("e", 1), ("r", -1))), ctx)
+    with pytest.raises(MalformedWord, match="source orbit"):
+        factor_word(Word(7, 1, (("a", 1),)), ctx)
+    # a word wrong in two ways fails the check the walk reaches first
+    with pytest.raises(MalformedWord, match="not a generating arrow"):
+        factor_word(Word(7, 1, (("a", -1), ("r", -1))), ctx)
+    with pytest.raises(MalformedWord, match="source orbit"):
+        factor_word(Word(7, 2, (("e", 1), ("r", -1))), ctx)
+    broken = dataclasses.replace(ctx)
+    del broken.xi_table.member[("a", 1)]
+    with pytest.raises(MalformedWord, match="no orbit member"):
+        factor_word(ctx.quiver.word([("a", 1)]), broken)
 
 
 def test_xi_multiplicative_injective_and_factorable(paper):

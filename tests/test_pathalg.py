@@ -34,6 +34,7 @@ from tessella.pathalg import (
     potential_to_json,
     qpot_from_json,
     qpot_to_json,
+    word_product,
 )
 
 
@@ -109,6 +110,27 @@ def test_product_distributes_over_sums(qp):
     rhs = (multiply(qp, _el(qp, [(1, "ab")]), y)
            + multiply(qp, _el(qp, [(2, "a")]), y))
     assert lhs == rhs
+
+
+def test_products_cancelling_to_a_constant_keep_the_vertex(qp):
+    r, r_inv = _w(qp, "r"), qp.word([("r", -1)])
+    # r^-1: 1 -> 2 acts first, then r: 2 -> 1
+    assert word_product(qp, r, r_inv) == Word(1, 1, ())
+    assert word_product(qp, r_inv, r) == Word(2, 2, ())
+    assert word_product(qp, r_inv, r, r_inv, r) == Word(2, 2, ())
+    assert multiply(qp, Element.from_word(r_inv), Element.from_word(r)) \
+        == Element.from_word(_w(qp, "", at=2))
+    assert word_product(qp, _w(qp, "er"), r_inv, r) == _w(qp, "er")
+
+
+def test_seam_products_check_the_seam(qp):
+    c, d = _w(qp, "c"), _w(qp, "d")
+    with pytest.raises(NonComposable):
+        word_product(qp, c, d)
+    with pytest.raises(NonComposable):  # a constant factor has a vertex too
+        word_product(qp, _w(qp, "", at=1), c)
+    with pytest.raises(NonComposable):
+        word_product(qp)
 
 
 # -- cyclic derivative -------------------------------------------------------
@@ -392,6 +414,30 @@ def test_multiply_associative(seed):
 
     x, y, z = rand_element(), rand_element(), rand_element()
     assert multiply(qp, multiply(qp, x, y), z) == multiply(qp, x, multiply(qp, y, z))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 12),
+       cuts=st.lists(st.integers(0, 12), max_size=3))
+def test_seam_products_match_normalize(seed, length, cuts):
+    """Cutting a walk into normal pieces and joining them at the seams gives
+    the normal form of the whole walk."""
+    qp = Quiver([1, 2],
+                [("a", 1, 1), ("b", 1, 1), ("c", 1, 2), ("d", 1, 2),
+                 ("e", 1, 2), ("r", 2, 1)], localized=["r"])
+    rng = random.Random(seed)
+    letters, target = _random_word_letters(qp, rng, length)
+    # vertex[i] is where the walk stands left of letters[i]
+    vertex = [target] + [qp.letter_ends(l)[0] for l in letters]
+    # a repeated cut yields a constant piece
+    bounds = sorted([0, len(letters), *(min(c, len(letters)) for c in cuts)])
+    pieces = [qp.word(letters[i:j], at=vertex[i] if i == j else None)
+              for i, j in zip(bounds, bounds[1:])]
+    whole = qp.word(letters, at=target if not letters else None)
+    assert word_product(qp, *pieces) == whole
+    if len(pieces) == 2:
+        x, y = (Element.from_word(w) for w in pieces)
+        assert multiply(qp, x, y) == Element.from_word(whole)
 
 
 # -- JSON round trips ----------------------------------------------------------
