@@ -10,16 +10,15 @@ Run:  python3 demos/orbit_presentation.py
 """
 
 from tessella.datafiles import load_data
-from tessella.equivariant import (NoChoiceFound, all_dimers,
-                                  build_orbit_quiver, choose_homogeneous_xi,
-                                  equivariant_dimer,
-                                  induced_quiver_automorphism, refine_tiling,
+from tessella.equivariant import (ChoiceSearch, NoChoiceFound, all_dimers,
+                                  build_orbit_quiver, equivariant_dimer,
+                                  refine_tiling,
                                   tiling_automorphism_from_json,
                                   transport_potential,
                                   verify_transport_identity)
 from tessella.pathalg import cyclic_derivative
 from tessella.presentation import check_derivation_script, contracted_relations
-from tessella.surfacemap import dual_quiver, tiling_from_json, validate_tiling
+from tessella.surfacemap import tiling_from_json, validate_tiling
 
 
 def main() -> None:
@@ -36,22 +35,23 @@ def main() -> None:
     print(f"equivariant dimer found; dual arrows {duals} "
           f"(one of {len(dimers)} perfect matchings)")
 
-    quiver, W = dual_quiver(tiling)
-    phi = induced_quiver_automorphism(tiling, taut, quiver)
     # Among the matchings that admit a homogeneous section, take the one
     # whose certified generators come first alphabetically, so the output
-    # lines up with the bundled derivation script.
+    # lines up with the bundled derivation script.  One search serves every
+    # matching.
+    search = ChoiceSearch(tiling, taut)
+    W = search.W
     choices = []
     for m in dimers:
         try:
-            choices.append(choose_homogeneous_xi(tiling, taut, m))
+            choices.append(search.choose(m))
         except NoChoiceFound:
             pass
     choice = min(choices, key=lambda c: c.generators)
     print(f"homogeneous section: generators {choice.generators!r}, "
           f"base vertices {choice.bases}")
 
-    ctx = build_orbit_quiver(quiver, phi, choice)
+    ctx = build_orbit_quiver(search.quiver, search.phi, choice)
     tp = transport_potential(W, ctx)
     print(f"\norbit quiver: {len(ctx.quiver.arrows)} arrows "
           f"({', '.join(ctx.quiver.arrow_ids())}; r inverted)")

@@ -32,10 +32,10 @@ from typing import Optional
 
 from .datafiles import load_data
 from .equivariant import (
+    ChoiceSearch,
     NoChoiceFound,
     all_dimers,
     build_orbit_quiver,
-    choose_homogeneous_xi,
     equivariant_dimer,
     induced_quiver_automorphism,
     orbit_choice_from_json,
@@ -55,10 +55,8 @@ from .pathalg import (
     element_to_json,
     ginzburg_dga,
     parse_letters,
-    potential_to_json,
     qpot_from_json,
     qpot_to_json,
-    quiver_to_json,
 )
 from .presentation import (
     MissingPhiAction,
@@ -68,7 +66,12 @@ from .presentation import (
     psi_assignment_from_json,
     verify_psi_relations,
 )
-from .repcount import StateSpaceTooLarge, conjecture_probe_d1, enumerate_reps
+from .repcount import (
+    StateSpaceTooLarge,
+    _is_prime,
+    conjecture_probe_d1,
+    enumerate_reps,
+)
 from .surfacemap import (
     dual_quiver,
     tiling_from_json,
@@ -109,27 +112,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-_FORMATS = {
-    "tiling": tiling_to_json,
-    "quiver": quiver_to_json,
-    "qpot": lambda pair: qpot_to_json(*pair),
-    "potential": potential_to_json,
-    "choice": orbit_choice_to_json,
-    "element": element_to_json,
-    "json": lambda obj: obj,
-}
-
-
-def emit_formats(obj, kind: str, path) -> Path:
-    """Write ``obj`` in the named format; identical inputs give identical
-    bytes (sorted keys, canonical word forms from the converters)."""
-    if kind not in _FORMATS:
-        raise InputError(f"unknown emission kind {kind!r}")
-    path = Path(path)
-    path.write_text(_dumps(_FORMATS[kind](obj)))
-    return path
-
-
 def _read_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -157,21 +139,43 @@ def _load_input(path: Optional[str], bundled_name: str) -> tuple[dict, dict]:
                                       "sha256": _digest_bytes(raw)}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_TILING_FIELDS = (  # (key, shape, test of each list entry)
+    ("half_edges", "a list of integers", _is_int),
+    ("involution", "a list of integer pairs",
+     lambda p: isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))),
+    ("rotation", "a list of nonempty integer lists",
+     lambda c: isinstance(c, list) and bool(c) and all(map(_is_int, c))),
+)
+
+
+def _tiling_from_json(obj):
+    """``tiling_from_json`` behind a check of the file's shape, so that a
+    malformed tiling is an input error that names the bad field."""
+    if not isinstance(obj, dict):
+        raise InputError(f"a tiling file holds a JSON object, "
+                         f"not {type(obj).__name__}")
+    for key, shape, ok in _TILING_FIELDS:
+        if key not in obj:
+            raise InputError(f"tiling field {key!r} is missing")
+        if not (isinstance(obj[key], list) and all(map(ok, obj[key]))):
+            raise InputError(f"tiling field {key!r} must be {shape}")
+    rotation = obj["rotation"]
+    coloring = obj.get("coloring", {})
+    if not (isinstance(coloring, dict)
+            and all(k.isdecimal() and int(k) < len(rotation) for k in coloring)):
+        raise InputError("tiling field 'coloring' must be keyed by rotation "
+                         f"cycle indices 0..{len(rotation) - 1}")
+    return tiling_from_json(obj)
+
+
 def _taut_to_json(taut) -> dict:
     return {"half_edge_perm": {str(h): k for h, k in
                                sorted(taut.half_edge_perm.items())},
             "order": taut.order}
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _is_prime(n: int) -> bool:
 def _load_pair(tiling_path, autom_path):
     tobj, tdig = _load_input(tiling_path, _BUNDLED_TILING)
     aobj, adig = _load_input(autom_path, _BUNDLED_AUTOMORPHISM)
-    tiling = tiling_from_json(tobj)
+    tiling = _tiling_from_json(tobj)
     taut = tiling_automorphism_from_json(tiling, aobj)
     return tiling, taut, {"tiling": tdig, "automorphism": adig}
 
@@ -189,13 +193,16 @@ def _load_pair(tiling_path, autom_path):
 def _canonical_choice(tiling, taut, matching):
     """The admissible (matching, choice) with the smallest generator letters.
 
-    ``choose_homogeneous_xi`` certifies whichever matching it is handed, and
-    distinct matchings can certify differently-lettered sections of the same
+    Distinct matchings can certify differently-lettered sections of the same
     arrow orbits.  To make the emitted presentation deterministic (and to
     line companion data such as derivation scripts up with it), every perfect
-    matching is tried and the lexicographically smallest generator tuple
-    wins.
+    matching is tried, the given one first and then the others sorted by
+    their dual arrows, and the lexicographically smallest generator tuple
+    wins (the first on a tie).  One ``ChoiceSearch`` serves every matching,
+    so each candidate's degrees and transport certificate are worked out at
+    most once.  When no matching admits a choice, the last failure is raised.
     """
+    search = ChoiceSearch(tiling, taut)
     seen = {frozenset(frozenset(e) for e in matching)}
     candidates = [matching]
     for m in sorted(all_dimers(tiling),
@@ -208,7 +215,7 @@ def _canonical_choice(tiling, taut, matching):
     failure = None
     for m in candidates:
         try:
-            choice = choose_homogeneous_xi(tiling, taut, m)
+            choice = search.choose(m)
         except NoChoiceFound as exc:
             failure = exc
             continue
@@ -263,7 +270,7 @@ def _output(args, payload) -> None:
 
 def cmd_dual(args) -> int:
     obj, _ = _load_input(args.tiling, _BUNDLED_TILING)
-    tiling = tiling_from_json(obj)
+    tiling = _tiling_from_json(obj)
     quiver, W = dual_quiver(tiling)
     _output(args, qpot_to_json(quiver, W))
     return EXIT_OK
@@ -325,7 +332,7 @@ def _load_qpot(args, orbit_default: bool):
     if orbit_default:
         ctx, _, Wp = _bundled_orbit()
         return ctx.quiver, Wp
-    tiling = tiling_from_json(_load_input(None, _BUNDLED_TILING)[0])
+    tiling = _tiling_from_json(_load_input(None, _BUNDLED_TILING)[0])
     return dual_quiver(tiling)
 
 
@@ -598,7 +605,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         tobj, digests["tiling"] = _load_input(config.tiling, _BUNDLED_TILING)
         aobj, digests["automorphism"] = _load_input(config.automorphism,
                                                     _BUNDLED_AUTOMORPHISM)
-        tiling = tiling_from_json(tobj)
+        tiling = _tiling_from_json(tobj)
         report = validate_tiling(tiling)
         if not report["valid"]:
             raise InputError("; ".join(report["problems"]))

@@ -10,7 +10,3 @@ def load_data(name: str) -> dict:
     """Parse ``tessella/data/<name>`` (a JSON file)."""
     return json.loads(resources.files("tessella.data").joinpath(name).read_text())
 
-
-def data_names() -> list[str]:
-    return sorted(p.name for p in resources.files("tessella.data").iterdir()
-                  if p.name.endswith(".json"))

@@ -15,8 +15,9 @@ builds the machinery relating the dual quiver ``Q`` to its orbit quiver
   ``a = phi^k(gen)`` maps to ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the
   unique iso-arrow words between the matching endpoints),
 * ``transport_potential`` pushes the tiling potential to ``Q'``, and
-  ``choose_homogeneous_xi`` searches for choices making the transported
-  potential homogeneous of degree ``n`` in the isomorphism arrows.
+  ``ChoiceSearch`` (or ``choose_homogeneous_xi`` for one matching) searches
+  for choices making the transported potential homogeneous of degree ``n``
+  in the isomorphism arrows.
 
 Isomorphism arrows carry degree +1 (inverses -1); all other arrows degree 0.
 The common-source rule (all generators whose sources share a vertex orbit
@@ -647,8 +648,8 @@ class SemidirectQuiver:
     ``quiver`` has the original vertices, the chosen generators, and the
     localized isomorphism arrows; ``degree`` grades iso arrows +1 and
     everything else 0.  The embedding reads :attr:`xi_table`, which is
-    built on first use: the choice search builds many orbit quivers and
-    embeds words in few of them.
+    built on first use: an orbit quiver read only for its grading, such as
+    ``arrow_degree``, needs none of it.
     """
 
     quiver: Quiver
@@ -905,68 +906,141 @@ def transport_potential(W: Potential, ctx: SemidirectQuiver) -> TransportResult:
     return TransportResult(out, homogeneous, degree)
 
 
+class ChoiceSearch:
+    """The search for a homogeneous choice on one tiling and symmetry.
+
+    Candidates range over one source vertex per vertex orbit (determining
+    the generators, hence satisfying the common-source condition) and one
+    chain base per vertex orbit, in ``product`` order.  Nothing about a
+    candidate depends on the matching, so each is worked out once and
+    shared by every query: its arrow degrees, read off chain positions
+    without building an orbit quiver, give the set of arrows of degree
+    ``n``; its transport certificate (an actual transport, homogeneous of
+    degree ``n`` with no isomorphism arrow of both signs) is computed on
+    first need and kept.  Distinct matchings ask for distinct degree-n
+    sets, so they share candidates only when ``n = 1``, where every
+    matching asks for all degrees 0.  The candidates are enumerated lazily,
+    only as far as the queries so far have needed.
+    """
+
+    def __init__(self, tiling: BraneTiling, taut: TilingAutomorphism):
+        self.tiling = tiling
+        self.quiver, self.W = dual_quiver(tiling)
+        self.phi = induced_quiver_automorphism(tiling, taut, self.quiver)
+        n = self.phi.order
+        sizes, free = orbit_sizes(self.quiver, self.phi)
+        if not free:
+            raise OrbitSizeViolation(f"orbit sizes {sizes} (order {n})")
+        # for n = 1 every arrow must have degree 0, whatever the matching
+        self.want_hit = n if n > 1 else 0
+        self.vertex_orbits = self.phi.vertex_orbits()
+        self.arrow_orbits = self.phi.arrow_orbits()
+        self.choices: list[OrbitChoice] = []  # the candidates enumerated so far
+        self._by_hits: dict = {}   # degree-n arrow set (None if n = 1) -> indices
+        self._certified: dict = {}  # index -> transport certificate holds
+        self._pending = self._candidates()
+
+    def _candidates(self):
+        """Yield (choice, arrow degrees) for every candidate, in order; the
+        degrees are those ``SemidirectQuiver.arrow_degree`` would read off
+        the candidate's orbit quiver."""
+        quiver, n = self.quiver, self.phi.order
+        where = {}  # vertex -> (orbit representative, index along the orbit)
+        for orb in self.vertex_orbits:
+            for k, v in enumerate(orb):
+                where[v] = (orb[0], k)
+        option_space = [sorted(orb, key=_idkey) for orb in self.vertex_orbits]
+        for sources in product(*option_space):
+            src_of = {orb[0]: sv for orb, sv in zip(self.vertex_orbits, sources)}
+            gen_of = {}
+            for orb in self.arrow_orbits:
+                want = src_of[where[quiver.source(orb[0])][0]]
+                picked = [a for a in orb if quiver.source(a) == want]
+                if len(picked) != 1:
+                    break
+                gen_of.update((a, picked[0]) for a in orb)
+            else:
+                ends = [(a, where[quiver.target(a)], where[quiver.target(g)],
+                         where[quiver.source(g)], where[quiver.source(a)])
+                        for a, g in gen_of.items()]
+                generators = set(gen_of.values())
+                for bases in product(*option_space):
+                    start = {orb[0]: where[b][1]
+                             for orb, b in zip(self.vertex_orbits, bases)}
+
+                    def pos(at):  # position along the chain from the base
+                        return (at[1] - start[at[0]]) % n
+
+                    degrees = {a: pos(ta) - pos(tg) + pos(sg) - pos(sa)
+                               for a, ta, tg, sg, sa in ends}
+                    base_of = {orb[0]: b
+                               for orb, b in zip(self.vertex_orbits, bases)}
+                    yield (OrbitChoice(generators, base_of,
+                                       require_common_source=True), degrees)
+
+    def _advance(self) -> bool:
+        """Enumerate one more candidate; False once the space is exhausted."""
+        nxt = next(self._pending, None)
+        if nxt is None:
+            return False
+        choice, degrees = nxt
+        self.choices.append(choice)
+        if all(d in (0, self.want_hit) for d in degrees.values()):
+            hits = (frozenset(a for a, d in degrees.items() if d)
+                    if self.want_hit else None)
+            self._by_hits.setdefault(hits, []).append(len(self.choices) - 1)
+        return True
+
+    def _with_hits(self, hits):
+        """Indices of the candidates whose degree-n arrows are ``hits`` and
+        whose other arrows have degree 0, in order."""
+        found = self._by_hits.setdefault(hits, [])
+        i = 0
+        while i < len(found) or self._advance():
+            if i < len(found):
+                yield found[i]
+                i += 1
+
+    def _certificate(self, i: int) -> bool:
+        if i not in self._certified:
+            ctx = build_orbit_quiver(self.quiver, self.phi, self.choices[i])
+            try:
+                res = transport_potential(self.W, ctx)
+                ok = res.homogeneous and res.degree == self.want_hit
+            except MixedInverseViolation:
+                ok = False
+            self._certified[i] = ok
+        return self._certified[i]
+
+    def choose(self, dimer: frozenset) -> OrbitChoice:
+        """The first candidate whose degree-n arrows are exactly the
+        matching's dual arrows, whose other arrows have degree 0, and whose
+        transport certificate holds.  Raises ``NoChoiceFound`` with a
+        search report when there is none."""
+        dimer_duals = {self.tiling.arrow_name(min(h, k)) for (h, k) in dimer}
+        hits = frozenset(dimer_duals) if self.want_hit else None
+        for i in self._with_hits(hits):
+            if self._certificate(i):
+                return self.choices[i]
+        raise NoChoiceFound(
+            f"no admissible choice after {len(self.choices)} candidates "
+            f"(order {self.phi.order}, {len(self.vertex_orbits)} vertex "
+            f"orbits, {len(self.arrow_orbits)} arrow orbits, dimer duals "
+            f"{sorted(dimer_duals)})")
+
+
 def choose_homogeneous_xi(tiling: BraneTiling, taut: TilingAutomorphism,
                           dimer: frozenset) -> OrbitChoice:
     """Search for a choice making the transported potential homogeneous.
 
-    Candidates range over one source vertex per vertex orbit (determining
-    the generators, hence satisfying the common-source condition) and one
-    chain base per vertex orbit.  A candidate is kept when every dimer-dual
-    arrow embeds with degree equal to the symmetry order and every other
-    arrow with degree 0, then certified by an actual transport.  Raises
+    A one-query :class:`ChoiceSearch`: the first candidate, in search order,
+    under which every dimer-dual arrow embeds with degree equal to the
+    symmetry order and every other arrow with degree 0, certified by an
+    actual transport.  To query several matchings of one tiling, build the
+    search once and call :meth:`ChoiceSearch.choose` for each.  Raises
     ``NoChoiceFound`` with a search report when the space is exhausted.
     """
-    quiver, W = dual_quiver(tiling)
-    phi = induced_quiver_automorphism(tiling, taut, quiver)
-    n = phi.order
-    sizes, free = orbit_sizes(quiver, phi)
-    if not free:
-        raise OrbitSizeViolation(f"orbit sizes {sizes} (order {n})")
-    dimer_duals = {tiling.arrow_name(min(h, k)) for (h, k) in dimer}
-
-    vertex_orbits = phi.vertex_orbits()
-    arrow_orbits = phi.arrow_orbits()
-    orbit_rep = {}
-    for orb in vertex_orbits:
-        for v in orb:
-            orbit_rep[v] = orb[0]
-
-    want_hit = n if n > 1 else 0
-    tried = 0
-    option_space = [sorted(orb, key=_idkey) for orb in vertex_orbits]
-    for sources in product(*option_space):
-        src_of = {orb[0]: sv for orb, sv in zip(vertex_orbits, sources)}
-        generators = []
-        ok = True
-        for orb in arrow_orbits:
-            want = src_of[orbit_rep[quiver.source(orb[0])]]
-            picked = [a for a in orb if quiver.source(a) == want]
-            if len(picked) != 1:
-                ok = False
-                break
-            generators.append(picked[0])
-        if not ok:
-            continue
-        for bases in product(*option_space):
-            tried += 1
-            base_of = {orb[0]: b for orb, b in zip(vertex_orbits, bases)}
-            choice = OrbitChoice(generators, base_of, require_common_source=True)
-            ctx = build_orbit_quiver(quiver, phi, choice)
-            degs = {a: ctx.arrow_degree(a) for a in quiver.arrow_ids()}
-            if any(degs[a] != want_hit for a in dimer_duals):
-                continue
-            if any(deg != 0 for a, deg in degs.items() if a not in dimer_duals):
-                continue
-            try:
-                res = transport_potential(W, ctx)
-            except MixedInverseViolation:
-                continue
-            if res.homogeneous and res.degree == want_hit:
-                return choice
-    raise NoChoiceFound(
-        f"no admissible choice after {tried} candidates "
-        f"(order {n}, {len(vertex_orbits)} vertex orbits, "
-        f"{len(arrow_orbits)} arrow orbits, dimer duals {sorted(dimer_duals)})")
+    return ChoiceSearch(tiling, taut).choose(dimer)
 
 
 @dataclass

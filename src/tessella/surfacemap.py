@@ -30,7 +30,6 @@ potential terms) are by handle, so every construction is deterministic.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -338,11 +337,6 @@ def tiling_from_json(obj: dict) -> BraneTiling:
     coloring = {min(cycles[int(i)]): c for i, c in obj.get("coloring", {}).items()}
     labels = {int(k): v for k, v in obj.get("labels", {}).items()}
     return BraneTiling(m, coloring, labels)
-
-
-def load_tiling(path: str) -> BraneTiling:
-    with open(path) as fh:
-        return tiling_from_json(json.load(fh))
 
 
 def half_edge_perm_from_json(obj: dict) -> dict[int, int]:

@@ -5,8 +5,6 @@ parsing, exit codes, and the emitted JSON exactly as a shell user would.
 """
 
 import json
-import os
-import stat
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -20,7 +18,6 @@ from tessella.cli import (
     EXIT_VERIFY,
     PipelineConfig,
     RunReport,
-    emit_formats,
     main,
     run_pipeline,
 )
@@ -66,6 +63,42 @@ def test_dual_missing_file_is_input_error(tmp_path, capsys):
     rc, _, err = run(["dual", str(tmp_path / "nope.json")], capsys)
     assert rc == EXIT_INPUT
     assert "error" in err
+
+
+def _bundled_tiling_with(**fields):
+    obj = load_data("genus2_tiling.json")
+    obj.update(fields)
+    return obj
+
+
+@pytest.mark.parametrize("field, tiling", [
+    ("half_edges", {"half_edges": 3}),
+    ("half_edges", _bundled_tiling_with(half_edges=[0, "1", 2])),
+    ("involution", _bundled_tiling_with(involution=5)),
+    ("involution", _bundled_tiling_with(involution=[[0, 1], [2]])),
+    ("rotation", _bundled_tiling_with(rotation={"0": [0]})),
+    ("rotation", _bundled_tiling_with(rotation=[[0, 2], []])),
+    ("coloring", _bundled_tiling_with(coloring=["w", "b"])),
+    ("coloring", _bundled_tiling_with(coloring={"6": "w"})),
+    ("coloring", _bundled_tiling_with(coloring={"first": "w"})),
+])
+def test_dual_malformed_tiling_names_the_field(tmp_path, capsys, field,
+                                                tiling):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tiling))
+    rc, out, err = run(["dual", str(path)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: InputError: tiling field '{field}'")
+    assert err.count("\n") == 1
+
+
+def test_tiling_that_is_not_an_object_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2]")
+    rc, _, err = run(["refine", "--tiling", str(path)], capsys)
+    assert rc == EXIT_INPUT
+    assert err == "error: InputError: a tiling file holds a JSON object, " \
+                  "not list\n"
 
 
 def test_refine_reports_no_split_needed(capsys):
@@ -228,34 +261,6 @@ def test_output_file_flag_writes_the_same_bytes(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# canonical emission
-
-
-def test_emit_formats_is_byte_stable(tmp_path):
-    quiver = genus2_quiver()
-    pair = (quiver, genus2_potential(quiver))
-    a = emit_formats(pair, "qpot", tmp_path / "a.json")
-    b = emit_formats(pair, "qpot", tmp_path / "b.json")
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes().endswith(b"\n")
-
-
-def test_emit_formats_unknown_kind(tmp_path):
-    with pytest.raises(ValueError):
-        emit_formats({}, "no-such-kind", tmp_path / "x.json")
-
-
-@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
-                    reason="needs a directory the process cannot write")
-def test_emit_formats_unwritable_directory(tmp_path):
-    locked = tmp_path / "locked"
-    locked.mkdir()
-    locked.chmod(stat.S_IRUSR | stat.S_IXUSR)
-    with pytest.raises(OSError):
-        emit_formats({"k": 1}, "json", locked / "x.json")
-
-
-# ---------------------------------------------------------------------------
 # the pipeline
 
 
@@ -400,6 +405,20 @@ def test_pipeline_hard_error_short_circuits(tmp_path, capsys):
     assert all(status[name] == "skipped"
                for name in ("dual", "refine", "dimer", "choice",
                             "transport", "verify", "count"))
+
+
+def test_pipeline_malformed_tiling_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad_tiling.json"
+    bad.write_text(json.dumps({"half_edges": 3}))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"tiling": str(bad),
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
+    assert rc == EXIT_INPUT
+    tile = json.loads(out)["stages"][0]
+    assert tile == {"name": "tile", "status": "failed",
+                    "detail": "InputError: tiling field 'half_edges' must be "
+                              "a list of integers"}
 
 
 def test_run_report_json_carries_no_timing(tmp_path):

@@ -201,7 +201,7 @@ def test_xi_table_is_built_on_first_use_and_reused():
     ctx = bundled_context()
     assert "xi_table" not in vars(ctx)
     for a in ctx.base.arrow_ids():
-        ctx.arrow_degree(a)  # what the choice search reads
+        ctx.arrow_degree(a)  # the grading alone
     assert "xi_table" not in vars(ctx)
     xi_embed("ab", ctx)
     table = vars(ctx)["xi_table"]
