@@ -12,8 +12,10 @@ Conventions
   newline.  Two runs with the same inputs and seed write identical bytes.
 * Exit codes: 0 all checks pass; 2 a verification failed; 3 no admissible
   embedding choice exists for the input; 4 input/configuration error,
-  including a count whose state space is over its guard.
-* ``TESSELLA_THREADS`` caps worker threads in the counting stages.
+  including a count over its state-space or int64 guard and a tiling or
+  automorphism file of the wrong shape.
+* ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
+  sweep; it never changes a count.
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
 """
@@ -172,6 +174,26 @@ def _tiling_from_json(obj):
     return tiling_from_json(obj)
 
 
+def _automorphism_from_json(tiling, obj):
+    """``tiling_automorphism_from_json`` behind a check of the file's shape:
+    an object whose ``half_edge_perm`` (or the object itself) maps integer
+    keys to integers, and whose optional ``order`` is an integer."""
+    if not isinstance(obj, dict):
+        raise InputError(f"an automorphism file holds a JSON object, "
+                         f"not {type(obj).__name__}")
+    perm = obj.get("half_edge_perm", obj)
+    if not isinstance(perm, dict):
+        raise InputError(f"automorphism field 'half_edge_perm' must be an "
+                         f"object, not {type(perm).__name__}")
+    if not all(k.removeprefix("-").isdecimal() and _is_int(v)
+               for k, v in perm.items()):
+        raise InputError("automorphism field 'half_edge_perm' must map "
+                         "integer keys to integers")
+    if "order" in obj and not _is_int(obj["order"]):
+        raise InputError("automorphism field 'order' must be an integer")
+    return tiling_automorphism_from_json(tiling, obj)
+
+
 def _taut_to_json(taut) -> dict:
     return {"half_edge_perm": {str(h): k for h, k in
                                sorted(taut.half_edge_perm.items())},
@@ -186,7 +208,7 @@ def _load_pair(tiling_path, autom_path):
     tobj, tdig = _load_input(tiling_path, _BUNDLED_TILING)
     aobj, adig = _load_input(autom_path, _BUNDLED_AUTOMORPHISM)
     tiling = _tiling_from_json(tobj)
-    taut = tiling_automorphism_from_json(tiling, aobj)
+    taut = _automorphism_from_json(tiling, aobj)
     return tiling, taut, {"tiling": tdig, "automorphism": adig}
 
 
@@ -610,7 +632,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         if not report["valid"]:
             raise InputError("; ".join(report["problems"]))
         state["tiling"] = tiling
-        state["taut"] = tiling_automorphism_from_json(tiling, aobj)
+        state["taut"] = _automorphism_from_json(tiling, aobj)
         if config.phi_star:
             raw = Path(config.phi_star).read_bytes()
             digests["phi_star"] = {"source": config.phi_star,

@@ -17,10 +17,17 @@ normalizations (the half power of the ambient dimension, and the order of
 the gauge group GL_d per vertex) are reported symbolically alongside the
 tallies and never folded into them.
 
-Exhaustive enumeration walks the space in lexicographic order (arrows
-sorted by id, last arrow fastest) in fixed-size chunks; chunk results merge
-by addition, so the outcome is independent of chunking and of the worker
-count (``TESSELLA_THREADS``).
+Every batch count (:func:`enumerate_reps`, :func:`stratify_by_omega`,
+:func:`conjecture_probe_d1`) is one sweep over blocks of ``_CHUNK`` points:
+ranges of the lexicographic order (arrows by id, last arrow fastest) on
+``TESSELLA_THREADS`` threads, or seeded draws, one block after another.  A
+kernel sees at most ``_SLICE`` points at a time, which bounds its working
+set, and returns exact integer tallies that merge by addition, so outputs do
+not depend on block size, slice size or thread count.  The count kernel reads
+each term of W once per slice through shared suffix and prefix products,
+which give its trace and every occurrence's cyclic derivative (elementwise at
+d = 1, batched matmuls otherwise).  The per-point :class:`MatrixRep` route
+(:func:`trace_potential`, :func:`crit_check`) is the sweep's oracle.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ import math
 import os
 import random
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as _iproduct
 from typing import Iterator, Mapping
 
@@ -51,7 +59,8 @@ from .pathalg import (
     multiply,
 )
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # points per block: the unit of threading and of sample draws
+_SLICE = 1 << 12  # points per kernel call: bounds the prefix/suffix arrays
 _STATE_GUARD = 10 ** 8
 _POOL_GUARD = 4 * 10 ** 6
 
@@ -371,14 +380,13 @@ class _RepSpace:
                       for a in self.arrows}
         self.sizes = {a: len(self.pools[a]) for a in self.arrows}
         self.total = math.prod(self.sizes.values())
-        strides: dict = {}
-        acc = 1
+        self.strides, acc = {}, 1
         for a in reversed(self.arrows):
-            strides[a] = acc
-            acc *= self.sizes[a]
-        self.strides = strides
+            self.strides[a], acc = acc, acc * self.sizes[a]
+        # batch values: flat (size,) scalars at d = 1, (size, d, d) otherwise
+        self._shape = () if d == 1 else (d, d)
         self._np = {a: np.array(self.pools[a], dtype=np.int64)
-                    for a in self.arrows}
+                    .reshape(-1, *self._shape) for a in self.arrows}
         self._np_inv: dict = {}
 
     def _inv_pool(self, a) -> np.ndarray:
@@ -386,7 +394,8 @@ class _RepSpace:
             if not self.quiver.is_localized(a):
                 raise InverseOfNonLocalized(a)
             self._np_inv[a] = np.array(
-                [_mat_inv(m, self.q) for m in self.pools[a]], dtype=np.int64)
+                [_mat_inv(m, self.q) for m in self.pools[a]],
+                dtype=np.int64).reshape(-1, *self._shape)
         return self._np_inv[a]
 
     def chunk_indices(self, lo: int, hi: int) -> dict:
@@ -399,28 +408,34 @@ class _RepSpace:
                             dtype=np.int64)
                 for a in self.arrows}
 
-    def _letter_mats(self, idx: dict, letter) -> np.ndarray:
+    def letter_values(self, idx: dict, letter) -> np.ndarray:
         a, e = letter
         if a not in self.pools:
             raise ShapeMismatch(f"no matrices for arrow {a!r}")
         pool = self._np[a] if e == 1 else self._inv_pool(a)
         return pool[idx[a]]
 
-    def word_values(self, idx: dict, letters, n: int) -> np.ndarray:
-        """(n, d, d) matrices of one word across a batch of points."""
-        if not letters:
-            eye = np.eye(self.d, dtype=np.int64)
-            return np.broadcast_to(eye, (n, self.d, self.d)).copy()
-        out = self._letter_mats(idx, letters[0]).copy()
-        for letter in letters[1:]:
-            out = np.matmul(out, self._letter_mats(idx, letter)) % self.q
+    def identity(self, n: int) -> np.ndarray:
+        eye = np.eye(self.d, dtype=np.int64).reshape(self._shape)
+        return np.broadcast_to(eye, (n, *self._shape))
+
+    def mul(self, x, y):
+        """Pointwise product of two batches mod q; None is the identity."""
+        if x is None or y is None:
+            return y if x is None else x
+        out = x * y if self.d == 1 else np.matmul(x, y)
+        out %= self.q
         return out
 
+    def trace(self, x: np.ndarray) -> np.ndarray:
+        return x if self.d == 1 else np.trace(x, axis1=1, axis2=2)
+
     def element_values(self, idx: dict, x: Element, n: int) -> np.ndarray:
-        out = np.zeros((n, self.d, self.d), dtype=np.int64)
+        out = np.zeros((n, *self._shape), dtype=np.int64)
         for w in x.words():
-            c = _coeff_mod(x.coeffs[w], self.q)
-            out = (out + c * self.word_values(idx, w.letters, n)) % self.q
+            mats = [self.letter_values(idx, letter) for letter in w.letters]
+            word = reduce(self.mul, mats or [self.identity(n)])
+            out = (out + _coeff_mod(x.coeffs[w], self.q) * word) % self.q
         return out
 
     def rep_at(self, k: int) -> MatrixRep:
@@ -457,20 +472,85 @@ def iter_reps(quiver: Quiver, d: int, q: int,
         yield space.rep_at(k)
 
 
-def _workers() -> int:
+def _sweep(space: _RepSpace, kernel, draws=None, seed=None) -> np.ndarray:
+    """Sum of ``kernel(idx, n)`` over the whole space, or over ``draws``
+    seeded uniform points; ``idx`` holds each arrow's pool indices for one
+    slice of ``n <= _SLICE`` points and the kernel returns integer tallies."""
+    def tally(idx: dict, n: int):
+        return sum(kernel({a: v[lo:lo + _SLICE] for a, v in idx.items()},
+                          min(_SLICE, n - lo)) for lo in range(0, n, _SLICE))
+
+    if draws is not None:
+        rng = random.Random(seed)
+        sizes = [min(_CHUNK, draws - lo) for lo in range(0, draws, _CHUNK)]
+        return sum(tally(space.sample_indices(rng, n), n) for n in sizes)
+    if space.total > _STATE_GUARD:
+        raise StateSpaceTooLarge(
+            f"{space.total} points exceed the exhaustive guard {_STATE_GUARD}")
+
+    def block(lo: int):
+        hi = min(lo + _CHUNK, space.total)
+        return tally(space.chunk_indices(lo, hi), hi - lo)
+
     try:
-        n = int(os.environ.get("TESSELLA_THREADS", "1"))
+        workers = max(1, int(os.environ.get("TESSELLA_THREADS", "1")))
     except ValueError:
-        return 1
-    return max(1, n)
+        workers = 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(block, range(0, space.total, _CHUNK)))
 
 
-def _map_chunks(fn, items: list) -> list:
-    w = _workers()
-    if w <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
+def _check_int64(d: int, q: int, terms=0, occurrences=0) -> None:
+    """Refuse sizes at which a kernel's int64 sums could overflow.  With
+    entries reduced mod q after every product, one d x d product stays below
+    d(q-1)^2, one arrow's gradient sum below occurrences(q-1)^2 and the
+    trace sum below terms*d*(q-1)^2."""
+    bound = max(d, occurrences, terms * d) * (q - 1) ** 2
+    if bound >= 1 << 63:
+        raise StateSpaceTooLarge(
+            f"int64 sums could reach {bound} (d={d}, q={q}, {terms} terms, "
+            f"{occurrences} occurrences of one arrow)")
+
+
+def _coefficients(W: Potential, d: int, q: int) -> list:
+    """(coefficient mod q, cycle) per term of W, behind the int64 guard."""
+    terms = [(_coeff_mod(c, q), cyc) for c, cyc in W.terms()]
+    uses = Counter(a for _, cyc in terms for a, _ in cyc)
+    _check_int64(d, q, len(terms), max(uses.values(), default=0))
+    return terms
+
+
+def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
+              gradient: bool) -> tuple:
+    """Tr W mod q on a slice and, with ``gradient``, whether every cyclic
+    derivative vanishes.  For the gradient, suffix products l_{i+1}...l_{L-1}
+    of a term l_0...l_{L-1} are built right to left; occurrence i adds
+    c * suffix * prefix to its arrow's sum, and the running prefix
+    l_0...l_{i-1} ends as the full product.  Every letter of a differentiated
+    W has exponent 1 (``cyclic_derivative`` refuses the others)."""
+    values = {x: space.letter_values(idx, x) for _, cyc in terms for x in cyc}
+    vals = np.zeros(n, dtype=np.int64)
+    grads: dict = {}
+    for cm, cyc in terms:
+        mats = [values[x] for x in cyc]
+        if not gradient:
+            vals += cm * space.trace(reduce(space.mul, mats))
+            continue
+        suffix = [None]
+        for m in reversed(mats[1:]):
+            suffix.append(space.mul(m, suffix[-1]))
+        suffix.reverse()
+        prefix = None
+        for i, (a, _) in enumerate(cyc):
+            rest = space.mul(suffix[i], prefix)
+            rest = cm * (space.identity(n) if rest is None else rest)
+            grads[a] = grads[a] + rest if a in grads else rest
+            prefix = space.mul(prefix, mats[i])
+        vals += cm * space.trace(prefix)
+    crit = np.ones(n, dtype=bool)
+    for acc in grads.values():
+        crit &= (acc % space.q == 0).reshape(n, -1).all(axis=1)
+    return vals % space.q, crit
 
 
 def _normalization(quiver: Quiver, d: int, q: int) -> dict:
@@ -533,24 +613,6 @@ class CountReport:
         return out
 
 
-def _tally(space: _RepSpace, terms: list, derivs: list, idx: dict,
-           n: int) -> tuple:
-    """Histogram of trace values and critical count for one batch."""
-    q = space.q
-    vals = np.zeros(n, dtype=np.int64)
-    for cm, cyc in terms:
-        prods = space.word_values(idx, cyc, n)
-        vals += cm * np.trace(prods, axis1=1, axis2=2)
-    vals %= q
-    hist = np.bincount(vals, minlength=q)
-    crit = np.ones(n, dtype=bool)
-    for el in derivs:
-        if el.is_zero():
-            continue
-        crit &= (space.element_values(idx, el, n) == 0).all(axis=(1, 2))
-    return hist, int(crit.sum())
-
-
 def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
                    mode: str = "exhaustive", sample_size: int | None = None,
                    seed: int | None = None) -> CountReport:
@@ -566,58 +628,30 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
             f"potential uses arrows not in the quiver: "
             f"{sorted(missing, key=_idkey)}")
     space = _RepSpace(quiver, d, q)
-    terms = [(_coeff_mod(c, q), cyc) for c, cyc in W.terms()]
-    derivs = [cyclic_derivative(quiver, W, a) for a in quiver.arrow_ids()]
-
-    if mode == "exhaustive":
-        if space.total > _STATE_GUARD:
-            raise StateSpaceTooLarge(
-                f"{space.total} points exceed the exhaustive guard "
-                f"{_STATE_GUARD}; use sampling")
-        ranges = [(lo, min(lo + _CHUNK, space.total))
-                  for lo in range(0, space.total, _CHUNK)]
-
-        def work(rng: tuple) -> tuple:
-            lo, hi = rng
-            return _tally(space, terms, derivs,
-                          space.chunk_indices(lo, hi), hi - lo)
-
-        hist = np.zeros(q, dtype=np.int64)
-        crit = 0
-        for h, c in _map_chunks(work, ranges):
-            hist += h
-            crit += c
-        histogram = {v: int(hist[v]) for v in range(q)}
-        return CountReport(
-            q=q, d=d, mode="exhaustive", total=space.total,
-            state_space=space.total, zeros=histogram[0], ones=histogram[1],
-            critical=crit, histogram=histogram,
-            normalization=_normalization(quiver, d, q))
-
+    terms = _coefficients(W, d, q)
+    for a in quiver.arrow_ids():  # refuses inverse occurrences of a
+        cyclic_derivative(quiver, W, a)
     if mode == "sample":
         if not isinstance(sample_size, int) or sample_size < 1:
             raise ValueError("sample mode needs sample_size >= 1")
         if seed is None:
             raise ValueError("sample mode needs an explicit seed")
-        rng = random.Random(seed)
-        hist = np.zeros(q, dtype=np.int64)
-        crit = 0
-        done = 0
-        while done < sample_size:
-            n = min(_CHUNK, sample_size - done)
-            idx = space.sample_indices(rng, n)
-            h, c = _tally(space, terms, derivs, idx, n)
-            hist += h
-            crit += c
-            done += n
-        histogram = {v: int(hist[v]) for v in range(q)}
-        return CountReport(
-            q=q, d=d, mode="sample", total=sample_size,
-            state_space=space.total, zeros=histogram[0], ones=histogram[1],
-            critical=crit, histogram=histogram,
-            normalization=_normalization(quiver, d, q), seed=seed)
+    elif mode == "exhaustive":
+        sample_size = seed = None
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
-    raise ValueError(f"unknown mode {mode!r}")
+    def kernel(idx: dict, n: int) -> np.ndarray:
+        vals, crit = _evaluate(space, terms, idx, n, gradient=True)
+        return np.append(np.bincount(vals, minlength=q), crit.sum())
+
+    tally = _sweep(space, kernel, sample_size, seed)
+    histogram = {v: int(tally[v]) for v in range(q)}
+    return CountReport(
+        q=q, d=d, mode=mode, total=sample_size or space.total,
+        state_space=space.total, zeros=histogram[0], ones=histogram[1],
+        critical=int(tally[q]), histogram=histogram,
+        normalization=_normalization(quiver, d, q), seed=seed)
 
 
 # -- strata of a chosen element -----------------------------------------------
@@ -685,38 +719,22 @@ def stratify_by_omega(quiver: Quiver, W: Potential, omega: Element,
             "(bounded rewriting stalled); strata reported anyway",
             RuntimeWarning, stacklevel=2)
     space = _RepSpace(quiver, d, q)
-    if space.total > _STATE_GUARD:
-        raise StateSpaceTooLarge(
-            f"{space.total} points exceed the exhaustive guard {_STATE_GUARD}")
-    ranges = [(lo, min(lo + _CHUNK, space.total))
-              for lo in range(0, space.total, _CHUNK)]
+    _check_int64(d, q)
 
-    def work(rng: tuple) -> tuple:
-        lo, hi = rng
-        n = hi - lo
-        idx = space.chunk_indices(lo, hi)
+    def kernel(idx: dict, n: int) -> np.ndarray:
         om = space.element_values(idx, omega, n)
-        power = om
-        for _ in range(d - 1):
-            power = np.matmul(power, om) % q
-        nilp = (power == 0).all(axis=(1, 2))
-        inv = _det_batch(om, q) != 0
-        return int(nilp.sum()), int(inv.sum())
+        nilp = (reduce(space.mul, [om] * d) == 0).reshape(n, -1).all(axis=1)
+        inv = (om if d == 1 else _det_batch(om, q)) != 0
+        return np.array([nilp.sum(), inv.sum()])
 
-    nilp = inv = 0
-    for a, b in _map_chunks(work, ranges):
-        nilp += a
-        inv += b
+    nilp, inv = map(int, _sweep(space, kernel))
     return StrataReport(q=q, d=d, total=space.total, nilpotent=nilp,
                         invertible=inv, mixed=space.total - nilp - inv,
                         central_certified=certified)
 
 
 def _det_batch(mats: np.ndarray, q: int) -> np.ndarray:
-    d = mats.shape[1]
-    if d == 1:
-        return mats[:, 0, 0] % q
-    if d == 2:
+    if mats.shape[1] == 2:
         return (mats[:, 0, 0] * mats[:, 1, 1]
                 - mats[:, 0, 1] * mats[:, 1, 0]) % q
     return np.array([_mat_det(tuple(map(tuple, m)), q) for m in mats],
@@ -772,38 +790,20 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
     stratum with (q - 1) times it.  Requires an odd prime: in characteristic
     2 the even coefficients of the potential collapse and the probe reads 0.
     """
-    _require_prime(q)
     if q == 2:
         raise ValueError("the degree-one probe needs an odd prime q; "
                          "characteristic 2 collapses the even coefficients")
     space = _RepSpace(quiver, 1, q)
-    if space.total > _STATE_GUARD:
-        raise StateSpaceTooLarge(
-            f"{space.total} points exceed the exhaustive guard {_STATE_GUARD}")
-    terms = [(_coeff_mod(c, q), cyc) for c, cyc in W.terms()]
-    ranges = [(lo, min(lo + _CHUNK, space.total))
-              for lo in range(0, space.total, _CHUNK)]
+    terms = _coefficients(W, 1, q)
 
-    def work(rng: tuple) -> tuple:
-        lo, hi = rng
-        n = hi - lo
-        idx = space.chunk_indices(lo, hi)
-        vals = np.zeros(n, dtype=np.int64)
-        for cm, cyc in terms:
-            prods = space.word_values(idx, cyc, n)
-            vals += cm * np.trace(prods, axis1=1, axis2=2)
-        vals %= q
+    def kernel(idx: dict, n: int) -> np.ndarray:
+        vals, _ = _evaluate(space, terms, idx, n, gradient=False)
         weights = (vals == 0).astype(np.int64) - (vals == 1).astype(np.int64)
-        om = space.element_values(idx, omega, n)[:, 0, 0]
-        return (int(weights.sum()),
-                int(weights[om == 0].sum()),
-                int(weights[om != 0].sum()))
+        om = space.element_values(idx, omega, n)
+        return np.array([weights.sum(), weights[om == 0].sum(),
+                         weights[om != 0].sum()])
 
-    w_total = w_nilp = w_inv = 0
-    for t, z, i in _map_chunks(work, ranges):
-        w_total += t
-        w_nilp += z
-        w_inv += i
+    w_total, w_nilp, w_inv = map(int, _sweep(space, kernel))
     return ProbeReport(
         q=q, weight_total=w_total, weight_nilpotent=w_nilp,
         weight_invertible=w_inv, nilpotent_times_q=q * w_nilp,

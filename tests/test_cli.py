@@ -101,6 +101,69 @@ def test_tiling_that_is_not_an_object_is_input_error(tmp_path, capsys):
                   "not list\n"
 
 
+def _bundled_perm_with(**entries):
+    perm = dict(load_data("genus2_automorphism.json")["half_edge_perm"])
+    perm.update(entries)
+    return perm
+
+
+@pytest.mark.parametrize("autom, message", [
+    ([0, 1], "an automorphism file holds a JSON object, not list"),
+    (3, "an automorphism file holds a JSON object, not int"),
+    ({"half_edge_perm": 3},
+     "automorphism field 'half_edge_perm' must be an object, not int"),
+    ({"half_edge_perm": [18, 19]},
+     "automorphism field 'half_edge_perm' must be an object, not list"),
+    ({"half_edge_perm": _bundled_perm_with(x=1)},
+     "automorphism field 'half_edge_perm' must map integer keys to integers"),
+    ({"half_edge_perm": _bundled_perm_with(**{"0": "18"})},
+     "automorphism field 'half_edge_perm' must map integer keys to integers"),
+    ({"half_edge_perm": _bundled_perm_with(**{"0": 18.5})},
+     "automorphism field 'half_edge_perm' must map integer keys to integers"),
+    ({"half_edge_perm": _bundled_perm_with(**{"0": True})},
+     "automorphism field 'half_edge_perm' must map integer keys to integers"),
+    (_bundled_perm_with(**{"1.5": 2}),
+     "automorphism field 'half_edge_perm' must map integer keys to integers"),
+    ({"half_edge_perm": _bundled_perm_with(), "order": "2"},
+     "automorphism field 'order' must be an integer"),
+    ({"half_edge_perm": _bundled_perm_with(), "order": 2.0},
+     "automorphism field 'order' must be an integer"),
+])
+def test_malformed_automorphism_names_the_field(tmp_path, capsys, autom,
+                                                message):
+    path = tmp_path / "autom.json"
+    path.write_text(json.dumps(autom))
+    rc, out, err = run(["refine", "--automorphism", str(path)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: {message}\n"
+
+
+@pytest.mark.parametrize("autom", [
+    {"half_edge_perm": _bundled_perm_with(), "order": 2},
+    {"half_edge_perm": _bundled_perm_with()},
+    _bundled_perm_with(),
+])
+def test_well_formed_automorphism_shapes_still_load(tmp_path, capsys, autom):
+    path = tmp_path / "autom.json"
+    path.write_text(json.dumps(autom))
+    obj = run_json(["refine", "--automorphism", str(path)], capsys)
+    assert obj["automorphism"]["order"] == 2
+
+
+def test_pipeline_malformed_automorphism_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad_autom.json"
+    bad.write_text(json.dumps({"half_edge_perm": 3}))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"automorphism": str(bad),
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
+    assert rc == EXIT_INPUT
+    assert json.loads(out)["stages"][0] == {
+        "name": "tile", "status": "failed",
+        "detail": "InputError: automorphism field 'half_edge_perm' must be "
+                  "an object, not int"}
+
+
 def test_refine_reports_no_split_needed(capsys):
     obj = run_json(["refine"], capsys)
     assert obj["changed"] is False
