@@ -1,10 +1,24 @@
 """Command-line orchestration of the tiling-to-counts toolchain.
 
-``tessella <subcommand>`` wires the library stages together: tile loading,
-dual quiver extraction, symmetry refinement, dimer selection, embedding
-choice, potential transport, the verification suite, and finite-field
-counts.  Subcommands default to the bundled genus-2 running example, so
+``tessella <subcommand>`` runs the paper's chain, or the part of it one
+subcommand shows: tiling, automorphism, dual quiver, refinement, dimer,
+embedding choice, transport, the verification checks and finite-field
+counts.  Every input defaults to the bundled genus-2 running example, so
 ``tessella transport`` or ``tessella psi-verify`` work with no arguments.
+
+The stage table
+---------------
+``_STAGES`` writes each stage once: its name, the stages it reads and the
+function that computes it; a stage the pipeline reports also names its
+pipeline step and the report that writes the step's artifacts.  A ``_Run``
+holds one run's options (under the pipeline config's names) and computes
+each stage on first use, so a run computes only what its target reads.
+
+* A subcommand (``_COMMANDS``) names its target stage and a view that turns
+  the run into the stdout payload; ``derive``, ``gdga-check``, ``count``
+  and ``probe`` take a qpot file in place of the stage their entry names.
+* ``tessella pipeline`` walks the table in order, one step per reported
+  stage.
 
 Conventions
 -----------
@@ -12,8 +26,9 @@ Conventions
   newline.  Two runs with the same inputs and seed write identical bytes.
 * Exit codes: 0 all checks pass; 2 a verification failed; 3 no admissible
   embedding choice exists for the input; 4 input/configuration error,
-  including a count over its state-space or int64 guard and a tiling or
-  automorphism file of the wrong shape.
+  including a count over its state-space or int64 guard, an input file
+  that is missing or not JSON, a tiling that ``validate_tiling`` rejects,
+  and a tiling, automorphism or pipeline config file of the wrong shape.
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
   sweep; it never changes a count.
 * Paths inside a pipeline config file are resolved relative to the config
@@ -30,9 +45,8 @@ import time
 from dataclasses import dataclass, field
 from importlib import metadata, resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .datafiles import load_data
 from .equivariant import (
     ChoiceSearch,
     NoChoiceFound,
@@ -86,13 +100,11 @@ EXIT_VERIFY = 2
 EXIT_NO_CHOICE = 3
 EXIT_INPUT = 4
 
-_BUNDLED_TILING = "genus2_tiling.json"
-_BUNDLED_AUTOMORPHISM = "genus2_automorphism.json"
-_BUNDLED_PHI_STAR = "genus2_phi_star.json"
-_BUNDLED_SCRIPT = "genus2_derivation.json"
-
-_PIPELINE_STAGES = ("tile", "dual", "refine", "dimer", "choice",
-                    "transport", "verify", "count")
+# input file -> the bundled file read when no path is given
+_BUNDLED = {"tiling": "genus2_tiling.json",
+            "automorphism": "genus2_automorphism.json",
+            "phi_star": "genus2_phi_star.json",
+            "script": "genus2_derivation.json"}
 
 
 class InputError(ValueError):
@@ -107,38 +119,39 @@ def tool_version() -> str:
 
 
 # ---------------------------------------------------------------------------
-# canonical serialization
+# canonical serialization and input files
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _read_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_input(path: Optional[str], bundled_name: str) -> tuple[dict, dict]:
-    """Returns (parsed object, digest record) for a path or a bundled file."""
+def _read_input(path: Optional[str],
+                bundled_name: Optional[str] = None) -> tuple[bytes, dict]:
+    """(bytes, digest record) of an input file, or of a bundled file when
+    ``path`` is None."""
     if path is None:
         raw = (resources.files("tessella") / "data" / bundled_name).read_bytes()
-        return json.loads(raw), {"source": f"bundled:{bundled_name}",
-                                 "sha256": _digest_bytes(raw)}
-    raw = Path(path).read_bytes() if Path(path).exists() else None
-    if raw is None:
-        raise InputError(f"input file {path} does not exist")
-    return json.loads(raw.decode()), {"source": str(path),
-                                      "sha256": _digest_bytes(raw)}
+        return raw, {"source": f"bundled:{bundled_name}",
+                     "sha256": _digest_bytes(raw)}
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise InputError(f"input file {path} does not exist") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return raw, {"source": str(path), "sha256": _digest_bytes(raw)}
+
+
+def _parse_json(raw: bytes, path):
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _is_int(x) -> bool:
@@ -200,16 +213,27 @@ def _taut_to_json(taut) -> dict:
             "order": taut.order}
 
 
+def _check_counting(opts: dict) -> None:
+    """Checks the count options (``field_sizes``, ``dimension``, ``mode``,
+    ``sample_size``, ``seed``) of ``count``, ``probe`` and a pipeline
+    config."""
+    for q in opts["field_sizes"]:
+        if not _is_prime(q):
+            raise InputError(f"field size {q} is not prime")
+    if opts["dimension"] < 1:
+        raise InputError(f"dimension must be >= 1, got {opts['dimension']}")
+    mode = opts.get("mode", "exhaustive")
+    if mode not in ("exhaustive", "sample"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "sample":
+        if opts.get("sample_size") is None:
+            raise InputError("sample mode needs a sample size")
+        if opts.get("seed") is None:
+            raise InputError("sample mode needs an explicit seed")
+
+
 # ---------------------------------------------------------------------------
-# shared stage plumbing
-
-
-def _load_pair(tiling_path, autom_path):
-    tobj, tdig = _load_input(tiling_path, _BUNDLED_TILING)
-    aobj, adig = _load_input(autom_path, _BUNDLED_AUTOMORPHISM)
-    tiling = _tiling_from_json(tobj)
-    taut = _automorphism_from_json(tiling, aobj)
-    return tiling, taut, {"tiling": tdig, "automorphism": adig}
+# the stages
 
 
 def _canonical_choice(tiling, taut, matching):
@@ -250,20 +274,6 @@ def _canonical_choice(tiling, taut, matching):
     return best[1], best[2]
 
 
-def _prepare_context(tiling, taut, choice_obj=None):
-    """refine -> dimer -> (dual, induced symmetry) -> choice -> orbit quiver."""
-    tiling, taut = refine_tiling(tiling, taut)
-    tiling, taut, matching = equivariant_dimer(tiling, taut)
-    quiver, W = dual_quiver(tiling)
-    phi = induced_quiver_automorphism(tiling, taut, quiver)
-    if choice_obj is None:
-        matching, choice = _canonical_choice(tiling, taut, matching)
-    else:
-        choice = orbit_choice_from_json(quiver, choice_obj)
-    ctx = build_orbit_quiver(quiver, phi, choice)
-    return ctx, W, matching, tiling
-
-
 def _counting_quiver(quiver: Quiver) -> Quiver:
     """The counting localization: generator arrows invertible, the
     isomorphism arrows free."""
@@ -271,11 +281,304 @@ def _counting_quiver(quiver: Quiver) -> Quiver:
     return Quiver(quiver.vertices, quiver.arrows, localized=flipped)
 
 
-def _bundled_orbit():
-    tiling, taut, _ = _load_pair(None, None)
-    ctx, W, _, _ = _prepare_context(tiling, taut)
-    Wp = transport_potential(W, ctx).potential
-    return ctx, W, Wp
+class _Choice(NamedTuple):
+    matching: object
+    ctx: object  # the orbit quiver, a SemidirectQuiver
+    W: object    # the potential of the dual of the dimer's tiling
+
+
+def _tiling(run):
+    tiling = _tiling_from_json(run.load("tiling"))
+    report = validate_tiling(tiling)
+    if not report["valid"]:
+        raise InputError("; ".join(report["problems"]))
+    return tiling
+
+
+def _choice(run, dimer) -> _Choice:
+    tiling, taut, matching = dimer
+    quiver, W = dual_quiver(tiling)
+    phi = induced_quiver_automorphism(tiling, taut, quiver)
+    if run.opts.get("choice"):
+        choice = orbit_choice_from_json(quiver, run.load("choice"))
+    else:
+        matching, choice = _canonical_choice(tiling, taut, matching)
+    return _Choice(matching, build_orbit_quiver(quiver, phi, choice), W)
+
+
+def _transport_identity(run, c: _Choice, tp) -> dict:
+    checks = []
+    for a in c.ctx.choice.generators:
+        res = verify_transport_identity(c.ctx, c.W, tp.potential, a)
+        checks.append({"arrow": str(a), "passed": res.passed,
+                       "witness": element_to_json(res.witness)})
+    return {"ok": all(c["passed"] for c in checks), "checks": checks}
+
+
+def _d_squared(quiver, W) -> dict:
+    ok, witnesses = check_d_squared(ginzburg_dga(quiver, W))
+    return {"ok": ok, "witnesses": {str(g): element_to_json(x)
+                                    for g, x in witnesses.items()}}
+
+
+def _surface_action(run) -> tuple:
+    """(PhiAction, psi assignment) in dehn mode, (None, None) otherwise."""
+    if run.opts["psi_mode"] != "dehn":
+        return None, None
+    if run.opts["phi_star"] is None and not run.opts.get("bundled_phi_star"):
+        raise MissingPhiAction(
+            "psi-verify in dehn mode needs a surface-action config "
+            "(--phi-star FILE, or --bundled-phi-star for the packaged one)")
+    cfg = run.load("phi_star")
+    phi = phi_action_from_json(cfg)
+    if "psi_assignment" not in cfg:
+        raise InputError("the surface-action config lacks a psi_assignment "
+                         "table, which dehn mode needs")
+    return phi, psi_assignment_from_json(cfg["psi_assignment"])
+
+
+def _psi_relations(run, action, c: _Choice, tp) -> dict:
+    phi, assignment = action
+    return verify_psi_relations(c.ctx, tp.potential, mode=run.opts["psi_mode"],
+                                phi=phi, assignment=assignment).to_json()
+
+
+def _derivation_script(run, c: _Choice, tp) -> dict:
+    blob = run.load("script")
+    contract = blob.get("contract", ()) if isinstance(blob, dict) else ()
+    _, relations = contracted_relations(c.ctx.quiver, tp.potential, contract)
+    return check_derivation_script(relations, blob).to_json()
+
+
+def _verify(run, transport_identity, d_squared, psi_relations) -> dict:
+    out = {"transport_identity": transport_identity, "d_squared": d_squared,
+           "psi_relations": psi_relations}
+    # check-script checks the bundled script when given none; the pipeline
+    # checks a script only when its config names one
+    if run.opts["script"]:
+        out["derivation_script"] = run["derivation_script"]
+    return out
+
+
+def _count(run, counting) -> list:
+    quiver, W = counting
+    o = run.opts
+    return [enumerate_reps(quiver, W, o["dimension"], q, mode=o["mode"],
+                           sample_size=o["sample_size"], seed=o["seed"]
+                           ).to_json()
+            for q in o["field_sizes"]]
+
+
+# -- payloads: what a subcommand prints and the pipeline writes
+
+
+def _dual_names(tiling, matching) -> list:
+    return sorted(tiling.arrow_name(min(h, k)) for h, k in matching)
+
+
+def _refine_json(run, refined) -> dict:
+    tiling, taut = refined
+    return {"tiling": tiling_to_json(tiling),
+            "automorphism": _taut_to_json(taut),
+            "changed": tiling is not run["tiling"]}
+
+
+def _dimer_json(dimer) -> dict:
+    tiling, _, matching = dimer
+    return {"matching": sorted(sorted(e) for e in matching),
+            "dual_arrows": _dual_names(tiling, matching)}
+
+
+def _choice_json(run, c: _Choice) -> dict:
+    payload = orbit_choice_to_json(c.ctx.choice)
+    payload["dimer_duals"] = _dual_names(run["dimer"][0], c.matching)
+    return payload
+
+
+def _transport_json(run, tp) -> dict:
+    payload = qpot_to_json(run["choice"].ctx.quiver, tp.potential)
+    payload["homogeneous"] = tp.homogeneous
+    payload["degree"] = tp.degree
+    return payload
+
+
+def _homogeneity_error(run, payload) -> Optional[str]:
+    if run.opts["require_homogeneous"] and not payload["homogeneous"]:
+        return "transported potential is not homogeneous"
+    return None
+
+
+def _derive_json(run, qpot) -> dict:
+    quiver, W = qpot
+    arrows = [a for a in sorted(quiver.arrow_ids(), key=_idkey)
+              if not quiver.is_localized(a)]
+    return {"relations": [
+        {"arrow": str(a),
+         "element": element_to_json(cyclic_derivative(quiver, W, a))}
+        for a in arrows]}
+
+
+def _probe_json(run, counting) -> dict:
+    quiver, W = counting
+    if not run.opts.get("qpot"):  # --omega only goes with a qpot file
+        omega = (Element.from_word(quiver.word(parse_letters("rere")))
+                 + Element.from_word(quiver.word(parse_letters("erer"))))
+    elif run.opts.get("omega"):
+        omega = element_from_json(quiver, run.load("omega"))
+    elif "omega" in run.load("qpot"):
+        omega = element_from_json(quiver, run.load("qpot")["omega"])
+    else:
+        raise InputError("the probe needs an omega element: embed an "
+                         "\"omega\" key in the file or pass --omega")
+    return conjecture_probe_d1(quiver, W, omega,
+                               run.opts["field_sizes"][0]).to_json()
+
+
+# -- pipeline reports: write a step's artifacts, return its outcome detail
+
+
+class _VerificationFailed(Exception):
+    """Stage-internal: the stage ran to completion but its checks failed."""
+
+
+def _tile_report(run, taut, write) -> str:
+    for key in ("phi_star", "script"):
+        if run.opts[key]:
+            run.read(key)  # recorded among the input digests
+    return f"symmetry order {taut.order}"
+
+
+def _dual_report(run, qpot, write) -> str:
+    quiver, W = qpot
+    write("base_qpot.json", qpot_to_json(quiver, W))
+    return (f"{len(quiver.vertices)} vertices, "
+            f"{len(quiver.arrows)} arrows, {len(W.terms())} terms")
+
+
+def _refine_report(run, refined, write) -> str:
+    payload = _refine_json(run, refined)
+    write("refined_tiling.json", payload["tiling"])
+    write("refined_automorphism.json", payload["automorphism"])
+    return ("split symmetric tiles" if payload["changed"]
+            else "no refinement needed")
+
+
+def _dimer_report(run, dimer, write) -> str:
+    payload = _dimer_json(dimer)
+    write("dimer.json", payload)
+    return f"dual arrows {{{', '.join(payload['dual_arrows'])}}}"
+
+
+def _choice_report(run, c: _Choice, write) -> str:
+    payload = _choice_json(run, c)
+    write("choice.json", payload)
+    return (f"generators {''.join(str(g) for g in c.ctx.choice.generators)}, "
+            f"dimer duals {{{', '.join(payload['dimer_duals'])}}}")
+
+
+def _transport_report(run, tp, write) -> str:
+    payload = _transport_json(run, tp)
+    write("orbit_qpot.json", payload)
+    error = _homogeneity_error(run, payload)
+    if error:
+        raise _VerificationFailed(error)
+    return f"homogeneous of degree {tp.degree}"
+
+
+def _verify_report(run, out, write) -> str:
+    write("verify.json", out)
+    bad = [k for k, v in out.items() if not v["ok"]]
+    if bad:
+        raise _VerificationFailed("failing checks: " + ", ".join(bad))
+    return f"{len(out)} check groups passed"
+
+
+def _count_report(run, reports, write) -> str:
+    write("counts.json", reports)
+    return "; ".join(f"q={r['q']}: total {r['total']}" for r in reports)
+
+
+@dataclass(frozen=True)
+class _Stage:
+    name: str
+    reads: tuple
+    compute: Callable  # (run, *values of the stages read) -> value
+    step: Optional[str] = None  # the pipeline step that reports the stage
+    report: Optional[Callable] = None  # (run, value, write) -> detail
+
+
+_STAGES = (
+    _Stage("tiling", (), _tiling),
+    _Stage("automorphism", ("tiling",),
+           lambda run, t: _automorphism_from_json(t, run.load("automorphism")),
+           "tile", _tile_report),
+    _Stage("dual", ("tiling",), lambda run, t: dual_quiver(t),
+           "dual", _dual_report),
+    _Stage("refine", ("tiling", "automorphism"),
+           lambda run, t, a: refine_tiling(t, a), "refine", _refine_report),
+    _Stage("dimer", ("refine",), lambda run, r: equivariant_dimer(*r),
+           "dimer", _dimer_report),
+    _Stage("choice", ("dimer",), _choice, "choice", _choice_report),
+    _Stage("transport", ("choice",),
+           lambda run, c: transport_potential(c.W, c.ctx),
+           "transport", _transport_report),
+    _Stage("transport_identity", ("choice", "transport"), _transport_identity),
+    _Stage("d_squared", ("choice",), lambda run, c: _d_squared(c.ctx.base, c.W)),
+    _Stage("surface_action", (), _surface_action),
+    _Stage("psi_relations", ("surface_action", "choice", "transport"),
+           _psi_relations),
+    _Stage("derivation_script", ("choice", "transport"), _derivation_script),
+    _Stage("verify", ("transport_identity", "d_squared", "psi_relations"),
+           _verify, "verify", _verify_report),
+    _Stage("orbit", ("choice", "transport"),
+           lambda run, c, tp: (c.ctx.quiver, tp.potential)),
+    _Stage("counting", ("orbit",),
+           lambda run, qpot: (_counting_quiver(qpot[0]), qpot[1])),
+    _Stage("count", ("counting",), _count, "count", _count_report),
+)
+_STAGE_BY_NAME = {s.name: s for s in _STAGES}
+
+
+class _Run:
+    """One run of the chain.  ``run[name]`` is the value of stage ``name``,
+    computed from the stages it reads the first time it is asked for.
+
+    ``opts`` are the run's options under the pipeline config's names (plus
+    ``choice``, ``qpot``, ``omega`` and ``bundled_phi_star`` from the
+    subcommands); a key not given takes the config's default.  An input
+    file is read once, and ``digests`` records each file read.
+    """
+
+    def __init__(self, opts: dict):
+        self.opts = {**vars(PipelineConfig()), **opts}
+        self.values: dict = {}
+        self.digests: dict = {}
+        self._raw: dict = {}
+        self._json: dict = {}
+
+    def __getitem__(self, name: str):
+        if name not in self.values:
+            stage = _STAGE_BY_NAME[name]
+            self.values[name] = stage.compute(
+                self, *[self[r] for r in stage.reads])
+        return self.values[name]
+
+    def read(self, key: str) -> bytes:
+        """The bytes of input file ``key`` (the bundled one when its path
+        is None)."""
+        if key not in self._raw:
+            self._raw[key], self.digests[key] = _read_input(
+                self.opts.get(key), _BUNDLED.get(key))
+        return self._raw[key]
+
+    def load(self, key: str):
+        if key not in self._json:
+            self._json[key] = _parse_json(self.read(key), self.opts.get(key))
+        return self._json[key]
+
+
+# ---------------------------------------------------------------------------
+# subcommands
 
 
 def _output(args, payload) -> None:
@@ -286,200 +589,59 @@ def _output(args, payload) -> None:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _count_options(args) -> dict:
+    """``count`` and ``probe`` flags under the pipeline config's names,
+    checked as a config is."""
+    opts = dict(vars(args), field_sizes=(args.q,),
+                dimension=getattr(args, "d", 1))
+    _check_counting(opts)
+    return opts
 
 
-def cmd_dual(args) -> int:
-    obj, _ = _load_input(args.tiling, _BUNDLED_TILING)
-    tiling = _tiling_from_json(obj)
-    quiver, W = dual_quiver(tiling)
-    _output(args, qpot_to_json(quiver, W))
-    return EXIT_OK
+@dataclass(frozen=True)
+class _Command:
+    target: str
+    view: Callable = lambda run, value: value  # (run, value) -> payload
+    qpot: Optional[str] = None  # the stage that a qpot file stands in for
+    options: Callable = vars  # args -> run options
+    error: Optional[Callable] = None  # (run, payload) -> failure message
 
 
-def cmd_refine(args) -> int:
-    tiling, taut, _ = _load_pair(args.tiling, args.automorphism)
-    out_t, out_a = refine_tiling(tiling, taut)
-    _output(args, {"tiling": tiling_to_json(out_t),
-                   "automorphism": _taut_to_json(out_a),
-                   "changed": out_t is not tiling})
-    return EXIT_OK
+_COMMANDS = {
+    "dual": _Command("dual", lambda run, qpot: qpot_to_json(*qpot)),
+    "refine": _Command("refine", _refine_json),
+    "dimer": _Command("dimer", lambda run, d: {
+        **_dimer_json(d), "tiling": tiling_to_json(d[0]),
+        "automorphism": _taut_to_json(d[1])}),
+    "choose-xi": _Command("choice", _choice_json),
+    "transport": _Command("transport", _transport_json,
+                          error=_homogeneity_error),
+    "derive": _Command("orbit", _derive_json, qpot="orbit"),
+    # the dual of the input tiling; the pipeline's d_squared checks the dual
+    # of the tiling after refine and dimer
+    "gdga-check": _Command("dual", lambda run, qpot: _d_squared(*qpot),
+                           qpot="dual"),
+    "verify-eq31": _Command("transport_identity"),
+    "psi-verify": _Command("psi_relations"),
+    "check-script": _Command("derivation_script"),
+    "count": _Command("count", lambda run, reports: reports[0],
+                      qpot="counting", options=_count_options),
+    "probe": _Command("counting", _probe_json, qpot="counting",
+                      options=_count_options),
+}
 
 
-def cmd_dimer(args) -> int:
-    tiling, taut, _ = _load_pair(args.tiling, args.automorphism)
-    tiling, taut = refine_tiling(tiling, taut)
-    tiling, taut, matching = equivariant_dimer(tiling, taut)
-    duals = sorted(tiling.arrow_name(min(h, k)) for h, k in matching)
-    _output(args, {"matching": sorted(sorted(e) for e in matching),
-                   "dual_arrows": duals,
-                   "tiling": tiling_to_json(tiling),
-                   "automorphism": _taut_to_json(taut)})
-    return EXIT_OK
-
-
-def cmd_choose_xi(args) -> int:
-    tiling, taut, _ = _load_pair(args.tiling, args.automorphism)
-    tiling, taut = refine_tiling(tiling, taut)
-    tiling, taut, matching = equivariant_dimer(tiling, taut)
-    matching, choice = _canonical_choice(tiling, taut, matching)
-    payload = orbit_choice_to_json(choice)
-    payload["dimer_duals"] = sorted(tiling.arrow_name(min(h, k))
-                                    for h, k in matching)
+def _run_command(args) -> int:
+    command = _COMMANDS[args.command]
+    run = _Run(command.options(args))
+    if run.opts.get("qpot"):
+        run.values[command.qpot] = qpot_from_json(run.load("qpot"))
+    payload = command.view(run, run[command.target])
     _output(args, payload)
-    return EXIT_OK
-
-
-def cmd_transport(args) -> int:
-    tiling, taut, _ = _load_pair(args.tiling, args.automorphism)
-    choice_obj = _read_json(args.choice) if args.choice else None
-    ctx, W, _, _ = _prepare_context(tiling, taut, choice_obj)
-    tp = transport_potential(W, ctx)
-    payload = qpot_to_json(ctx.quiver, tp.potential)
-    payload["homogeneous"] = tp.homogeneous
-    payload["degree"] = tp.degree
-    _output(args, payload)
-    if args.require_homogeneous and not tp.homogeneous:
-        print("error: transported potential is not homogeneous",
-              file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
-
-
-def _load_qpot(args, orbit_default: bool):
-    """A (quiver, potential) pair from a file, or from the bundled chain."""
-    if args.qpot:
-        return qpot_from_json(_read_json(args.qpot))
-    if orbit_default:
-        ctx, _, Wp = _bundled_orbit()
-        return ctx.quiver, Wp
-    tiling = _tiling_from_json(_load_input(None, _BUNDLED_TILING)[0])
-    return dual_quiver(tiling)
-
-
-def cmd_derive(args) -> int:
-    quiver, W = _load_qpot(args, orbit_default=True)
-    arrows = [a for a in sorted(quiver.arrow_ids(), key=_idkey)
-              if not quiver.is_localized(a)]
-    _output(args, {"relations": [
-        {"arrow": str(a),
-         "element": element_to_json(cyclic_derivative(quiver, W, a))}
-        for a in arrows]})
-    return EXIT_OK
-
-
-def cmd_gdga_check(args) -> int:
-    quiver, W = _load_qpot(args, orbit_default=False)
-    ok, witnesses = check_d_squared(ginzburg_dga(quiver, W))
-    _output(args, {"ok": ok,
-                   "witnesses": {str(g): element_to_json(x)
-                                 for g, x in witnesses.items()}})
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
-def cmd_verify_eq31(args) -> int:
-    tiling, taut, _ = _load_pair(args.tiling, args.automorphism)
-    ctx, W, _, _ = _prepare_context(tiling, taut)
-    Wp = transport_potential(W, ctx).potential
-    checks = []
-    for a in ctx.choice.generators:
-        res = verify_transport_identity(ctx, W, Wp, a)
-        checks.append({"arrow": str(a), "passed": res.passed,
-                       "witness": element_to_json(res.witness)})
-    ok = all(c["passed"] for c in checks)
-    _output(args, {"ok": ok, "checks": checks})
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
-def _psi_inputs(args):
-    """mode, PhiAction, assignment — honouring the bundled default config."""
-    if args.mode != "dehn":
-        return args.mode, None, None
-    if args.phi_star is None and not args.bundled_phi_star:
-        raise MissingPhiAction(
-            "psi-verify in dehn mode needs a surface-action config "
-            "(--phi-star FILE, or --bundled-phi-star for the packaged one)")
-    cfg = (_read_json(args.phi_star) if args.phi_star
-           else load_data(_BUNDLED_PHI_STAR))
-    phi = phi_action_from_json(cfg)
-    if "psi_assignment" not in cfg:
-        raise InputError("the surface-action config lacks a psi_assignment "
-                         "table, which dehn mode needs")
-    return "dehn", phi, psi_assignment_from_json(cfg["psi_assignment"])
-
-
-def cmd_psi_verify(args) -> int:
-    mode, phi, assignment = _psi_inputs(args)
-    tiling, taut, _ = _load_pair(args.tiling, args.automorphism)
-    ctx, W, _, _ = _prepare_context(tiling, taut)
-    Wp = transport_potential(W, ctx).potential
-    report = verify_psi_relations(ctx, Wp, mode=mode, phi=phi,
-                                  assignment=assignment)
-    _output(args, report.to_json())
-    return EXIT_OK if report.ok else EXIT_VERIFY
-
-
-def cmd_check_script(args) -> int:
-    blob, _ = _load_input(args.script, _BUNDLED_SCRIPT)
-    tiling, taut, _ = _load_pair(args.tiling, args.automorphism)
-    ctx, W, _, _ = _prepare_context(tiling, taut)
-    Wp = transport_potential(W, ctx).potential
-    contract = blob.get("contract", ()) if isinstance(blob, dict) else ()
-    _, relations = contracted_relations(ctx.quiver, Wp, contract)
-    report = check_derivation_script(relations, blob)
-    _output(args, report.to_json())
-    return EXIT_OK if report.ok else EXIT_VERIFY
-
-
-def _check_count_args(q: int, d: int, mode: str, sample_size, seed) -> None:
-    if not _is_prime(q):
-        raise InputError(f"field size {q} is not prime")
-    if d < 1:
-        raise InputError(f"dimension must be >= 1, got {d}")
-    if mode not in ("exhaustive", "sample"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "sample":
-        if sample_size is None:
-            raise InputError("sample mode needs --sample-size")
-        if seed is None:
-            raise InputError("sample mode needs an explicit --seed")
-
-
-def cmd_count(args) -> int:
-    _check_count_args(args.q, args.d, args.mode, args.sample_size, args.seed)
-    if args.qpot:
-        quiver, W = qpot_from_json(_read_json(args.qpot))
-    else:
-        ctx, _, W = _bundled_orbit()
-        quiver = _counting_quiver(ctx.quiver)
-    report = enumerate_reps(quiver, W, args.d, args.q, mode=args.mode,
-                            sample_size=args.sample_size, seed=args.seed)
-    _output(args, report.to_json())
-    return EXIT_OK
-
-
-def cmd_probe(args) -> int:
-    if not _is_prime(args.q):
-        raise InputError(f"field size {args.q} is not prime")
-    if args.qpot:
-        quiver, W = qpot_from_json(_read_json(args.qpot))
-        obj = _read_json(args.qpot)
-        if args.omega:
-            omega = element_from_json(quiver, _read_json(args.omega))
-        elif "omega" in obj:
-            omega = element_from_json(quiver, obj["omega"])
-        else:
-            raise InputError("the probe needs an omega element: embed an "
-                             "\"omega\" key in the file or pass --omega")
-    else:
-        ctx, _, W = _bundled_orbit()
-        quiver = _counting_quiver(ctx.quiver)
-        omega = (Element.from_word(quiver.word(parse_letters("rere")))
-                 + Element.from_word(quiver.word(parse_letters("erer"))))
-    report = conjecture_probe_d1(quiver, W, omega, args.q)
-    _output(args, report.to_json())
-    return EXIT_OK
+    error = command.error(run, payload) if command.error else None
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+    return EXIT_VERIFY if error or payload.get("ok") is False else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +672,9 @@ class PipelineConfig:
     @staticmethod
     def from_json(obj: dict, base_dir: Optional[Path] = None,
                   output_dir: Optional[str] = None) -> "PipelineConfig":
+        if not isinstance(obj, dict):
+            raise InputError(f"a pipeline config file holds a JSON object, "
+                             f"not {type(obj).__name__}")
         unknown = sorted(set(obj) - set(PipelineConfig._KEYS))
         if unknown:
             raise InputError(f"unknown config keys: {unknown}")
@@ -531,16 +696,7 @@ class PipelineConfig:
             path = getattr(self, key)
             if path is not None and not Path(path).exists():
                 raise InputError(f"{key} file {path} does not exist")
-        for q in self.field_sizes:
-            if not _is_prime(q):
-                raise InputError(f"field size {q} is not prime")
-        if self.dimension < 1:
-            raise InputError(f"dimension must be >= 1, got {self.dimension}")
-        if self.mode not in ("exhaustive", "sample"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.mode == "sample" and (self.sample_size is None
-                                      or self.seed is None):
-            raise InputError("sample mode needs sample_size and seed")
+        _check_counting(vars(self))
         if self.psi_mode not in ("certificate", "dehn"):
             raise InputError(f"unknown psi_mode {self.psi_mode!r}")
         if self.psi_mode == "dehn" and self.phi_star is None:
@@ -595,10 +751,6 @@ class RunReport:
                 "ok": self.ok, "exit_code": self.exit_code}
 
 
-class _VerificationFailed(Exception):
-    """Stage-internal: the stage ran to completion but its checks failed."""
-
-
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Execute tile -> dual -> refine -> dimer -> choice -> transport ->
     verify -> count, short-circuiting the rest on hard errors.
@@ -611,11 +763,10 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    run = _Run(vars(config))
     stages: list[StageOutcome] = []
     artifacts: list[str] = []
     timing: dict[str, float] = {}
-    digests: dict[str, dict] = {}
-    state: dict = {}
     exit_code = EXIT_OK
     aborted = False
 
@@ -623,139 +774,17 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         (outdir / name).write_text(_dumps(payload))
         artifacts.append(name)
 
-    def stage_tile() -> str:
-        tobj, digests["tiling"] = _load_input(config.tiling, _BUNDLED_TILING)
-        aobj, digests["automorphism"] = _load_input(config.automorphism,
-                                                    _BUNDLED_AUTOMORPHISM)
-        tiling = _tiling_from_json(tobj)
-        report = validate_tiling(tiling)
-        if not report["valid"]:
-            raise InputError("; ".join(report["problems"]))
-        state["tiling"] = tiling
-        state["taut"] = _automorphism_from_json(tiling, aobj)
-        if config.phi_star:
-            raw = Path(config.phi_star).read_bytes()
-            digests["phi_star"] = {"source": config.phi_star,
-                                   "sha256": _digest_bytes(raw)}
-        if config.script:
-            raw = Path(config.script).read_bytes()
-            digests["script"] = {"source": config.script,
-                                 "sha256": _digest_bytes(raw)}
-        return f"symmetry order {state['taut'].order}"
-
-    def stage_dual() -> str:
-        quiver, W = dual_quiver(state["tiling"])
-        write("base_qpot.json", qpot_to_json(quiver, W))
-        return (f"{len(quiver.vertices)} vertices, "
-                f"{len(quiver.arrows)} arrows, {len(W.terms())} terms")
-
-    def stage_refine() -> str:
-        t2, a2 = refine_tiling(state["tiling"], state["taut"])
-        changed = t2 is not state["tiling"]
-        state["tiling"], state["taut"] = t2, a2
-        write("refined_tiling.json", tiling_to_json(t2))
-        write("refined_automorphism.json", _taut_to_json(a2))
-        return "split symmetric tiles" if changed else "no refinement needed"
-
-    def stage_dimer() -> str:
-        t3, a3, matching = equivariant_dimer(state["tiling"], state["taut"])
-        state["tiling"], state["taut"] = t3, a3
-        state["matching"] = matching
-        duals = sorted(t3.arrow_name(min(h, k)) for h, k in matching)
-        write("dimer.json", {"matching": sorted(sorted(e) for e in matching),
-                             "dual_arrows": duals})
-        return f"dual arrows {{{', '.join(duals)}}}"
-
-    def stage_choice() -> str:
-        tiling, taut = state["tiling"], state["taut"]
-        matching, choice = _canonical_choice(tiling, taut, state["matching"])
-        state["matching"] = matching
-        quiver, W = dual_quiver(tiling)
-        phi = induced_quiver_automorphism(tiling, taut, quiver)
-        state["W"] = W
-        state["ctx"] = build_orbit_quiver(quiver, phi, choice)
-        duals = sorted(tiling.arrow_name(min(h, k)) for h, k in matching)
-        payload = orbit_choice_to_json(choice)
-        payload["dimer_duals"] = duals
-        write("choice.json", payload)
-        return (f"generators {''.join(str(g) for g in choice.generators)}, "
-                f"dimer duals {{{', '.join(duals)}}}")
-
-    def stage_transport() -> str:
-        tp = transport_potential(state["W"], state["ctx"])
-        state["Wp"] = tp.potential
-        payload = qpot_to_json(state["ctx"].quiver, tp.potential)
-        payload["homogeneous"] = tp.homogeneous
-        payload["degree"] = tp.degree
-        write("orbit_qpot.json", payload)
-        if config.require_homogeneous and not tp.homogeneous:
-            raise _VerificationFailed("transported potential is not "
-                                      "homogeneous")
-        return f"homogeneous of degree {tp.degree}"
-
-    def stage_verify() -> str:
-        ctx, W, Wp = state["ctx"], state["W"], state["Wp"]
-        out: dict = {}
-        eq_checks = []
-        for a in ctx.choice.generators:
-            res = verify_transport_identity(ctx, W, Wp, a)
-            eq_checks.append({"arrow": str(a), "passed": res.passed,
-                              "witness": element_to_json(res.witness)})
-        out["transport_identity"] = {"ok": all(c["passed"] for c in eq_checks),
-                                     "checks": eq_checks}
-        base_quiver, _ = dual_quiver(state["tiling"])
-        d2_ok, d2_wit = check_d_squared(ginzburg_dga(base_quiver, W))
-        out["d_squared"] = {"ok": d2_ok,
-                            "witnesses": {str(g): element_to_json(x)
-                                          for g, x in d2_wit.items()}}
-        phi = assignment = None
-        if config.psi_mode == "dehn":
-            cfg = _read_json(config.phi_star)
-            phi = phi_action_from_json(cfg)
-            if "psi_assignment" not in cfg:
-                raise InputError("the surface-action config lacks a "
-                                 "psi_assignment table")
-            assignment = psi_assignment_from_json(cfg["psi_assignment"])
-        psi = verify_psi_relations(ctx, Wp, mode=config.psi_mode, phi=phi,
-                                   assignment=assignment)
-        out["psi_relations"] = psi.to_json()
-        if config.script:
-            blob = _read_json(config.script)
-            contract = blob.get("contract", ()) if isinstance(blob, dict) else ()
-            _, relations = contracted_relations(ctx.quiver, Wp, contract)
-            out["derivation_script"] = check_derivation_script(
-                relations, blob).to_json()
-        write("verify.json", out)
-        bad = [k for k, v in out.items() if not v["ok"]]
-        if bad:
-            raise _VerificationFailed("failing checks: " + ", ".join(bad))
-        return f"{len(out)} check groups passed"
-
-    def stage_count() -> str:
-        quiver = _counting_quiver(state["ctx"].quiver)
-        reports = []
-        for q in config.field_sizes:
-            rep = enumerate_reps(quiver, state["Wp"], config.dimension, q,
-                                 mode=config.mode,
-                                 sample_size=config.sample_size,
-                                 seed=config.seed)
-            reports.append(rep.to_json())
-        write("counts.json", reports)
-        return "; ".join(f"q={r['q']}: total {r['total']}" for r in reports)
-
-    stage_fns = {"tile": stage_tile, "dual": stage_dual,
-                 "refine": stage_refine, "dimer": stage_dimer,
-                 "choice": stage_choice, "transport": stage_transport,
-                 "verify": stage_verify, "count": stage_count}
-
-    for name in _PIPELINE_STAGES:
+    for stage in _STAGES:
+        name = stage.step
+        if name is None:
+            continue
         if aborted:
             stages.append(StageOutcome(name, "skipped",
                                        "earlier stage stopped the run"))
             continue
         started = time.perf_counter()
         try:
-            detail = stage_fns[name]()
+            detail = stage.report(run, run[stage.name], write)
             stages.append(StageOutcome(name, "ok", detail))
         except _VerificationFailed as exc:
             stages.append(StageOutcome(name, "failed", str(exc)))
@@ -777,7 +806,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     ok = all(s.status == "ok" for s in stages)
     report = RunReport(version=tool_version(), config=config.to_json(),
-                       input_digests=digests, stages=stages,
+                       input_digests=run.digests, stages=stages,
                        artifacts=artifacts + ["report.json", "timings.json"],
                        ok=ok, exit_code=exit_code, timing=timing)
     (outdir / "report.json").write_text(_dumps(report.to_json()))
@@ -788,7 +817,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 def cmd_pipeline(args) -> int:
     if args.config:
         base = Path(args.config).resolve().parent
-        cfg = PipelineConfig.from_json(_read_json(args.config), base_dir=base,
+        obj = _parse_json(_read_input(args.config)[0], args.config)
+        cfg = PipelineConfig.from_json(obj, base_dir=base,
                                        output_dir=args.output_dir)
     else:
         cfg = PipelineConfig()
@@ -803,16 +833,6 @@ def cmd_pipeline(args) -> int:
 # argument parsing
 
 
-def _add_pair_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tiling", help="tiling file (default: bundled example)")
-    p.add_argument("--automorphism",
-                   help="symmetry file (default: bundled example)")
-
-
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--out", help="write JSON here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tessella",
@@ -823,97 +843,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=tool_version())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dual", help="dual quiver with potential of a tiling")
+    def command(name: str, help: str, pair: bool = True):
+        """A subparser for one entry of ``_COMMANDS``."""
+        p = sub.add_parser(name, help=help)
+        if pair:
+            p.add_argument("--tiling",
+                           help="tiling file (default: bundled example)")
+            p.add_argument("--automorphism",
+                           help="symmetry file (default: bundled example)")
+        p.add_argument("-o", "--out", help="write JSON here instead of stdout")
+        p.set_defaults(func=_run_command)
+        return p
+
+    p = command("dual", "dual quiver with potential of a tiling", pair=False)
     p.add_argument("tiling", nargs="?", help="tiling file (default: bundled)")
-    _add_out(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("refine", help="split tiles until face orbits are free")
-    _add_pair_options(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_refine)
-
-    p = sub.add_parser("dimer", help="symmetry-compatible perfect matching")
-    _add_pair_options(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_dimer)
-
-    p = sub.add_parser("choose-xi",
-                       help="search for a homogeneous embedding choice")
-    _add_pair_options(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_choose_xi)
-
-    p = sub.add_parser("transport",
-                       help="push the potential to the orbit quiver")
-    _add_pair_options(p)
+    command("refine", "split tiles until face orbits are free")
+    command("dimer", "symmetry-compatible perfect matching")
+    command("choose-xi", "search for a homogeneous embedding choice")
+    p = command("transport", "push the potential to the orbit quiver")
     p.add_argument("--choice", help="embedding-choice file (default: search)")
     p.add_argument("--no-require-homogeneous", dest="require_homogeneous",
                    action="store_false",
                    help="do not fail when the image is inhomogeneous")
-    _add_out(p)
-    p.set_defaults(func=cmd_transport)
-
-    p = sub.add_parser("derive", help="cyclic-derivative relations")
+    p = command("derive", "cyclic-derivative relations", pair=False)
     p.add_argument("qpot", nargs="?",
                    help="quiver+potential file (default: bundled orbit data)")
-    _add_out(p)
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("gdga-check",
-                       help="verify the differential squares to zero")
+    p = command("gdga-check", "verify the differential squares to zero",
+                pair=False)
     p.add_argument("qpot", nargs="?",
                    help="quiver+potential file (default: bundled base data)")
-    _add_out(p)
-    p.set_defaults(func=cmd_gdga_check)
-
-    p = sub.add_parser("verify-eq31",
-                       help="check the transport identity per generator")
-    _add_pair_options(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_verify_eq31)
-
-    p = sub.add_parser("psi-verify",
-                       help="verify the matrix-unit map on all relations")
-    _add_pair_options(p)
-    p.add_argument("--mode", choices=("certificate", "dehn"),
+    command("verify-eq31", "check the transport identity per generator")
+    p = command("psi-verify", "verify the matrix-unit map on all relations")
+    p.add_argument("--mode", dest="psi_mode", choices=("certificate", "dehn"),
                    default="certificate")
     p.add_argument("--phi-star", dest="phi_star",
                    help="surface-action config (needed in dehn mode)")
     p.add_argument("--bundled-phi-star", action="store_true",
                    help="use the packaged surface-action config")
-    _add_out(p)
-    p.set_defaults(func=cmd_psi_verify)
-
-    p = sub.add_parser("check-script", help="verify a derivation script")
+    p = command("check-script", "verify a derivation script")
     p.add_argument("script", nargs="?",
                    help="script file (default: bundled derivation)")
-    _add_pair_options(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_check_script)
-
-    p = sub.add_parser("count", help="finite-field representation counts")
-    p.add_argument("qpot", nargs="?",
-                   help="quiver+potential file (default: bundled counting "
-                        "localization)")
+    p = command("count", "finite-field representation counts", pair=False)
+    p.add_argument("qpot", nargs="?", help="quiver+potential file (default: "
+                                           "bundled counting localization)")
     p.add_argument("--q", type=int, required=True, help="prime field size")
     p.add_argument("--d", type=int, default=1, help="representation dimension")
     p.add_argument("--mode", choices=("exhaustive", "sample"),
                    default="exhaustive")
     p.add_argument("--sample-size", type=int)
     p.add_argument("--seed", type=int)
-    _add_out(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("probe",
-                       help="report both sides of the degree-one comparison")
-    p.add_argument("qpot", nargs="?",
-                   help="quiver+potential file (default: bundled counting "
-                        "localization)")
+    p = command("probe", "report both sides of the degree-one comparison",
+                pair=False)
+    p.add_argument("qpot", nargs="?", help="quiver+potential file (default: "
+                                           "bundled counting localization)")
     p.add_argument("--q", type=int, required=True, help="odd prime field size")
     p.add_argument("--omega", help="element file for the central element")
-    _add_out(p)
-    p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("pipeline", help="run every stage and write artifacts")
     p.add_argument("--config", help="pipeline config file (default: bundled "
@@ -921,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", help="artifact directory (default: "
                                         "tessella_out or the config value)")
     p.set_defaults(func=cmd_pipeline)
-
     return parser
 
 

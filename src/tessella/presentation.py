@@ -372,25 +372,36 @@ def basepoint(ctx):
     return min(ctx.base.vertices, key=_idkey)
 
 
-def default_tree(ctx) -> tuple:
-    """Greedy lowest-id maximal forest of degree-0 base arrows."""
-    parent = {v: v for v in ctx.base.vertices}
+class _Forest:
+    """Union-find over a quiver's vertices, grown one arrow at a time (with
+    path halving): the spanning-forest helper of the tree choices below."""
 
-    def find(v):
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self.parent = {v: v for v in quiver.vertices}
+
+    def find(self, v):
+        parent = self.parent
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
-    chosen = []
-    for a in ctx.base.arrow_ids():
-        if ctx.arrow_degree(a) != 0:
-            continue
-        ru, rv = find(ctx.base.source(a)), find(ctx.base.target(a))
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(a)
-    return tuple(chosen)
+    def join(self, a) -> bool:
+        """Adds arrow ``a``; False (and no change) when it closes a cycle."""
+        ru = self.find(self.quiver.source(a))
+        rv = self.find(self.quiver.target(a))
+        if ru == rv:
+            return False
+        self.parent[ru] = rv
+        return True
+
+
+def default_tree(ctx) -> tuple:
+    """Greedy lowest-id maximal forest of degree-0 base arrows."""
+    forest = _Forest(ctx.base)
+    return tuple(a for a in ctx.base.arrow_ids()
+                 if ctx.arrow_degree(a) == 0 and forest.join(a))
 
 
 def _tree_paths(ctx, tree: tuple) -> dict:
@@ -400,14 +411,7 @@ def _tree_paths(ctx, tree: tuple) -> dict:
     traversing a tree arrow against its orientation contributes an inverse
     letter.
     """
-    parent = {v: v for v in ctx.base.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    forest = _Forest(ctx.base)
     for t in tree:
         if not ctx.base.has_arrow(t):
             raise UnknownArrow(t)
@@ -415,10 +419,8 @@ def _tree_paths(ctx, tree: tuple) -> dict:
             raise ValueError(
                 f"tree arrow {t!r} has transport degree {ctx.arrow_degree(t)}; "
                 "tree arrows must embed with degree 0")
-        ru, rv = find(ctx.base.source(t)), find(ctx.base.target(t))
-        if ru == rv:
+        if not forest.join(t):
             raise ValueError(f"tree arrows close a cycle at {t!r}")
-        parent[ru] = rv
 
     paths = {basepoint(ctx): ()}
     changed = True
@@ -783,22 +785,13 @@ def _contract_quiver(quiver: Quiver, arrows) -> tuple[Quiver, dict]:
     for t in arrows:
         if not quiver.has_arrow(t):
             raise UnknownArrow(t)
-    parent = {v: v for v in quiver.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    forest = _Forest(quiver)
     for t in arrows:
-        ru, rv = find(quiver.source(t)), find(quiver.target(t))
-        if ru != rv:
-            parent[ru] = rv
+        forest.join(t)
     named: dict = {}
     for v in sorted(quiver.vertices, key=_idkey):
-        named.setdefault(find(v), v)
-    vmap = {v: named[find(v)] for v in quiver.vertices}
+        named.setdefault(forest.find(v), v)
+    vmap = {v: named[forest.find(v)] for v in quiver.vertices}
     drop = set(arrows)
     kept = [(a, vmap[quiver.source(a)], vmap[quiver.target(a)])
             for a in quiver.arrow_ids() if a not in drop]

@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` so the tests exercise argument
 parsing, exit codes, and the emitted JSON exactly as a shell user would.
 """
 
+import importlib.util
 import json
 import sys
 from importlib import metadata
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from tessella import cli
 from tessella.cli import (
     EXIT_INPUT,
     EXIT_NO_CHOICE,
@@ -553,3 +555,134 @@ def test_count_over_the_guard_exits_as_bad_input(q, d, capsys):
     assert out == ""
     assert err.startswith("error: StateSpaceTooLarge: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# every subcommand is a view over the one stage table
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _bundled_calls() -> tuple:
+    """``BUNDLED_CALLS`` of the benchmark's workloads module, read from its
+    file so that this suite checks the same calls the benchmark does."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", BENCHMARKS / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BUNDLED_CALLS
+
+
+@pytest.mark.parametrize("argv", _bundled_calls(),
+                         ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_bundled_call_prints_the_golden_bytes(argv, capsys):
+    name = "_".join(a.lstrip("-") for a in argv)
+    rc, out, err = run(list(argv), capsys)
+    assert rc == EXIT_OK, err
+    assert out.encode() == (BENCHMARKS / "golden" / f"{name}.out").read_bytes()
+
+
+def _broken_tilings() -> dict:
+    good = load_data("genus2_tiling.json")
+    return {
+        "all_white": dict(good, coloring={k: "w" for k in good["coloring"]}),
+        "involution_short": dict(good, involution=good["involution"][:-1]),
+    }
+
+
+PAIR_SUBCOMMANDS = ("refine", "dimer", "choose-xi", "transport",
+                    "verify-eq31", "psi-verify", "check-script")
+
+
+@pytest.mark.parametrize("broken", sorted(_broken_tilings()))
+@pytest.mark.parametrize("subcommand", PAIR_SUBCOMMANDS + ("dual",))
+def test_every_subcommand_rejects_an_invalid_tiling(tmp_path, capsys,
+                                                    subcommand, broken):
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps(_broken_tilings()[broken]))
+    argv = ([subcommand, str(path)] if subcommand == "dual"
+            else [subcommand, "--tiling", str(path)])
+    rc, out, err = run(argv, capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err.startswith("error: InputError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, kind", [([], "list"), (["ab"], "list"),
+                                          ("x", "str")])
+def test_pipeline_config_that_is_not_an_object_is_input_error(
+        tmp_path, capsys, config, kind):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    rc, out, err = run(["pipeline", "--config", str(cfg_path),
+                        "--output-dir", str(tmp_path / "out")], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == ("error: InputError: a pipeline config file holds a JSON "
+                   f"object, not {kind}\n")
+    assert not (tmp_path / "out").exists()
+
+
+CHAIN = ("tiling", "automorphism", "refine", "dimer", "choice", "transport")
+
+
+@pytest.mark.parametrize("target, computed", [
+    ("dual", {"tiling", "dual"}),
+    ("refine", {"tiling", "automorphism", "refine"}),
+    ("dimer", {"tiling", "automorphism", "refine", "dimer"}),
+    ("transport_identity", {*CHAIN, "transport_identity"}),
+    ("derivation_script", {*CHAIN, "derivation_script"}),
+    ("count", {*CHAIN, "orbit", "counting", "count"}),
+])
+def test_a_target_computes_only_the_stages_it_reads(target, computed):
+    run_state = cli._Run({})
+    run_state[target]
+    assert set(run_state.values) == computed
+
+
+def test_dual_reads_no_automorphism(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the automorphism was loaded")
+    monkeypatch.setattr(cli, "tiling_automorphism_from_json", refuse)
+    monkeypatch.setattr(cli, "refine_tiling", refuse)
+    assert run_json(["dual"], capsys)["vertices"]
+
+
+def test_refine_runs_no_dimer(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the dimer ran")
+    monkeypatch.setattr(cli, "equivariant_dimer", refuse)
+    assert run_json(["refine"], capsys)["changed"] is False
+
+
+def test_a_qpot_file_stands_in_for_the_chain(tmp_path, monkeypatch, capsys):
+    quiver = genus2_quiver()
+    payload = qpot_to_json(quiver, genus2_potential(quiver))
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(payload))
+
+    def refuse(*args):
+        raise AssertionError("the tiling was loaded")
+    monkeypatch.setattr(cli, "tiling_from_json", refuse)
+    for argv in (["derive", str(path)], ["gdga-check", str(path)],
+                 ["count", str(path), "--q", "2"]):
+        rc, _, err = run(argv, capsys)
+        assert rc == EXIT_OK, err
+
+
+def test_probe_reads_its_qpot_file_once(tmp_path, monkeypatch, capsys):
+    quiver = genus2_quiver()
+    payload = qpot_to_json(quiver, genus2_potential(quiver))
+    payload["omega"] = []
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(payload))
+    reads = []
+    real = cli._read_input
+
+    def counted(path, bundled_name=None):
+        reads.append(path)
+        return real(path, bundled_name)
+    monkeypatch.setattr(cli, "_read_input", counted)
+    rc, _, err = run(["probe", str(path), "--q", "3"], capsys)
+    assert rc == EXIT_OK, err
+    assert reads == [str(path)]

@@ -70,8 +70,7 @@ PINNED = [
 
 @pytest.fixture(scope="module")
 def bundled_counting():
-    ctx, _, Wp = cli._bundled_orbit()
-    return cli._counting_quiver(ctx.quiver), Wp
+    return cli._Run({})["counting"]
 
 
 @pytest.mark.parametrize("case, expected", PINNED,
