@@ -33,6 +33,9 @@ Conventions
   sweep; it never changes a count.
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
+* Only the stages that count (``count``, ``probe`` and the pipeline's count
+  step) import :mod:`tessella.repcount`, and with it numpy; every other
+  subcommand, and ``--version``, runs without numpy.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -64,7 +67,9 @@ from .equivariant import (
 from .pathalg import (
     Element,
     Quiver,
+    StateSpaceTooLarge,
     _idkey,
+    _is_prime,
     check_d_squared,
     cyclic_derivative,
     element_from_json,
@@ -81,12 +86,6 @@ from .presentation import (
     phi_action_from_json,
     psi_assignment_from_json,
     verify_psi_relations,
-)
-from .repcount import (
-    StateSpaceTooLarge,
-    _is_prime,
-    conjecture_probe_d1,
-    enumerate_reps,
 )
 from .surfacemap import (
     dual_quiver,
@@ -112,10 +111,26 @@ class InputError(ValueError):
 
 
 def tool_version() -> str:
+    from importlib import metadata  # tens of ms; only a version reader pays
+
     try:
         return metadata.version("tessella")
     except metadata.PackageNotFoundError:
         return "0.0.0"
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: prints ``tool_version()`` when the flag is given, so a
+    parser built for any other call never looks the version up."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0,
+                         default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(tool_version() + "\n")
+        parser.exit()
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +376,8 @@ def _verify(run, transport_identity, d_squared, psi_relations) -> dict:
 
 
 def _count(run, counting) -> list:
+    from .repcount import enumerate_reps  # numpy: loaded only to count
+
     quiver, W = counting
     o = run.opts
     return [enumerate_reps(quiver, W, o["dimension"], q, mode=o["mode"],
@@ -419,12 +436,14 @@ def _derive_json(run, qpot) -> dict:
 
 
 def _probe_json(run, counting) -> dict:
+    from .repcount import conjecture_probe_d1  # numpy: loaded only to count
+
     quiver, W = counting
-    if not run.opts.get("qpot"):  # --omega only goes with a qpot file
+    if run.opts.get("omega"):  # with or without a qpot file
+        omega = element_from_json(quiver, run.load("omega"))
+    elif not run.opts.get("qpot"):
         omega = (Element.from_word(quiver.word(parse_letters("rere")))
                  + Element.from_word(quiver.word(parse_letters("erer"))))
-    elif run.opts.get("omega"):
-        omega = element_from_json(quiver, run.load("omega"))
     elif "omega" in run.load("qpot"):
         omega = element_from_json(quiver, run.load("qpot")["omega"])
     else:
@@ -840,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-field representation counts.",
         epilog="Exit codes: 0 ok, 2 verification failure, 3 no admissible "
                "choice, 4 input error.  TESSELLA_THREADS caps parallelism.")
-    parser.add_argument("--version", action="version", version=tool_version())
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str, pair: bool = True):
@@ -897,7 +916,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("qpot", nargs="?", help="quiver+potential file (default: "
                                            "bundled counting localization)")
     p.add_argument("--q", type=int, required=True, help="odd prime field size")
-    p.add_argument("--omega", help="element file for the central element")
+    p.add_argument("--omega", help="element file for the central element "
+                                   "(default: the qpot file's \"omega\", or "
+                                   "rere + erer on the bundled data)")
 
     p = sub.add_parser("pipeline", help="run every stage and write artifacts")
     p.add_argument("--config", help="pipeline config file (default: bundled "
@@ -915,9 +936,6 @@ def main(argv=None) -> int:
     except NoChoiceFound as exc:
         print(f"error: NoChoiceFound: {exc}", file=sys.stderr)
         return EXIT_NO_CHOICE
-    except MissingPhiAction as exc:
-        print(f"error: MissingPhiAction: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (InputError, StateSpaceTooLarge, OSError, ValueError, KeyError,
             TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

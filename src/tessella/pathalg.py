@@ -56,6 +56,28 @@ class LocalizedQuiverUnsupported(ValueError):
     """Operation defined only on quivers without localized arrows."""
 
 
+# The counting layer's guard error and field-size test live here, free of
+# numpy, so that the CLI can check count options and catch the guard
+# without importing :mod:`tessella.repcount`, which re-exports both.
+
+
+class StateSpaceTooLarge(RuntimeError):
+    """An exhaustive walk was requested over more points than the guard allows."""
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def _idkey(x) -> str:
     """Stable sort key for mixed-type ids."""
     return str(x)
@@ -157,10 +179,6 @@ class Word:
 
     def is_constant(self) -> bool:
         return not self.letters
-
-    def degree_in(self, arrows) -> int:
-        """Sum of exponents of letters whose arrow lies in ``arrows``."""
-        return sum(e for a, e in self.letters if a in arrows)
 
     def inverse(self, quiver: Quiver) -> "Word":
         inv = tuple((a, -e) for a, e in reversed(self.letters))

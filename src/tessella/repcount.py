@@ -51,8 +51,10 @@ from .pathalg import (
     InverseOfNonLocalized,
     Potential,
     Quiver,
+    StateSpaceTooLarge,  # defined in pathalg, which imports no numpy
     Word,
     _idkey,
+    _is_prime,
     cyclic_derivative,
     ideal_reduce,
     jacobi_relations,
@@ -69,24 +71,7 @@ class ShapeMismatch(ValueError):
     """Representation data does not fit the quiver/dimension it claims."""
 
 
-class StateSpaceTooLarge(RuntimeError):
-    """An exhaustive walk was requested over more points than the guard allows."""
-
-
 # -- prime-field scalars ------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _require_prime(q: int) -> None:

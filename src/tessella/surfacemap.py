@@ -191,12 +191,6 @@ class BraneTiling:
     def arrow_name(self, edge_min: int) -> str:
         return self.labels.get(edge_min, f"e{edge_min}")
 
-    def edge_of_arrow(self, name: str) -> tuple[int, int]:
-        for (h, k) in self.map.edges():
-            if self.arrow_name(h) == name:
-                return (h, k)
-        raise KeyError(name)
-
 
 def validate_tiling(tiling: BraneTiling) -> dict:
     """Check tiling axioms and return a report (never raises).

@@ -6,6 +6,8 @@ parsing, exit codes, and the emitted JSON exactly as a shell user would.
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -239,7 +241,8 @@ def test_psi_verify_dehn_mode_with_bundled_config(capsys):
 def test_psi_verify_dehn_mode_without_config_is_input_error(capsys):
     rc, _, err = run(["psi-verify", "--mode", "dehn"], capsys)
     assert rc == EXIT_INPUT
-    assert "MissingPhiAction" in err
+    assert err.startswith("error: MissingPhiAction: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_check_script_bundled_derivation_verifies(capsys):
@@ -314,6 +317,24 @@ def test_probe_explicit_qpot_needs_omega(tmp_path, capsys):
     rc, _, err = run(["probe", str(path), "--q", "3"], capsys)
     assert rc == EXIT_INPUT
     assert "omega" in err
+
+
+def test_probe_omega_file_without_qpot_must_exist(tmp_path, capsys):
+    missing = tmp_path / "nothere.json"
+    rc, out, err = run(["probe", "--q", "3", "--omega", str(missing)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: input file {missing} does not exist\n"
+
+
+def test_probe_omega_file_is_read_against_the_bundled_quiver(tmp_path,
+                                                             capsys):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(
+        [{"coeff": 1, "word": [[a, e] for a, e in parse_letters(w)]}
+         for w in ("rere", "erer")]))
+    rc, out, err = run(["probe", "--q", "3", "--omega", str(path)], capsys)
+    assert rc == EXIT_OK, err
+    assert out.encode() == (BENCHMARKS / "golden" / "probe_q_3.out").read_bytes()
 
 
 def test_output_file_flag_writes_the_same_bytes(tmp_path, capsys):
@@ -416,7 +437,8 @@ def test_pipeline_dehn_mode_without_phi_star_surfaces_missing_action(
                                     "output_dir": str(tmp_path / "out")}))
     rc, _, err = run(["pipeline", "--config", str(cfg_path)], capsys)
     assert rc == EXIT_INPUT
-    assert "MissingPhiAction" in err
+    assert err.startswith("error: MissingPhiAction: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
@@ -686,3 +708,64 @@ def test_probe_reads_its_qpot_file_once(tmp_path, monkeypatch, capsys):
     rc, _, err = run(["probe", str(path), "--q", "3"], capsys)
     assert rc == EXIT_OK, err
     assert reads == [str(path)]
+
+
+# ---------------------------------------------------------------------------
+# import hygiene: only the stages that count load numpy
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# numpy comes with the counting kernel; importlib.metadata only with a
+# version lookup
+HEAVY = ("numpy", "tessella.repcount", "importlib.metadata")
+_FRESH = """
+import contextlib, io, json, sys
+from tessella.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+print(json.dumps({"rc": rc, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
+
+
+def in_fresh_process(argv) -> tuple:
+    """(exit code, stdout, the HEAVY modules loaded) of ``main(argv)`` in a
+    new interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _FRESH, *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    return (result["rc"], result["out"],
+            {m for m in HEAVY if m in result["modules"]})
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["dual", "transport", "psi-verify", "check-script"])
+def test_a_subcommand_that_does_not_count_loads_no_numpy(subcommand):
+    rc, out, loaded = in_fresh_process([subcommand])
+    assert rc == EXIT_OK and out
+    assert loaded == set()
+
+
+def test_count_loads_the_counting_kernel():
+    rc, out, loaded = in_fresh_process(["count", "--q", "3", "--d", "1"])
+    assert rc == EXIT_OK
+    assert json.loads(out)["q"] == 3
+    assert {"numpy", "tessella.repcount"} <= loaded
+
+
+def test_version_flag_in_a_fresh_process_prints_the_tool_version():
+    rc, out, loaded = in_fresh_process(["--version"])
+    assert rc == 0 and out == cli.tool_version() + "\n"
+    assert "numpy" not in loaded
+    rc, out, _ = in_fresh_process(["--help"])
+    assert rc == 0 and "--version" in out
+
+
+def test_the_cli_catches_the_counting_guard_class():
+    from tessella import repcount
+    assert repcount.StateSpaceTooLarge is cli.StateSpaceTooLarge
