@@ -359,8 +359,12 @@ def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
     vertex joined to the orbit of a boundary corner, splitting it into
     tiles the symmetry permutes freely.  The boundary vertex is the
     lowest-id vertex on the tile (the centre takes the opposite colour).
-    Returns the refined tiling and the extended symmetry; the inputs are
-    returned as-is when no tile needs splitting.
+    The centre's rotation lists its spokes in the reverse of the order in
+    which the tile's boundary walk meets their corners, so each insertion
+    into an orbit of d tiles with stabiliser order k = n/d must raise the
+    face count by exactly (k - 1) * d; otherwise ``InvalidAutomorphism``
+    names the tile.  Returns the refined tiling and the extended symmetry;
+    the inputs are returned as-is when no tile needs splitting.
     """
     if taut.tiling is not tiling:
         taut = TilingAutomorphism(tiling, taut.half_edge_perm)
@@ -400,15 +404,22 @@ def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
             s.perm[centre_half[m_]] = centre_half[(m_ + 1) % n]
         s.insert_before({s.apply(c0, m_): boundary_half[m_] for m_ in range(n)})
         # one centre per face in the orbit; its rotation lists the spokes in
-        # the boundary-walk order of their corners
+        # the reverse of the boundary-walk order of their corners, so that
+        # consecutive spokes bound a tile with the boundary arc between them
         for l in range(d):
             ms = [m_ for m_ in range(n) if m_ % d == l]
             target_face = next(f for f in faces if s.apply(c0, l) in f)
-            order = sorted(ms, key=lambda m_: target_face.index(s.apply(c0, m_)))
+            order = sorted(ms, key=lambda m_: target_face.index(s.apply(c0, m_)),
+                           reverse=True)
             cyc = [centre_half[m_] for m_ in order]
             for i, h in enumerate(cyc):
                 s.rotation[h] = cyc[(i + 1) % len(cyc)]
             s.coloring[min(cyc)] = centre_color
+        split = len(s.face_cycles()) - len(faces)
+        if split != (k - 1) * d:
+            raise InvalidAutomorphism(
+                f"spokes in the face at half-edge {face[0]} (stabiliser order "
+                f"{k}) added {split} faces instead of {(k - 1) * d}")
     if not s.changed:
         return tiling, taut
     out = s.tiling()

@@ -1,10 +1,24 @@
-"""Shared fixtures: the genus-2 running example at each level."""
+"""Shared fixtures: the genus-2 running example at each level, and cyclic
+voltage covers of small tilings."""
 
 from __future__ import annotations
 
+import random
+from itertools import product
+from math import gcd
+
 import pytest
 
+from tessella.equivariant import tiling_automorphism_from_json
 from tessella.pathalg import Potential, Quiver, parse_letters
+from tessella.surfacemap import tiling_from_json
+
+# Two square tiles on the torus: one white and one black 4-valent vertex
+# joined by four edges.
+SQUARE_TORUS = {"half_edges": list(range(8)),
+                "involution": [[0, 1], [2, 3], [4, 5], [6, 7]],
+                "rotation": [[0, 2, 4, 6], [1, 3, 5, 7]],
+                "coloring": {"0": "w", "1": "b"}}
 
 
 def genus2_quiver() -> Quiver:
@@ -37,6 +51,50 @@ def orbit_potential(q: Quiver) -> Potential:
     terms = [(1, "abreabre"), (2, "rdrc"), (-2, "ardbrc"), (-1, "rere")]
     return Potential.build(q, [(c, [a for a, _ in parse_letters(w)])
                                for c, w in terms])
+
+
+def cyclic_cover(base: dict, n: int, voltages, seed: int):
+    """The n-fold voltage cover of ``base`` (one voltage per edge, in the
+    order of its involution list) with half-edge ids shuffled by ``seed``,
+    and its deck shift: sigma'(h, i) = (sigma h, i), alpha'(h, i) =
+    (alpha h, i + v(h))."""
+    halves = [int(h) for h in base["half_edges"]]
+    alpha, volt = {}, {}
+    for (h, k), v in zip(base["involution"], voltages):
+        alpha[h], alpha[k] = k, h
+        volt[h], volt[k] = v % n, -v % n
+    ids = list(range(len(halves) * n))
+    random.Random(seed).shuffle(ids)
+    slot = {h: j for j, h in enumerate(halves)}
+
+    def lift(h, i):
+        return ids[slot[h] * n + i % n]
+
+    edges = sorted({tuple(sorted((lift(h, i), lift(alpha[h], i + volt[h]))))
+                    for h in halves for i in range(n)})
+    rotation, coloring = [], {}
+    for i in range(n):
+        for c, cycle in enumerate(base["rotation"]):
+            coloring[str(len(rotation))] = base["coloring"][str(c)]
+            rotation.append([lift(int(h), i) for h in cycle])
+    tiling = tiling_from_json({
+        "half_edges": sorted(ids), "involution": [list(e) for e in edges],
+        "rotation": rotation, "coloring": coloring})
+    taut = tiling_automorphism_from_json(tiling, {
+        "half_edge_perm": {str(lift(h, i)): lift(h, i + 1)
+                           for h in halves for i in range(n)},
+        "order": n})
+    return tiling, taut
+
+
+def square_torus_covers(n: int, seed: int = 0):
+    """(voltages, tiling, symmetry) for every connected n-fold cyclic cover
+    of the two-square torus.  Both vertices are joined by all four edges, so
+    the cover is connected exactly when the voltage differences generate
+    Z/n."""
+    for voltages in product(range(n), repeat=4):
+        if gcd(n, *(v - voltages[0] for v in voltages)) == 1:
+            yield (voltages, *cyclic_cover(SQUARE_TORUS, n, voltages, seed))
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SQUARE_TORUS, cyclic_cover
 from tessella import cli, equivariant
 from tessella.datafiles import load_data
 from tessella.equivariant import (
@@ -163,40 +164,6 @@ def bundled():
     return tiling, taut
 
 
-def cyclic_cover(base: dict, n: int, voltages, seed: int):
-    """The n-fold voltage cover of ``base`` (one voltage per edge, in the
-    order of its involution list) with half-edge ids shuffled by ``seed``,
-    and its deck shift: sigma'(h, i) = (sigma h, i), alpha'(h, i) =
-    (alpha h, i + v(h))."""
-    halves = [int(h) for h in base["half_edges"]]
-    alpha, volt = {}, {}
-    for (h, k), v in zip(base["involution"], voltages):
-        alpha[h], alpha[k] = k, h
-        volt[h], volt[k] = v % n, -v % n
-    ids = list(range(len(halves) * n))
-    random.Random(seed).shuffle(ids)
-    slot = {h: j for j, h in enumerate(halves)}
-
-    def lift(h, i):
-        return ids[slot[h] * n + i % n]
-
-    edges = sorted({tuple(sorted((lift(h, i), lift(alpha[h], i + volt[h]))))
-                    for h in halves for i in range(n)})
-    rotation, coloring = [], {}
-    for i in range(n):
-        for c, cycle in enumerate(base["rotation"]):
-            coloring[str(len(rotation))] = base["coloring"][str(c)]
-            rotation.append([lift(int(h), i) for h in cycle])
-    tiling = tiling_from_json({
-        "half_edges": sorted(ids), "involution": [list(e) for e in edges],
-        "rotation": rotation, "coloring": coloring})
-    taut = tiling_automorphism_from_json(tiling, {
-        "half_edge_perm": {str(lift(h, i)): lift(h, i + 1)
-                           for h in halves for i in range(n)},
-        "order": n})
-    return tiling, taut
-
-
 def prepared(tiling, taut):
     """Refine and extend to a matching, as the pipeline does."""
     tiling, taut = refine_tiling(tiling, taut)
@@ -280,12 +247,8 @@ def test_exhausted_genus2_double_covers_agree(seed):
 def test_square_torus_covers_agree(n, voltages):
     """Covers of a two-square torus: two vertex orbits, and matchings that
     several candidates admit, so the order of the sources shows."""
-    base = {"half_edges": list(range(8)),
-            "involution": [[0, 1], [2, 3], [4, 5], [6, 7]],
-            "rotation": [[0, 2, 4, 6], [1, 3, 5, 7]],
-            "coloring": {"0": "w", "1": "b"}}
     want, _ = assert_search_matches_reference(
-        *prepared(*cyclic_cover(base, n, voltages, n)))
+        *prepared(*cyclic_cover(SQUARE_TORUS, n, voltages, n)))
     assert want[0] == "choice" and len(want[3]) == 2
 
 
