@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .pathalg import (
     Element,
@@ -50,6 +50,7 @@ from .pathalg import (
 from .surfacemap import (
     BraneTiling,
     CombinatorialMap,
+    _cycles_of,
     dual_quiver,
     validate_tiling,
 )
@@ -84,39 +85,8 @@ class MatchingStuck(RuntimeError):
 
 
 def _perm_order(perms: Iterable[Mapping]) -> int:
-    n = 1
-    for perm in perms:
-        seen = set()
-        for start in perm:
-            if start in seen:
-                continue
-            length = 1
-            x = perm[start]
-            seen.add(start)
-            while x != start:
-                seen.add(x)
-                x = perm[x]
-                length += 1
-            n = lcm(n, length)
-    return n
-
-
-def _orbits(perm: Mapping, domain: Sequence) -> list[tuple]:
-    """Orbits as tuples (rep, perm(rep), ...), rep minimal, sorted by rep."""
-    seen = set()
-    out = []
-    for start in sorted(domain, key=_idkey):
-        if start in seen:
-            continue
-        orb = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            orb.append(x)
-            seen.add(x)
-            x = perm[x]
-        out.append(tuple(orb))
-    return out
+    return lcm(*(len(cyc) for perm in perms
+                 for cyc in _cycles_of(perm, perm, key=_idkey)))
 
 
 class QuiverAutomorphism:
@@ -152,10 +122,10 @@ class QuiverAutomorphism:
         return a
 
     def vertex_orbits(self) -> list[tuple]:
-        return _orbits(self.vertex_perm, self.quiver.vertices)
+        return _cycles_of(self.vertex_perm, self.quiver.vertices, key=_idkey)
 
     def arrow_orbits(self) -> list[tuple]:
-        return _orbits(self.arrow_perm, self.quiver.arrow_ids())
+        return _cycles_of(self.arrow_perm, self.quiver.arrow_ids(), key=_idkey)
 
     @staticmethod
     def identity(quiver: Quiver) -> "QuiverAutomorphism":
@@ -231,60 +201,45 @@ class _Surgeon:
     """Mutable tiling-with-symmetry state for orbit-equivariant insertions."""
 
     def __init__(self, tiling: BraneTiling, taut: TilingAutomorphism):
+        if taut.tiling is not tiling:
+            taut = TilingAutomorphism(tiling, taut.half_edge_perm)
+        self.source = tiling, taut
         m = tiling.map
-        self.half_edges = list(m.half_edges)
-        self.involution = dict(m.involution)
-        self.rotation = dict(m.rotation)
+        self.map = CombinatorialMap(m.half_edges, m.involution, m.rotation)
         self.coloring = dict(tiling.coloring)
         self.labels = dict(tiling.labels)
         self.perm = dict(taut.half_edge_perm)
         self.order = taut.order
-        self.next_id = max(self.half_edges) + 1
+        self.next_id = max(m.half_edges) + 1
         self.changed = False
 
-    def tiling(self) -> BraneTiling:
-        m = CombinatorialMap(self.half_edges, self.involution, self.rotation)
-        return BraneTiling(m, self.coloring, self.labels)
-
-    def fresh(self) -> int:
-        h = self.next_id
-        self.next_id += 1
-        return h
+    def finish(self, error: type, what: str
+               ) -> tuple[BraneTiling, TilingAutomorphism]:
+        """The tiling and symmetry after surgery (the inputs if nothing
+        changed); raises ``error`` when the result is not a valid tiling."""
+        if not self.changed:
+            return self.source
+        out = BraneTiling(self.map, self.coloring, self.labels)
+        report = validate_tiling(out)
+        if not report["valid"]:
+            raise error(f"{what} produced an invalid tiling: "
+                        + "; ".join(report["problems"]))
+        return out, TilingAutomorphism(out, self.perm)
 
     def apply(self, h: int, k: int) -> int:
         for _ in range(k % self.order):
             h = self.perm[h]
         return h
 
-    def vertex_cycle_of(self, h: int) -> list[int]:
-        cyc = [h]
-        x = self.rotation[h]
-        while x != h:
-            cyc.append(x)
-            x = self.rotation[x]
-        return cyc
+    def vertex_cycle_of(self, h: int) -> tuple[int, ...]:
+        """The rotation cycle through ``h``, starting at ``h``."""
+        return _cycles_of(self.map.rotation, (h,))[0]
 
     def vertex_handle(self, h: int) -> int:
         return min(self.vertex_cycle_of(h))
 
     def color_at(self, h: int) -> str:
         return self.coloring[self.vertex_handle(h)]
-
-    def face_cycles(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for start in sorted(self.half_edges):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self.rotation[self.involution[start]]
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self.rotation[self.involution[x]]
-            out.append(tuple(cyc))
-        return out
 
     def face_orbit_size(self, face: tuple[int, ...]) -> int:
         fset = frozenset(face)
@@ -298,57 +253,44 @@ class _Surgeon:
     def insert_before(self, pending: dict[int, int]) -> None:
         """Insert new half-edges into rotations, each directly before its key."""
         for corner, new in pending.items():
-            cyc = self.vertex_cycle_of(corner)
-            prev = cyc[-1] if cyc[0] == corner else cyc[cyc.index(corner) - 1]
-            self.rotation[prev] = new
-            self.rotation[new] = corner
+            self.map.rotation[self.vertex_cycle_of(corner)[-1]] = new
+            self.map.rotation[new] = corner
         self.changed = True
+
+    def new_edge_orbit(self) -> tuple[list[int], list[int]]:
+        """Fresh edges (u_m, v_m) for m < n that the symmetry cycles, u_m to
+        u_{m+1} and v_m to v_{m+1}; ids are taken in the order u_0, v_0,
+        u_1, v_1, ...  The caller places them in rotations."""
+        n = self.order
+        ids = range(self.next_id, self.next_id + 2 * n)
+        self.next_id += 2 * n
+        self.map.half_edges += tuple(ids)
+        us, vs = list(ids[0::2]), list(ids[1::2])
+        for m_ in range(n):
+            u, v = us[m_], vs[m_]
+            self.map.involution[u], self.map.involution[v] = v, u
+            self.perm[u], self.perm[v] = us[(m_ + 1) % n], vs[(m_ + 1) % n]
+        return us, vs
 
     def add_edge_orbit(self, corner_u: int, corner_v: int) -> None:
         """Add an edge between the vertices at two co-facial corners, plus
         all symmetry images.  The face orbit must be free."""
-        n = self.order
+        us, vs = self.new_edge_orbit()
         pending: dict[int, int] = {}
-        new_pairs = []
-        for m_ in range(n):
-            cu = self.apply(corner_u, m_)
-            cv = self.apply(corner_v, m_)
-            su, sv = self.fresh(), self.fresh()
-            self.half_edges += [su, sv]
-            self.involution[su] = sv
-            self.involution[sv] = su
-            pending[cu] = su
-            pending[cv] = sv
-            new_pairs.append((su, sv))
-        for m_ in range(n):
-            su, sv = new_pairs[m_]
-            su2, sv2 = new_pairs[(m_ + 1) % n]
-            self.perm[su] = su2
-            self.perm[sv] = sv2
+        for m_ in range(self.order):
+            pending[self.apply(corner_u, m_)] = us[m_]
+            pending[self.apply(corner_v, m_)] = vs[m_]
         self.insert_before(pending)
 
     def add_pendant_orbit(self, corner: int, color: str) -> None:
         """Hang a new valence-one vertex of the given colour at a corner's
         vertex, plus all symmetry images."""
-        n = self.order
-        pending: dict[int, int] = {}
-        stubs = []
-        tips = []
-        for m_ in range(n):
-            c = self.apply(corner, m_)
-            stub, tip = self.fresh(), self.fresh()
-            self.half_edges += [stub, tip]
-            self.involution[stub] = tip
-            self.involution[tip] = stub
-            self.rotation[tip] = tip
+        stubs, tips = self.new_edge_orbit()
+        for tip in tips:
+            self.map.rotation[tip] = tip
             self.coloring[tip] = color
-            pending[c] = stub
-            stubs.append(stub)
-            tips.append(tip)
-        for m_ in range(n):
-            self.perm[stubs[m_]] = stubs[(m_ + 1) % n]
-            self.perm[tips[m_]] = tips[(m_ + 1) % n]
-        self.insert_before(pending)
+        self.insert_before({self.apply(corner, m_): stub
+                            for m_, stub in enumerate(stubs)})
 
 
 def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
@@ -366,12 +308,10 @@ def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
     names the tile.  Returns the refined tiling and the extended symmetry;
     the inputs are returned as-is when no tile needs splitting.
     """
-    if taut.tiling is not tiling:
-        taut = TilingAutomorphism(tiling, taut.half_edge_perm)
     s = _Surgeon(tiling, taut)
-    n = taut.order
+    n = s.order
     while True:
-        faces = s.face_cycles()
+        faces = s.map.face_cycles()
         violator = None
         for face in faces:
             d = s.face_orbit_size(face)
@@ -390,18 +330,7 @@ def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
                 f"symmetry fixes a face but moves its boundary in an "
                 f"unexpected pattern at corner {c0}")
         centre_color = "b" if s.color_at(c0) == "w" else "w"
-        boundary_half: dict[int, int] = {}
-        centre_half: dict[int, int] = {}
-        for m_ in range(n):
-            bh, ch = s.fresh(), s.fresh()
-            s.half_edges += [bh, ch]
-            s.involution[bh] = ch
-            s.involution[ch] = bh
-            boundary_half[m_] = bh
-            centre_half[m_] = ch
-        for m_ in range(n):
-            s.perm[boundary_half[m_]] = boundary_half[(m_ + 1) % n]
-            s.perm[centre_half[m_]] = centre_half[(m_ + 1) % n]
+        boundary_half, centre_half = s.new_edge_orbit()
         s.insert_before({s.apply(c0, m_): boundary_half[m_] for m_ in range(n)})
         # one centre per face in the orbit; its rotation lists the spokes in
         # the reverse of the boundary-walk order of their corners, so that
@@ -413,42 +342,37 @@ def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
                            reverse=True)
             cyc = [centre_half[m_] for m_ in order]
             for i, h in enumerate(cyc):
-                s.rotation[h] = cyc[(i + 1) % len(cyc)]
+                s.map.rotation[h] = cyc[(i + 1) % len(cyc)]
             s.coloring[min(cyc)] = centre_color
-        split = len(s.face_cycles()) - len(faces)
+        split = len(s.map.face_cycles()) - len(faces)
         if split != (k - 1) * d:
             raise InvalidAutomorphism(
                 f"spokes in the face at half-edge {face[0]} (stabiliser order "
                 f"{k}) added {split} faces instead of {(k - 1) * d}")
-    if not s.changed:
-        return tiling, taut
-    out = s.tiling()
-    report = validate_tiling(out)
-    if not report["valid"]:
-        raise InvalidAutomorphism(
-            "refinement produced an invalid tiling: " + "; ".join(report["problems"]))
-    return out, TilingAutomorphism(out, s.perm)
+    return s.finish(InvalidAutomorphism, "refinement")
 
 
 # -- dimers --------------------------------------------------------------------
 
 
-def _matching_data(s: _Surgeon) -> dict:
-    """White->black adjacency and a representative edge per vertex pair."""
+def _adjacency(pairs: Iterable[tuple]) -> tuple[dict, dict]:
+    """White->black adjacency lists from (white, black, witness) triples,
+    each list in first-seen order, and the first witness of each pair."""
     adj: dict[int, list[int]] = {}
-    edge_for: dict[tuple[int, int], tuple[int, int]] = {}
-    for h in sorted(s.half_edges):
-        k = s.involution[h]
-        if h > k:
-            continue
-        u, v = s.vertex_handle(h), s.vertex_handle(k)
-        if s.coloring[u] == "b":
-            u, v = v, u
-        adj.setdefault(u, [])
-        if v not in adj[u]:
-            adj[u].append(v)
-        edge_for.setdefault((u, v), (h, k))
-    return {"adj": adj, "edge_for": edge_for}
+    first: dict[tuple[int, int], tuple[int, int]] = {}
+    for u, v, witness in pairs:
+        if (u, v) not in first:
+            first[u, v] = witness
+            adj.setdefault(u, []).append(v)
+    return adj, first
+
+
+def _matching_data(s: _Surgeon) -> tuple[dict, dict]:
+    """White->black adjacency and a representative edge per vertex pair."""
+    ends = ((s.vertex_handle(h), s.vertex_handle(k), (h, k))
+            for h, k in s.map.edges())
+    return _adjacency((u, v, e) if s.coloring[u] == "w" else (v, u, e)
+                      for u, v, e in ends)
 
 
 def _max_matching(whites: list[int], adj: dict[int, list[int]]) -> dict[int, int]:
@@ -498,24 +422,19 @@ def all_dimers(tiling: BraneTiling) -> list[frozenset]:
 
 def _cofacial(s: _Surgeon) -> tuple[dict, dict]:
     """White->black co-facial adjacency and a corner pair per vertex pair."""
-    adj: dict[int, list[int]] = {}
-    corner: dict[tuple[int, int], tuple[int, int]] = {}
-    for face in s.face_cycles():
-        at: dict[int, int] = {}
-        for h in face:
-            at.setdefault(s.vertex_handle(h), h)
-        handles = sorted(at)
-        for u in handles:
-            if s.coloring[u] != "w":
-                continue
-            for v in handles:
-                if s.coloring[v] != "b":
-                    continue
-                adj.setdefault(u, [])
-                if v not in adj[u]:
-                    adj[u].append(v)
-                corner.setdefault((u, v), (at[u], at[v]))
-    return adj, corner
+
+    def pairs():
+        for face in s.map.face_cycles():
+            at: dict[int, int] = {}
+            for h in face:
+                at.setdefault(s.vertex_handle(h), h)
+            handles = sorted(at)
+            for u in handles:
+                if s.coloring[u] == "w":
+                    yield from ((u, v, (at[u], at[v])) for v in handles
+                                if s.coloring[v] == "b")
+
+    return _adjacency(pairs())
 
 
 def equivariant_dimer(tiling: BraneTiling, taut: TilingAutomorphism
@@ -530,8 +449,6 @@ def equivariant_dimer(tiling: BraneTiling, taut: TilingAutomorphism
     possibly extended tiling, the extended symmetry, and the matching as a
     set of (half, half) edges.
     """
-    if taut.tiling is not tiling:
-        taut = TilingAutomorphism(tiling, taut.half_edge_perm)
     s = _Surgeon(tiling, taut)
     n = s.order
 
@@ -545,25 +462,18 @@ def equivariant_dimer(tiling: BraneTiling, taut: TilingAutomorphism
                 f"symmetry order {n}")
         minority = "b" if excess > 0 else "w"
         majority = "w" if excess > 0 else "b"
-        corner = min(h for h in s.half_edges if s.color_at(h) == majority)
+        corner = min(h for h in s.map.half_edges if s.color_at(h) == majority)
         for _ in range(abs(excess) // n):
             s.add_pendant_orbit(corner, minority)
         whites = sorted(h for h, c in s.coloring.items() if c == "w")
         blacks = sorted(h for h, c in s.coloring.items() if c == "b")
 
     while True:
-        data = _matching_data(s)
-        match_w = _max_matching(whites, data["adj"])
+        adj, edge_for = _matching_data(s)
+        match_w = _max_matching(whites, adj)
         if len(match_w) == len(whites):
-            edges = frozenset(data["edge_for"][(w, b)] for w, b in match_w.items())
-            if not s.changed:
-                return tiling, taut, edges
-            out = s.tiling()
-            report = validate_tiling(out)
-            if not report["valid"]:
-                raise MatchingStuck("extension produced an invalid tiling: "
-                                    + "; ".join(report["problems"]))
-            return out, TilingAutomorphism(out, s.perm), edges
+            edges = frozenset(edge_for[w, b] for w, b in match_w.items())
+            return (*s.finish(MatchingStuck, "extension"), edges)
 
         # stuck on actual edges: find an augmenting path allowed to step
         # through co-facial (not yet adjacent) pairs, and realize its first
@@ -591,7 +501,7 @@ def equivariant_dimer(tiling: BraneTiling, taut: TilingAutomorphism
         if path is None:
             raise MatchingStuck(
                 "no augmenting path exists even through co-facial pairs")
-        missing = [(w, b) for (w, b) in path if b not in data["adj"].get(w, [])]
+        missing = [(w, b) for (w, b) in path if b not in adj.get(w, [])]
         cw, cb = corner[missing[0]]
         s.add_edge_orbit(cw, cb)
 

@@ -536,6 +536,15 @@ def _letter_image(ctx, paths, gamma, act, a, e):
     return act(invert_letters(loop), 1), 1
 
 
+def _psi_setup(ctx, tree, base_potential: Optional[Potential]):
+    """Tree paths, the correction path gamma, the twist phi_*^k and the face
+    rotations that psi_eval and psi_multiply share."""
+    tree = default_tree(ctx) if tree is None else tuple(tree)
+    paths = _tree_paths(ctx, tree)
+    gamma = paths.get(ctx.phi.apply_vertex(basepoint(ctx)))
+    return paths, gamma, _twist_factory(ctx, gamma), _face_rotations(base_potential)
+
+
 def psi_eval(w, ctx, tree=None, base_potential: Optional[Potential] = None
              ) -> MatrixUnitElement:
     """Evaluate the matrix-unit map on a word of the orbit quiver.
@@ -549,11 +558,7 @@ def psi_eval(w, ctx, tree=None, base_potential: Optional[Potential] = None
         w = normalize(ctx.quiver, parse_group_word(w))
     if not isinstance(w, Word):
         raise TypeError(f"psi_eval needs a Word of the orbit quiver, got {w!r}")
-    tree = default_tree(ctx) if tree is None else tuple(tree)
-    paths = _tree_paths(ctx, tree)
-    gamma = paths.get(ctx.phi.apply_vertex(basepoint(ctx)))
-    act = _twist_factory(ctx, gamma)
-    rots = _face_rotations(base_potential)
+    paths, gamma, act, rots = _psi_setup(ctx, tree, base_potential)
 
     word: tuple = ()
     k = 0
@@ -573,11 +578,7 @@ def psi_multiply(x: MatrixUnitElement, y: MatrixUnitElement, ctx, tree=None,
     if x.col != y.row:
         raise NonComposable(
             f"E_[{x.row},{x.col}] cannot multiply E_[{y.row},{y.col}]")
-    tree = default_tree(ctx) if tree is None else tuple(tree)
-    paths = _tree_paths(ctx, tree)
-    gamma = paths.get(ctx.phi.apply_vertex(basepoint(ctx)))
-    act = _twist_factory(ctx, gamma)
-    rots = _face_rotations(base_potential)
+    _, _, act, rots = _psi_setup(ctx, tree, base_potential)
     word = _erase_faces(x.elem.word + act(y.elem.word, x.elem.k), rots)
     return MatrixUnitElement(x.row, y.col,
                              SemidirectElement(word, x.elem.k + y.elem.k),
@@ -700,8 +701,8 @@ def _assigned_image(word: Word, table: dict, phi: PhiAction) -> SemidirectElemen
 
 
 def verify_psi_relations(ctx, W: Potential, mode: str = "certificate",
-                         phi: Optional[PhiAction] = None, assignment=None,
-                         tree=None) -> PsiVerifyReport:
+                         phi: Optional[PhiAction] = None, assignment=None
+                         ) -> PsiVerifyReport:
     """Check that both sides of every derivative relation share a matrix-unit
     image.
 
@@ -713,8 +714,6 @@ def verify_psi_relations(ctx, W: Potential, mode: str = "certificate",
     cycles); it needs no surface-group input.  Dehn mode computes both images
     in the semidirect group through an explicit arrow assignment and the
     user-supplied surface action, and decides equality with Dehn's algorithm.
-    ``tree`` is accepted for interface parity; both backends work with based
-    loop quotients that do not depend on it.
     """
     if mode not in ("certificate", "dehn"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -920,13 +919,10 @@ def _script_word(quiver: Quiver, s) -> Word:
 
 def _as_equation(rel, quiver: Quiver, label: str) -> tuple[Word, Word]:
     if isinstance(rel, Element):
-        words = rel.words()
-        if len(words) != 2 or rel.coeffs[words[0]] + rel.coeffs[words[1]] != 0:
+        split = _binomial(rel)
+        if split is None:
             raise ValueError(f"{label} is not a difference of two paths")
-        p, q = words
-        if rel.coeffs[p] < 0:
-            p, q = q, p
-        return p, q
+        return split
     lhs, rhs = rel
     return _script_word(quiver, lhs), _script_word(quiver, rhs)
 

@@ -31,7 +31,7 @@ potential terms) are by handle, so every construction is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .pathalg import Potential, Quiver
 
@@ -48,11 +48,12 @@ class UnknownVertex(KeyError):
     """No tiling vertex with the requested handle."""
 
 
-def _cycles_of(perm: Mapping[int, int], domain: Sequence[int]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation, each starting at (and ordered by) its minimum."""
-    seen: set[int] = set()
+def _cycles_of(perm: Mapping, domain: Iterable, key=None) -> list[tuple]:
+    """Cycles of a permutation through ``domain``, each starting at its first
+    element in ``sorted(domain, key=key)`` order, listed in that order."""
+    seen: set = set()
     cycles = []
-    for start in sorted(domain):
+    for start in sorted(domain, key=key):
         if start in seen:
             continue
         cyc = [start]
@@ -331,22 +332,3 @@ def tiling_from_json(obj: dict) -> BraneTiling:
     coloring = {min(cycles[int(i)]): c for i, c in obj.get("coloring", {}).items()}
     labels = {int(k): v for k, v in obj.get("labels", {}).items()}
     return BraneTiling(m, coloring, labels)
-
-
-def half_edge_perm_from_json(obj: dict) -> dict[int, int]:
-    """Read a half-edge permutation from an automorphism file."""
-    perm = obj["half_edge_perm"] if "half_edge_perm" in obj else obj
-    return {int(k): int(v) for k, v in perm.items()}
-
-
-def relabel_map(m: CombinatorialMap, perm: Mapping[int, int]) -> CombinatorialMap:
-    """Push the map forward along a bijection of half-edge ids."""
-    inv = {perm[h]: perm[m.involution[h]] for h in m.half_edges}
-    rot = {perm[h]: perm[m.rotation[h]] for h in m.half_edges}
-    return CombinatorialMap([perm[h] for h in m.half_edges], inv, rot)
-
-
-def maps_equal(a: CombinatorialMap, b: CombinatorialMap) -> bool:
-    return (a.half_edges == b.half_edges
-            and a.involution == b.involution
-            and a.rotation == b.rotation)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tessella.datafiles import load_data
+from tessella.equivariant import tiling_automorphism_from_json
 from tessella.pathalg import Potential
 from tessella.surfacemap import (
     BraneTiling,
@@ -13,10 +14,7 @@ from tessella.surfacemap import (
     UnknownVertex,
     dual_quiver,
     genus,
-    half_edge_perm_from_json,
-    maps_equal,
     minimal_cycle,
-    relabel_map,
     tiling_from_json,
     tiling_to_json,
     validate_tiling,
@@ -259,9 +257,11 @@ def test_recoloured_torus_reverses_arrows():
 
 def test_bundled_automorphism_preserves_the_tiling():
     t = genus2_tiling()
-    perm = half_edge_perm_from_json(load_data("genus2_automorphism.json"))
-    assert maps_equal(relabel_map(t.map, perm), t.map)
-    # colour-preserving and an involution
+    # reading the file checks that the permutation commutes with the pairing
+    # and the rotation and keeps colours
+    taut = tiling_automorphism_from_json(t, load_data("genus2_automorphism.json"))
+    perm = taut.half_edge_perm
+    assert taut.order == 2
     for h in t.map.half_edges:
         assert perm[perm[h]] == h
         assert t.color_of(perm[h]) == t.color_of(h)
