@@ -28,7 +28,9 @@ Conventions
   embedding choice exists for the input; 4 input/configuration error,
   including a count over its state-space or int64 guard, an input file
   that is missing or not JSON, a tiling that ``validate_tiling`` rejects,
-  and a tiling, automorphism or pipeline config file of the wrong shape.
+  a tiling, automorphism or pipeline config file or an omega element of
+  the wrong shape, and a symmetry whose equivariant dimer gets stuck
+  (``MatchingStuck``).
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
   sweep; it never changes a count.
 * Paths inside a pipeline config file are resolved relative to the config
@@ -52,6 +54,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .equivariant import (
     ChoiceSearch,
+    MatchingStuck,
     NoChoiceFound,
     all_dimers,
     build_orbit_quiver,
@@ -220,6 +223,30 @@ def _automorphism_from_json(tiling, obj):
     if "order" in obj and not _is_int(obj["order"]):
         raise InputError("automorphism field 'order' must be an integer")
     return tiling_automorphism_from_json(tiling, obj)
+
+
+def _omega_from_json(quiver, obj, name: str):
+    """``element_from_json`` behind a check of the element's shape: a list
+    of terms, each an object with a ``coeff`` (an integer or a fraction
+    string) and a ``word`` of [arrow, exponent] pairs.  ``name`` says where
+    the element was read, for the message."""
+    if not isinstance(obj, list):
+        raise InputError(f"{name} must be a list of terms, "
+                         f"not {type(obj).__name__}")
+    for i, term in enumerate(obj):
+        if not (isinstance(term, dict) and "word" in term and "coeff" in term):
+            raise InputError(f"{name} term {i} must be an object with fields "
+                             f"'coeff' and 'word'")
+        word = term["word"]
+        if not (isinstance(word, list) and all(
+                isinstance(x, list) and len(x) == 2 and _is_int(x[1])
+                for x in word)):
+            raise InputError(f"{name} term {i} field 'word' must be a list "
+                             f"of [arrow, exponent] pairs")
+        if not (_is_int(term["coeff"]) or isinstance(term["coeff"], str)):
+            raise InputError(f"{name} term {i} field 'coeff' must be an "
+                             f"integer or a fraction string")
+    return element_from_json(quiver, obj)
 
 
 def _taut_to_json(taut) -> dict:
@@ -440,12 +467,13 @@ def _probe_json(run, counting) -> dict:
 
     quiver, W = counting
     if run.opts.get("omega"):  # with or without a qpot file
-        omega = element_from_json(quiver, run.load("omega"))
+        omega = _omega_from_json(quiver, run.load("omega"), "omega file")
     elif not run.opts.get("qpot"):
         omega = (Element.from_word(quiver.word(parse_letters("rere")))
                  + Element.from_word(quiver.word(parse_letters("erer"))))
     elif "omega" in run.load("qpot"):
-        omega = element_from_json(quiver, run.load("qpot")["omega"])
+        omega = _omega_from_json(quiver, run.load("qpot")["omega"],
+                                 "qpot field 'omega'")
     else:
         raise InputError("the probe needs an omega element: embed an "
                          "\"omega\" key in the file or pass --omega")
@@ -936,8 +964,8 @@ def main(argv=None) -> int:
     except NoChoiceFound as exc:
         print(f"error: NoChoiceFound: {exc}", file=sys.stderr)
         return EXIT_NO_CHOICE
-    except (InputError, StateSpaceTooLarge, OSError, ValueError, KeyError,
-            TypeError) as exc:
+    except (InputError, StateSpaceTooLarge, MatchingStuck, OSError, ValueError,
+            KeyError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

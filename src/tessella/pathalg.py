@@ -165,6 +165,33 @@ class Quiver:
         return el
 
 
+class _Forest:
+    """Union-find over a quiver's vertices, grown one arrow at a time (with
+    path halving): the one spanning-forest helper, used by the tree
+    choices of :mod:`tessella.presentation` and the gauge tree of
+    :mod:`tessella.repcount`."""
+
+    def __init__(self, quiver: Quiver):
+        self.quiver = quiver
+        self.parent = {v: v for v in quiver.vertices}
+
+    def find(self, v):
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def join(self, a) -> bool:
+        """Adds arrow ``a``; False (and no change) when it closes a cycle."""
+        ru = self.find(self.quiver.source(a))
+        rv = self.find(self.quiver.target(a))
+        if ru == rv:
+            return False
+        self.parent[ru] = rv
+        return True
+
+
 @dataclass(frozen=True)
 class Word:
     """Normalized composable word with its endpoints.

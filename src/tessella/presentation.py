@@ -39,6 +39,7 @@ from .pathalg import (
     Quiver,
     UnknownArrow,
     Word,
+    _Forest,
     _idkey,
     cyclic_derivative,
     jacobi_relations,
@@ -370,31 +371,6 @@ def basepoint(ctx):
         verts |= {ctx.quiver.target(r) for r in iso}
         return min(verts, key=_idkey)
     return min(ctx.base.vertices, key=_idkey)
-
-
-class _Forest:
-    """Union-find over a quiver's vertices, grown one arrow at a time (with
-    path halving): the spanning-forest helper of the tree choices below."""
-
-    def __init__(self, quiver: Quiver):
-        self.quiver = quiver
-        self.parent = {v: v for v in quiver.vertices}
-
-    def find(self, v):
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def join(self, a) -> bool:
-        """Adds arrow ``a``; False (and no change) when it closes a cycle."""
-        ru = self.find(self.quiver.source(a))
-        rv = self.find(self.quiver.target(a))
-        if ru == rv:
-            return False
-        self.parent[ru] = rv
-        return True
 
 
 def default_tree(ctx) -> tuple:

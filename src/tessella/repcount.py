@@ -28,6 +28,23 @@ each term of W once per slice through shared suffix and prefix products,
 which give its trace and every occurrence's cyclic derivative (elementwise at
 d = 1, batched matmuls otherwise).  The per-point :class:`MatrixRep` route
 (:func:`trace_potential`, :func:`crit_check`) is the sweep's oracle.
+
+Exhaustive sweeps count modulo gauge.  The group prod_v GL_d acts on the
+space by M_a -> g_t(a) M_a g_s(a)^-1, and these quantities are invariant:
+
+* Tr W, since every term is a closed cycle (inverse letters included);
+* the critical locus, since each cyclic derivative transforms equivariantly;
+* the omega strata and probe weights, when at d = 1 every word of omega is
+  closed, and at d >= 2 every word is closed at one common vertex.
+
+:func:`_gauge_tree` picks a spanning forest of localized, non-loop arrows
+(the lowest ids first).  Fixing those arrows to the identity leaves a slice
+that meets each orbit of the non-root vertices' gauge group exactly once, so
+every tally is the slice's tally times |GL_d(F_q)|^|tree|.  The tree is empty
+when omega's words fail the condition above.  ``total`` and ``state_space``
+in the reports are always those of the full space.  Sample mode,
+:func:`iter_reps`, :func:`nth_rep` and the :class:`MatrixRep` oracle keep the
+full space.
 """
 
 from __future__ import annotations
@@ -53,6 +70,7 @@ from .pathalg import (
     Quiver,
     StateSpaceTooLarge,  # defined in pathalg, which imports no numpy
     Word,
+    _Forest,
     _idkey,
     _is_prime,
     cyclic_derivative,
@@ -351,9 +369,13 @@ class _RepSpace:
     Arrows are ordered by id and the last arrow varies fastest, so index k
     unpacks as mixed-radix digits over the per-arrow pool sizes.  Chunked
     and per-point traversals therefore agree on the order.
+
+    Each localized arrow in ``fixed`` (a gauge tree) has the identity as its
+    only matrix: ``total`` counts the points of that slice, and each of them
+    stands for ``gauge`` points of the ``state_space``.
     """
 
-    def __init__(self, quiver: Quiver, d: int, q: int) -> None:
+    def __init__(self, quiver: Quiver, d: int, q: int, fixed=()) -> None:
         _require_prime(q)
         if not isinstance(d, int) or d < 1:
             raise ValueError(f"dimension must be a positive integer, got {d!r}")
@@ -361,10 +383,14 @@ class _RepSpace:
         self.d = d
         self.q = q
         self.arrows = quiver.arrow_ids()
-        self.pools = {a: _pool(d, q, quiver.is_localized(a))
+        self.fixed = frozenset(fixed)
+        self.pools = {a: (_eye(d),) if a in self.fixed
+                      else _pool(d, q, quiver.is_localized(a))
                       for a in self.arrows}
         self.sizes = {a: len(self.pools[a]) for a in self.arrows}
         self.total = math.prod(self.sizes.values())
+        self.gauge = gl_order(d, q) ** len(self.fixed)
+        self.state_space = self.total * self.gauge
         self.strides, acc = {}, 1
         for a in reversed(self.arrows):
             self.strides[a], acc = acc, acc * self.sizes[a]
@@ -431,6 +457,20 @@ class _RepSpace:
         return MatrixRep(self.quiver, self.d, self.q, mats)
 
 
+def _gauge_tree(quiver: Quiver, d: int, omega: Element | None = None) -> tuple:
+    """The arrows an exhaustive sweep fixes to the identity: the lowest-id
+    spanning forest of the localized arrows (a loop never joins it).  Empty
+    when ``omega`` is given and its strata are not gauge invariant: a word
+    of omega is open, or at d >= 2 two words close at different vertices."""
+    if omega is not None:
+        ends = {(w.source, w.target) for w in omega.words()}
+        if any(s != t for s, t in ends) or (d > 1 and len(ends) > 1):
+            return ()
+    forest = _Forest(quiver)
+    return tuple(a for a in quiver.arrow_ids()
+                 if quiver.is_localized(a) and forest.join(a))
+
+
 def state_space_size(quiver: Quiver, d: int, q: int) -> int:
     """Number of representations at dimension d over F_q."""
     _require_prime(q)
@@ -457,10 +497,12 @@ def iter_reps(quiver: Quiver, d: int, q: int,
         yield space.rep_at(k)
 
 
-def _sweep(space: _RepSpace, kernel, draws=None, seed=None) -> np.ndarray:
+def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
     """Sum of ``kernel(idx, n)`` over the whole space, or over ``draws``
     seeded uniform points; ``idx`` holds each arrow's pool indices for one
-    slice of ``n <= _SLICE`` points and the kernel returns integer tallies."""
+    slice of ``n <= _SLICE`` points and the kernel returns integer tallies.
+    An exhaustive sweep walks the gauge slice and scales its sums, as Python
+    integers, by ``space.gauge``."""
     def tally(idx: dict, n: int):
         return sum(kernel({a: v[lo:lo + _SLICE] for a, v in idx.items()},
                           min(_SLICE, n - lo)) for lo in range(0, n, _SLICE))
@@ -470,8 +512,11 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None) -> np.ndarray:
         sizes = [min(_CHUNK, draws - lo) for lo in range(0, draws, _CHUNK)]
         return sum(tally(space.sample_indices(rng, n), n) for n in sizes)
     if space.total > _STATE_GUARD:
+        tree = len(space.fixed)
         raise StateSpaceTooLarge(
-            f"{space.total} points exceed the exhaustive guard {_STATE_GUARD}")
+            f"{space.total} points to sweep (state space {space.state_space} "
+            f"modulo a gauge tree of {tree} arrow{'' if tree == 1 else 's'}) "
+            f"exceed the exhaustive guard {_STATE_GUARD}")
 
     def block(lo: int):
         hi = min(lo + _CHUNK, space.total)
@@ -482,7 +527,8 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None) -> np.ndarray:
     except ValueError:
         workers = 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(block, range(0, space.total, _CHUNK)))
+        tally = sum(pool.map(block, range(0, space.total, _CHUNK)))
+    return [int(t) * space.gauge for t in tally]
 
 
 def _check_int64(d: int, q: int, terms=0, occurrences=0) -> None:
@@ -552,12 +598,12 @@ def _normalization(quiver: Quiver, d: int, q: int) -> dict:
 class CountReport:
     """Tallies of the trace function over a representation space.
 
-    ``total`` counts the points actually visited: the whole space in
-    exhaustive mode, the number of draws in sample mode.  ``state_space`` is
-    always the size of the full space.  ``histogram`` maps every residue of
-    F_q to its fibre count; ``zeros`` and ``ones`` repeat the 0- and 1-fibre
-    for convenience.  ``critical`` counts visited points where every partial
-    derivative of Tr W vanishes.  ``normalization`` carries the symbolic
+    ``total`` is the size of the full space in exhaustive mode (which sweeps
+    one gauge slice of it) and the number of draws in sample mode;
+    ``state_space`` is always the size of the full space.  ``histogram``
+    maps every residue of F_q to its fibre count; ``zeros`` and ``ones``
+    repeat the 0- and 1-fibre for convenience.  ``critical`` counts the
+    points where every partial derivative of Tr W vanishes.  ``normalization`` carries the symbolic
     prefactors (L exponent, GL exponent and order); they are never folded
     into the integer counts.
     """
@@ -603,8 +649,9 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
                    seed: int | None = None) -> CountReport:
     """Count trace-function fibres and critical points over F_q.
 
-    Exhaustive mode walks the whole space (guarded at 10^8 points); sample
-    mode draws ``sample_size`` uniform points with the given seed and is
+    Exhaustive mode counts the whole space by sweeping its gauge slice
+    (guarded at 10^8 swept points); sample mode draws ``sample_size``
+    uniform points of the full space with the given seed and is
     deterministic for a fixed seed.
     """
     missing = W.arrows_used() - set(quiver.arrow_ids())
@@ -612,7 +659,8 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         raise ShapeMismatch(
             f"potential uses arrows not in the quiver: "
             f"{sorted(missing, key=_idkey)}")
-    space = _RepSpace(quiver, d, q)
+    space = _RepSpace(quiver, d, q, _gauge_tree(quiver, d)
+                      if mode == "exhaustive" else ())
     terms = _coefficients(W, d, q)
     for a in quiver.arrow_ids():  # refuses inverse occurrences of a
         cyclic_derivative(quiver, W, a)
@@ -633,8 +681,8 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
     tally = _sweep(space, kernel, sample_size, seed)
     histogram = {v: int(tally[v]) for v in range(q)}
     return CountReport(
-        q=q, d=d, mode=mode, total=sample_size or space.total,
-        state_space=space.total, zeros=histogram[0], ones=histogram[1],
+        q=q, d=d, mode=mode, total=sample_size or space.state_space,
+        state_space=space.state_space, zeros=histogram[0], ones=histogram[1],
         critical=int(tally[q]), histogram=histogram,
         normalization=_normalization(quiver, d, q), seed=seed)
 
@@ -703,7 +751,7 @@ def stratify_by_omega(quiver: Quiver, W: Potential, omega: Element,
             "could not certify omega central modulo the derivative ideal "
             "(bounded rewriting stalled); strata reported anyway",
             RuntimeWarning, stacklevel=2)
-    space = _RepSpace(quiver, d, q)
+    space = _RepSpace(quiver, d, q, _gauge_tree(quiver, d, omega))
     _check_int64(d, q)
 
     def kernel(idx: dict, n: int) -> np.ndarray:
@@ -713,8 +761,8 @@ def stratify_by_omega(quiver: Quiver, W: Potential, omega: Element,
         return np.array([nilp.sum(), inv.sum()])
 
     nilp, inv = map(int, _sweep(space, kernel))
-    return StrataReport(q=q, d=d, total=space.total, nilpotent=nilp,
-                        invertible=inv, mixed=space.total - nilp - inv,
+    return StrataReport(q=q, d=d, total=space.state_space, nilpotent=nilp,
+                        invertible=inv, mixed=space.state_space - nilp - inv,
                         central_certified=certified)
 
 
@@ -778,7 +826,7 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
     if q == 2:
         raise ValueError("the degree-one probe needs an odd prime q; "
                          "characteristic 2 collapses the even coefficients")
-    space = _RepSpace(quiver, 1, q)
+    space = _RepSpace(quiver, 1, q, _gauge_tree(quiver, 1, omega))
     terms = _coefficients(W, 1, q)
 
     def kernel(idx: dict, n: int) -> np.ndarray:

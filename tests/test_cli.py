@@ -28,7 +28,8 @@ from tessella.cli import (
 from tessella.datafiles import load_data
 from tessella.pathalg import parse_letters, qpot_from_json, qpot_to_json
 
-from conftest import genus2_potential, genus2_quiver
+from conftest import (SQUARE_TORUS, cyclic_cover, genus2_potential,
+                      genus2_quiver)
 
 
 def run(argv, capsys):
@@ -335,6 +336,54 @@ def test_probe_omega_file_is_read_against_the_bundled_quiver(tmp_path,
     rc, out, err = run(["probe", "--q", "3", "--omega", str(path)], capsys)
     assert rc == EXIT_OK, err
     assert out.encode() == (BENCHMARKS / "golden" / "probe_q_3.out").read_bytes()
+
+
+@pytest.mark.parametrize("omega, message", [
+    ({"terms": 5}, "omega file must be a list of terms, not dict"),
+    ([1, 2], "omega file term 0 must be an object with fields 'coeff' and "
+             "'word'"),
+    ({"terms": [[1, 5]]}, "omega file must be a list of terms, not dict"),
+    ([{"coeff": 1, "word": "rere"}],
+     "omega file term 0 field 'word' must be a list of [arrow, exponent] "
+     "pairs"),
+    ([{"coeff": [1], "word": [["r", 1]]}],
+     "omega file term 0 field 'coeff' must be an integer or a fraction "
+     "string"),
+])
+def test_malformed_omega_file_names_the_field(tmp_path, capsys, omega,
+                                              message):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(omega))
+    rc, out, err = run(["probe", "--q", "3", "--omega", str(path)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: {message}\n"
+
+
+def test_malformed_omega_in_a_qpot_file_names_the_field(tmp_path, capsys):
+    quiver = genus2_quiver()
+    payload = qpot_to_json(quiver, genus2_potential(quiver))
+    payload["omega"] = [1, 2]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(["probe", str(path), "--q", "3"], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == ("error: InputError: qpot field 'omega' term 0 must be an "
+                   "object with fields 'coeff' and 'word'\n")
+
+
+def test_dimer_stuck_on_a_cover_exits_as_bad_input(tmp_path, capsys):
+    """The 3-fold cover of the two-square torus with voltages (0, 0, 0, 1):
+    its colours do not balance modulo the symmetry order."""
+    tiling, taut = cyclic_cover(SQUARE_TORUS, 3, (0, 0, 0, 1), seed=0)
+    tiling_path = tmp_path / "tiling.json"
+    tiling_path.write_text(json.dumps(cli.tiling_to_json(tiling)))
+    autom_path = tmp_path / "autom.json"
+    autom_path.write_text(json.dumps(cli._taut_to_json(taut)))
+    rc, out, err = run(["dimer", "--tiling", str(tiling_path),
+                        "--automorphism", str(autom_path)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err.startswith("error: MatchingStuck: colour imbalance")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_output_file_flag_writes_the_same_bytes(tmp_path, capsys):
@@ -769,3 +818,15 @@ def test_version_flag_in_a_fresh_process_prints_the_tool_version():
 def test_the_cli_catches_the_counting_guard_class():
     from tessella import repcount
     assert repcount.StateSpaceTooLarge is cli.StateSpaceTooLarge
+
+
+def test_the_counting_kernel_does_not_import_presentation():
+    """repcount takes the spanning-forest helper of its gauge tree from
+    pathalg."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, tessella.repcount; "
+         "print('tessella.presentation' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, check=True)
+    assert done.stdout == "False\n"

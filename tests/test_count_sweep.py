@@ -1,12 +1,15 @@
 """The counting sweep against fixed outputs and against per-point walks.
 
 ``enumerate_reps``, ``stratify_by_omega`` and ``conjecture_probe_d1`` share
-one block/slice/thread sweep.  These tests pin seeded sample reports to
-values recorded before the sweep was introduced, hold every batch count to a
-walk over ``iter_reps`` with the per-point evaluators on generated quivers
-and potentials (inverse letters included), check that block size, slice size
-and thread count never change a result, and test the int64 guard at its
-edges.
+one block/slice/thread sweep, which in exhaustive mode walks one gauge slice
+of the space.  These tests pin seeded sample reports to values recorded
+before the sweep was introduced, and an exhaustive q = 17 report to the
+bytes the unreduced sweep printed; hold every batch count to a walk over
+``iter_reps`` with the per-point evaluators on generated quivers and
+potentials (inverse letters included), and to the same sweep with no gauge
+tree; check that block size, slice size and thread count never change a
+result, that omega strata which are not gauge invariant get no tree, and
+test the exhaustive and int64 guards at their edges.
 """
 
 from __future__ import annotations
@@ -15,18 +18,26 @@ import math
 import os
 import warnings
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tessella.repcount as repcount
 from tessella import cli
-from tessella.pathalg import Element, InverseOfNonLocalized, Potential, Quiver
+from tessella.pathalg import (
+    Element,
+    InverseOfNonLocalized,
+    Potential,
+    Quiver,
+    parse_letters,
+)
 from tessella.repcount import (
     StateSpaceTooLarge,
     _check_int64,
+    _gauge_tree,
     _mat_det,
     _mat_mul,
     conjecture_probe_d1,
@@ -210,10 +221,49 @@ def _check_against_walk(quiver, W, omega, d, q):
                         probe.weight_invertible) == walk["probe"]
 
 
+def _two_vertices(W_terms, omega_words, d, q, loop=True):
+    """Vertices 0 and 1 joined by the localized arrow t: 0 -> 1 and the free
+    arrow u: 1 -> 0, with a free loop x at 1 when ``loop``.  Words are
+    letter lists; an empty omega word is the trivial path at vertex 1."""
+    arrows = [("t", 0, 1), ("u", 1, 0)] + ([("x", 1, 1)] if loop else [])
+    quiver = Quiver([0, 1], arrows, localized=["t"])
+    W = Potential.build(quiver, W_terms)
+    omega = Element.zero()
+    for c, letters in omega_words:
+        omega = omega + Element.from_word(
+            quiver.word(letters, at=None if letters else 1), c)
+    return quiver, W, omega, d, q
+
+
+# cases whose gauge tree is the arrow t at every d, so that every run of the
+# walk test sweeps a slice; the second reads t^-1 in W
+TREE_CASES = [
+    _two_vertices([(1, ["u", "t"]), (2, ["u", "t", "u", "t"]),
+                   (-1, ["u", "x", "t"]), (1, ["x", "x", "x"])],
+                  [(1, [("x", 1)]), (2, [("t", 1), ("u", 1)])], 1, 3),
+    _two_vertices([(1, [("u", 1), ("t", 1)]),
+                   (2, [("t", -1), ("x", 1), ("t", 1)])],
+                  [(1, [("t", 1), ("u", 1), ("x", 1)]), (1, [])], 1, 5),
+    _two_vertices([(1, ["u", "t", "u", "t"]), (1, ["u", "t"])],
+                  [(1, [("t", 1), ("u", 1)]),
+                   (1, [("t", 1), ("u", 1), ("t", 1), ("u", 1)])],
+                  2, 2, loop=False),
+]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_cases())
+@example(TREE_CASES[0])
+@example(TREE_CASES[1])
+@example(TREE_CASES[2])
 def test_sweep_matches_per_point_walk(case):
     _check_against_walk(*case)
+
+
+@pytest.mark.parametrize("case", TREE_CASES)
+def test_tree_cases_sweep_a_slice(case):
+    quiver, _, omega, d, _ = case
+    assert _gauge_tree(quiver, d) == _gauge_tree(quiver, d, omega) == ("t",)
 
 
 def _mixed_loops():
@@ -230,6 +280,126 @@ def _mixed_loops():
 @pytest.mark.parametrize("d, q", [(1, 5), (2, 2)])
 def test_sweep_reads_inverse_letters_through_inverse_matrices(d, q):
     _check_against_walk(*_mixed_loops(), d, q)
+
+
+# -- omega strata that are not gauge invariant get no tree --------------------
+
+# at d = 1 the open word t: 0 -> 1 next to the loop x^2 at 1; at d = 2 the
+# cycles u t at 0 and t u at 1
+NO_TREE_CASES = [
+    _two_vertices([(1, ["u", "t"]), (1, ["x", "x"])],
+                  [(1, [("t", 1)]), (1, [("x", 1), ("x", 1)])], 1, 5),
+    _two_vertices([(1, ["u", "t", "u", "t"])],
+                  [(1, [("u", 1), ("t", 1)]), (1, [("t", 1), ("u", 1)])],
+                  2, 2, loop=False),
+]
+
+
+def _tree_ignoring_omega(quiver, d, omega=None):
+    return _gauge_tree(quiver, d)
+
+
+@pytest.mark.parametrize("case", NO_TREE_CASES, ids=["d1-open", "d2-two"])
+def test_strata_that_gauge_moves_sweep_the_whole_space(case):
+    quiver, W, omega, d, q = case
+    assert _gauge_tree(quiver, d) == ("t",)
+    assert _gauge_tree(quiver, d, omega) == ()
+    _check_against_walk(*case)
+    # the tree would be wrong here: fixing t moves the strata
+    with mock.patch.object(repcount, "_gauge_tree", _tree_ignoring_omega), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        strata = stratify_by_omega(quiver, W, omega, d, q)
+    walk = _walk(quiver, W, omega, d, q)
+    assert (strata.nilpotent, strata.invertible) != walk["strata"]
+
+
+# -- the gauge-fixed sweep against the same sweep with no tree ----------------
+
+
+def _without_tree(count, *args):
+    """``count(*args)`` with every exhaustive sweep over the full space."""
+    with mock.patch.object(repcount, "_gauge_tree",
+                           lambda *_: frozenset()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return count(*args)
+
+
+def _bundled_omega(quiver):
+    return (Element.from_word(quiver.word(parse_letters("rere")))
+            + Element.from_word(quiver.word(parse_letters("erer"))))
+
+
+@pytest.mark.parametrize("d, q", [(1, 3), (1, 5), (1, 7), (1, 11), (2, 2)])
+def test_bundled_count_agrees_with_the_unreduced_sweep(bundled_counting, d,
+                                                       q):
+    quiver, W = bundled_counting
+    assert _gauge_tree(quiver, d) == ("c",)
+    assert (enumerate_reps(quiver, W, d, q)
+            == _without_tree(enumerate_reps, quiver, W, d, q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_bundled_probe_agrees_with_the_unreduced_sweep(bundled_counting, q):
+    quiver, W = bundled_counting
+    omega = _bundled_omega(quiver)
+    assert _gauge_tree(quiver, 1, omega) == ("c",)
+    assert (conjecture_probe_d1(quiver, W, omega, q)
+            == _without_tree(conjecture_probe_d1, quiver, W, omega, q))
+
+
+@pytest.mark.parametrize("d, q", [(1, 3), (2, 2)])
+def test_bundled_strata_agree_with_the_unreduced_sweep(bundled_counting, d,
+                                                       q):
+    """rere closes at vertex 1 and erer at vertex 2: a tree at d = 1 only."""
+    quiver, W = bundled_counting
+    omega = _bundled_omega(quiver)
+    assert _gauge_tree(quiver, d, omega) == (("c",) if d == 1 else ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reduced = stratify_by_omega(quiver, W, omega, d, q)
+    assert reduced == _without_tree(stratify_by_omega, quiver, W, omega, d, q)
+
+
+GOLDEN_Q17 = Path(__file__).resolve().parent / "golden" / "count_q17_d1.out"
+
+
+def test_count_q17_prints_the_bytes_of_the_unreduced_sweep(capsys):
+    """``tessella count --q 17 --d 1`` as the full-space sweep printed it."""
+    assert cli.main(["count", "--q", "17", "--d", "1"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_Q17.read_bytes()
+
+
+# -- the exhaustive guard ------------------------------------------------------
+
+
+def test_guard_names_the_swept_points_and_the_state_space(bundled_counting):
+    quiver, W = bundled_counting
+    with pytest.raises(StateSpaceTooLarge) as info:
+        enumerate_reps(quiver, W, 2, 3)
+    assert str(info.value) == (
+        "429981696 points to sweep (state space 20639121408 modulo a gauge "
+        "tree of 1 arrow) exceed the exhaustive guard 100000000")
+
+
+def test_guard_without_a_tree_sweeps_the_state_space():
+    quiver = Quiver([0], [(f"x{i}", 0, 0) for i in range(7)])
+    with pytest.raises(StateSpaceTooLarge) as info:
+        enumerate_reps(quiver, Potential(), 1, 17)
+    assert str(info.value) == (
+        "410338673 points to sweep (state space 410338673 modulo a gauge "
+        "tree of 0 arrows) exceed the exhaustive guard 100000000")
+
+
+def test_guard_bounds_the_swept_points(bundled_counting):
+    """A space over the guard whose gauge slice is under it is counted."""
+    quiver, W = bundled_counting
+    full = state_space_size(quiver, 1, 5)
+    with mock.patch.object(repcount, "_STATE_GUARD", full - 1):
+        assert enumerate_reps(quiver, W, 1, 5).total == full
+        with pytest.raises(StateSpaceTooLarge):
+            _without_tree(enumerate_reps, quiver, W, 1, 5)
 
 
 # -- the int64 guard -----------------------------------------------------------
