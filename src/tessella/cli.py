@@ -28,9 +28,9 @@ Conventions
   embedding choice exists for the input; 4 input/configuration error,
   including a count over its state-space or int64 guard, an input file
   that is missing or not JSON, a tiling that ``validate_tiling`` rejects,
-  a tiling, automorphism or pipeline config file or an omega element of
-  the wrong shape, and a symmetry whose equivariant dimer gets stuck
-  (``MatchingStuck``).
+  a tiling, automorphism, qpot, choice or pipeline config file or an
+  omega element of the wrong shape, and a symmetry whose equivariant
+  dimer gets stuck (``MatchingStuck``).
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
   sweep; it never changes a count.
 * Paths inside a pipeline config file are resolved relative to the config
@@ -47,7 +47,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -176,26 +176,42 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-_TILING_FIELDS = (  # (key, shape, test of each list entry)
-    ("half_edges", "a list of integers", _is_int),
-    ("involution", "a list of integer pairs",
-     lambda p: isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))),
-    ("rotation", "a list of nonempty integer lists",
-     lambda c: isinstance(c, list) and bool(c) and all(map(_is_int, c))),
+def _is_id(x) -> bool:
+    return isinstance(x, str) or _is_int(x)
+
+
+def _list_of(ok):
+    return lambda xs: isinstance(xs, list) and all(map(ok, xs))
+
+
+def _check_object(obj, what: str, spec=(), optional=()) -> None:
+    """Checks that a ``what`` file holds a JSON object whose fields pass
+    the tests of ``spec`` (key, shape, test); only the keys in ``optional``
+    may be left out.  A failure is an input error that names the field."""
+    if not isinstance(obj, dict):
+        raise InputError(f"a {what} file holds a JSON object, "
+                         f"not {type(obj).__name__}")
+    for key, shape, ok in spec:
+        if key in obj:
+            if not ok(obj[key]):
+                raise InputError(f"{what} field {key!r} must be {shape}")
+        elif key not in optional:
+            raise InputError(f"{what} field {key!r} is missing")
+
+
+_TILING_FIELDS = (
+    ("half_edges", "a list of integers", _list_of(_is_int)),
+    ("involution", "a list of integer pairs", _list_of(
+        lambda p: isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)))),
+    ("rotation", "a list of nonempty integer lists", _list_of(
+        lambda c: isinstance(c, list) and bool(c) and all(map(_is_int, c)))),
 )
 
 
 def _tiling_from_json(obj):
     """``tiling_from_json`` behind a check of the file's shape, so that a
     malformed tiling is an input error that names the bad field."""
-    if not isinstance(obj, dict):
-        raise InputError(f"a tiling file holds a JSON object, "
-                         f"not {type(obj).__name__}")
-    for key, shape, ok in _TILING_FIELDS:
-        if key not in obj:
-            raise InputError(f"tiling field {key!r} is missing")
-        if not (isinstance(obj[key], list) and all(map(ok, obj[key]))):
-            raise InputError(f"tiling field {key!r} must be {shape}")
+    _check_object(obj, "tiling", _TILING_FIELDS)
     rotation = obj["rotation"]
     coloring = obj.get("coloring", {})
     if not (isinstance(coloring, dict)
@@ -225,11 +241,11 @@ def _automorphism_from_json(tiling, obj):
     return tiling_automorphism_from_json(tiling, obj)
 
 
-def _omega_from_json(quiver, obj, name: str):
-    """``element_from_json`` behind a check of the element's shape: a list
-    of terms, each an object with a ``coeff`` (an integer or a fraction
-    string) and a ``word`` of [arrow, exponent] pairs.  ``name`` says where
-    the element was read, for the message."""
+def _check_terms(obj, name: str) -> None:
+    """Checks the shape of an element's or a potential's terms: a list of
+    objects, each with a ``coeff`` (an integer or a fraction string) and a
+    ``word`` of [arrow, exponent] pairs.  ``name`` says where the terms
+    were read, for the message."""
     if not isinstance(obj, list):
         raise InputError(f"{name} must be a list of terms, "
                          f"not {type(obj).__name__}")
@@ -246,7 +262,44 @@ def _omega_from_json(quiver, obj, name: str):
         if not (_is_int(term["coeff"]) or isinstance(term["coeff"], str)):
             raise InputError(f"{name} term {i} field 'coeff' must be an "
                              f"integer or a fraction string")
+
+
+def _omega_from_json(quiver, obj, name: str):
+    """``element_from_json`` behind :func:`_check_terms`."""
+    _check_terms(obj, name)
     return element_from_json(quiver, obj)
+
+
+_QPOT_FIELDS = (
+    ("vertices", "a list of integers or strings", _list_of(_is_id)),
+    ("arrows", "a list of objects with integer or string 'id', 'src' and "
+               "'tgt' and an optional boolean 'localized'", _list_of(
+        lambda a: isinstance(a, dict)
+        and all(_is_id(a.get(k)) for k in ("id", "src", "tgt"))
+        and isinstance(a.get("localized", False), bool))),
+)
+
+
+def _qpot_from_json(obj):
+    """``qpot_from_json`` behind a check of the file's shape; the terms of
+    its potential are checked as :func:`_check_terms` checks an element."""
+    _check_object(obj, "qpot", _QPOT_FIELDS)
+    _check_terms(obj.get("potential", []), "qpot field 'potential'")
+    return qpot_from_json(obj)
+
+
+_CHOICE_FIELDS = (
+    ("generators", "a list of arrow ids", _list_of(_is_id)),
+    ("bases", "an object", lambda b: isinstance(b, dict)),
+    ("require_common_source", "a boolean", lambda b: isinstance(b, bool)),
+)
+
+
+def _choice_from_json(quiver, obj):
+    """``orbit_choice_from_json`` behind a check of the file's shape."""
+    _check_object(obj, "choice", _CHOICE_FIELDS,
+                  optional=("require_common_source",))
+    return orbit_choice_from_json(quiver, obj)
 
 
 def _taut_to_json(taut) -> dict:
@@ -342,7 +395,7 @@ def _choice(run, dimer) -> _Choice:
     quiver, W = dual_quiver(tiling)
     phi = induced_quiver_automorphism(tiling, taut, quiver)
     if run.opts.get("choice"):
-        choice = orbit_choice_from_json(quiver, run.load("choice"))
+        choice = _choice_from_json(quiver, run.load("choice"))
     else:
         matching, choice = _canonical_choice(tiling, taut, matching)
     return _Choice(matching, build_orbit_quiver(quiver, phi, choice), W)
@@ -469,8 +522,8 @@ def _probe_json(run, counting) -> dict:
     if run.opts.get("omega"):  # with or without a qpot file
         omega = _omega_from_json(quiver, run.load("omega"), "omega file")
     elif not run.opts.get("qpot"):
-        omega = (Element.from_word(quiver.word(parse_letters("rere")))
-                 + Element.from_word(quiver.word(parse_letters("erer"))))
+        omega = Element((quiver.word(parse_letters(w)), 1)
+                        for w in ("rere", "erer"))
     elif "omega" in run.load("qpot"):
         omega = _omega_from_json(quiver, run.load("qpot")["omega"],
                                  "qpot field 'omega'")
@@ -682,7 +735,7 @@ def _run_command(args) -> int:
     command = _COMMANDS[args.command]
     run = _Run(command.options(args))
     if run.opts.get("qpot"):
-        run.values[command.qpot] = qpot_from_json(run.load("qpot"))
+        run.values[command.qpot] = _qpot_from_json(run.load("qpot"))
     payload = command.view(run, run[command.target])
     _output(args, payload)
     error = command.error(run, payload) if command.error else None
@@ -712,17 +765,11 @@ class PipelineConfig:
     seed: Optional[int] = None
     output_dir: str = "tessella_out"
 
-    _KEYS = ("tiling", "automorphism", "phi_star", "script", "psi_mode",
-             "require_homogeneous", "field_sizes", "dimension", "mode",
-             "sample_size", "seed", "output_dir")
-
     @staticmethod
     def from_json(obj: dict, base_dir: Optional[Path] = None,
                   output_dir: Optional[str] = None) -> "PipelineConfig":
-        if not isinstance(obj, dict):
-            raise InputError(f"a pipeline config file holds a JSON object, "
-                             f"not {type(obj).__name__}")
-        unknown = sorted(set(obj) - set(PipelineConfig._KEYS))
+        _check_object(obj, "pipeline config")
+        unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
         if unknown:
             raise InputError(f"unknown config keys: {unknown}")
         kwargs = dict(obj)
@@ -751,13 +798,7 @@ class PipelineConfig:
                 "psi_mode dehn needs a phi_star config file")
 
     def to_json(self) -> dict:
-        return {"tiling": self.tiling, "automorphism": self.automorphism,
-                "phi_star": self.phi_star, "script": self.script,
-                "psi_mode": self.psi_mode,
-                "require_homogeneous": self.require_homogeneous,
-                "field_sizes": list(self.field_sizes),
-                "dimension": self.dimension, "mode": self.mode,
-                "sample_size": self.sample_size, "seed": self.seed,
+        return {**vars(self), "field_sizes": list(self.field_sizes),
                 "output_dir": str(self.output_dir)}
 
 

@@ -995,10 +995,8 @@ def verify_transport_identity(ctx: SemidirectQuiver, W: Potential,
         i = cyc.index((a, 1))
         return cyc[i:] + cyc[:i]
 
-    rhs = Element.zero()
-    for sign, cyc in ((1, pos[0]), (-1, neg[0])):
-        word = xi_embed([x for x, _ in a_leftmost(cyc)], ctx)
-        rhs = rhs + Element.from_word(word, sign * n)
+    rhs = Element((xi_embed([x for x, _ in a_leftmost(cyc)], ctx), sign * n)
+                  for sign, cyc in ((1, pos[0]), (-1, neg[0])))
     da = cyclic_derivative(ctx.quiver, Wp, a)
     a_word = normalize(ctx.quiver, [(a, 1)])
     lhs = multiply(ctx.quiver, Element.from_word(a_word), da)

@@ -23,6 +23,9 @@ Conventions, fixed once and used everywhere:
   adjacency.  Products of words that are already normal go through
   :func:`word_product`, which checks only the seams ``left.source ==
   right.target`` and cancels only the letters meeting there.
+* :class:`Element` (words) and :class:`Potential` (cycles) share one core,
+  ``_Combination``, and are built from ``(key, coeff)`` pairs whose repeated
+  keys add up, so every sum of many terms is built in one pass.
 
 Coefficients are exact rationals throughout.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 Letter = tuple  # (arrow id, exponent in {+1, -1})
@@ -156,13 +160,8 @@ class Quiver:
         return normalize(self, letters, at=at)
 
     def element(self, terms: Mapping | None = None) -> "Element":
-        el = Element.zero()
-        if terms:
-            for w, c in terms.items():
-                if not isinstance(w, Word):
-                    w = self.word(w)
-                el = el + Element({w: Fraction(c)})
-        return el
+        return Element((w if isinstance(w, Word) else self.word(w), c)
+                       for w, c in (terms or {}).items())
 
 
 class _Forest:
@@ -283,21 +282,79 @@ def _seam(left: Sequence[Letter], right: Sequence[Letter]) -> int:
     return k
 
 
-class Element:
-    """Finite rational combination of normalized words."""
+class _Combination:
+    """Finite rational combination of keys, from a mapping or from
+    ``(key, coeff)`` pairs; repeated keys add up and zeros are dropped.  A
+    subclass says how a key is normalized (``_key``), ordered (``_order``)
+    and printed (``_render``); neither subclass is an instance of the other.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[Word, Fraction] | None = None):
-        clean = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                c = Fraction(c)
+    @staticmethod
+    def _key(key):
+        return key
+
+    def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        key = self._key
+        clean: dict = {}
+        for k, c in terms or ():
+            c = Fraction(c)
+            if c:
+                k = key(k)
+                c += clean.get(k, 0)
                 if c:
-                    clean[w] = clean.get(w, Fraction(0)) + c
-                    if not clean[w]:
-                        del clean[w]
+                    clean[k] = c
+                else:
+                    del clean[k]
         self.coeffs = clean
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _sorted(self) -> list:
+        return sorted(self.coeffs, key=self._order)
+
+    def __add__(self, other):
+        return type(self)(chain(self.coeffs.items(), other.coeffs.items()))
+
+    def __sub__(self, other):
+        return type(self)(chain(self.coeffs.items(),
+                                ((k, -c) for k, c in other.coeffs.items())))
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)((k, v * c) for k, v in self.coeffs.items())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __str__(self):
+        parts = []
+        for k in self._sorted():
+            c = self.coeffs[k]
+            mag = "" if abs(c) == 1 else abs(c)
+            parts.append(f"{'-' if c < 0 else '+'} {mag}{self._render(k)}")
+        if not parts:
+            return "0"
+        text = " ".join(parts)
+        return ("" if text[0] == "+" else "-") + text[2:]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class Element(_Combination):
+    """Finite rational combination of normalized words."""
+
+    __slots__ = ()
+    _order = staticmethod(Word.sort_key)
+    _render = staticmethod(str)
 
     @staticmethod
     def zero() -> "Element":
@@ -305,63 +362,17 @@ class Element:
 
     @staticmethod
     def from_word(word: Word, coeff=1) -> "Element":
-        return Element({word: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return Element(out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Element":
-        c = Fraction(c)
-        return Element({w: k * c for w, k in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Element) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return Element({word: coeff})
 
     def words(self) -> list[Word]:
-        return sorted(self.coeffs, key=Word.sort_key)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w in self.words():
-            c = self.coeffs[w]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = str(w) if mag == 1 else f"{mag}{w}"
-            bits.append((sign, body))
-        first_sign, first_body = bits[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self):
-        return f"Element({self})"
+        return self._sorted()
 
 
 def multiply(quiver: Quiver, x: Element, y: Element) -> Element:
     """Bilinear product; ``y`` acts first. Non-composable pairs contribute 0."""
-    out: dict[Word, Fraction] = {}
-    for wx, cx in x.coeffs.items():
-        for wy, cy in y.coeffs.items():
-            if wx.source != wy.target:
-                continue
-            w = word_product(quiver, wx, wy)
-            out[w] = out.get(w, Fraction(0)) + cx * cy
-    return Element(out)
+    return Element((word_product(quiver, wx, wy), cx * cy)
+                   for wx, cx in x.coeffs.items()
+                   for wy, cy in y.coeffs.items() if wx.source == wy.target)
 
 
 def word_product(quiver: Quiver, *words: Word) -> Word:
@@ -431,7 +442,7 @@ def canonical_rotation(cycle: Sequence) -> tuple:
     return min(rots, key=lambda r: tuple(_idkey(a) for a in r))
 
 
-class Potential:
+class Potential(_Combination):
     """Rational combination of cyclic words, stored rotation-canonically.
 
     Cycles are letter tuples ``((arrow, exp), ...)``; inverse letters are
@@ -440,25 +451,21 @@ class Potential:
     everywhere and read as exponent-1 letters.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _render = staticmethod(render_letters)
 
-    def __init__(self, coeffs: Mapping[tuple, Fraction] | None = None):
-        clean = {}
-        if coeffs:
-            for cyc, c in coeffs.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                key = canonical_rotation(_wrap_reduce(_as_letters(cyc)))
-                clean[key] = clean.get(key, Fraction(0)) + c
-                if not clean[key]:
-                    del clean[key]
-        self.coeffs = clean
+    @staticmethod
+    def _key(cycle) -> tuple:
+        return canonical_rotation(_wrap_reduce(_as_letters(cycle)))
+
+    @staticmethod
+    def _order(cycle):
+        return (len(cycle), tuple(_letterkey(l) for l in cycle))
 
     @staticmethod
     def build(quiver: Quiver, terms: Iterable[tuple]) -> "Potential":
         """From (coeff, cycle) pairs; validates closed composability."""
-        coeffs: dict[tuple, Fraction] = {}
+        pairs = []
         for coeff, cyc in terms:
             letters = _as_letters(tuple(cyc))
             if not letters:
@@ -466,59 +473,17 @@ class Potential:
             w = normalize(quiver, letters)
             if w.source != w.target:
                 raise NonComposable(f"cycle {cyc!r} is not closed")
-            key = canonical_rotation(_wrap_reduce(w.letters))
-            if not key:
+            if not _wrap_reduce(w.letters):
                 raise NonComposable(f"cycle {cyc!r} reduces to a constant path")
-            coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(coeff)
-        return Potential(coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+            pairs.append((w.letters, coeff))
+        return Potential(pairs)
 
     def terms(self) -> list[tuple]:
         """(coeff, letter-tuple cycle) pairs in canonical order."""
-        order = sorted(self.coeffs,
-                       key=lambda c: (len(c), tuple(_letterkey(l) for l in c)))
-        return [(self.coeffs[c], c) for c in order]
+        return [(self.coeffs[c], c) for c in self._sorted()]
 
     def arrows_used(self) -> set:
         return {a for cyc in self.coeffs for a, _ in cyc}
-
-    def scale(self, c) -> "Potential":
-        c = Fraction(c)
-        return Potential({cyc: k * c for cyc, k in self.coeffs.items()})
-
-    def __add__(self, other: "Potential") -> "Potential":
-        out = dict(self.coeffs)
-        for cyc, c in other.coeffs.items():
-            out[cyc] = out.get(cyc, Fraction(0)) + c
-        return Potential(out)
-
-    def __sub__(self, other: "Potential") -> "Potential":
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, Potential) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for c, cyc in self.terms():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = render_letters(cyc)
-            bits.append((sign, body if mag == 1 else f"{mag}{body}"))
-        out = ("-" if bits[0][0] == "-" else "") + bits[0][1]
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self):
-        return f"Potential({self})"
 
 
 def cyclic_derivative(quiver: Quiver, W: Potential, a) -> Element:
@@ -530,7 +495,7 @@ def cyclic_derivative(quiver: Quiver, W: Potential, a) -> Element:
     """
     if not quiver.has_arrow(a):
         raise UnknownArrow(a)
-    out = Element.zero()
+    pairs = []
     for cyc, c in W.coeffs.items():
         if any(x == a and e != 1 for x, e in cyc):
             raise InverseOfNonLocalized(
@@ -539,10 +504,9 @@ def cyclic_derivative(quiver: Quiver, W: Potential, a) -> Element:
             if letter != (a, 1):
                 continue
             rest = cyc[i + 1:] + cyc[:i]
-            w = normalize(quiver, rest,
-                          at=quiver.target(a) if not rest else None)
-            out = out + Element.from_word(w, c)
-    return out
+            pairs.append((normalize(quiver, rest, at=quiver.target(a)
+                                    if not rest else None), c))
+    return Element(pairs)
 
 
 def jacobi_relations(quiver: Quiver, W: Potential) -> list[Element]:
@@ -569,10 +533,7 @@ def _leading_word(rel: Element) -> Word | None:
     """Longest word of the relation; ties broken lexicographically."""
     if rel.is_zero():
         return None
-    return min(rel.coeffs,
-               key=lambda w: (-len(w.letters),
-                              tuple((_idkey(a), e) for a, e in w.letters),
-                              _idkey(w.source)))
+    return min(rel.coeffs, key=lambda w: (-len(w.letters), w.sort_key()))
 
 
 def _find_subword(haystack: tuple, needle: tuple) -> int:
@@ -601,13 +562,13 @@ def ideal_reduce(quiver: Quiver, x: Element, relations: Sequence[Element],
         if lead is None:
             continue
         c = rel.coeffs[lead]
-        remainder = (rel - Element.from_word(lead, c)).scale(Fraction(-1, 1) / c)
-        oriented.append((lead, remainder))
+        oriented.append((lead, Element((w, -k / c) for w, k in rel.coeffs.items()
+                                       if w != lead)))
 
     current = x
     rounds = 0
     while rounds < step_bound and not current.is_zero():
-        nxt = Element.zero()
+        pairs = []
         changed = False
         for w in current.words():
             c = current.coeffs[w]
@@ -620,7 +581,7 @@ def ideal_reduce(quiver: Quiver, x: Element, relations: Sequence[Element],
                 if best is None or key < best[0]:
                     best = (key, pos, lead, rem)
             if best is None:
-                nxt = nxt + Element.from_word(w, c)
+                pairs.append((w, c))
                 continue
             _, pos, lead, rem = best
             changed = True
@@ -629,10 +590,9 @@ def ideal_reduce(quiver: Quiver, x: Element, relations: Sequence[Element],
             prefix = Word(lead.target, w.target, w.letters[:pos])
             suffix = Word(w.source, lead.source,
                           w.letters[pos + len(lead.letters):])
-            for rw, rc in rem.coeffs.items():
-                glued = word_product(quiver, prefix, rw, suffix)
-                nxt = nxt + Element.from_word(glued, c * rc)
-        current = nxt
+            pairs += ((word_product(quiver, prefix, rw, suffix), c * rc)
+                      for rw, rc in rem.coeffs.items())
+        current = Element(pairs)
         rounds += 1
         if not changed:
             break
@@ -667,7 +627,7 @@ class GinzburgDga:
         replacement word whose endpoints fail to match the hole contributes 0
         (same composability semantics as :func:`multiply`).
         """
-        out = Element.zero()
+        pairs = []
         sign = 1
         for i, (a, e) in enumerate(w.letters):
             if e != 1:
@@ -681,15 +641,13 @@ class GinzburgDga:
                 if i + 1 < len(w.letters):
                     post = normalize(self.quiver, w.letters[i + 1:])
                     piece = multiply(self.quiver, piece, Element.from_word(post))
-                out = out + piece.scale(sign)
+                pairs += ((pw, sign * pc) for pw, pc in piece.coeffs.items())
             sign *= (-1) ** self.degree[a]
-        return out
+        return Element(pairs)
 
     def d(self, x: Element) -> Element:
-        out = Element.zero()
-        for w, c in x.coeffs.items():
-            out = out + self.d_word(w).scale(c)
-        return out
+        return Element((dw, c * k) for w, c in x.coeffs.items()
+                       for dw, k in self.d_word(w).coeffs.items())
 
 
 def ginzburg_dga(quiver: Quiver, W: Potential) -> GinzburgDga:
@@ -715,13 +673,13 @@ def ginzburg_dga(quiver: Quiver, W: Potential) -> GinzburgDga:
     for a in quiver._src:
         diff[star[a]] = cyclic_derivative(quiver, W, a)
     for v in quiver.vertices:
-        acc = Element.zero()
+        pairs = []
         for a in sorted(quiver._src, key=_idkey):
             if quiver.target(a) == v:
-                acc = acc + Element.from_word(doubled.word([(a, 1), (star[a], 1)]))
+                pairs.append((doubled.word([(a, 1), (star[a], 1)]), 1))
             if quiver.source(a) == v:
-                acc = acc - Element.from_word(doubled.word([(star[a], 1), (a, 1)]))
-        diff[loop[v]] = acc
+                pairs.append((doubled.word([(star[a], 1), (a, 1)]), -1))
+        diff[loop[v]] = Element(pairs)
     return GinzburgDga(doubled, quiver, degree, diff, star, loop)
 
 
@@ -737,12 +695,13 @@ def check_d_squared(dga: GinzburgDga) -> tuple[bool, dict]:
 
 def commutator_sum(quiver: Quiver, W: Potential) -> Element:
     """sum over arrows of (a dW/da - dW/da a); identically 0 for any W."""
-    out = Element.zero()
+    pairs = []
     for a in quiver.arrow_ids():
         da = cyclic_derivative(quiver, W, a)
         aw = Element.from_word(quiver.word([(a, 1)]))
-        out = out + multiply(quiver, aw, da) - multiply(quiver, da, aw)
-    return out
+        pairs += multiply(quiver, aw, da).coeffs.items()
+        pairs += ((w, -c) for w, c in multiply(quiver, da, aw).coeffs.items())
+    return Element(pairs)
 
 
 # -- compact text forms and JSON -------------------------------------------
@@ -819,10 +778,9 @@ def element_to_json(x: Element) -> list:
 
 
 def element_from_json(quiver: Quiver, items: list) -> Element:
-    out = Element.zero()
+    pairs = []
     for d in items:
         letters = [(a, int(e)) for a, e in d["word"]]
-        at = d.get("at")
-        w = normalize(quiver, letters, at=at if not letters else None)
-        out = out + Element.from_word(w, _coeff_from_json(d["coeff"]))
-    return out
+        w = normalize(quiver, letters, at=None if letters else d.get("at"))
+        pairs.append((w, _coeff_from_json(d["coeff"])))
+    return Element(pairs)

@@ -41,6 +41,7 @@ from .pathalg import (
     Word,
     _Forest,
     _idkey,
+    _wrap_reduce,
     cyclic_derivative,
     jacobi_relations,
     normalize,
@@ -120,11 +121,9 @@ def invert_letters(w) -> tuple[Letter, ...]:
 
 
 def cyclic_core(w) -> tuple[Letter, ...]:
-    """Freely and cyclically reduce: strip matching conjugation collars."""
-    w = free_reduce(w)
-    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        w = free_reduce(w[1:-1])
-    return w
+    """Freely and cyclically reduce: strip matching conjugation collars
+    (the middle of a freely reduced word stays reduced)."""
+    return _wrap_reduce(free_reduce(w))
 
 
 def _rotation_set(cycle: tuple[Letter, ...]) -> set:
@@ -788,13 +787,12 @@ def contracted_relations(quiver: Quiver, W: Potential,
     drop = set(contract)
     out = []
     for el in jacobi_relations(quiver, W):
-        acc = Element.zero()
-        for word in el.words():
+        pairs = []
+        for word, c in el.coeffs.items():
             letters = tuple(l for l in word.letters if l[0] not in drop)
             at = vmap[word.source] if not letters else None
-            acc = acc + Element.from_word(normalize(q2, letters, at=at),
-                                          el.coeffs[word])
-        out.append(acc)
+            pairs.append((normalize(q2, letters, at=at), c))
+        out.append(Element(pairs))
     return q2, out
 
 

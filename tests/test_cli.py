@@ -206,6 +206,30 @@ def test_transport_with_explicit_choice_file(tmp_path, capsys):
     assert with_choice == automatic
 
 
+_GENERATORS = ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("choice, message", [
+    ([], "a choice file holds a JSON object, not list"),
+    ({"generators": "abcde"}, "choice field 'generators' must be a list of "
+                              "arrow ids"),
+    ({"bases": {"1": 2}}, "choice field 'generators' is missing"),
+    ({"generators": _GENERATORS}, "choice field 'bases' is missing"),
+    ({"generators": _GENERATORS, "bases": [[1, 2]]},
+     "choice field 'bases' must be an object"),
+    ({"generators": _GENERATORS, "bases": {"1": 2},
+      "require_common_source": 1},
+     "choice field 'require_common_source' must be a boolean"),
+])
+def test_malformed_choice_file_names_the_field(tmp_path, capsys, choice,
+                                               message):
+    path = tmp_path / "choice.json"
+    path.write_text(json.dumps(choice))
+    rc, out, err = run(["transport", "--choice", str(path)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: {message}\n"
+
+
 def test_derive_lists_one_relation_per_generator(capsys):
     obj = run_json(["derive"], capsys)
     assert [r["arrow"] for r in obj["relations"]] == ["a", "b", "c", "d", "e"]
@@ -369,6 +393,39 @@ def test_malformed_omega_in_a_qpot_file_names_the_field(tmp_path, capsys):
     assert rc == EXIT_INPUT and out == ""
     assert err == ("error: InputError: qpot field 'omega' term 0 must be an "
                    "object with fields 'coeff' and 'word'\n")
+
+
+_ONE_LOOP = {"id": "a", "src": 1, "tgt": 1}
+_BAD_ARROWS = ("qpot field 'arrows' must be a list of objects with integer or "
+               "string 'id', 'src' and 'tgt' and an optional boolean "
+               "'localized'")
+
+
+@pytest.mark.parametrize("qpot, message", [
+    ([], "a qpot file holds a JSON object, not list"),
+    ({"arrows": []}, "qpot field 'vertices' is missing"),
+    ({"vertices": 3, "arrows": []},
+     "qpot field 'vertices' must be a list of integers or strings"),
+    ({"vertices": [1], "arrows": {"a": [1, 1]}}, _BAD_ARROWS),
+    ({"vertices": [1], "arrows": [{"id": "a", "src": 1}], "potential": []},
+     _BAD_ARROWS),
+    ({"vertices": [1], "arrows": [{**_ONE_LOOP, "localized": 1}]},
+     _BAD_ARROWS),
+    ({"vertices": [1], "arrows": [_ONE_LOOP],
+      "potential": [{"coeff": 1, "word": "aaa"}]},
+     "qpot field 'potential' term 0 field 'word' must be a list of "
+     "[arrow, exponent] pairs"),
+])
+@pytest.mark.parametrize("argv", [["count", "--q", "2"], ["probe", "--q", "3"],
+                                  ["derive"], ["gdga-check"]],
+                         ids=lambda argv: argv[0])
+def test_malformed_qpot_file_names_the_field(tmp_path, capsys, qpot, message,
+                                             argv):
+    path = tmp_path / "qpot.json"
+    path.write_text(json.dumps(qpot))
+    rc, out, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: {message}\n"
 
 
 def test_dimer_stuck_on_a_cover_exits_as_bad_input(tmp_path, capsys):

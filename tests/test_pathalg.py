@@ -37,6 +37,8 @@ from tessella.pathalg import (
     word_product,
 )
 
+from conftest import orbit_quiver
+
 
 def _w(q, s, at=None):
     return q.word(parse_letters(s) if s else (), at=at)
@@ -438,6 +440,65 @@ def test_seam_products_match_normalize(seed, length, cuts):
     if len(pieces) == 2:
         x, y = (Element.from_word(w) for w in pieces)
         assert multiply(qp, x, y) == Element.from_word(whole)
+
+
+# -- the shared combination core ------------------------------------------------
+
+
+def test_elements_and_potentials_stay_distinct_types():
+    assert Element() != Potential() and Potential() != Element()
+    assert not isinstance(Potential(), Element)
+    assert not isinstance(Element(), Potential)
+
+
+_ELEMENT_KEYS = ["a", "rdr", "ardbr", "r^-1 a", "rcr", None]  # None: e_2
+_CYCLE_KEYS = ["rere", "erer", "abreabre", "rdrc", "crdr", "ardbrc"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(potential=st.booleans(),
+       picks=st.lists(st.tuples(st.integers(0, 5),
+                                st.fractions(-2, 2, max_denominator=3)),
+                      max_size=10),
+       cancel=st.integers(0, 10))
+def test_built_from_pairs_equals_the_folded_sum(potential, picks, cancel):
+    """Repeated keys add up (``rere`` and ``erer`` are one cycle) and
+    cancelling ones drop out, as when singletons are summed with ``+``."""
+    qp = orbit_quiver()
+    if potential:
+        kind = Potential
+        keys = [tuple(parse_letters(s)) for s in _CYCLE_KEYS]
+    else:
+        kind = Element
+        keys = [_w(qp, s) if s else _w(qp, "", at=2) for s in _ELEMENT_KEYS]
+    pairs = [(keys[i], c) for i, c in picks]
+    pairs += [(k, -c) for k, c in pairs[:cancel]]
+    folded = kind()
+    for k, c in pairs:
+        folded = folded + kind({k: c})
+    built = kind(pairs)
+    assert built == folded and hash(built) == hash(folded)
+    assert all(built.coeffs.values())
+    assert built == kind(dict(built.coeffs)) == built.scale(2) - built.scale(1)
+
+
+def test_printed_forms_of_the_bundled_potentials(q2, w2, qp, wp):
+    assert str(w2) == "cg + dh - ef - agic - bhjd + abfjie"
+    assert [str(cyclic_derivative(q2, w2, a)) for a in q2.arrow_ids()] == [
+        "-gic + bfjie", "-hjd + fjiea", "g - agi", "h - bhj", "-f + abfji",
+        "-e + jieab", "c - ica", "d - jdb", "-cag + eabfj", "-dbh + ieabf"]
+    assert str(wp) == "2crdr - erer - 2ardbrc + abreabre"
+    assert repr(wp) == "Potential(2crdr - erer - 2ardbrc + abreabre)"
+    assert str(wp.scale(Fraction(-1, 2))) == \
+        "-crdr + 1/2erer + ardbrc - 1/2abreabre"
+    assert [str(cyclic_derivative(qp, wp, a)) for a in qp.arrow_ids()] == [
+        "-2rdbrc + 2breabre", "-2rcard + 2reabrea", "2rdr - 2ardbr",
+        "2rcr - 2brcar", "-2rer + 2abreabr",
+        "2crd + 2drc - 2ere - 2cardb - 2dbrca + 2eabreab"]
+    x = _el(qp, [(Fraction(1, 2), "r^-1 a")]) - Element.from_word(
+        _w(qp, "", at=2), 3)
+    assert repr(x) == "Element(-3e_2 + 1/2r^-1a)"
+    assert str(Element()) == str(Potential()) == "0"
 
 
 # -- JSON round trips ----------------------------------------------------------
