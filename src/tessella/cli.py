@@ -416,6 +416,21 @@ def _d_squared(quiver, W) -> dict:
                                     for g, x in witnesses.items()}}
 
 
+def _object_of(ok):
+    return lambda d: isinstance(d, dict) and all(map(ok, d.values()))
+
+
+_PHI_STAR_FIELDS = (
+    ("genus", "an integer", _is_int),
+    ("order", "an integer", _is_int),
+    ("phi_star", "an object of group-word strings",
+     _object_of(lambda w: isinstance(w, str))),
+    ("psi_assignment", "an object of [group-word string, integer] pairs",
+     _object_of(lambda p: isinstance(p, list) and len(p) == 2
+                and isinstance(p[0], str) and _is_int(p[1]))),
+)
+
+
 def _surface_action(run) -> tuple:
     """(PhiAction, psi assignment) in dehn mode, (None, None) otherwise."""
     if run.opts["psi_mode"] != "dehn":
@@ -425,6 +440,8 @@ def _surface_action(run) -> tuple:
             "psi-verify in dehn mode needs a surface-action config "
             "(--phi-star FILE, or --bundled-phi-star for the packaged one)")
     cfg = run.load("phi_star")
+    _check_object(cfg, "phi_star", _PHI_STAR_FIELDS,
+                  optional=("psi_assignment",))
     phi = phi_action_from_json(cfg)
     if "psi_assignment" not in cfg:
         raise InputError("the surface-action config lacks a psi_assignment "
@@ -748,6 +765,21 @@ def _run_command(args) -> int:
 # the pipeline
 
 
+_CONFIG_FIELDS = (
+    *((key, "a path string or null",
+       lambda x: x is None or isinstance(x, str))
+      for key in ("tiling", "automorphism", "phi_star", "script")),
+    ("psi_mode", "a string", lambda x: isinstance(x, str)),
+    ("require_homogeneous", "a boolean", lambda x: isinstance(x, bool)),
+    ("field_sizes", "a list of integers", _list_of(_is_int)),
+    ("dimension", "an integer", _is_int),
+    ("mode", "a string", lambda x: isinstance(x, str)),
+    ("sample_size", "an integer or null", lambda x: x is None or _is_int(x)),
+    ("seed", "an integer or null", lambda x: x is None or _is_int(x)),
+    ("output_dir", "a path string", lambda x: isinstance(x, str)),
+)
+
+
 @dataclass
 class PipelineConfig:
     """Everything a full run needs; None paths mean the bundled example."""
@@ -768,13 +800,14 @@ class PipelineConfig:
     @staticmethod
     def from_json(obj: dict, base_dir: Optional[Path] = None,
                   output_dir: Optional[str] = None) -> "PipelineConfig":
-        _check_object(obj, "pipeline config")
+        _check_object(obj, "pipeline config", _CONFIG_FIELDS,
+                      optional=[key for key, _, _ in _CONFIG_FIELDS])
         unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
         if unknown:
             raise InputError(f"unknown config keys: {unknown}")
         kwargs = dict(obj)
         if "field_sizes" in kwargs:
-            kwargs["field_sizes"] = tuple(int(q) for q in kwargs["field_sizes"])
+            kwargs["field_sizes"] = tuple(kwargs["field_sizes"])
         if base_dir is not None:
             for key in ("tiling", "automorphism", "phi_star", "script",
                         "output_dir"):

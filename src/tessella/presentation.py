@@ -9,10 +9,13 @@ Conventions
   generator names are safe.
 * :class:`SurfacePresentation` is the one-relator genus-``g`` presentation
   with generators ``x1, y1, ..., xg, yg`` and relator ``R = [x1,y1]...[xg,yg]``.
-  For ``g >= 2`` it satisfies the C'(1/6) small-cancellation condition
-  (checked structurally at construction), so Dehn's algorithm decides the
-  word problem: :func:`dehn_reduce` returns the empty word exactly for
-  trivial elements.
+  For ``g >= 2`` it satisfies the C'(1/6) small-cancellation condition,
+  so Dehn's algorithm decides the word problem: :func:`dehn_reduce`
+  returns the empty word exactly for trivial elements.  Construction
+  indexes the 8g rotations of R^{+-1} by their first two letters; that no
+  key repeats is the structural C'(1/6) check, and it leaves
+  :func:`dehn_reduce` one candidate rotation, found by one lookup, at each
+  position of a word.
 * Semidirect elements ``(w, k)`` multiply by
   ``(a, l)(b, m) = (a phi^l(b), l + m)``; negative powers wrap through
   ``phi^(order-1)``, which validation guarantees to be the inverse up to
@@ -154,25 +157,22 @@ class SurfacePresentation:
         for base in (self.relator, invert_letters(self.relator)):
             rots.extend(sorted(_rotation_set(base)))
         self._rotations = tuple(rots)
-        self.piece_bound = self._check_pieces()
+        # A piece is a subword occurring in two distinct ways among cyclic
+        # rotations of R^{+-1}.  Indexing each rotation by its first two
+        # letters (its cyclic 2-letter subwords, over all rotations) finds
+        # no repeated key, so pieces have length <= 1 < (1/6) * 4g: the
+        # presentation is C'(1/6) and Dehn's algorithm is a decision
+        # procedure.  The index gives dehn_reduce its one candidate.
+        self.pair_index: dict = {}
+        for rot in rots:
+            if self.pair_index.setdefault(rot[:2], rot) is not rot:
+                raise ValueError("relator repeats a 2-letter cyclic subword; "
+                                 "the small-cancellation bound fails")
+        self.piece_bound = 1
 
     def rotations(self) -> tuple:
         """All 8g cyclic rotations of the relator and its inverse."""
         return self._rotations
-
-    def _check_pieces(self) -> int:
-        # A piece is a subword occurring in two distinct ways among cyclic
-        # rotations of R^{+-1}.  Every cyclic 2-letter subword below is
-        # unique, so pieces have length <= 1 < (1/6) * 4g: the presentation
-        # is C'(1/6) and Dehn's algorithm is a decision procedure.
-        pairs = []
-        for base in (self.relator, invert_letters(self.relator)):
-            n = len(base)
-            pairs.extend((base[i], base[(i + 1) % n]) for i in range(n))
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("relator repeats a 2-letter cyclic subword; "
-                             "the small-cancellation bound fails")
-        return 1
 
     def __repr__(self):
         return f"SurfacePresentation(genus={self.genus})"
@@ -184,26 +184,40 @@ def dehn_reduce(w, pres: SurfacePresentation) -> tuple[Letter, ...]:
 
     Matches are chosen longest-first with ties to the leftmost position.
     The output is empty iff the input is trivial in the surface group.
+
+    Each position costs one lookup: a match that can be replaced is longer
+    than half = 2g >= 4 letters, and its first two letters name exactly
+    one rotation (``pres.pair_index``; no 2-letter cyclic subword of
+    R^{+-1} repeats), so no other rotation can match there.  The input is
+    validated and freely reduced once; a replacement cancels only across
+    its two seams.
     """
     w = free_reduce(w)
     half = 2 * pres.genus  # replacements need a match longer than |R|/2 = 2g
-    rots = pres.rotations()
+    index = pres.pair_index
     while True:
+        n = len(w)
         best_pos, best_len, best_rot = -1, half, None
-        for pos in range(len(w)):
-            if len(w) - pos <= best_len:
-                break  # no strictly longer match fits; leftmost tie stands
-            for rot in rots:
-                l = 0
-                m = min(len(w) - pos, len(rot))
-                while l < m and w[pos + l] == rot[l]:
-                    l += 1
-                if l > best_len:
-                    best_pos, best_len, best_rot = pos, l, rot
+        for pos in range(n - half):
+            rot = index.get(w[pos:pos + 2])
+            if rot is None:
+                continue
+            l, m = 2, min(n - pos, len(rot))
+            while l < m and w[pos + l] == rot[l]:
+                l += 1
+            if l > best_len:
+                best_pos, best_len, best_rot = pos, l, rot
         if best_rot is None:
             return w
-        complement = invert_letters(best_rot[best_len:])
-        w = free_reduce(w[:best_pos] + complement + w[best_pos + best_len:])
+        out = list(w[:best_pos])
+        for part in (invert_letters(best_rot[best_len:]),
+                     w[best_pos + best_len:]):
+            i = 0  # each part is freely reduced: only its head can cancel
+            while i < len(part) and out and out[-1] == (part[i][0], -part[i][1]):
+                out.pop()
+                i += 1
+            out.extend(part[i:])
+        w = tuple(out)
 
 
 class PhiAction:

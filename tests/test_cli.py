@@ -270,6 +270,68 @@ def test_psi_verify_dehn_mode_without_config_is_input_error(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _bundled_phi_star_with(**fields):
+    return dict(load_data("genus2_phi_star.json"), **fields)
+
+
+_BAD_PAIRS = ("phi_star field 'psi_assignment' must be an object of "
+              "[group-word string, integer] pairs")
+
+
+@pytest.mark.parametrize("phi_star, message", [
+    ([], "a phi_star file holds a JSON object, not list"),
+    ("x1", "a phi_star file holds a JSON object, not str"),
+    ({"genus": 2, "order": 2, "phi_star": {"x1": 5}},
+     "phi_star field 'phi_star' must be an object of group-word strings"),
+    (_bundled_phi_star_with(phi_star=["x2", "y2"]),
+     "phi_star field 'phi_star' must be an object of group-word strings"),
+    (_bundled_phi_star_with(genus="2"),
+     "phi_star field 'genus' must be an integer"),
+    (_bundled_phi_star_with(genus=2.0),
+     "phi_star field 'genus' must be an integer"),
+    (_bundled_phi_star_with(order=True),
+     "phi_star field 'order' must be an integer"),
+    ({"genus": 2, "phi_star": {}}, "phi_star field 'order' is missing"),
+    (_bundled_phi_star_with(psi_assignment=[]), _BAD_PAIRS),
+    (_bundled_phi_star_with(psi_assignment={"a": "x1^-1"}), _BAD_PAIRS),
+    (_bundled_phi_star_with(psi_assignment={"a": ["x1^-1"]}), _BAD_PAIRS),
+    (_bundled_phi_star_with(psi_assignment={"a": ["x1^-1", "0"]}), _BAD_PAIRS),
+    (_bundled_phi_star_with(psi_assignment={"a": [3, 0]}), _BAD_PAIRS),
+])
+def test_malformed_phi_star_names_the_field(tmp_path, capsys, phi_star,
+                                            message):
+    path = tmp_path / "phi_star.json"
+    path.write_text(json.dumps(phi_star))
+    rc, out, err = run(["psi-verify", "--mode", "dehn", "--phi-star",
+                        str(path)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: {message}\n"
+
+
+def test_a_copy_of_the_bundled_phi_star_file_still_loads(tmp_path, capsys):
+    path = tmp_path / "phi_star.json"
+    path.write_text(json.dumps(load_data("genus2_phi_star.json")))
+    obj = run_json(["psi-verify", "--mode", "dehn", "--phi-star", str(path)],
+                   capsys)
+    assert obj == run_json(["psi-verify", "--mode", "dehn",
+                            "--bundled-phi-star"], capsys)
+
+
+def test_pipeline_malformed_phi_star_fails_the_verify_stage(tmp_path, capsys):
+    bad = tmp_path / "phi_star.json"
+    bad.write_text(json.dumps({"genus": 2, "order": 2, "phi_star": {"x1": 5}}))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"phi_star": str(bad), "psi_mode": "dehn",
+                                    "field_sizes": [2],
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
+    stages = {s["name"]: s for s in json.loads(out)["stages"]}
+    assert rc == EXIT_INPUT
+    assert stages["verify"]["detail"] == (
+        "InputError: phi_star field 'phi_star' must be an object of "
+        "group-word strings")
+
+
 def test_check_script_bundled_derivation_verifies(capsys):
     obj = run_json(["check-script"], capsys)
     assert obj["ok"] is True
@@ -545,6 +607,32 @@ def test_pipeline_dehn_mode_without_phi_star_surfaces_missing_action(
     assert rc == EXIT_INPUT
     assert err.startswith("error: MissingPhiAction: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"field_sizes": "ab"}, "'field_sizes' must be a list of integers"),
+    ({"field_sizes": ["3"]}, "'field_sizes' must be a list of integers"),
+    ({"field_sizes": [2.0]}, "'field_sizes' must be a list of integers"),
+    ({"dimension": "2"}, "'dimension' must be an integer"),
+    ({"dimension": True}, "'dimension' must be an integer"),
+    ({"sample_size": "100"}, "'sample_size' must be an integer or null"),
+    ({"seed": 1.5}, "'seed' must be an integer or null"),
+    ({"tiling": 3}, "'tiling' must be a path string or null"),
+    ({"phi_star": ["a.json"]}, "'phi_star' must be a path string or null"),
+    ({"psi_mode": 1}, "'psi_mode' must be a string"),
+    ({"mode": None}, "'mode' must be a string"),
+    ({"require_homogeneous": "yes"}, "'require_homogeneous' must be a boolean"),
+    ({"output_dir": None}, "'output_dir' must be a path string"),
+])
+def test_pipeline_config_value_of_the_wrong_type_names_the_field(
+        tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    rc, out, err = run(["pipeline", "--config", str(cfg_path),
+                        "--output-dir", str(tmp_path / "out")], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: pipeline config field {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):

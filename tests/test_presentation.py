@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import genus2_potential, genus2_quiver
@@ -217,6 +217,14 @@ def test_genus_too_small():
             SurfacePresentation(g)
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_pair_index_names_each_rotation_by_its_first_two_letters(genus):
+    pres = SurfacePresentation(genus)
+    index = pres.pair_index
+    assert len(index) == 8 * genus
+    assert all(index[rot[:2]] is rot for rot in pres.rotations())
+
+
 # -- Dehn's algorithm --------------------------------------------------------------
 
 
@@ -280,6 +288,83 @@ def test_dehn_agrees_with_insertion_oracle_sampled():
         w = u + rng.choice(PRES2.rotations()) + invert_letters(u)
         assert dehn_reduce(w, PRES2) == ()
         assert insertion_oracle(w, PRES2)
+
+
+def reference_dehn_reduce(w, pres):
+    """The scan ``dehn_reduce`` replaced, kept to pin its exact output: every
+    position against all 8g rotations, and a fresh free reduction of the
+    whole word after each replacement."""
+    w = free_reduce(w)
+    half = 2 * pres.genus
+    rots = pres.rotations()
+    while True:
+        best_pos, best_len, best_rot = -1, half, None
+        for pos in range(len(w)):
+            if len(w) - pos <= best_len:
+                break
+            for rot in rots:
+                l = 0
+                m = min(len(w) - pos, len(rot))
+                while l < m and w[pos + l] == rot[l]:
+                    l += 1
+                if l > best_len:
+                    best_pos, best_len, best_rot = pos, l, rot
+        if best_rot is None:
+            return w
+        complement = invert_letters(best_rot[best_len:])
+        w = free_reduce(w[:best_pos] + complement + w[best_pos + best_len:])
+
+
+def _chunks(pres, letters):
+    """Single letters mixed with stretches of relator rotations (either
+    sign), so that generated words hold long matches, sometimes several."""
+    stretch = st.tuples(st.sampled_from(pres.rotations()),
+                        st.integers(2, 4 * pres.genus)).map(
+        lambda rk: rk[0][:rk[1]])
+    return st.one_of(st.sampled_from(letters).map(lambda l: (l,)), stretch)
+
+
+def _words(pres, letters):
+    return st.lists(_chunks(pres, letters), max_size=24).map(
+        lambda cs: tuple(l for c in cs for l in c)[:80])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(st.just(PRES2), _words(PRES2, LETTERS2)),
+                 st.tuples(st.just(PRES3), _words(PRES3, LETTERS3)),
+                 st.tuples(st.just(PRES2),
+                           st.lists(st.sampled_from(LETTERS2), max_size=80)),
+                 st.tuples(st.just(PRES3),
+                           st.lists(st.sampled_from(LETTERS3), max_size=80))))
+# two majority matches of equal length: the leftmost must be replaced first
+@example((PRES2, parse_group_word(
+    "y2 x2^-1 y2^-1 x1 y1 x1^-1 y1^-1 x2 y2^-1 x2^-1 y1 x1 y1^-1 "
+    "x2 y2 x2^-1 y2^-1")))
+@example((PRES2, parse_group_word(
+    "y2^-1 y1^-1 y1^-1 y1^-1 y1 x1 y1^-1 x1^-1 y2 x2 y2 x2^-1 y2^-1 x1")))
+def test_dehn_reduce_matches_the_reference_scan(case):
+    pres, w = case
+    w = tuple(w)
+    assert dehn_reduce(w, pres) == reference_dehn_reduce(w, pres)
+
+
+def test_dehn_reduce_matches_the_reference_scan_on_conjugate_products():
+    for pres, letters, seed in ((PRES2, LETTERS2, 31), (PRES3, LETTERS3, 37)):
+        rng = random.Random(seed)
+        inverse = invert_letters(pres.relator)
+        for i in range(300):
+            w = []
+            for _ in range(2):
+                u = tuple(rng.choice(letters) for _ in range(rng.randrange(7)))
+                core = pres.relator if rng.random() < 0.5 else inverse
+                w.extend(u + core + invert_letters(u))
+            w = tuple(w)
+            if i % 3 == 1:  # drop a letter: a nontrivial near-product
+                cut = rng.randrange(len(w))
+                w = w[:cut] + w[cut + 1:]
+            want = reference_dehn_reduce(w, pres)
+            assert dehn_reduce(w, pres) == want
+            assert want == () or i % 3 == 1
 
 
 # -- the induced surface-group action ----------------------------------------------
