@@ -184,6 +184,10 @@ def _list_of(ok):
     return lambda xs: isinstance(xs, list) and all(map(ok, xs))
 
 
+def _object_of(ok):
+    return lambda d: isinstance(d, dict) and all(map(ok, d.values()))
+
+
 def _check_object(obj, what: str, spec=(), optional=()) -> None:
     """Checks that a ``what`` file holds a JSON object whose fields pass
     the tests of ``spec`` (key, shape, test); only the keys in ``optional``
@@ -414,10 +418,6 @@ def _d_squared(quiver, W) -> dict:
     ok, witnesses = check_d_squared(ginzburg_dga(quiver, W))
     return {"ok": ok, "witnesses": {str(g): element_to_json(x)
                                     for g, x in witnesses.items()}}
-
-
-def _object_of(ok):
-    return lambda d: isinstance(d, dict) and all(map(ok, d.values()))
 
 
 _PHI_STAR_FIELDS = (
