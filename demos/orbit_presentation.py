@@ -10,7 +10,7 @@ Run:  python3 demos/orbit_presentation.py
 """
 
 from tessella.datafiles import load_data
-from tessella.equivariant import (ChoiceSearch, NoChoiceFound, all_dimers,
+from tessella.equivariant import (ChoiceSearch, all_dimers,
                                   build_orbit_quiver, equivariant_dimer,
                                   refine_tiling,
                                   tiling_automorphism_from_json,
@@ -30,24 +30,16 @@ def main() -> None:
           f"{validate_tiling(tiling)['faces']} tiles")
 
     tiling, taut, matching = equivariant_dimer(tiling, taut)
-    dimers = all_dimers(tiling)
     duals = sorted(tiling.arrow_name(min(h, k)) for h, k in matching)
     print(f"equivariant dimer found; dual arrows {duals} "
-          f"(one of {len(dimers)} perfect matchings)")
+          f"(one of {len(all_dimers(tiling))} perfect matchings)")
 
     # Among the matchings that admit a homogeneous section, take the one
     # whose certified generators come first alphabetically, so the output
-    # lines up with the bundled derivation script.  One search serves every
-    # matching.
+    # lines up with the bundled derivation script.
     search = ChoiceSearch(tiling, taut)
     W = search.W
-    choices = []
-    for m in dimers:
-        try:
-            choices.append(search.choose(m))
-        except NoChoiceFound:
-            pass
-    choice = min(choices, key=lambda c: c.generators)
+    _, choice = search.canonical(matching)
     print(f"homogeneous section: generators {choice.generators!r}, "
           f"base vertices {choice.bases}")
 

@@ -56,7 +56,6 @@ from .equivariant import (
     ChoiceSearch,
     MatchingStuck,
     NoChoiceFound,
-    all_dimers,
     build_orbit_quiver,
     equivariant_dimer,
     induced_quiver_automorphism,
@@ -209,13 +208,15 @@ _TILING_FIELDS = (
         lambda p: isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)))),
     ("rotation", "a list of nonempty integer lists", _list_of(
         lambda c: isinstance(c, list) and bool(c) and all(map(_is_int, c)))),
+    ("labels", "an object of string or integer names keyed by half-edge "
+     "numbers", lambda d: _object_of(_is_id)(d) and all(map(str.isdecimal, d))),
 )
 
 
 def _tiling_from_json(obj):
     """``tiling_from_json`` behind a check of the file's shape, so that a
     malformed tiling is an input error that names the bad field."""
-    _check_object(obj, "tiling", _TILING_FIELDS)
+    _check_object(obj, "tiling", _TILING_FIELDS, optional=("labels",))
     rotation = obj["rotation"]
     coloring = obj.get("coloring", {})
     if not (isinstance(coloring, dict)
@@ -335,44 +336,6 @@ def _check_counting(opts: dict) -> None:
 # the stages
 
 
-def _canonical_choice(tiling, taut, matching):
-    """The admissible (matching, choice) with the smallest generator letters.
-
-    Distinct matchings can certify differently-lettered sections of the same
-    arrow orbits.  To make the emitted presentation deterministic (and to
-    line companion data such as derivation scripts up with it), every perfect
-    matching is tried, the given one first and then the others sorted by
-    their dual arrows, and the lexicographically smallest generator tuple
-    wins (the first on a tie).  One ``ChoiceSearch`` serves every matching,
-    so each candidate's degrees and transport certificate are worked out at
-    most once.  When no matching admits a choice, the last failure is raised.
-    """
-    search = ChoiceSearch(tiling, taut)
-    seen = {frozenset(frozenset(e) for e in matching)}
-    candidates = [matching]
-    for m in sorted(all_dimers(tiling),
-                    key=lambda m: sorted(tiling.arrow_name(min(e)) for e in m)):
-        key = frozenset(frozenset(e) for e in m)
-        if key not in seen:
-            seen.add(key)
-            candidates.append(m)
-    best = None
-    failure = None
-    for m in candidates:
-        try:
-            choice = search.choose(m)
-        except NoChoiceFound as exc:
-            failure = exc
-            continue
-        letters = tuple(str(g) for g in choice.generators)
-        if best is None or letters < best[0]:
-            best = (letters, m, choice)
-    if best is None:
-        raise failure if failure is not None else NoChoiceFound(
-            "the tiling has no perfect matching")
-    return best[1], best[2]
-
-
 def _counting_quiver(quiver: Quiver) -> Quiver:
     """The counting localization: generator arrows invertible, the
     isomorphism arrows free."""
@@ -401,7 +364,7 @@ def _choice(run, dimer) -> _Choice:
     if run.opts.get("choice"):
         choice = _choice_from_json(quiver, run.load("choice"))
     else:
-        matching, choice = _canonical_choice(tiling, taut, matching)
+        matching, choice = ChoiceSearch(tiling, taut).canonical(matching)
     return _Choice(matching, build_orbit_quiver(quiver, phi, choice), W)
 
 

@@ -15,9 +15,13 @@ builds the machinery relating the dual quiver ``Q`` to its orbit quiver
   ``a = phi^k(gen)`` maps to ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the
   unique iso-arrow words between the matching endpoints),
 * ``transport_potential`` pushes the tiling potential to ``Q'``, and
-  ``ChoiceSearch`` (or ``choose_homogeneous_xi`` for one matching) searches
-  for choices making the transported potential homogeneous of degree ``n``
-  in the isomorphism arrows.
+  ``ChoiceSearch`` lists the candidate choices once and picks one making
+  the transported potential homogeneous of degree ``n`` in the isomorphism
+  arrows: for one matching (``choose``, or ``choose_homogeneous_xi``), or
+  the smallest-lettered over every perfect matching (``canonical``), in
+  one pass over the candidates.  ``all_dimers`` enumerates the perfect
+  matchings by brute force; it is the oracle the search is tested
+  against, not a step of it.
 
 Isomorphism arrows carry degree +1 (inverses -1); all other arrows degree 0.
 The common-source rule (all generators whose sources share a vertex orbit
@@ -51,6 +55,7 @@ from .surfacemap import (
     BraneTiling,
     CombinatorialMap,
     _cycles_of,
+    _face_index,
     dual_quiver,
     validate_tiling,
 )
@@ -172,12 +177,8 @@ def induced_quiver_automorphism(tiling: BraneTiling, taut: TilingAutomorphism,
         quiver, _ = dual_quiver(tiling)
     m = tiling.map
     perm = taut.half_edge_perm
-    faces = m.face_cycles()
-    face_no = {}
-    for i, cyc in enumerate(faces, start=1):
-        for h in cyc:
-            face_no[h] = i
-    vertex_perm = {i: face_no[perm[cyc[0]]] for i, cyc in enumerate(faces, start=1)}
+    face_no = _face_index(m)
+    vertex_perm = {face_no[h]: face_no[perm[h]] for h in m.half_edges}
     arrow_perm = {}
     for (h, k) in m.edges():
         img = min(perm[h], perm[k])
@@ -832,16 +833,16 @@ class ChoiceSearch:
 
     Candidates range over one source vertex per vertex orbit (determining
     the generators, hence satisfying the common-source condition) and one
-    chain base per vertex orbit, in ``product`` order.  Nothing about a
-    candidate depends on the matching, so each is worked out once and
-    shared by every query: its arrow degrees, read off chain positions
-    without building an orbit quiver, give the set of arrows of degree
-    ``n``; its transport certificate (an actual transport, homogeneous of
-    degree ``n`` with no isomorphism arrow of both signs) is computed on
-    first need and kept.  Distinct matchings ask for distinct degree-n
-    sets, so they share candidates only when ``n = 1``, where every
-    matching asks for all degrees 0.  The candidates are enumerated lazily,
-    only as far as the queries so far have needed.
+    chain base per vertex orbit, in ``product`` order.  They are listed
+    once, on construction, and nothing about them depends on the matching.
+    A candidate's arrow degrees, read off chain positions without building
+    an orbit quiver, name the one matching it can serve: when every arrow
+    has degree 0 or ``n``, the matching whose dual arrows are its degree-n
+    arrows (``hits``, ``None`` when ``n = 1``, where every matching asks
+    for all degrees 0); otherwise none, and it is only counted.  Its
+    transport certificate (an actual transport, homogeneous of degree ``n``
+    with no isomorphism arrow of both signs) is computed on first need and
+    kept.
     """
 
     def __init__(self, tiling: BraneTiling, taut: TilingAutomorphism):
@@ -856,10 +857,14 @@ class ChoiceSearch:
         self.want_hit = n if n > 1 else 0
         self.vertex_orbits = self.phi.vertex_orbits()
         self.arrow_orbits = self.phi.arrow_orbits()
-        self.choices: list[OrbitChoice] = []  # the candidates enumerated so far
-        self._by_hits: dict = {}   # degree-n arrow set (None if n = 1) -> indices
-        self._certified: dict = {}  # index -> transport certificate holds
-        self._pending = self._candidates()
+        self.size = 0  # the candidates, counting those that serve no matching
+        self.candidates: list[tuple[OrbitChoice, Optional[frozenset]]] = []
+        for choice, degrees in self._candidates():
+            self.size += 1
+            if all(d in (0, self.want_hit) for d in degrees.values()):
+                hits = self._hits(a for a, d in degrees.items() if d)
+                self.candidates.append((choice, hits))
+        self._certified: dict = {}  # index into candidates -> certificate
 
     def _candidates(self):
         """Yield (choice, arrow degrees) for every candidate, in order; the
@@ -899,32 +904,13 @@ class ChoiceSearch:
                     yield (OrbitChoice(generators, base_of,
                                        require_common_source=True), degrees)
 
-    def _advance(self) -> bool:
-        """Enumerate one more candidate; False once the space is exhausted."""
-        nxt = next(self._pending, None)
-        if nxt is None:
-            return False
-        choice, degrees = nxt
-        self.choices.append(choice)
-        if all(d in (0, self.want_hit) for d in degrees.values()):
-            hits = (frozenset(a for a, d in degrees.items() if d)
-                    if self.want_hit else None)
-            self._by_hits.setdefault(hits, []).append(len(self.choices) - 1)
-        return True
-
-    def _with_hits(self, hits):
-        """Indices of the candidates whose degree-n arrows are ``hits`` and
-        whose other arrows have degree 0, in order."""
-        found = self._by_hits.setdefault(hits, [])
-        i = 0
-        while i < len(found) or self._advance():
-            if i < len(found):
-                yield found[i]
-                i += 1
+    def _hits(self, arrows) -> Optional[frozenset]:
+        return frozenset(arrows) if self.want_hit else None
 
     def _certificate(self, i: int) -> bool:
         if i not in self._certified:
-            ctx = build_orbit_quiver(self.quiver, self.phi, self.choices[i])
+            ctx = build_orbit_quiver(self.quiver, self.phi,
+                                     self.candidates[i][0])
             try:
                 res = transport_potential(self.W, ctx)
                 ok = res.homogeneous and res.degree == self.want_hit
@@ -939,27 +925,63 @@ class ChoiceSearch:
         transport certificate holds.  Raises ``NoChoiceFound`` with a
         search report when there is none."""
         dimer_duals = {self.tiling.arrow_name(min(h, k)) for (h, k) in dimer}
-        hits = frozenset(dimer_duals) if self.want_hit else None
-        for i in self._with_hits(hits):
-            if self._certificate(i):
-                return self.choices[i]
+        want = self._hits(dimer_duals)
+        for i, (choice, hits) in enumerate(self.candidates):
+            if hits == want and self._certificate(i):
+                return choice
         raise NoChoiceFound(
-            f"no admissible choice after {len(self.choices)} candidates "
+            f"no admissible choice after {self.size} candidates "
             f"(order {self.phi.order}, {len(self.vertex_orbits)} vertex "
             f"orbits, {len(self.arrow_orbits)} arrow orbits, dimer duals "
             f"{sorted(dimer_duals)})")
+
+    def canonical(self, matching: frozenset) -> tuple[frozenset, OrbitChoice]:
+        """The admissible (matching, choice) with the smallest generator
+        letters, over the given matching and every perfect matching.
+
+        Distinct matchings can certify differently-lettered sections of the
+        same arrow orbits; the smallest makes the emitted presentation
+        deterministic and lines companion data such as derivation scripts
+        up with it.  One pass keeps the ``hits`` that are the given
+        matching's duals or dual to a perfect matching (their edges cover
+        each tiling vertex once), each with its first certified candidate:
+        what :meth:`choose` returns for that matching.  Ties go to the given
+        matching, then to the smallest sorted dual names.  When no matching
+        admits a choice, raises what ``choose(matching)`` raises.
+        """
+        m = self.tiling.map
+        edge_of = {self.tiling.arrow_name(h): (h, k) for h, k in m.edges()}
+        vertex_of = {h: cyc[0] for cyc in m.vertex_cycles() for h in cyc}
+        handles = self.tiling.vertex_handles()  # in increasing order
+        given = self._hits(self.tiling.arrow_name(min(e)) for e in matching)
+        kept = {given: matching}  # hits -> its matching, None if not perfect
+        won: dict = {}            # hits -> its first certified candidate
+        for i, (choice, hits) in enumerate(self.candidates):
+            if hits not in kept:
+                edges = frozenset(edge_of[a] for a in hits)
+                ends = sorted(vertex_of[h] for e in edges for h in e)
+                kept[hits] = edges if ends == handles else None
+            if kept[hits] is not None and hits not in won \
+                    and self._certificate(i):
+                won[hits] = choice
+        if not won:  # not even for the given matching
+            return self.choose(matching)  # raises its NoChoiceFound
+        best = min(won, key=lambda hits: (
+            tuple(str(g) for g in won[hits].generators), hits != given,
+            sorted(hits or ())))
+        return kept[best], won[best]
 
 
 def choose_homogeneous_xi(tiling: BraneTiling, taut: TilingAutomorphism,
                           dimer: frozenset) -> OrbitChoice:
     """Search for a choice making the transported potential homogeneous.
 
-    A one-query :class:`ChoiceSearch`: the first candidate, in search order,
-    under which every dimer-dual arrow embeds with degree equal to the
-    symmetry order and every other arrow with degree 0, certified by an
-    actual transport.  To query several matchings of one tiling, build the
-    search once and call :meth:`ChoiceSearch.choose` for each.  Raises
-    ``NoChoiceFound`` with a search report when the space is exhausted.
+    ``ChoiceSearch(tiling, taut).choose(dimer)``: the first candidate, in
+    search order, under which every dimer-dual arrow embeds with degree
+    equal to the symmetry order and every other arrow with degree 0,
+    certified by an actual transport.  The pipeline's pick over every
+    perfect matching is :meth:`ChoiceSearch.canonical`.  Raises
+    ``NoChoiceFound`` with a search report when no candidate qualifies.
     """
     return ChoiceSearch(tiling, taut).choose(dimer)
 

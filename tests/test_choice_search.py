@@ -1,27 +1,39 @@
-"""The one-pass choice search against the per-matching loop it replaced.
+"""The one-pass choice search against the per-matching loops it replaced.
 
-``reference_choose`` and ``reference_canonical`` below are test-only copies
-of the slow route: a fresh search per matching that builds an orbit quiver
-for every candidate.  The shared ``ChoiceSearch`` must return the same
-(matching, generators, bases) and the same ``NoChoiceFound`` text on the
-bundled genus-2 tiling, the identity symmetry of the torus, seeded double
-covers of the genus-2 tiling (which exhaust the search) and relabelled
-cyclic covers of the torus.  A counting guard checks that the shared search
-builds and transports each candidate at most once across all matchings.
+``reference_choose`` below is a test-only copy of the slow route: a fresh
+search per matching that builds an orbit quiver for every candidate.
+``reference_canonical`` is the loop over every perfect matching that
+``ChoiceSearch.canonical`` replaced: ``all_dimers`` in sorted dual order,
+one query per matching, raising the given matching's failure when none
+admits a choice.  ``ChoiceSearch`` must return the same (matching,
+generators, bases) and the same ``NoChoiceFound`` text on the bundled
+genus-2 tiling, the identity symmetry of the torus, seeded double covers of
+the genus-2 tiling (which exhaust the search), relabelled cyclic covers of
+the torus and the small connected covers of the two-square torus.  A
+counting guard checks that the search builds and transports each candidate
+at most once, and a guard with ``all_dimers`` disabled checks that the
+program never enumerates the matchings.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SQUARE_TORUS, cyclic_cover
+from conftest import SQUARE_TORUS, cyclic_cover, square_torus_covers
 from tessella import cli, equivariant
 from tessella.datafiles import load_data
 from tessella.equivariant import (
     ChoiceSearch,
+    MatchingStuck,
     MixedInverseViolation,
     NoChoiceFound,
     OrbitChoice,
@@ -114,25 +126,26 @@ def matchings_in_order(tiling, matching):
     return out
 
 
-def reference_canonical(tiling, taut, matching, outcomes):
-    """The smallest-letters (matching, choice), one fresh search per
-    matching; each matching's outcome is appended to ``outcomes``."""
+def reference_canonical(tiling, choose, matching, outcomes):
+    """The smallest-letters (matching, choice) over the matchings in order,
+    the first on a tie, with ``choose`` queried once per matching; each
+    matching's outcome is appended to ``outcomes``.  When no matching
+    admits a choice, the first failure (the given matching's) is raised."""
     best = None
     failure = None
     for m in matchings_in_order(tiling, matching):
         try:
-            choice = reference_choose(tiling, taut, m)
+            choice = choose(m)
         except NoChoiceFound as exc:
             outcomes.append(("NoChoiceFound", str(exc)))
-            failure = exc
+            failure = failure or exc
             continue
         outcomes.append(("choice", choice.generators, choice.bases))
         letters = tuple(str(g) for g in choice.generators)
         if best is None or letters < best[0]:
             best = (letters, m, choice)
     if best is None:
-        raise failure if failure is not None else NoChoiceFound(
-            "the tiling has no perfect matching")
+        raise failure
     return best[1], best[2]
 
 
@@ -145,9 +158,11 @@ def outcome(fn, *args):
     return "choice", choice.generators, choice.bases
 
 
-def canonical_outcome(fn, tiling, taut, matching, *extra):
+def canonical_outcome(pick):
+    """("choice", sorted matching, generators, bases) from ``pick()``, or
+    ("NoChoiceFound", message)."""
     try:
-        m, choice = fn(tiling, taut, matching, *extra)
+        m, choice = pick()
     except NoChoiceFound as exc:
         return "NoChoiceFound", str(exc)
     return "choice", sorted(sorted(e) for e in m), choice.generators, \
@@ -175,15 +190,24 @@ def torus_cover(n: int, seed: int):
                                   TORUS_VOLTAGES, seed))
 
 
+def genus2_double_cover(seed: int):
+    """A double cover of the genus-2 tiling with seeded Z/2 voltages."""
+    base = load_data("genus2_tiling.json")
+    rng = random.Random(seed)
+    volts = [rng.randrange(2) for _ in base["involution"]]
+    return prepared(*cyclic_cover(base, 2, volts, seed))
+
+
 def assert_search_matches_reference(tiling, taut, matching):
     """Canonical result and each matching's outcome, from one shared search
     (queried in canonical order and, fresh, in reverse), equal the slow
     route's."""
     expected = []
-    want = canonical_outcome(reference_canonical, tiling, taut, matching,
-                             expected)
-    assert canonical_outcome(cli._canonical_choice, tiling, taut,
-                             matching) == want
+    want = canonical_outcome(lambda: reference_canonical(
+        tiling, lambda m: reference_choose(tiling, taut, m), matching,
+        expected))
+    assert canonical_outcome(
+        lambda: ChoiceSearch(tiling, taut).canonical(matching)) == want
     order = matchings_in_order(tiling, matching)
     search = ChoiceSearch(tiling, taut)
     assert [outcome(search.choose, m) for m in order] == expected
@@ -231,13 +255,9 @@ def test_identity_torus_agrees():
 @pytest.mark.parametrize("seed", range(3))
 def test_exhausted_genus2_double_covers_agree(seed):
     """Double covers with seeded Z/2 voltages: several vertex orbits after
-    refinement, and no matching admits a choice, so the last failure's text
-    is compared."""
-    base = load_data("genus2_tiling.json")
-    rng = random.Random(seed)
-    volts = [rng.randrange(2) for _ in base["involution"]]
-    want, _ = assert_search_matches_reference(
-        *prepared(*cyclic_cover(base, 2, volts, seed)))
+    refinement, and no matching admits a choice, so the given matching's
+    failure text is compared."""
+    want, _ = assert_search_matches_reference(*genus2_double_cover(seed))
     assert want[0] == "NoChoiceFound"
 
 
@@ -252,6 +272,95 @@ def test_square_torus_covers_agree(n, voltages):
     assert want[0] == "choice" and len(want[3]) == 2
 
 
+def reaching_the_choice_stage(covers):
+    """(tiling, symmetry, matching) of each cover whose refinement and
+    equivariant dimer succeed, as the pipeline has them when it chooses."""
+    for _, tiling, taut in covers:
+        try:
+            yield prepared(tiling, taut)
+        except MatchingStuck:
+            continue
+
+
+@pytest.mark.parametrize("n, sample, reached, exhausted", [
+    (2, None, 14, 8), (3, None, 24, 0), (4, 32, 17, 13),
+])
+def test_canonical_equals_the_matching_loop_on_square_torus_covers(
+        n, sample, reached, exhausted):
+    """Every connected n-fold cover of the two-square torus for n = 2, 3,
+    and a seeded sample of the n = 4 covers: ``canonical`` equals the loop
+    over ``all_dimers`` that queries ``ChoiceSearch.choose`` per matching,
+    failure text included.  Only covers that reach the choice stage count."""
+    covers = list(square_torus_covers(n))
+    if sample is not None:
+        covers = random.Random(n).sample(covers, sample)
+    got = []
+    for tiling, taut, matching in reaching_the_choice_stage(covers):
+        loop = canonical_outcome(lambda: reference_canonical(
+            tiling, ChoiceSearch(tiling, taut).choose, matching, []))
+        assert canonical_outcome(
+            lambda: ChoiceSearch(tiling, taut).canonical(matching)) == loop
+        got.append(loop[0])
+    assert (len(got), got.count("NoChoiceFound")) == (reached, exhausted)
+
+
+# What the loop over ``all_dimers`` picked on the 16-fold torus cover with
+# seed 1, before ``canonical`` replaced it: (sorted matching, generators,
+# bases).  The winner is not the matching the dimer stage returned.
+PINNED_16 = ([[4, 80], [9, 22], [10, 75], [14, 78], [16, 79], [18, 30],
+              [24, 28], [31, 56], [33, 43], [35, 52], [45, 88], [47, 67],
+              [49, 58], [51, 87], [53, 70], [90, 93]],
+             ("e0", "e6", "e64"), {1: 12})
+
+
+def test_sixteen_fold_torus_cover_keeps_its_pinned_choice():
+    tiling, taut, matching = torus_cover(16, 1)
+    assert canonical_outcome(
+        lambda: ChoiceSearch(tiling, taut).canonical(matching)) == \
+        ("choice", *PINNED_16)
+    assert sorted(sorted(e) for e in matching) != PINNED_16[0]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_only_the_given_and_perfect_matchings_compete(monkeypatch, seed):
+    """With every transport certificate forced to hold, a degree-n set of
+    the genus-2 double covers that is dual to no perfect matching would win
+    if it were kept; ``canonical`` must still agree with the loop over
+    ``all_dimers``."""
+    monkeypatch.setattr(ChoiceSearch, "_certificate", lambda self, i: True)
+    tiling, taut, matching = genus2_double_cover(seed)
+    search = ChoiceSearch(tiling, taut)
+    perfect = {frozenset(tiling.arrow_name(min(e)) for e in m)
+               for m in all_dimers(tiling)}
+    assert {hits for _, hits in search.candidates} - perfect
+    want = canonical_outcome(lambda: reference_canonical(
+        tiling, search.choose, matching, []))
+    assert canonical_outcome(
+        lambda: ChoiceSearch(tiling, taut).canonical(matching)) == want
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_a_set_covering_a_vertex_twice_does_not_compete(monkeypatch, extra):
+    """A certified candidate with the smallest letters, put first, wins
+    when its degree-n set is dual to a perfect matching other than the
+    given one, and that matching is returned; with one more arrow its set
+    still covers every tiling vertex, two of them twice, and it loses."""
+    tiling, taut, matching = prepared(*bundled())
+    search = ChoiceSearch(tiling, taut)
+    given = {frozenset(e) for e in matching}
+    other = next(m for m in sorted(all_dimers(tiling), key=sorted)
+                 if {frozenset(e) for e in m} != given)
+    hits = {tiling.arrow_name(min(e)) for e in other}
+    if extra:
+        hits.add(next(a for a in search.quiver.arrow_ids() if a not in hits))
+    search.candidates.insert(0, (OrbitChoice(["0"], {}), frozenset(hits)))
+    monkeypatch.setattr(ChoiceSearch, "_certificate", lambda self, i: True)
+    m, choice = search.canonical(matching)
+    assert (choice.generators == ("0",)) is not extra
+    if not extra:
+        assert m == other
+
+
 @pytest.mark.parametrize("name", ["genus2-double-cover", "torus3"])
 def test_every_degree_pattern_as_a_query_agrees(name):
     """Query each candidate's degree-n arrow set, read off its orbit quiver,
@@ -261,21 +370,19 @@ def test_every_degree_pattern_as_a_query_agrees(name):
     if name == "torus3":
         tiling, taut, _ = torus_cover(3, 11)
     else:
-        base = load_data("genus2_tiling.json")
-        rng = random.Random(0)
-        volts = [rng.randrange(2) for _ in base["involution"]]
-        tiling, taut, _ = prepared(*cyclic_cover(base, 2, volts, 0))
+        tiling, taut, _ = genus2_double_cover(0)
     search = ChoiceSearch(tiling, taut)
     empty = outcome(search.choose, frozenset())  # exhausts the candidates
     assert empty == outcome(reference_choose, tiling, taut, frozenset())
     edge_of = {tiling.arrow_name(min(e)): e for e in tiling.map.edges()}
     n = search.phi.order
     patterns = set()
-    for choice in search.choices:
+    for choice, hits in search.candidates:
         ctx = build_orbit_quiver(search.quiver, search.phi, choice)
         degrees = {a: ctx.arrow_degree(a) for a in search.quiver.arrow_ids()}
-        if set(degrees.values()) <= {0, n}:
-            patterns.add(frozenset(edge_of[a] for a, d in degrees.items() if d))
+        assert set(degrees.values()) <= {0, n}
+        assert hits == frozenset(a for a, d in degrees.items() if d)
+        patterns.add(frozenset(edge_of[a] for a in hits))
     assert patterns
     for edges in sorted(patterns, key=sorted):
         assert outcome(search.choose, edges) == \
@@ -320,7 +427,70 @@ def test_each_candidate_is_built_and_transported_at_most_once(monkeypatch, n):
     monkeypatch.setattr(equivariant, "transport_potential", counting_transport)
     matchings = matchings_in_order(tiling, matching)
     assert len(matchings) > 1
-    cli._canonical_choice(tiling, taut, matching)
+    ChoiceSearch(tiling, taut).canonical(matching)
     assert built and transported
     assert len(set(built)) == len(built) <= n * n
     assert len(set(transported)) == len(transported)
+
+
+# -- all_dimers is a test oracle -----------------------------------------------
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+
+# sha256 of the pipeline artifacts (report and timings aside) for the
+# 6-fold torus cover with seed 4, recorded from the loop over ``all_dimers``;
+# there too a matching other than the dimer stage's wins.
+COVER6_ARTIFACTS = {
+    "base_qpot.json":
+        "fd319a1c01a7fbd2cc6ae9e97fc72a2e1f1637e3ab232c3b148bb85266b9bd43",
+    "choice.json":
+        "5d406ab28585ff60c7509b8b33c89819a0bb438454877163d76046bf42eb2682",
+    "counts.json":
+        "5518415a6b56ec12f999418824e812ca8dc3ca8ac1a7a4555941646e73289a1d",
+    "dimer.json":
+        "6b965bf79414a0cbf7f80ac1408ab5348e4f6e3e669c76eca06baec7832f645f",
+    "orbit_qpot.json":
+        "62ab21a18bd693bcfb64a699ca68fbbb9afb9d226b0d37f6112f9545961f690c",
+    "refined_automorphism.json":
+        "cdf56ee726d56dd28ccc9fbd6ab802d6e06575198dd09eb9ca4575a6f257a78d",
+    "refined_tiling.json":
+        "09f84610037686eca285f0a7661df89e422855f282f258013395a911f777ec7c",
+    "verify.json":
+        "7f58cc450f82910c5c9ce46a8c5213d5aec6bb7d2c8123fa9ffaf4a226706147",
+}
+
+
+def test_the_program_never_enumerates_the_matchings(monkeypatch, tmp_path):
+    """With ``all_dimers`` made to raise wherever a tessella module holds
+    it, ``choose-xi`` and a torus-cover pipeline still exit 0 with the
+    bytes the matching loop gave."""
+    def refuse(tiling):
+        raise AssertionError("all_dimers is a test oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tessella" and hasattr(module, "all_dimers"):
+            monkeypatch.setattr(module, "all_dimers", refuse)
+
+    def main(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = cli.main(argv)
+        return rc, out.getvalue()
+
+    assert main(["choose-xi"]) == \
+        (0, (GOLDEN / "choose-xi.out").read_text())
+    tiling, taut = cyclic_cover(load_data("torus_tiling.json"), 6,
+                                TORUS_VOLTAGES, 4)
+    (tmp_path / "tiling.json").write_text(
+        json.dumps(cli.tiling_to_json(tiling)))
+    (tmp_path / "automorphism.json").write_text(
+        json.dumps(cli._taut_to_json(taut)))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "tiling": "tiling.json", "automorphism": "automorphism.json",
+        "field_sizes": [2], "dimension": 1, "output_dir": "out"}))
+    rc, report = main(["pipeline", "--config", str(tmp_path / "config.json")])
+    assert rc == 0
+    assert {s["status"] for s in json.loads(report)["stages"]} == {"ok"}
+    out = tmp_path / "out"
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in COVER6_ARTIFACTS} == COVER6_ARTIFACTS

@@ -86,6 +86,9 @@ def _bundled_tiling_with(**fields):
     ("coloring", _bundled_tiling_with(coloring=["w", "b"])),
     ("coloring", _bundled_tiling_with(coloring={"6": "w"})),
     ("coloring", _bundled_tiling_with(coloring={"first": "w"})),
+    ("labels", _bundled_tiling_with(labels=["a"])),
+    ("labels", _bundled_tiling_with(labels={"zz": "x"})),
+    ("labels", _bundled_tiling_with(labels={"0": ["x"]})),
 ])
 def test_dual_malformed_tiling_names_the_field(tmp_path, capsys, field,
                                                 tiling):
@@ -700,6 +703,29 @@ def test_pipeline_malformed_tiling_is_input_error(tmp_path, capsys):
     assert tile == {"name": "tile", "status": "failed",
                     "detail": "InputError: tiling field 'half_edges' must be "
                               "a list of integers"}
+
+
+def test_pipeline_malformed_labels_fail_the_tile_stage(tmp_path, capsys):
+    bad = tmp_path / "bad_tiling.json"
+    bad.write_text(json.dumps(_bundled_tiling_with(labels={"0": True})))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"tiling": str(bad),
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
+    assert rc == EXIT_INPUT
+    tile = json.loads(out)["stages"][0]
+    assert tile == {"name": "tile", "status": "failed",
+                    "detail": "InputError: tiling field 'labels' must be an "
+                              "object of string or integer names keyed by "
+                              "half-edge numbers"}
+
+
+@pytest.mark.parametrize("labels", [{}, {"0": "a", "2": 7}])
+def test_well_formed_labels_still_load(tmp_path, capsys, labels):
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps(_bundled_tiling_with(labels=labels)))
+    obj = run_json(["dual", str(path)], capsys)
+    assert len(obj["arrows"]) == 10
 
 
 def test_run_report_json_carries_no_timing(tmp_path):
