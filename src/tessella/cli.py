@@ -28,9 +28,9 @@ Conventions
   embedding choice exists for the input; 4 input/configuration error,
   including a count over its state-space or int64 guard, an input file
   that is missing or not JSON, a tiling that ``validate_tiling`` rejects,
-  a tiling, automorphism, qpot, choice or pipeline config file or an
-  omega element of the wrong shape, and a symmetry whose equivariant
-  dimer gets stuck (``MatchingStuck``).
+  a tiling, automorphism, qpot, choice, derivation-script or pipeline
+  config file or an omega element of the wrong shape, and a symmetry
+  whose equivariant dimer gets stuck (``MatchingStuck``).
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
   sweep; it never changes a count.
 * Paths inside a pipeline config file are resolved relative to the config
@@ -359,12 +359,14 @@ def _tiling(run):
 
 def _choice(run, dimer) -> _Choice:
     tiling, taut, matching = dimer
-    quiver, W = dual_quiver(tiling)
-    phi = induced_quiver_automorphism(tiling, taut, quiver)
     if run.opts.get("choice"):
+        quiver, W = dual_quiver(tiling)
+        phi = induced_quiver_automorphism(tiling, taut, quiver)
         choice = _choice_from_json(quiver, run.load("choice"))
-    else:
-        matching, choice = ChoiceSearch(tiling, taut).canonical(matching)
+    else:  # the search holds the dual quiver and symmetry it built
+        search = ChoiceSearch(tiling, taut)
+        quiver, W, phi = search.quiver, search.W, search.phi
+        matching, choice = search.canonical(matching)
     return _Choice(matching, build_orbit_quiver(quiver, phi, choice), W)
 
 
@@ -418,11 +420,36 @@ def _psi_relations(run, action, c: _Choice, tp) -> dict:
                                 phi=phi, assignment=assignment).to_json()
 
 
+def _is_step(step) -> bool:
+    if not isinstance(step, dict):
+        return False
+    move, target = step.get("move"), step.get("target")
+    return ("from" in step and isinstance(move, dict)
+            and all(_is_int(move[k]) for k in ("relation", "step") if k in move)
+            and isinstance(move.get("word", ""), (str, list))
+            and isinstance(target, list) and len(target) == 2
+            and all(isinstance(w, (str, list)) for w in target)
+            and isinstance(step.get("establishes", ""), str))
+
+
+_SCRIPT_FIELDS = (
+    ("steps", "a list of step objects with a 'from', a 'move' object (integer "
+              "'relation' and 'step', a word 'word', where given), a 'target' "
+              "list of two words and an optional string 'establishes'",
+     _list_of(_is_step)),
+    ("contract", "a list of arrow ids", _list_of(_is_id)),
+)
+
+
 def _derivation_script(run, c: _Choice, tp) -> dict:
     blob = run.load("script")
-    contract = blob.get("contract", ()) if isinstance(blob, dict) else ()
-    _, relations = contracted_relations(c.ctx.quiver, tp.potential, contract)
-    return check_derivation_script(relations, blob).to_json()
+    # a script file is a list of steps or an object holding them
+    script = {"steps": blob} if isinstance(blob, list) else blob
+    _check_object(script, "derivation script", _SCRIPT_FIELDS,
+                  optional=("contract",))
+    _, relations = contracted_relations(c.ctx.quiver, tp.potential,
+                                        script.get("contract", ()))
+    return check_derivation_script(relations, script).to_json()
 
 
 def _verify(run, transport_identity, d_squared, psi_relations) -> dict:

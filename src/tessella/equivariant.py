@@ -45,6 +45,7 @@ from .pathalg import (
     UnknownArrow,
     Word,
     _idkey,
+    _invert,
     _seam,
     cyclic_derivative,
     multiply,
@@ -94,6 +95,13 @@ def _perm_order(perms: Iterable[Mapping]) -> int:
                  for cyc in _cycles_of(perm, perm, key=_idkey)))
 
 
+def _perm_power(perm: Mapping, x, k: int, order: int):
+    """``perm`` applied ``k`` mod ``order`` times to ``x``."""
+    for _ in range(k % order):
+        x = perm[x]
+    return x
+
+
 class QuiverAutomorphism:
     """A quiver symmetry: compatible permutations of vertices and arrows."""
 
@@ -117,14 +125,10 @@ class QuiverAutomorphism:
         self.order = _perm_order([self.vertex_perm, self.arrow_perm])
 
     def apply_vertex(self, v, k: int = 1):
-        for _ in range(k % self.order):
-            v = self.vertex_perm[v]
-        return v
+        return _perm_power(self.vertex_perm, v, k, self.order)
 
     def apply_arrow(self, a, k: int = 1):
-        for _ in range(k % self.order):
-            a = self.arrow_perm[a]
-        return a
+        return _perm_power(self.arrow_perm, a, k, self.order)
 
     def vertex_orbits(self) -> list[tuple]:
         return _cycles_of(self.vertex_perm, self.quiver.vertices, key=_idkey)
@@ -161,9 +165,7 @@ class TilingAutomorphism:
         self.order = _perm_order([perm])
 
     def apply(self, h: int, k: int = 1) -> int:
-        for _ in range(k % self.order):
-            h = self.half_edge_perm[h]
-        return h
+        return _perm_power(self.half_edge_perm, h, k, self.order)
 
     @staticmethod
     def identity(tiling: BraneTiling) -> "TilingAutomorphism":
@@ -228,9 +230,7 @@ class _Surgeon:
         return out, TilingAutomorphism(out, self.perm)
 
     def apply(self, h: int, k: int) -> int:
-        for _ in range(k % self.order):
-            h = self.perm[h]
-        return h
+        return _perm_power(self.perm, h, k, self.order)
 
     def vertex_cycle_of(self, h: int) -> tuple[int, ...]:
         """The rotation cycle through ``h``, starting at ``h``."""
@@ -376,24 +376,30 @@ def _matching_data(s: _Surgeon) -> tuple[dict, dict]:
                       for u, v, e in ends)
 
 
+def _augmenting_path(w, adj: dict, match_b: dict, seen: set
+                     ) -> Optional[list[tuple]]:
+    """Depth-first search, in ``adj`` order and past the blacks in ``seen``,
+    for an augmenting path from ``w``: its (white, black) pairs, or None."""
+    for b in adj.get(w, []):
+        if b in seen:
+            continue
+        seen.add(b)
+        if b not in match_b:
+            return [(w, b)]
+        rest = _augmenting_path(match_b[b], adj, match_b, seen)
+        if rest is not None:
+            return [(w, b)] + rest
+    return None
+
+
 def _max_matching(whites: list[int], adj: dict[int, list[int]]) -> dict[int, int]:
     """Kuhn's augmenting-path matching; returns white -> black."""
     match_w: dict[int, int] = {}
     match_b: dict[int, int] = {}
-
-    def try_augment(w, seen):
-        for b in adj.get(w, []):
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_b or try_augment(match_b[b], seen):
-                match_w[w] = b
-                match_b[b] = w
-                return True
-        return False
-
     for w in sorted(whites):
-        try_augment(w, set())
+        for w_, b in _augmenting_path(w, adj, match_b, set()) or ():
+            match_w[w_] = b
+            match_b[b] = w_
     return match_w
 
 
@@ -481,22 +487,9 @@ def equivariant_dimer(tiling: BraneTiling, taut: TilingAutomorphism
         # missing edge in the tiling
         adj_plus, corner = _cofacial(s)
         match_b = {b: w for w, b in match_w.items()}
-
-        def path_from(w, seen):
-            for b in adj_plus.get(w, []):
-                if b in seen:
-                    continue
-                seen.add(b)
-                if b not in match_b:
-                    return [(w, b)]
-                rest = path_from(match_b[b], seen)
-                if rest is not None:
-                    return [(w, b)] + rest
-            return None
-
         path = None
         for w in sorted(set(whites) - set(match_w)):
-            path = path_from(w, set())
+            path = _augmenting_path(w, adj_plus, match_b, set())
             if path is not None:
                 break
         if path is None:
@@ -604,14 +597,13 @@ class SemidirectQuiver:
         """Fill the table from ``iso_word`` and ``normalize``: xi(a) is
         ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the iso words from the
         source of ``a`` to the source of its generator and from the
-        generator's target to the target of ``a``."""
+        generator's target to the target of ``a``; ``unwind[a]`` is p_a^-1."""
         image, member, unwind = {}, {}, {}
         for a, (gen, _) in self.gen_of.items():
             q = self.iso_word(self.base.source(a), self.base.source(gen))
             p = self.iso_word(self.base.target(gen), self.base.target(a))
             image[a] = normalize(self.quiver, p.letters + ((gen, 1),) + q.letters)
-            unwind[a] = self.iso_word(self.base.target(a),
-                                      self.base.target(gen)).letters
+            unwind[a] = _invert(p.letters)
         for g in self.choice.generators:
             for j in range(self.phi.order):
                 b = self.phi.apply_arrow(g, j)

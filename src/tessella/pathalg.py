@@ -17,12 +17,15 @@ Conventions, fixed once and used everywhere:
   letters in written order.  For a cycle written ``t_0 t_1 ... t_{k-1}`` and
   an occurrence ``t_i == a`` the contribution is the linear word
   ``t_{i+1} ... t_{k-1} t_0 ... t_{i-1}``, a path target(a) -> source(a).
-* Every :class:`Word` is in normal form: its letters compose and no letter
-  stands next to its inverse.  :func:`normalize` (and ``Quiver.word``) is
-  the entry point for untrusted letter sequences and checks every
-  adjacency.  Products of words that are already normal go through
-  :func:`word_product`, which checks only the seams ``left.source ==
-  right.target`` and cancels only the letters meeting there.
+* Letters are ``(symbol, exp)`` tuples, ``exp`` in ``{+1, -1}``, here and
+  in the group words of :mod:`tessella.presentation`.  Both layers share
+  one letter kernel that trusts its input: :func:`_cancel`, :func:`_invert`,
+  :func:`_rotations`, :func:`_seam` and :func:`_wrap_reduce`.  Letters are
+  checked once, where they enter: :func:`normalize` (and ``Quiver.word``)
+  checks every adjacency, then cancels, so every :class:`Word` is normal
+  (composable, no letter next to its inverse).  :func:`word_product` joins
+  normal words, checking only the seams ``left.source == right.target``
+  and cancelling only the letters meeting there.
 * :class:`Element` (words) and :class:`Potential` (cycles) share one core,
   ``_Combination``, and are built from ``(key, coeff)`` pairs whose repeated
   keys add up, so every sum of many terms is built in one pass.
@@ -207,7 +210,7 @@ class Word:
         return not self.letters
 
     def inverse(self, quiver: Quiver) -> "Word":
-        inv = tuple((a, -e) for a, e in reversed(self.letters))
+        inv = _invert(self.letters)
         return normalize(quiver, inv, at=self.target if not inv else None)
 
     def sort_key(self):
@@ -225,11 +228,9 @@ class Word:
 def render_letters(letters: Sequence[Letter], constant_at=None) -> str:
     if not letters:
         return f"e_{constant_at}" if constant_at is not None else "1"
-    parts = []
     plain = all(isinstance(a, str) and len(a) == 1 for a, _ in letters)
-    for a, e in letters:
-        parts.append(f"{a}^-1" if e == -1 else f"{a}")
-    return ("" if plain else ".").join(parts)
+    return ("" if plain else ".").join(
+        f"{a}^-1" if e == -1 else f"{a}" for a, e in letters)
 
 
 def normalize(quiver: Quiver, letters: Sequence[Letter] | "Word", at=None) -> Word:
@@ -256,21 +257,35 @@ def normalize(quiver: Quiver, letters: Sequence[Letter] | "Word", at=None) -> Wo
             raise NonComposable(
                 f"{letters[i]!r} after {letters[i + 1]!r}: "
                 f"{ends[i][0]!r} != {ends[i + 1][1]!r}")
-    source = ends[-1][0]
-    target = ends[0][1]
+    return Word(ends[-1][0], ends[0][1], _cancel(letters))
+
+
+def _cancel(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    """Free cancellation: drop ``x x^-1`` and ``x^-1 x`` pairs in one stack
+    pass, until none remain.  Idempotent; the letters are not checked."""
     stack: list[Letter] = []
     for l in letters:
         if stack and stack[-1][0] == l[0] and stack[-1][1] == -l[1]:
             stack.pop()
         else:
             stack.append(l)
-    return Word(source, target, tuple(stack))
+    return tuple(stack)
+
+
+def _invert(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    """The inverse word: letters reversed, every exponent flipped."""
+    return tuple((a, -e) for a, e in reversed(letters))
+
+
+def _rotations(cycle: tuple) -> list[tuple]:
+    """Every rotation of a cyclic word, starting with the word itself."""
+    return [cycle[i:] + cycle[:i] for i in range(len(cycle))]
 
 
 def _seam(left: Sequence[Letter], right: Sequence[Letter]) -> int:
     """How many letters cancel where the normal runs ``left . right`` meet.
 
-    This is the stack walk of :func:`normalize` restricted to the junction:
+    This is the stack walk of :func:`_cancel` restricted to the junction:
     the last ``k`` letters of ``left`` are the inverses of the first ``k``
     of ``right``, read outward.
     """
@@ -398,15 +413,12 @@ def word_product(quiver: Quiver, *words: Word) -> Word:
 # -- potentials --------------------------------------------------------------
 
 
-def _is_letter(entry) -> bool:
-    return isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], int)
-
-
 def _as_letters(cycle: Sequence) -> tuple[Letter, ...]:
     """Coerce a cycle given as arrow ids and/or (arrow, exp) pairs to letters."""
     out = []
     for entry in cycle:
-        if _is_letter(entry):
+        if isinstance(entry, tuple) and len(entry) == 2 \
+                and isinstance(entry[1], int):
             a, e = entry
             if e == 0:
                 raise NonComposable("zero exponent in cycle")
@@ -427,19 +439,10 @@ def _letterkey(letter: Letter):
     return (_idkey(letter[0]), letter[1])
 
 
-def canonical_rotation(cycle: Sequence) -> tuple:
-    """Lexicographically minimal rotation of a cyclic word.
-
-    Accepts plain arrow-id tuples or letter tuples; the result keeps the
-    caller's entry shape.
-    """
-    cyc = tuple(cycle)
-    if not cyc:
-        return cyc
-    rots = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
-    if all(_is_letter(x) for x in cyc):
-        return min(rots, key=lambda r: tuple(_letterkey(l) for l in r))
-    return min(rots, key=lambda r: tuple(_idkey(a) for a in r))
+def canonical_rotation(cycle: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Lexicographically minimal rotation of a cyclic letter word."""
+    return min(_rotations(cycle), default=cycle,
+               key=lambda r: tuple(_letterkey(l) for l in r))
 
 
 class Potential(_Combination):

@@ -7,6 +7,11 @@ Conventions
   last.  :func:`parse_group_word` takes whitespace-separated tokens
   (``"x1 y1^-1"``), never per-character splitting, so multi-character
   generator names are safe.
+* Public entries (:func:`free_reduce`, :func:`invert_letters`,
+  :func:`cyclic_core`, :func:`dehn_reduce`, ``PhiAction``,
+  :class:`SemidirectElement`) check a word's letters once, with
+  :func:`as_group_letters`; internal code trusts what the letter kernel of
+  :mod:`tessella.pathalg` returns and calls that kernel directly.
 * :class:`SurfacePresentation` is the one-relator genus-``g`` presentation
   with generators ``x1, y1, ..., xg, yg`` and relator ``R = [x1,y1]...[xg,yg]``.
   For ``g >= 2`` it satisfies the C'(1/6) small-cancellation condition,
@@ -43,7 +48,11 @@ from .pathalg import (
     UnknownArrow,
     Word,
     _Forest,
+    _cancel,
     _idkey,
+    _invert,
+    _rotations,
+    _seam,
     _wrap_reduce,
     cyclic_derivative,
     jacobi_relations,
@@ -110,27 +119,17 @@ def as_group_letters(w) -> tuple[Letter, ...]:
 
 def free_reduce(w) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
-    stack: list[Letter] = []
-    for a, e in as_group_letters(w):
-        if stack and stack[-1][0] == a and stack[-1][1] == -e:
-            stack.pop()
-        else:
-            stack.append((a, e))
-    return tuple(stack)
+    return _cancel(as_group_letters(w))
 
 
 def invert_letters(w) -> tuple[Letter, ...]:
-    return tuple((a, -e) for a, e in reversed(as_group_letters(w)))
+    return _invert(as_group_letters(w))
 
 
 def cyclic_core(w) -> tuple[Letter, ...]:
     """Freely and cyclically reduce: strip matching conjugation collars
     (the middle of a freely reduced word stays reduced)."""
     return _wrap_reduce(free_reduce(w))
-
-
-def _rotation_set(cycle: tuple[Letter, ...]) -> set:
-    return {cycle[i:] + cycle[:i] for i in range(len(cycle))} if cycle else set()
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +153,8 @@ class SurfacePresentation:
         self.generators = tuple(gens)
         self.relator = tuple(rel)
         rots: list[tuple] = []
-        for base in (self.relator, invert_letters(self.relator)):
-            rots.extend(sorted(_rotation_set(base)))
+        for base in (self.relator, _invert(self.relator)):
+            rots.extend(sorted(_rotations(base)))
         self._rotations = tuple(rots)
         # A piece is a subword occurring in two distinct ways among cyclic
         # rotations of R^{+-1}.  Indexing each rotation by its first two
@@ -190,7 +189,7 @@ def dehn_reduce(w, pres: SurfacePresentation) -> tuple[Letter, ...]:
     one rotation (``pres.pair_index``; no 2-letter cyclic subword of
     R^{+-1} repeats), so no other rotation can match there.  The input is
     validated and freely reduced once; a replacement cancels only across
-    its two seams.
+    its two seams (:func:`~tessella.pathalg._seam`).
     """
     w = free_reduce(w)
     half = 2 * pres.genus  # replacements need a match longer than |R|/2 = 2g
@@ -210,13 +209,10 @@ def dehn_reduce(w, pres: SurfacePresentation) -> tuple[Letter, ...]:
         if best_rot is None:
             return w
         out = list(w[:best_pos])
-        for part in (invert_letters(best_rot[best_len:]),
-                     w[best_pos + best_len:]):
-            i = 0  # each part is freely reduced: only its head can cancel
-            while i < len(part) and out and out[-1] == (part[i][0], -part[i][1]):
-                out.pop()
-                i += 1
-            out.extend(part[i:])
+        for part in (_invert(best_rot[best_len:]), w[best_pos + best_len:]):
+            k = _seam(out, part)  # each part is reduced: only its head cancels
+            del out[len(out) - k:]
+            out.extend(part[k:])
         w = tuple(out)
 
 
@@ -243,7 +239,7 @@ class PhiAction:
         for g in pres.generators:
             if g not in mapping:
                 raise ValueError(f"phi_star must map every generator; {g!r} missing")
-            img = free_reduce(as_group_letters(mapping[g]))
+            img = free_reduce(mapping[g])
             bad = sorted({a for a, _ in img} - known)
             if bad:
                 raise ValueError(f"phi_star({g!r}) uses unknown generators {bad}")
@@ -259,20 +255,20 @@ class PhiAction:
         image = self._apply_once(pres.relator)
         if dehn_reduce(image, pres):
             raise ValueError("phi_star does not kill the surface relator")
-        self.relator_conjugate = cyclic_core(image) in set(pres.rotations())
+        self.relator_conjugate = _wrap_reduce(image) in set(pres.rotations())
 
     def _apply_once(self, letters: tuple) -> tuple:
         out: list[Letter] = []
         for a, e in letters:
             img = self.mapping[a]
-            out.extend(img if e == 1 else invert_letters(img))
-        return free_reduce(out)
+            out.extend(img if e == 1 else _invert(img))
+        return _cancel(out)
 
     def apply(self, w, k: int = 1) -> tuple[Letter, ...]:
         """phi^k of a word.  Negative k wraps modulo the order: phi^order
         acts as the group identity, so phi^-1 may be computed as
         phi^(order-1)."""
-        letters = free_reduce(as_group_letters(w))
+        letters = free_reduce(w)
         for _ in range(k % self.order):
             letters = self._apply_once(letters)
         return letters
@@ -332,7 +328,7 @@ def semidirect_multiply(x: SemidirectElement, y: SemidirectElement,
 
 
 def semidirect_inverse(x: SemidirectElement, phi: PhiAction) -> SemidirectElement:
-    word = dehn_reduce(phi.apply(invert_letters(x.word), -x.k), phi.pres)
+    word = dehn_reduce(phi.apply(_invert(x.word), -x.k), phi.pres)
     return SemidirectElement(word, -x.k)
 
 
@@ -340,7 +336,7 @@ def semidirect_equal(x: SemidirectElement, y: SemidirectElement,
                      phi: PhiAction) -> bool:
     """Group equality: equal integer parts and a trivial word quotient."""
     return x.k == y.k and not dehn_reduce(
-        x.word + invert_letters(y.word), phi.pres)
+        x.word + _invert(y.word), phi.pres)
 
 
 @dataclass(frozen=True)
@@ -446,25 +442,20 @@ def _twist_factory(ctx, gamma):
     may be None when the tree does not reach phi(bp); only untwisted (k = 0)
     transport is possible then."""
     if gamma is not None:
-        inv_gamma = invert_letters(gamma)
-        gamma_back = _phi_letters(ctx, gamma, -1)
-        inv_gamma_back = invert_letters(gamma_back)
+        back = _phi_letters(ctx, gamma, -1)
+        # step -> the letters written left and right of phi^step(loop)
+        collars = {1: (_invert(gamma), gamma), -1: (back, _invert(back))}
 
     def act(letters, k: int) -> tuple:
-        letters = tuple(letters)
         if k != 0 and gamma is None:
             raise NotInTreeClosure(
                 "the tree does not reach the basepoint image, so twisted "
                 "transport is undefined")
-        if k > 0:
-            for _ in range(k):
-                letters = free_reduce(
-                    inv_gamma + _phi_letters(ctx, letters, 1) + gamma)
-        elif k < 0:
-            for _ in range(-k):
-                letters = free_reduce(
-                    gamma_back + _phi_letters(ctx, letters, -1) + inv_gamma_back)
-        return free_reduce(letters)
+        step = 1 if k > 0 else -1
+        for _ in range(abs(k)):
+            left, right = collars[step]
+            letters = _cancel(left + _phi_letters(ctx, letters, step) + right)
+        return _cancel(letters)
 
     return act
 
@@ -474,30 +465,24 @@ def _face_rotations(W: Optional[Potential]) -> frozenset:
         return frozenset()
     rots: set = set()
     for _, cyc in W.terms():
-        for base in (tuple(cyc), invert_letters(cyc)):
-            rots |= _rotation_set(base)
-    rots.discard(())
+        rots.update(_rotations(cyc), _rotations(_invert(cyc)))
     return frozenset(rots)
 
 
 def _erase_faces(letters: tuple, rots: frozenset) -> tuple:
     """Delete contiguous face-boundary occurrences (they bound disks, so the
     loop class is unchanged); repeat until stable."""
-    w = free_reduce(letters)
+    w = _cancel(letters)
     if not rots:
         return w
     lens = sorted({len(r) for r in rots})
-    changed = True
-    while changed and w:
-        changed = False
-        for L in lens:
-            for i in range(len(w) - L + 1):
-                if w[i:i + L] in rots:
-                    w = free_reduce(w[:i] + w[i + L:])
-                    changed = True
-                    break
-            if changed:
-                break
+    while w:  # the shortest face first, then the leftmost occurrence
+        hit = next(((i, L) for L in lens for i in range(len(w) - L + 1)
+                    if w[i:i + L] in rots), None)
+        if hit is None:
+            break
+        i, L = hit
+        w = _cancel(w[:i] + w[i + L:])
     return w
 
 
@@ -505,11 +490,9 @@ def _letter_image(ctx, paths, gamma, act, a, e):
     """The matrix-unit image of one orbit-quiver letter: (group word, k)."""
     if ctx.degree.get(a, 0) == 0:
         src, tgt = ctx.quiver.source(a), ctx.quiver.target(a)
-        loop = (invert_letters(_tree_path(paths, tgt)) + ((a, 1),)
+        loop = (_invert(_tree_path(paths, tgt)) + ((a, 1),)
                 + _tree_path(paths, src))
-        if e == 1:
-            return free_reduce(loop), 0
-        return free_reduce(invert_letters(loop)), 0
+        return _cancel(loop if e == 1 else _invert(loop)), 0
     # isomorphism arrow x -> phi(x): integer part -1; the phi-preimage of
     # gamma closes the correction path bp -> phi^-1(bp) into a based loop
     if gamma is None:
@@ -518,11 +501,11 @@ def _letter_image(ctx, paths, gamma, act, a, e):
             "isomorphism-arrow image needs")
     src, tgt = ctx.quiver.source(a), ctx.quiver.target(a)
     loop = (_phi_letters(ctx, gamma, -1)
-            + _phi_letters(ctx, invert_letters(_tree_path(paths, tgt)), -1)
+            + _phi_letters(ctx, _invert(_tree_path(paths, tgt)), -1)
             + _tree_path(paths, src))
     if e == 1:
-        return free_reduce(loop), -1
-    return act(invert_letters(loop), 1), 1
+        return _cancel(loop), -1
+    return act(_invert(loop), 1), 1
 
 
 def _psi_setup(ctx, tree, base_potential: Optional[Potential]):
@@ -555,7 +538,7 @@ def psi_eval(w, ctx, tree=None, base_potential: Optional[Potential] = None
         if not ctx.quiver.has_arrow(a):
             raise UnknownArrow(a)
         img_w, img_k = _letter_image(ctx, paths, gamma, act, a, e)
-        word = free_reduce(word + act(img_w, k))
+        word = _cancel(word + act(img_w, k))
         k += img_k
     word = _erase_faces(word, rots)
     return MatrixUnitElement(w.target, w.source, SemidirectElement(word, k))
@@ -621,10 +604,10 @@ def _binomial(el: Element):
 def _face_certificate(loop: tuple, rots: frozenset) -> Optional[str]:
     """Explicit bounded search expressing a loop as a product of at most two
     conjugates of face boundaries (disk-bounding, hence trivial)."""
-    loop = free_reduce(loop)
+    loop = _cancel(loop)
     if not loop:
         return "free-cancellation"
-    if cyclic_core(loop) in rots:
+    if _wrap_reduce(loop) in rots:
         return "face-boundary"
     symbols = sorted({a for a, _ in loop}
                      | {a for rot in rots for a, _ in rot})
@@ -632,21 +615,17 @@ def _face_certificate(loop: tuple, rots: frozenset) -> Optional[str]:
     conjugators: list[tuple] = [()]
     conjugators += [(l,) for l in signed]
     conjugators += [(l1, l2) for l1 in signed for l2 in signed
-                    if not (l1[0] == l2[0] and l1[1] == -l2[1])]
+                    if l2 != (l1[0], -l1[1])]
     conjugators += [loop[:i] for i in range(1, min(len(loop), 5))]
-    seen = set()
-    for u in conjugators:
-        if u in seen:
-            continue
-        seen.add(u)
-        inv_u = invert_letters(u)
+    for u in dict.fromkeys(conjugators):  # each once, in order
+        inv_u = _invert(u)
         for rot in rots:
             # first factor u rot^-1 u^-1 (rots is inverse-closed); the rest
             # must itself be a conjugate of a face boundary
-            beta = free_reduce(u + rot + inv_u + loop)
+            beta = _cancel(u + rot + inv_u + loop)
             if not beta:
                 return "face-boundary"
-            if cyclic_core(beta) in rots:
+            if _wrap_reduce(beta) in rots:
                 return "face-boundary-pair"
     return None
 
@@ -665,7 +644,7 @@ def _psi_assignment_table(ctx, phi: PhiAction, assignment) -> dict:
             el = v
         else:
             word, k = v
-            el = SemidirectElement(as_group_letters(word), int(k))
+            el = SemidirectElement(word, int(k))
         expected = -ctx.degree.get(a, 0)
         if el.k != expected:
             raise ValueError(
@@ -738,7 +717,7 @@ def verify_psi_relations(ctx, W: Potential, mode: str = "certificate",
                 witness=f"deg({p}) = {dp} but deg({q}) = {dq}"))
             continue
         if mode == "certificate":
-            loop = free_reduce(tuple(p.letters) + invert_letters(q.letters))
+            loop = _cancel(p.letters + _invert(q.letters))
             method = _face_certificate(loop, rots)
             if method is not None:
                 checks.append(RelationCheck(a, True, True, True, method))
@@ -979,12 +958,8 @@ def check_derivation_script(relations, script, quiver: Quiver = None
             if bad:
                 return fail(idx, f"multiplier is not a unit word: {bad}")
             try:
-                if side == "left":
-                    candidates = [(word_product(quiver, u, src[0]),
-                                   word_product(quiver, u, src[1]))]
-                else:
-                    candidates = [(word_product(quiver, src[0], u),
-                                   word_product(quiver, src[1], u))]
+                candidates = [tuple(word_product(quiver, u, x) if side == "left"
+                                    else word_product(quiver, x, u) for x in src)]
             except NonComposable as exc:
                 return fail(idx, f"multiplication does not compose: {exc}")
         elif mk in ("substitute", "rewrite"):
@@ -1003,8 +978,7 @@ def check_derivation_script(relations, script, quiver: Quiver = None
             pattern = move.get("pattern", "lhs")
             if pattern not in ("lhs", "rhs"):
                 return fail(idx, f"pattern must be lhs or rhs, got {pattern!r}")
-            P = cited[0 if pattern == "lhs" else 1]
-            O = cited[1 if pattern == "lhs" else 0]
+            P, O = cited if pattern == "lhs" else cited[::-1]
             if not P.letters:
                 return fail(idx, "the cited pattern side is a constant word")
             for side in (0, 1):

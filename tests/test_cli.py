@@ -352,6 +352,57 @@ def test_check_script_rejects_corrupt_step(tmp_path, capsys):
     assert json.loads(out)["failed_step"] == 5
 
 
+def _bundled_script_with(step: int, **fields):
+    blob = load_data("genus2_derivation.json")
+    blob["steps"][step].update(fields)
+    return blob
+
+
+_BAD_STEPS = ("derivation script field 'steps' must be a list of step "
+              "objects with a 'from', a 'move' object (integer 'relation' and "
+              "'step', a word 'word', where given), a 'target' list of two "
+              "words and an optional string 'establishes'")
+
+
+@pytest.mark.parametrize("script, message", [
+    ({"steps": 3}, _BAD_STEPS),
+    ({"contract": 5, "steps": []},
+     "derivation script field 'contract' must be a list of arrow ids"),
+    ("hello", "a derivation script file holds a JSON object, not str"),
+    ({"contract": ["e"]}, "derivation script field 'steps' is missing"),
+    ([5], _BAD_STEPS),
+    (_bundled_script_with(2, move={"kind": "substitute", "relation": "5"}),
+     _BAD_STEPS),
+    (_bundled_script_with(2, move=[]), _BAD_STEPS),
+    (_bundled_script_with(1, move={"kind": "multiply", "word": 5,
+                                   "side": "left"}), _BAD_STEPS),
+    (_bundled_script_with(4, target="a b"), _BAD_STEPS),
+    (_bundled_script_with(4, target=["a"]), _BAD_STEPS),
+    (_bundled_script_with(4, target=[5, 6]), _BAD_STEPS),
+    (_bundled_script_with(0, establishes=["name"]), _BAD_STEPS),
+])
+def test_malformed_derivation_script_names_the_field(tmp_path, capsys, script,
+                                                     message):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    rc, out, err = run(["check-script", str(path)], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == f"error: InputError: {message}\n"
+
+
+def test_pipeline_malformed_derivation_script_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "script.json"
+    bad.write_text(json.dumps({"steps": 3}))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"script": str(bad), "field_sizes": [2],
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
+    stages = {s["name"]: s for s in json.loads(out)["stages"]}
+    assert rc == EXIT_INPUT
+    assert stages["verify"]["detail"] == f"InputError: {_BAD_STEPS}"
+    assert stages["count"]["status"] == "skipped"
+
+
 def test_count_q2_matches_the_closed_form(capsys):
     obj = run_json(["count", "--q", "2"], capsys)
     assert obj["total"] == 2
@@ -880,6 +931,41 @@ def test_a_target_computes_only_the_stages_it_reads(target, computed):
     run_state = cli._Run({})
     run_state[target]
     assert set(run_state.values) == computed
+
+
+def test_the_choice_stage_builds_the_dual_quiver_once(tmp_path, monkeypatch):
+    """Without a choice file the choice stage takes the dual quiver, its
+    potential and the symmetry from its ChoiceSearch, so a pipeline on a
+    cover computes each once in the search, besides the dual stage."""
+    from collections import Counter
+
+    from tessella import equivariant, surfacemap
+
+    tiling, taut = cyclic_cover(load_data("torus_tiling.json"), 10, (1, 0, 2),
+                                seed=1)
+    tiling_path = tmp_path / "tiling.json"
+    tiling_path.write_text(json.dumps(cli.tiling_to_json(tiling)))
+    autom_path = tmp_path / "autom.json"
+    autom_path.write_text(json.dumps(cli._taut_to_json(taut)))
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+    for name in ("dual_quiver", "validate_tiling",
+                 "induced_quiver_automorphism"):
+        for module in (cli, equivariant, surfacemap):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    report = run_pipeline(PipelineConfig(
+        tiling=str(tiling_path), automorphism=str(autom_path),
+        field_sizes=(2,), output_dir=str(tmp_path / "out")))
+    assert report.exit_code == EXIT_OK
+    assert calls == {"dual_quiver": 2, "validate_tiling": 3,
+                     "induced_quiver_automorphism": 1}
 
 
 def test_dual_reads_no_automorphism(monkeypatch, capsys):

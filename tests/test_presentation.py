@@ -189,6 +189,17 @@ def test_invert_letters_involution(w):
     assert free_reduce(tuple(w) + invert_letters(w)) == ()
 
 
+# free reduction is the path-word normal form on one vertex whose arrows are
+# the generators, all localized
+ONE_VERTEX = Quiver((0,), [(g, 0, 0) for g in PRES2.generators],
+                    localized=PRES2.generators)
+
+
+@given(st.lists(st.sampled_from(LETTERS2), max_size=14).map(tuple))
+def test_free_reduce_is_normalize_on_one_localized_vertex(w):
+    assert free_reduce(w) == normalize(ONE_VERTEX, w, at=0).letters
+
+
 # -- the surface presentation ------------------------------------------------------
 
 
@@ -617,6 +628,24 @@ def test_verify_certificate_running_example(ctx, wprime):
                             "face-boundary-pair") for c in report.checks)
     blob = report.to_json()
     assert blob["ok"] and len(blob["checks"]) == 5
+
+
+def test_certificate_mode_trusts_the_letters_it_builds(ctx, wprime, capsys,
+                                                       monkeypatch):
+    """Every word certificate mode handles comes from the letter kernel, so
+    no letter is validated again, in the library or through the CLI."""
+    from tessella import cli, presentation
+
+    report = verify_psi_relations(ctx, wprime)
+    assert cli.main(["psi-verify"]) == 0
+    printed = capsys.readouterr().out
+
+    def refuse(w):
+        raise AssertionError(f"letters of {w!r} validated again")
+    monkeypatch.setattr(presentation, "as_group_letters", refuse)
+    assert verify_psi_relations(ctx, wprime) == report
+    assert cli.main(["psi-verify"]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_verify_certificate_torus():
