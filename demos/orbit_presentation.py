@@ -62,7 +62,7 @@ def main() -> None:
     print(f"\ncontracting {script['contract']} leaves "
           f"{len(contracted.vertices)} vertex, "
           f"{len(contracted.arrows)} arrows, {len(relations)} relations")
-    report = check_derivation_script(relations, script)
+    report = check_derivation_script(relations, script, contracted)
     print(f"derivation script: {report.steps_checked}/{report.steps_total} "
           f"steps verified, ok={report.ok}")
     print("established identities (x = a^-1, y = c, z = r):")

@@ -447,9 +447,14 @@ def _derivation_script(run, c: _Choice, tp) -> dict:
     script = {"steps": blob} if isinstance(blob, list) else blob
     _check_object(script, "derivation script", _SCRIPT_FIELDS,
                   optional=("contract",))
-    _, relations = contracted_relations(c.ctx.quiver, tp.potential,
-                                        script.get("contract", ()))
-    return check_derivation_script(relations, script).to_json()
+    contract = script.get("contract", ())
+    unknown = [a for a in contract if not c.ctx.quiver.has_arrow(a)]
+    if unknown:
+        raise InputError(f"derivation script field 'contract' names arrows "
+                         f"{unknown} that the orbit quiver does not have")
+    quiver, relations = contracted_relations(c.ctx.quiver, tp.potential,
+                                             contract)
+    return check_derivation_script(relations, script, quiver).to_json()
 
 
 def _verify(run, transport_identity, d_squared, psi_relations) -> dict:

@@ -440,9 +440,11 @@ def _letterkey(letter: Letter):
 
 
 def canonical_rotation(cycle: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """Lexicographically minimal rotation of a cyclic letter word."""
-    return min(_rotations(cycle), default=cycle,
-               key=lambda r: tuple(_letterkey(l) for l in r))
+    """Lexicographically minimal rotation of a cyclic letter word (the
+    first one, among rotations with equal keys)."""
+    keys = [_letterkey(l) for l in cycle]
+    i = min(range(len(keys)), default=0, key=lambda i: keys[i:] + keys[:i])
+    return cycle[i:] + cycle[:i]
 
 
 class Potential(_Combination):
@@ -638,11 +640,13 @@ class GinzburgDga:
             da = self.differential[a]
             if not da.is_zero():
                 piece = da
+                # slices of a normal word are normal
                 if i > 0:
-                    pre = normalize(self.quiver, w.letters[:i])
+                    pre = Word(self.quiver.target(a), w.target, w.letters[:i])
                     piece = multiply(self.quiver, Element.from_word(pre), piece)
                 if i + 1 < len(w.letters):
-                    post = normalize(self.quiver, w.letters[i + 1:])
+                    post = Word(w.source, self.quiver.source(a),
+                                w.letters[i + 1:])
                     piece = multiply(self.quiver, piece, Element.from_word(post))
                 pairs += ((pw, sign * pc) for pw, pc in piece.coeffs.items())
             sign *= (-1) ** self.degree[a]

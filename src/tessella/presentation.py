@@ -789,49 +789,6 @@ def contracted_relations(quiver: Quiver, W: Potential,
     return q2, out
 
 
-class DerivationScript:
-    """Ordered rewriting steps, each justified by one of four move kinds.
-
-    A step is a mapping with keys ``from`` (``"rel:k"`` or ``"step:j"``,
-    1-based), ``move`` and ``target`` (``[lhs, rhs]`` token strings), plus an
-    optional ``establishes`` name.  Moves:
-
-    * ``{"kind": "cancel"}`` — restate the source equation (normal forms are
-      cancellation-free already; this introduces relations into the chain);
-    * ``{"kind": "multiply", "word": u, "side": "left"|"right"}`` — multiply
-      both sides by the unit word ``u``;
-    * ``{"kind": "substitute", "relation": k, "pattern": "lhs"|"rhs"}`` —
-      replace one occurrence of the named side of input relation ``k`` by its
-      other side;
-    * ``{"kind": "rewrite", "step": j, "pattern": "lhs"|"rhs"}`` — the same
-      with a previously derived identity.
-
-    The checker verifies; it does not search for derivations.
-    """
-
-    def __init__(self, steps: Sequence[Mapping]):
-        self.steps = [dict(s) for s in steps]
-        for i, s in enumerate(self.steps, start=1):
-            for key in ("from", "move", "target"):
-                if key not in s:
-                    raise ValueError(f"step {i} lacks the {key!r} field")
-
-    @staticmethod
-    def from_json(obj) -> "DerivationScript":
-        if isinstance(obj, Mapping):
-            obj = obj["steps"]
-        return DerivationScript(obj)
-
-    def to_json(self) -> list:
-        return [dict(s) for s in self.steps]
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
 @dataclass(frozen=True)
 class ScriptReport:
     ok: bool
@@ -852,25 +809,6 @@ class ScriptReport:
             "established": list(self.established),
             "equations": {k: list(v) for k, v in self.equations.items()},
         }
-
-
-def _infer_script_quiver(relations) -> Quiver:
-    vertices: set = set()
-    arrows: dict = {}
-    for rel in relations:
-        if not isinstance(rel, Element):
-            raise ValueError("pass quiver= explicitly when relations are not "
-                             "path-algebra elements")
-        for word in rel.words():
-            vertices |= {word.source, word.target}
-            for a, _ in word.letters:
-                arrows[a] = None
-    if len(vertices) != 1:
-        raise ValueError("cannot infer a quiver: relation words do not share "
-                         "a single vertex; pass quiver= explicitly")
-    v = vertices.pop()
-    arr = [(a, v, v) for a in sorted(arrows, key=_idkey)]
-    return Quiver([v], arr, localized=[a for a, _, _ in arr])
 
 
 def _script_word(quiver: Quiver, s) -> Word:
@@ -899,22 +837,37 @@ def _eq_key(eq: tuple[Word, Word]):
     return (a.source, a.target, a.letters, b.source, b.target, b.letters)
 
 
-def check_derivation_script(relations, script, quiver: Quiver = None
-                            ) -> ScriptReport:
+def check_derivation_script(relations, script, quiver: Quiver) -> ScriptReport:
     """Mechanically verify a derivation script against input relations.
 
-    ``relations`` are binomial elements of the localized algebra (or explicit
-    word pairs with ``quiver`` given).  Each step's declared move must produce
-    its target equation exactly, up to swapping the two sides; checking stops
-    at the first unverifiable step.  The report lists the identities the
-    verified steps establish.
+    ``relations`` are binomial elements of the localized algebra over
+    ``quiver``, or explicit word pairs.  ``script`` is a list of steps, or a
+    mapping holding them under ``steps``.  A step is a mapping with keys
+    ``from`` (``"rel:k"`` or ``"step:j"``, 1-based), ``move`` and ``target``
+    (``[lhs, rhs]`` token strings), plus an optional ``establishes`` name.
+    Moves:
+
+    * ``{"kind": "cancel"}`` — restate the source equation (normal forms are
+      cancellation-free already; this introduces relations into the chain);
+    * ``{"kind": "multiply", "word": u, "side": "left"|"right"}`` — multiply
+      both sides by the unit word ``u``;
+    * ``{"kind": "substitute", "relation": k, "pattern": "lhs"|"rhs"}`` —
+      replace one occurrence of the named side of input relation ``k`` by its
+      other side;
+    * ``{"kind": "rewrite", "step": j, "pattern": "lhs"|"rhs"}`` — the same
+      with a previously derived identity.
+
+    Each step's declared move must produce its target equation exactly, up
+    to swapping the two sides; checking stops at the first unverifiable
+    step.  The report lists the identities the verified steps establish.
+    The checker verifies; it does not search for derivations.
     """
-    if not isinstance(script, DerivationScript):
-        script = DerivationScript.from_json(script)
-    steps = script.steps
-    relations = list(relations)
-    if quiver is None:
-        quiver = _infer_script_quiver(relations)
+    steps = [dict(s) for s in
+             (script["steps"] if isinstance(script, Mapping) else script)]
+    for i, s in enumerate(steps, start=1):
+        for key in ("from", "move", "target"):
+            if key not in s:
+                raise ValueError(f"step {i} lacks the {key!r} field")
     rel_eqs = [_as_equation(rel, quiver, f"relation {i}")
                for i, rel in enumerate(relations, start=1)]
 
@@ -981,19 +934,16 @@ def check_derivation_script(relations, script, quiver: Quiver = None
             P, O = cited if pattern == "lhs" else cited[::-1]
             if not P.letters:
                 return fail(idx, "the cited pattern side is a constant word")
+            width = len(P.letters)
             for side in (0, 1):
-                L = src[side].letters
-                for pos in range(len(L) - len(P.letters) + 1):
-                    if L[pos:pos + len(P.letters)] != P.letters:
+                w = src[side]
+                for pos in range(len(w.letters) - width + 1):
+                    if w.letters[pos:pos + width] != P.letters:
                         continue
-                    new_letters = L[:pos] + O.letters + L[pos + len(P.letters):]
-                    at = None
-                    if not new_letters:
-                        if src[side].source != src[side].target:
-                            continue
-                        at = src[side].source
+                    prefix = Word(P.target, w.target, w.letters[:pos])
+                    suffix = Word(w.source, P.source, w.letters[pos + width:])
                     try:
-                        w_new = normalize(quiver, new_letters, at=at)
+                        w_new = word_product(quiver, prefix, O, suffix)
                     except NonComposable:
                         continue
                     eq = list(src)

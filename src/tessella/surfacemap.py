@@ -139,10 +139,12 @@ class CombinatorialMap:
         return out
 
     def vertex_of(self, h: int) -> tuple[int, ...]:
-        for cyc in self.vertex_cycles():
-            if h in cyc:
-                return cyc
-        raise UnknownVertex(h)
+        """The rotation cycle through ``h``, from its smallest half-edge."""
+        if h not in self.rotation:
+            raise UnknownVertex(h)
+        cyc = _cycles_of(self.rotation, (h,))[0]
+        i = cyc.index(min(cyc))
+        return cyc[i:] + cyc[:i]
 
 
 def genus(m: CombinatorialMap) -> int:
@@ -285,12 +287,8 @@ def minimal_cycle(tiling: BraneTiling, v: int) -> tuple[str, ...]:
     needing a specific rotation can rotate it).
     """
     m = tiling.map
-    cyc = None
-    for c in m.vertex_cycles():
-        if c[0] == v:
-            cyc = c
-            break
-    if cyc is None:
+    cyc = m.vertex_of(v)
+    if cyc[0] != v:
         raise UnknownVertex(v)
     color = tiling.coloring.get(v)
     halves = list(cyc) if color == "w" else [cyc[0]] + list(reversed(cyc[1:]))

@@ -445,8 +445,8 @@ def _cyclic_match(w, target) -> bool:
 def test_criterion_09_derivation_script():
     ctx, _, Wp = running_example()
     blob = load_data("genus2_derivation.json")
-    _, relations = contracted_relations(ctx.quiver, Wp, blob["contract"])
-    report = check_derivation_script(relations, blob)
+    quiver, relations = contracted_relations(ctx.quiver, Wp, blob["contract"])
+    report = check_derivation_script(relations, blob, quiver)
     assert report.ok, report.reason
     assert set(report.established) >= {"central-square-a", "central-square-c",
                                        "mapping-relator"}

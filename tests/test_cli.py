@@ -364,6 +364,10 @@ _BAD_STEPS = ("derivation script field 'steps' must be a list of step "
               "words and an optional string 'establishes'")
 
 
+_UNKNOWN_CONTRACT = ("derivation script field 'contract' names arrows "
+                     "['zz'] that the orbit quiver does not have")
+
+
 @pytest.mark.parametrize("script, message", [
     ({"steps": 3}, _BAD_STEPS),
     ({"contract": 5, "steps": []},
@@ -380,6 +384,7 @@ _BAD_STEPS = ("derivation script field 'steps' must be a list of step "
     (_bundled_script_with(4, target=["a"]), _BAD_STEPS),
     (_bundled_script_with(4, target=[5, 6]), _BAD_STEPS),
     (_bundled_script_with(0, establishes=["name"]), _BAD_STEPS),
+    ({"contract": ["zz"], "steps": []}, _UNKNOWN_CONTRACT),
 ])
 def test_malformed_derivation_script_names_the_field(tmp_path, capsys, script,
                                                      message):
@@ -390,16 +395,58 @@ def test_malformed_derivation_script_names_the_field(tmp_path, capsys, script,
     assert err == f"error: InputError: {message}\n"
 
 
-def test_pipeline_malformed_derivation_script_is_input_error(tmp_path, capsys):
-    bad = tmp_path / "script.json"
-    bad.write_text(json.dumps({"steps": 3}))
+def _pipeline_with_script(tmp_path, capsys, script):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"script": str(bad), "field_sizes": [2],
+    cfg_path.write_text(json.dumps({"script": str(path), "field_sizes": [2],
                                     "output_dir": str(tmp_path / "out")}))
     rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
-    stages = {s["name"]: s for s in json.loads(out)["stages"]}
+    return rc, {s["name"]: s for s in json.loads(out)["stages"]}
+
+
+def test_pipeline_malformed_derivation_script_is_input_error(tmp_path, capsys):
+    rc, stages = _pipeline_with_script(tmp_path, capsys, {"steps": 3})
     assert rc == EXIT_INPUT
     assert stages["verify"]["detail"] == f"InputError: {_BAD_STEPS}"
+    assert stages["count"]["status"] == "skipped"
+
+
+_REL1_CANCEL = {"from": "rel:1", "move": {"kind": "cancel"},
+                "target": ["r d b r c", "b r e a b r e"]}
+
+
+@pytest.mark.parametrize("script, code, total", [
+    ([], EXIT_OK, 0),
+    ([_REL1_CANCEL], EXIT_OK, 1),
+    ([dict(_REL1_CANCEL, target=["a", "b"])], EXIT_VERIFY, 1),
+])
+def test_check_script_without_contract_uses_the_whole_orbit_quiver(
+        tmp_path, capsys, script, code, total):
+    # a list-shaped script contracts nothing: its relations keep both
+    # vertices of the orbit quiver
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    rc, out, _ = run(["check-script", str(path)], capsys)
+    assert rc == code
+    report = json.loads(out)
+    assert report["steps_total"] == total
+    assert report["ok"] is (code == EXIT_OK)
+
+
+def test_pipeline_checks_a_list_shaped_script(tmp_path, capsys):
+    rc, stages = _pipeline_with_script(tmp_path, capsys, [])
+    assert rc == EXIT_OK
+    assert stages["verify"]["status"] == "ok"
+    verify = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert verify["derivation_script"]["steps_total"] == 0
+
+
+def test_pipeline_unknown_contract_arrow_is_input_error(tmp_path, capsys):
+    rc, stages = _pipeline_with_script(tmp_path, capsys,
+                                       {"contract": ["zz"], "steps": []})
+    assert rc == EXIT_INPUT
+    assert stages["verify"]["detail"] == f"InputError: {_UNKNOWN_CONTRACT}"
     assert stages["count"]["status"] == "skipped"
 
 

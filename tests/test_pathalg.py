@@ -19,6 +19,8 @@ from tessella.pathalg import (
     Quiver,
     UnknownArrow,
     Word,
+    _letterkey,
+    canonical_rotation,
     check_d_squared,
     commutator_sum,
     cyclic_derivative,
@@ -440,6 +442,25 @@ def test_seam_products_match_normalize(seed, length, cuts):
     if len(pieces) == 2:
         x, y = (Element.from_word(w) for w in pieces)
         assert multiply(qp, x, y) == Element.from_word(whole)
+
+
+def _least_rotation_reference(cycle):
+    """The rule ``canonical_rotation`` replaced: build every rotation and
+    compare their full key tuples; ``min`` keeps the first of equal keys."""
+    rotations = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
+    return min(rotations, default=cycle,
+               key=lambda r: tuple(_letterkey(l) for l in r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.lists(st.tuples(st.sampled_from(["a", "b", 1, "1", "r"]),
+                               st.sampled_from([1, -1])), max_size=8),
+       repeats=st.integers(1, 3))
+def test_canonical_rotation_matches_the_all_rotations_rule(base, repeats):
+    # repeated blocks tie whole rotations; ids 1 and "1" share a key, so
+    # rotations with equal keys can still differ in their letters
+    cycle = tuple(base) * repeats
+    assert canonical_rotation(cycle) == _least_rotation_reference(cycle)
 
 
 # -- the shared combination core ------------------------------------------------

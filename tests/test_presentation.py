@@ -28,7 +28,6 @@ from tessella.pathalg import (
     word_product,
 )
 from tessella.presentation import (
-    DerivationScript,
     GenusTooSmall,
     MatrixUnitElement,
     MissingPhiAction,
@@ -733,9 +732,9 @@ def test_contracted_relations_shape(ctx, wprime):
 
 def test_bundled_script_verifies(ctx, wprime):
     blob = load_data("genus2_derivation.json")
-    _, rels = contracted_relations(ctx.quiver, wprime,
-                                   contract=blob["contract"])
-    report = check_derivation_script(rels, blob)
+    q2, rels = contracted_relations(ctx.quiver, wprime,
+                                    contract=blob["contract"])
+    report = check_derivation_script(rels, blob, q2)
     assert report.ok, report.reason
     assert report.steps_checked == report.steps_total == 39
     assert report.failed_step is None and report.reason is None
@@ -769,9 +768,9 @@ def _cyclic_match(u, v):
 
 def test_script_equations_present_the_mapping_torus_group(ctx, wprime):
     blob = load_data("genus2_derivation.json")
-    _, rels = contracted_relations(ctx.quiver, wprime,
-                                   contract=blob["contract"])
-    report = check_derivation_script(rels, blob)
+    q2, rels = contracted_relations(ctx.quiver, wprime,
+                                    contract=blob["contract"])
+    report = check_derivation_script(rels, blob, q2)
     targets = [
         parse_group_word("x z z x^-1 z^-1 z^-1"),
         parse_group_word("y z z y^-1 z^-1 z^-1"),
@@ -794,19 +793,19 @@ def test_script_equations_present_the_mapping_torus_group(ctx, wprime):
 
 
 def test_empty_script_is_vacuously_valid(ctx, wprime):
-    _, rels = contracted_relations(ctx.quiver, wprime, contract=("e",))
-    report = check_derivation_script(rels, [])
+    q2, rels = contracted_relations(ctx.quiver, wprime, contract=("e",))
+    report = check_derivation_script(rels, [], q2)
     assert report.ok and report.steps_total == 0
     assert report.established == ()
 
 
 def test_script_failure_stops_at_first_bad_step(ctx, wprime):
     blob = load_data("genus2_derivation.json")
-    _, rels = contracted_relations(ctx.quiver, wprime,
-                                   contract=blob["contract"])
+    q2, rels = contracted_relations(ctx.quiver, wprime,
+                                    contract=blob["contract"])
     steps = [dict(s) for s in blob["steps"]]
     steps[4] = dict(steps[4], target=["r", "d r r"])
-    report = check_derivation_script(rels, steps)
+    report = check_derivation_script(rels, steps, q2)
     assert not report.ok
     assert report.failed_step == 5 and report.steps_checked == 4
     assert "target" in report.reason
@@ -815,10 +814,10 @@ def test_script_failure_stops_at_first_bad_step(ctx, wprime):
 
 
 def test_script_move_validation(ctx, wprime):
-    _, rels = contracted_relations(ctx.quiver, wprime, contract=("e",))
+    q2, rels = contracted_relations(ctx.quiver, wprime, contract=("e",))
 
     def run(step):
-        return check_derivation_script(rels, [step])
+        return check_derivation_script(rels, [step], q2)
 
     base = {"from": "rel:1", "move": {"kind": "cancel"},
             "target": ["b r a b r", "r d b r c"]}
@@ -857,13 +856,27 @@ def test_script_multiplier_must_be_a_unit():
     assert check_derivation_script(relations, ok_script, quiver=q).ok
 
 
-def test_script_quiver_inference_limits():
-    with pytest.raises(ValueError, match="quiver"):
-        check_derivation_script([("u v", "v u")], [])
+def test_script_substitution_on_a_two_vertex_quiver():
+    q = Quiver((1, 2), [("x", 1, 2), ("y", 1, 2), ("z", 2, 1)],
+               localized=["x", "y", "z"])
+    relations = [("x", "y"), ("x z x", "y")]
+
+    def run(target):
+        step = {"from": "rel:2", "target": target,
+                "move": {"kind": "substitute", "relation": 1,
+                         "pattern": "lhs"}}
+        return check_derivation_script(relations, [step], q)
+
+    assert run(["y z x", "y"]).ok
+    assert run(["x z y", "y"]).ok
+    assert not run(["y z y", "y"]).ok
 
 
 def test_derivation_script_field_validation():
-    with pytest.raises(ValueError, match="target"):
-        DerivationScript([{"from": "rel:1", "move": {"kind": "cancel"}}])
-    script = DerivationScript.from_json({"steps": []})
-    assert len(script) == 0 and script.to_json() == []
+    q = Quiver((1,), [("u", 1, 1), ("v", 1, 1)], localized=["u", "v"])
+    with pytest.raises(ValueError, match="step 1 lacks the 'target' field"):
+        check_derivation_script([("u v", "v u")],
+                                [{"from": "rel:1", "move": {"kind": "cancel"}}],
+                                q)
+    report = check_derivation_script([("u v", "v u")], {"steps": []}, q)
+    assert report.ok and report.steps_total == 0

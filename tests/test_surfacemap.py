@@ -161,6 +161,15 @@ def test_minimal_cycle_unknown_handle():
         minimal_cycle(genus2_tiling(), 2)  # half-edge 2 is not a cycle minimum
 
 
+def test_vertex_of_is_the_rotation_cycle_from_its_handle():
+    m = genus2_tiling().map
+    for cyc in m.vertex_cycles():
+        for h in cyc:
+            assert m.vertex_of(h) == cyc
+    with pytest.raises(UnknownVertex):
+        m.vertex_of(max(m.half_edges) + 1)
+
+
 def test_minimal_cycles_are_the_potential_terms():
     t = genus2_tiling()
     _, pot = dual_quiver(t)
