@@ -26,8 +26,9 @@ Conventions
   newline.  Two runs with the same inputs and seed write identical bytes.
 * Exit codes: 0 all checks pass; 2 a verification failed; 3 no admissible
   embedding choice exists for the input; 4 input/configuration error,
-  including a count over its state-space or int64 guard, an input file
-  that is missing or not JSON, a tiling that ``validate_tiling`` rejects,
+  including a count over its state-space, pool or int64 guard (in the
+  pipeline too), a sample size below 1, an input file that is missing or
+  not JSON, a tiling that ``validate_tiling`` rejects,
   a tiling, automorphism, qpot, choice, derivation-script or pipeline
   config file or an omega element of the wrong shape, and a symmetry
   whose equivariant dimer gets stuck (``MatchingStuck``).
@@ -328,6 +329,9 @@ def _check_counting(opts: dict) -> None:
     if mode == "sample":
         if opts.get("sample_size") is None:
             raise InputError("sample mode needs a sample size")
+        if opts["sample_size"] < 1:
+            raise InputError(f"sample size must be >= 1, "
+                             f"got {opts['sample_size']}")
         if opts.get("seed") is None:
             raise InputError("sample mode needs an explicit seed")
 
@@ -909,7 +913,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             stages.append(StageOutcome(name, "failed",
                                        f"NoChoiceFound: {exc}"))
             exit_code, aborted = EXIT_NO_CHOICE, True
-        except (InputError, MissingPhiAction) as exc:
+        except (InputError, MissingPhiAction, StateSpaceTooLarge) as exc:
             stages.append(StageOutcome(name, "failed",
                                        f"{type(exc).__name__}: {exc}"))
             exit_code, aborted = EXIT_INPUT, True

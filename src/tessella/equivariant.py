@@ -23,7 +23,8 @@ builds the machinery relating the dual quiver ``Q`` to its orbit quiver
   matchings by brute force; it is the oracle the search is tested
   against, not a step of it.
 
-Isomorphism arrows carry degree +1 (inverses -1); all other arrows degree 0.
+The isomorphism arrows are the orbit quiver's localized arrows; they carry
+degree +1 (inverses -1) and all other arrows degree 0.
 The common-source rule (all generators whose sources share a vertex orbit
 use the same source vertex) is the sufficient condition ensuring no
 isomorphism arrow appears in the transported potential with both signs.
@@ -558,17 +559,17 @@ class XiTable:
 
 @dataclass
 class SemidirectQuiver:
-    """The orbit quiver with its grading and provenance.
+    """The orbit quiver with its provenance.
 
     ``quiver`` has the original vertices, the chosen generators, and the
-    localized isomorphism arrows; ``degree`` grades iso arrows +1 and
-    everything else 0.  The embedding reads :attr:`xi_table`, which is
-    built on first use: an orbit quiver read only for its grading, such as
-    ``arrow_degree``, needs none of it.
+    isomorphism arrows, which are exactly its localized arrows.  That
+    localization is the grading: iso arrows have degree +1, their inverses
+    -1 and everything else 0.  The embedding reads :attr:`xi_table`, which
+    is built on first use: an orbit quiver read only for its grading, such
+    as ``arrow_degree``, needs none of it.
     """
 
     quiver: Quiver
-    degree: dict
     base: Quiver
     phi: QuiverAutomorphism
     choice: OrbitChoice
@@ -587,14 +588,15 @@ class SemidirectQuiver:
             raise NonComposable(f"{u!r} and {v!r} lie in different vertex orbits")
         chain = self.iso_chain[ru]
         if pu <= pv:
-            letters = [(chain[t], 1) for t in range(pv - 1, pu - 1, -1)]
+            letters = tuple((chain[t], 1) for t in range(pv - 1, pu - 1, -1))
         else:
-            letters = [(chain[t], -1) for t in range(pv, pu)]
-        return normalize(self.quiver, letters, at=u if not letters else None)
+            letters = tuple((chain[t], -1) for t in range(pv, pu))
+        # consecutive chain arrows compose, and one sign cannot cancel
+        return Word(u, v, letters)
 
     @cached_property
     def xi_table(self) -> XiTable:
-        """Fill the table from ``iso_word`` and ``normalize``: xi(a) is
+        """Fill the table from ``iso_word`` and ``word_product``: xi(a) is
         ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the iso words from the
         source of ``a`` to the source of its generator and from the
         generator's target to the target of ``a``; ``unwind[a]`` is p_a^-1."""
@@ -602,7 +604,8 @@ class SemidirectQuiver:
         for a, (gen, _) in self.gen_of.items():
             q = self.iso_word(self.base.source(a), self.base.source(gen))
             p = self.iso_word(self.base.target(gen), self.base.target(a))
-            image[a] = normalize(self.quiver, p.letters + ((gen, 1),) + q.letters)
+            g = Word(q.target, p.source, ((gen, 1),))
+            image[a] = word_product(self.quiver, p, g, q)
             unwind[a] = _invert(p.letters)
         for g in self.choice.generators:
             for j in range(self.phi.order):
@@ -614,7 +617,7 @@ class SemidirectQuiver:
         return self.xi_table.image[a]
 
     def word_degree(self, w: Word) -> int:
-        return sum(e * self.degree.get(a, 0) for a, e in w.letters)
+        return sum(e for a, e in w.letters if a in self.quiver.localized)
 
     def arrow_degree(self, a) -> int:
         """Degree of the embedded image of a base-quiver arrow."""
@@ -693,11 +696,7 @@ def build_orbit_quiver(quiver: Quiver, phi: QuiverAutomorphism,
     arrows = [(g, quiver.source(g), quiver.target(g)) for g in choice.generators]
     arrows += iso_arrows
     q = Quiver(quiver.vertices, arrows, localized=[a for a, _, _ in iso_arrows])
-    degree = {a: 0 for a in q.arrow_ids()}
-    for a, _, _ in iso_arrows:
-        degree[a] = 1
-    return SemidirectQuiver(q, degree, quiver, phi, choice, iso_chain,
-                            chain_pos, gen_of)
+    return SemidirectQuiver(q, quiver, phi, choice, iso_chain, chain_pos, gen_of)
 
 
 def xi_embed(p, ctx: SemidirectQuiver) -> Word:
@@ -711,7 +710,7 @@ def xi_embed(p, ctx: SemidirectQuiver) -> Word:
     if isinstance(p, Word):
         letters = p.letters
         if not letters:
-            return normalize(ctx.quiver, (), at=p.source)
+            return p  # the base and orbit quivers share their vertices
     else:
         letters = tuple((a, 1) for a in p)
         if not letters:
@@ -739,7 +738,7 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
     word times p_b^-1, a normal word starting at target(b).
     """
     table = ctx.xi_table
-    iso = {a for a in ctx.degree if ctx.degree[a] == 1}
+    iso = ctx.quiver.localized
     stack = list(w.letters)
     p_letters: list = []
     v0 = w.source
@@ -773,7 +772,7 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
         v0 = ctx.base.target(b)
     # the walk stops only when every letter left is an iso arrow
     if not p_letters:
-        return w, normalize(ctx.base, (), at=w.source)
+        return w, Word(w.source, w.source, ())
     # consecutive members compose by construction: each starts at the
     # target of the one before
     p_letters.reverse()
@@ -799,22 +798,17 @@ def transport_potential(W: Potential, ctx: SemidirectQuiver) -> TransportResult:
     the image with both signs (the common-source condition rules this out).
     Reports whether the image is homogeneous in the iso grading.
     """
-    terms = []
-    for coeff, cyc in W.terms():
-        word = xi_embed([a for a, _ in cyc], ctx)
-        terms.append((coeff, word.letters))
-    out = Potential.build(ctx.quiver, terms)
-    signs: dict = {}
-    for _, cyc in out.terms():
-        for a, e in cyc:
-            if ctx.degree.get(a) == 1:
-                signs.setdefault(a, set()).add(1 if e > 0 else -1)
-    mixed = sorted(a for a, sgn in signs.items() if len(sgn) == 2)
+    out = Potential.build(ctx.quiver, ((c, xi_embed([a for a, _ in cyc], ctx))
+                                       for c, cyc in W.terms()))
+    used, degs = set(), set()  # iso letters, and the degree of each cycle
+    for cyc in out.coeffs:
+        iso = [(a, e) for a, e in cyc if a in ctx.quiver.localized]
+        used.update(iso)
+        degs.add(sum(e for _, e in iso))
+    mixed = sorted(a for a, e in used if e == 1 and (a, -1) in used)
     if mixed:
         raise MixedInverseViolation(
             f"isomorphism arrows occurring with both signs: {mixed}")
-    degs = {sum(e * ctx.degree.get(a, 0) for a, e in cyc)
-            for _, cyc in out.terms()}
     homogeneous = len(degs) <= 1
     degree = degs.pop() if len(degs) == 1 else (0 if not degs else None)
     return TransportResult(out, homogeneous, degree)

@@ -10,8 +10,9 @@ Conventions, fixed once and used everywhere:
   ``x * y`` applies ``y`` first.  This is the same order as matrix
   multiplication, which is what makes the matrix-unit homomorphism in
   :mod:`tessella.presentation` a homomorphism.
-* A potential is a rational combination of *cyclic* words (exponent-free);
-  each cyclic word is stored as its lexicographically minimal rotation.
+* A potential is a rational combination of *cyclic* words (exponent-free).
+  Cycles enter only through ``Potential.build``, which checks each once and
+  keys it by its lexicographically minimal rotation; keys are canonical.
 * The cyclic derivative with respect to ``a`` rotates each occurrence of
   ``a`` to the front of its cycle and deletes it, keeping the remaining
   letters in written order.  For a cycle written ``t_0 t_1 ... t_{k-1}`` and
@@ -299,26 +300,20 @@ def _seam(left: Sequence[Letter], right: Sequence[Letter]) -> int:
 
 class _Combination:
     """Finite rational combination of keys, from a mapping or from
-    ``(key, coeff)`` pairs; repeated keys add up and zeros are dropped.  A
-    subclass says how a key is normalized (``_key``), ordered (``_order``)
+    ``(key, coeff)`` pairs; repeated keys add up and zeros are dropped.  Keys
+    are taken as given.  A subclass says how a key is ordered (``_order``)
     and printed (``_render``); neither subclass is an instance of the other.
     """
 
     __slots__ = ("coeffs",)
 
-    @staticmethod
-    def _key(key):
-        return key
-
     def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
         if isinstance(terms, Mapping):
             terms = terms.items()
-        key = self._key
         clean: dict = {}
         for k, c in terms or ():
             c = Fraction(c)
             if c:
-                k = key(k)
                 c += clean.get(k, 0)
                 if c:
                     clean[k] = c
@@ -413,8 +408,9 @@ def word_product(quiver: Quiver, *words: Word) -> Word:
 # -- potentials --------------------------------------------------------------
 
 
-def _as_letters(cycle: Sequence) -> tuple[Letter, ...]:
-    """Coerce a cycle given as arrow ids and/or (arrow, exp) pairs to letters."""
+def _as_letters(cycle: Iterable) -> tuple[Letter, ...]:
+    """Coerce a nonempty cycle given as arrow ids and/or (arrow, exp) pairs
+    to letters."""
     out = []
     for entry in cycle:
         if isinstance(entry, tuple) and len(entry) == 2 \
@@ -425,6 +421,8 @@ def _as_letters(cycle: Sequence) -> tuple[Letter, ...]:
             out.append((a, int(e)))
         else:
             out.append((entry, 1))
+    if not out:
+        raise NonComposable("empty cycle in potential")
     return tuple(out)
 
 
@@ -452,16 +450,13 @@ class Potential(_Combination):
 
     Cycles are letter tuples ``((arrow, exp), ...)``; inverse letters are
     meaningful only for localized arrows and arise e.g. when a potential is
-    pushed through an algebra embedding.  Plain arrow sequences are accepted
-    everywhere and read as exponent-1 letters.
+    pushed through an algebra embedding.  Cycles enter only through
+    :meth:`build`; the constructor, ``+``, ``-`` and ``scale`` trust keys
+    that are already canonical.
     """
 
     __slots__ = ()
     _render = staticmethod(render_letters)
-
-    @staticmethod
-    def _key(cycle) -> tuple:
-        return canonical_rotation(_wrap_reduce(_as_letters(cycle)))
 
     @staticmethod
     def _order(cycle):
@@ -469,18 +464,19 @@ class Potential(_Combination):
 
     @staticmethod
     def build(quiver: Quiver, terms: Iterable[tuple]) -> "Potential":
-        """From (coeff, cycle) pairs; validates closed composability."""
+        """From (coeff, cycle) pairs; a cycle is a normal :class:`Word`, or
+        arrow ids and/or (arrow, exp) pairs to normalize.  Each is checked
+        closed, cancelled across its seam and rotated once."""
         pairs = []
         for coeff, cyc in terms:
-            letters = _as_letters(tuple(cyc))
-            if not letters:
-                raise NonComposable("empty cycle in potential")
-            w = normalize(quiver, letters)
+            w = (cyc if isinstance(cyc, Word)
+                 else normalize(quiver, _as_letters(cyc)))
             if w.source != w.target:
                 raise NonComposable(f"cycle {cyc!r} is not closed")
-            if not _wrap_reduce(w.letters):
+            letters = _wrap_reduce(w.letters)
+            if not letters:
                 raise NonComposable(f"cycle {cyc!r} reduces to a constant path")
-            pairs.append((w.letters, coeff))
+            pairs.append((canonical_rotation(letters), coeff))
         return Potential(pairs)
 
     def terms(self) -> list[tuple]:

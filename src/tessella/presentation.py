@@ -488,7 +488,7 @@ def _erase_faces(letters: tuple, rots: frozenset) -> tuple:
 
 def _letter_image(ctx, paths, gamma, act, a, e):
     """The matrix-unit image of one orbit-quiver letter: (group word, k)."""
-    if ctx.degree.get(a, 0) == 0:
+    if not ctx.quiver.is_localized(a):
         src, tgt = ctx.quiver.source(a), ctx.quiver.target(a)
         loop = (_invert(_tree_path(paths, tgt)) + ((a, 1),)
                 + _tree_path(paths, src))
@@ -645,7 +645,7 @@ def _psi_assignment_table(ctx, phi: PhiAction, assignment) -> dict:
         else:
             word, k = v
             el = SemidirectElement(word, int(k))
-        expected = -ctx.degree.get(a, 0)
+        expected = -1 if ctx.quiver.is_localized(a) else 0
         if el.k != expected:
             raise ValueError(
                 f"assignment for {a!r} has integer part {el.k}; the grading "

@@ -897,6 +897,36 @@ def test_count_over_the_guard_exits_as_bad_input(q, d, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_pipeline_count_over_the_pool_guard_exits_as_bad_input(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"field_sizes": [47], "dimension": 2,
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
+    assert rc == EXIT_INPUT
+    report = json.loads(out)
+    assert report["exit_code"] == EXIT_INPUT
+    count = report["stages"][-1]
+    assert count["name"] == "count" and count["status"] == "failed"
+    assert count["detail"].startswith(
+        "StateSpaceTooLarge: a single arrow already has 4879681 matrices")
+    assert all(s["status"] == "ok" for s in report["stages"][:-1])
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_a_sample_size_below_one_is_input_error(tmp_path, capsys, size):
+    message = f"error: InputError: sample size must be >= 1, got {size}\n"
+    rc, out, err = run(["count", "--q", "3", "--mode", "sample",
+                        "--sample-size", str(size), "--seed", "1"], capsys)
+    assert (rc, out, err) == (EXIT_INPUT, "", message)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"field_sizes": [3], "mode": "sample",
+                                    "sample_size": size, "seed": 1,
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, err = run(["pipeline", "--config", str(cfg_path)], capsys)
+    assert (rc, out, err) == (EXIT_INPUT, "", message)
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # every subcommand is a view over the one stage table
 

@@ -463,6 +463,72 @@ def test_canonical_rotation_matches_the_all_rotations_rule(base, repeats):
     assert canonical_rotation(cycle) == _least_rotation_reference(cycle)
 
 
+def _as_pairs(cycle):
+    return [l if isinstance(l, tuple) else (l, 1) for l in cycle]
+
+
+def _old_potential_key(cycle):
+    """The key ``Potential`` once recomputed on every construction: read
+    bare arrow ids as exponent-1 letters, cancel inverse pairs across the
+    rotation seam, take the least rotation."""
+    letters = tuple(_as_pairs(cycle))
+    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    return _least_rotation_reference(letters)
+
+
+def _random_cycle(qp, rng, length):
+    """A random closed walk in written order, closed by one letter when the
+    walk ends away from where it started; exponent-1 letters are given as
+    bare arrow ids at random."""
+    letters, target = _random_word_letters(qp, rng, length)
+    source = qp.letter_ends(letters[-1])[0]
+    if target != source:
+        letters.insert(0, ("c", 1) if target == 1 else ("r", 1))
+    return [a if e == 1 and rng.random() < 0.5 else (a, e) for a, e in letters]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       coeffs=st.lists(st.fractions(-2, 2, max_denominator=3), min_size=1,
+                       max_size=8),
+       split=st.integers(0, 8), k=st.fractions(-3, 3, max_denominator=2))
+def test_built_potentials_are_keyed_once_and_trusted(seed, coeffs, split, k):
+    qp = orbit_quiver()
+    rng = random.Random(seed)
+    terms, expected = [], {}
+    for c in coeffs:
+        cycle = _random_cycle(qp, rng, rng.randint(1, 8))
+        key = _old_potential_key(qp.word(_as_pairs(cycle)).letters)
+        if not key:
+            with pytest.raises(NonComposable, match="constant path"):
+                Potential.build(qp, [(c, cycle)])
+            continue
+        terms.append((c, cycle))
+        expected[key] = expected.get(key, 0) + c
+    built = Potential.build(qp, terms)
+    assert built.coeffs == {key: c for key, c in expected.items() if c}
+    words = [(c, qp.word(_as_pairs(cycle))) for c, cycle in terms]
+    assert Potential.build(qp, words) == built
+    # the combination core trusts the keys of built potentials
+    x, y = Potential.build(qp, terms[:split]), Potential.build(qp, terms[split:])
+    assert x + y == built
+    assert x - y == Potential.build(
+        qp, terms[:split] + [(-c, cycle) for c, cycle in terms[split:]])
+    assert x.scale(k) == Potential.build(qp, [(c * k, cycle)
+                                              for c, cycle in terms[:split]])
+
+
+def test_build_keeps_its_three_errors(qp):
+    # a Word is taken as normal and checked only for closure
+    for cycle, message in [((), "empty cycle"), ("c", "not closed"),
+                           ([("r", 1), ("r", -1)], "constant path"),
+                           (_w(qp, "c"), "not closed"),
+                           (_w(qp, "", at=1), "constant path")]:
+        with pytest.raises(NonComposable, match=message):
+            Potential.build(qp, [(1, cycle)])
+
+
 # -- the shared combination core ------------------------------------------------
 
 

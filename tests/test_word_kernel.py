@@ -1,5 +1,6 @@
 """The table-driven embedding and the one-pass factorization against the slow
 route: iso words built by ``SemidirectQuiver.iso_word`` and joined by
+``normalize``, with ``iso_word`` itself held to chain letters passed through
 ``normalize``.  Contexts: the bundled genus-2 example, each admissible choice
 of acceptance criterion 05, and order-3 and order-4 cyclic covers of the
 bundled torus, whose iso chains are long enough for inverse iso letters to
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import genus2_quiver
+from tessella import equivariant, pathalg
 from tessella.datafiles import load_data
 from tessella.equivariant import (
     OrbitChoice,
@@ -23,6 +25,7 @@ from tessella.equivariant import (
     factor_word,
     induced_quiver_automorphism,
     tiling_automorphism_from_json,
+    transport_potential,
     xi_embed,
 )
 from tessella.pathalg import Word, normalize
@@ -120,6 +123,18 @@ def context(name):
 # -- the slow route ------------------------------------------------------------
 
 
+def slow_iso_word(ctx, u, v) -> Word:
+    """The chain letters from ``u`` to ``v``, checked and cancelled by
+    ``normalize``."""
+    (rep, pu), (_, pv) = ctx.chain_pos[u], ctx.chain_pos[v]
+    chain = ctx.iso_chain[rep]
+    if pu <= pv:
+        letters = [(chain[t], 1) for t in range(pv - 1, pu - 1, -1)]
+    else:
+        letters = [(chain[t], -1) for t in range(pv, pu)]
+    return normalize(ctx.quiver, letters, at=u if not letters else None)
+
+
 def slow_xi_letters(ctx, a) -> tuple:
     gen, _ = ctx.gen_of[a]
     q = ctx.iso_word(ctx.base.source(a), ctx.base.source(gen))
@@ -165,6 +180,14 @@ def test_some_cover_seams_cancel():
     assert shorter > 0
 
 
+@pytest.mark.parametrize("name", ["bundled", "torus4_base3"])
+def test_iso_word_matches_the_normalize_route(name):
+    ctx = context(name)
+    for orbit in ctx.phi.vertex_orbits():
+        for u, v in itertools.product(orbit, repeat=2):
+            assert ctx.iso_word(u, v) == slow_iso_word(ctx, u, v)
+
+
 @pytest.mark.parametrize("name", CONTEXT_NAMES)
 def test_xi_table_matches_slow_route_on_arrows(name):
     ctx = context(name)
@@ -208,3 +231,27 @@ def test_xi_table_is_built_on_first_use_and_reused():
     xi_embed("fe", ctx)
     factor_word(xi_embed("fe", ctx), ctx)
     assert ctx.xi_table is table
+
+
+# -- no revalidation -----------------------------------------------------------
+
+
+def test_transport_on_a_fresh_context_normalizes_nothing(monkeypatch):
+    """The embedding's words are normal by construction and ``build`` takes
+    them as they are: transport, its table build included, calls no
+    ``normalize``."""
+    _, W = dual_quiver(tiling_from_json(load_data("genus2_tiling.json")))
+    ctx = bundled_context()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(pathalg, "normalize", counted)
+    monkeypatch.setattr(equivariant, "normalize", counted)
+    assert "xi_table" not in vars(ctx)
+    result = transport_potential(W, ctx)
+    assert calls == []
+    assert str(result.potential) == "2crdr - erer - 2ardbrc + abreabre"
+    assert result.homogeneous and result.degree == 2
