@@ -24,14 +24,15 @@ Conventions
 -----------
 * All emitted JSON is byte-stable: sorted keys, two-space indent, trailing
   newline.  Two runs with the same inputs and seed write identical bytes.
-* Exit codes: 0 all checks pass; 2 a verification failed; 3 no admissible
-  embedding choice exists for the input; 4 input/configuration error,
-  including a count over its state-space, pool or int64 guard (in the
-  pipeline too), a sample size below 1, an input file that is missing or
-  not JSON, a tiling that ``validate_tiling`` rejects,
+* Exit codes, from a subcommand and the pipeline alike (``_FAULTS``): 0
+  all checks pass; 2 a verification failed; 3 no admissible embedding
+  choice exists; 4 input/configuration error, including a count over its
+  state-space, pool or int64 guard, a sample size below 1, an input file
+  that is missing or not JSON, a tiling that ``validate_tiling`` rejects,
   a tiling, automorphism, qpot, choice, derivation-script or pipeline
-  config file or an omega element of the wrong shape, and a symmetry
-  whose equivariant dimer gets stuck (``MatchingStuck``).
+  config file or an omega element of the wrong shape, an automorphism that
+  is not a symmetry, and a stuck equivariant dimer (``MatchingStuck``); 5
+  an internal fault.
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
   sweep; it never changes a count.
 * Paths inside a pipeline config file are resolved relative to the config
@@ -101,6 +102,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 2
 EXIT_NO_CHOICE = 3
 EXIT_INPUT = 4
+EXIT_INTERNAL = 5
 
 # input file -> the bundled file read when no path is given
 _BUNDLED = {"tiling": "genus2_tiling.json",
@@ -111,6 +113,20 @@ _BUNDLED = {"tiling": "genus2_tiling.json",
 
 class InputError(ValueError):
     """Bad paths, malformed files, or invalid option combinations."""
+
+
+# (exception types, exit code): the first row that matches a fault decides,
+# in ``main`` and in ``run_pipeline``; a fault no row names is internal
+_FAULTS = (
+    ((NoChoiceFound,), EXIT_NO_CHOICE),
+    ((InputError, StateSpaceTooLarge, MatchingStuck, OSError, ValueError,
+      KeyError, TypeError), EXIT_INPUT),
+)
+
+
+def _exit_code(exc: Exception) -> int:
+    return next((code for types, code in _FAULTS if isinstance(exc, types)),
+                EXIT_INTERNAL)
 
 
 def tool_version() -> str:
@@ -797,8 +813,8 @@ class PipelineConfig:
     output_dir: str = "tessella_out"
 
     @staticmethod
-    def from_json(obj: dict, base_dir: Optional[Path] = None,
-                  output_dir: Optional[str] = None) -> "PipelineConfig":
+    def from_json(obj: dict,
+                  base_dir: Optional[Path] = None) -> "PipelineConfig":
         _check_object(obj, "pipeline config", _CONFIG_FIELDS,
                       optional=[key for key, _, _ in _CONFIG_FIELDS])
         unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
@@ -812,10 +828,7 @@ class PipelineConfig:
                         "output_dir"):
                 if kwargs.get(key) is not None:
                     kwargs[key] = str((base_dir / kwargs[key]))
-        cfg = PipelineConfig(**kwargs)
-        if output_dir is not None:
-            cfg.output_dir = output_dir
-        return cfg
+        return PipelineConfig(**kwargs)
 
     def validate(self) -> None:
         for key in ("tiling", "automorphism", "phi_star", "script"):
@@ -873,11 +886,12 @@ class RunReport:
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Execute tile -> dual -> refine -> dimer -> choice -> transport ->
-    verify -> count, short-circuiting the rest on hard errors.
+    verify -> count, short-circuiting the rest on a fault.
 
     Verification stages that complete with failing checks mark the stage
-    failed but let later stages run; exceptions stop the pipeline.  Every
-    stage gets an outcome either way.
+    failed (exit 2) but let later stages run; any other exception stops the
+    pipeline with the exit code ``_FAULTS`` gives it.  Every stage gets an
+    outcome either way.
     """
     config.validate()
     outdir = Path(config.output_dir)
@@ -894,10 +908,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         (outdir / name).write_text(_dumps(payload))
         artifacts.append(name)
 
-    for stage in _STAGES:
+    for stage in (s for s in _STAGES if s.step):
         name = stage.step
-        if name is None:
-            continue
         if aborted:
             stages.append(StageOutcome(name, "skipped",
                                        "earlier stage stopped the run"))
@@ -909,18 +921,10 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         except _VerificationFailed as exc:
             stages.append(StageOutcome(name, "failed", str(exc)))
             exit_code = max(exit_code, EXIT_VERIFY)
-        except NoChoiceFound as exc:
-            stages.append(StageOutcome(name, "failed",
-                                       f"NoChoiceFound: {exc}"))
-            exit_code, aborted = EXIT_NO_CHOICE, True
-        except (InputError, MissingPhiAction, StateSpaceTooLarge) as exc:
+        except Exception as exc:  # a fault: record it and stop the run
             stages.append(StageOutcome(name, "failed",
                                        f"{type(exc).__name__}: {exc}"))
-            exit_code, aborted = EXIT_INPUT, True
-        except Exception as exc:  # hard error: record and short-circuit
-            stages.append(StageOutcome(name, "failed",
-                                       f"{type(exc).__name__}: {exc}"))
-            exit_code, aborted = max(exit_code, EXIT_VERIFY), True
+            exit_code, aborted = _exit_code(exc), True
         finally:
             timing[name] = round(time.perf_counter() - started, 6)
 
@@ -935,15 +939,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
 
 def cmd_pipeline(args) -> int:
+    cfg = PipelineConfig()
     if args.config:
-        base = Path(args.config).resolve().parent
         obj = _parse_json(_read_input(args.config)[0], args.config)
-        cfg = PipelineConfig.from_json(obj, base_dir=base,
-                                       output_dir=args.output_dir)
-    else:
-        cfg = PipelineConfig()
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
+        cfg = PipelineConfig.from_json(obj, Path(args.config).resolve().parent)
+    if args.output_dir is not None:
+        cfg.output_dir = args.output_dir
     report = run_pipeline(cfg)
     sys.stdout.write(_dumps(report.to_json()))
     return report.exit_code
@@ -959,7 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tiling symmetries, orbit quivers with potential, and "
                     "finite-field representation counts.",
         epilog="Exit codes: 0 ok, 2 verification failure, 3 no admissible "
-               "choice, 4 input error.  TESSELLA_THREADS caps parallelism.")
+               "choice, 4 input error, 5 internal fault.  TESSELLA_THREADS "
+               "caps parallelism.")
     parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1034,13 +1036,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NoChoiceFound as exc:
-        print(f"error: NoChoiceFound: {exc}", file=sys.stderr)
-        return EXIT_NO_CHOICE
-    except (InputError, StateSpaceTooLarge, MatchingStuck, OSError, ValueError,
-            KeyError, TypeError) as exc:
+    except Exception as exc:  # one line, never a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -492,21 +492,26 @@ def cyclic_derivative(quiver: Quiver, W: Potential, a) -> Element:
 
     Localized arrows are allowed (the derivative is then taken on the
     un-localized view), but only exponent-1 occurrences are differentiable:
-    a cycle containing ``a`` inverted has no cyclic derivative here.
+    a cycle containing ``a`` inverted has no cyclic derivative here.  Keys
+    are normal cycles, so each is checked on ``quiver`` once, not per slice.
     """
     if not quiver.has_arrow(a):
         raise UnknownArrow(a)
+    source, target, letter = quiver.target(a), quiver.source(a), (a, 1)
     pairs = []
     for cyc, c in W.coeffs.items():
         if any(x == a and e != 1 for x, e in cyc):
             raise InverseOfNonLocalized(
                 f"cannot differentiate through an inverse occurrence of {a!r}")
-        for i, letter in enumerate(cyc):
-            if letter != (a, 1):
-                continue
-            rest = cyc[i + 1:] + cyc[:i]
-            pairs.append((normalize(quiver, rest, at=quiver.target(a)
-                                    if not rest else None), c))
+        if letter not in cyc:
+            continue
+        first = cyc.index(letter)
+        # the rotation that ends in ``a``: closed when its wrap seam holds
+        rot = normalize(quiver, cyc[first + 1:] + cyc[:first + 1])
+        if rot.source != rot.target:
+            raise NonComposable(f"cycle {cyc!r} is not closed")
+        pairs += ((Word(source, target, cyc[i + 1:] + cyc[:i]), c)
+                  for i in range(first, len(cyc)) if cyc[i] == letter)
     return Element(pairs)
 
 
@@ -727,10 +732,6 @@ def _coeff_to_json(c: Fraction):
     return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _coeff_from_json(v) -> Fraction:
-    return Fraction(v)
-
-
 def quiver_to_json(quiver: Quiver) -> dict:
     return {
         "vertices": sorted(quiver.vertices, key=_idkey),
@@ -752,7 +753,7 @@ def potential_to_json(W: Potential) -> list:
 
 
 def potential_from_json(quiver: Quiver, items: list) -> Potential:
-    terms = [(_coeff_from_json(d["coeff"]),
+    terms = [(Fraction(d["coeff"]),
               [(a, int(e)) for a, e in d["word"]])
              for d in items]
     return Potential.build(quiver, terms)
@@ -785,5 +786,5 @@ def element_from_json(quiver: Quiver, items: list) -> Element:
     for d in items:
         letters = [(a, int(e)) for a, e in d["word"]]
         w = normalize(quiver, letters, at=None if letters else d.get("at"))
-        pairs.append((w, _coeff_from_json(d["coeff"])))
+        pairs.append((w, Fraction(d["coeff"])))
     return Element(pairs)

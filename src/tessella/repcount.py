@@ -102,7 +102,7 @@ def _coeff_mod(c: Fraction, q: int) -> int:
     c = Fraction(c)
     den = c.denominator % q
     if den == 0:
-        raise ZeroDivisionError(f"coefficient {c} is not defined in F_{q}")
+        raise ValueError(f"coefficient {c} is not defined in F_{q}")
     return c.numerator * pow(den, -1, q) % q
 
 

@@ -17,6 +17,7 @@ import pytest
 from tessella import cli
 from tessella.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NO_CHOICE,
     EXIT_OK,
     EXIT_VERIFY,
@@ -26,7 +27,8 @@ from tessella.cli import (
     run_pipeline,
 )
 from tessella.datafiles import load_data
-from tessella.pathalg import parse_letters, qpot_from_json, qpot_to_json
+from tessella.pathalg import (InverseOfNonLocalized, cyclic_derivative,
+                              parse_letters, qpot_from_json, qpot_to_json)
 
 from conftest import (SQUARE_TORUS, cyclic_cover, genus2_potential,
                       genus2_quiver)
@@ -837,6 +839,112 @@ def test_run_report_json_carries_no_timing(tmp_path):
 def test_pipeline_exit_code_mirrors_report(tmp_path):
     report = run_pipeline(PipelineConfig(output_dir=str(tmp_path)))
     assert report.ok and report.exit_code == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# one fault table for the subcommands and the pipeline
+
+
+def _cover_files(tmp_path, voltages) -> dict:
+    """Tiling and symmetry files of a 3-fold two-square-torus cover."""
+    tiling, taut = cyclic_cover(SQUARE_TORUS, 3, voltages, seed=0)
+    files = {"tiling": tmp_path / "tiling.json",
+             "automorphism": tmp_path / "autom.json"}
+    files["tiling"].write_text(json.dumps(cli.tiling_to_json(tiling)))
+    files["automorphism"].write_text(json.dumps(cli._taut_to_json(taut)))
+    return {key: str(path) for key, path in files.items()}
+
+
+def _not_a_symmetry(tmp_path):
+    """The bundled genus-2 symmetry with two images swapped."""
+    perm = load_data("genus2_automorphism.json")["half_edge_perm"]
+    path = tmp_path / "autom.json"
+    path.write_text(json.dumps(
+        _bundled_perm_with(**{"0": perm["1"], "1": perm["0"]})))
+    return ["refine", "--automorphism", str(path)], {"automorphism": str(path)}
+
+
+def _stuck_dimer(tmp_path):
+    files = _cover_files(tmp_path, (0, 0, 0, 1))
+    return ["dimer", "--tiling", files["tiling"],
+            "--automorphism", files["automorphism"]], files
+
+
+def _count_defect(tmp_path):
+    """The cover whose transported potential inverts the isomorphism arrow
+    ``r_1_1``, which the counting quiver frees; ``count`` reads its counting
+    quiver with potential from a file."""
+    files = _cover_files(tmp_path, (0, 0, 1, 1))
+    path = tmp_path / "counting.json"
+    path.write_text(json.dumps(qpot_to_json(*cli._Run(files)["counting"])))
+    return ["count", str(path), "--q", "2"], {**files, "field_sizes": [2]}
+
+
+@pytest.mark.parametrize("fault, kind, same_detail", [
+    (_not_a_symmetry, "InvalidAutomorphism", True),
+    (_stuck_dimer, "MatchingStuck", True),
+    (_count_defect, "InverseOfNonLocalized", False),
+])
+def test_a_fault_exits_alike_from_its_subcommand_and_the_pipeline(
+        tmp_path, capsys, fault, kind, same_detail):
+    argv, config = fault(tmp_path)
+    rc, out, err = run(argv, capsys)
+    assert rc == EXIT_INPUT and out == "" and err.count("\n") == 1
+    line = err.removeprefix("error: ").rstrip("\n")
+    assert line.startswith(f"{kind}: ")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**config,
+                                    "output_dir": str(tmp_path / "out")}))
+    rc, out, _ = run(["pipeline", "--config", str(cfg_path)], capsys)
+    stages = json.loads(out)["stages"]
+    failed = [i for i, s in enumerate(stages) if s["status"] != "ok"][0]
+    assert rc == EXIT_INPUT and stages[failed]["status"] == "failed"
+    assert stages[failed]["detail"].startswith(f"{kind}: ")
+    assert all(s["status"] == "skipped" for s in stages[failed + 1:])
+    if same_detail:
+        assert stages[failed]["detail"] == line
+
+
+def test_the_count_defect_is_raised_by_the_derivative_check(tmp_path):
+    """On the counting quiver every cyclic derivative of the cover's
+    transported potential meets the freed inverse letter ``r_1_1^-1``."""
+    quiver, W = cli._Run(_cover_files(tmp_path, (0, 0, 1, 1)))["counting"]
+    for a in quiver.arrow_ids():
+        with pytest.raises(InverseOfNonLocalized):
+            cyclic_derivative(quiver, W, a)
+
+
+def test_an_internal_fault_exits_5_from_both_drivers(tmp_path, monkeypatch,
+                                                     capsys):
+    def boom(tiling, taut):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "refine_tiling", boom)
+    assert run(["refine"], capsys) == (EXIT_INTERNAL, "",
+                                       "error: RuntimeError: boom\n")
+    rc, out, _ = run(["pipeline", "--output-dir", str(tmp_path)], capsys)
+    report = json.loads(out)
+    assert rc == report["exit_code"] == EXIT_INTERNAL
+    assert {"name": "refine", "status": "failed",
+            "detail": "RuntimeError: boom"} in report["stages"]
+
+
+def test_a_coefficient_not_defined_in_the_field_is_input_error(tmp_path,
+                                                               capsys):
+    message = "error: ValueError: coefficient 1/3 is not defined in F_3\n"
+    quiver = genus2_quiver()
+    payload = qpot_to_json(quiver, genus2_potential(quiver))
+    payload["potential"][0]["coeff"] = "1/3"
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(payload))
+    assert run(["count", str(path), "--q", "3"], capsys) == (EXIT_INPUT, "",
+                                                            message)
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps(
+        [{"coeff": c, "word": [[a, e] for a, e in parse_letters(w)]}
+         for c, w in (("1/3", "rere"), (1, "erer"))]))
+    assert run(["probe", "--q", "3", "--omega", str(omega)], capsys) == (
+        EXIT_INPUT, "", message)
 
 
 def test_version_flag(capsys):
