@@ -75,7 +75,7 @@ from .pathalg import (
     _idkey,
     _is_prime,
     check_d_squared,
-    cyclic_derivative,
+    derivatives,
     element_from_json,
     element_to_json,
     ginzburg_dga,
@@ -541,9 +541,9 @@ def _derive_json(run, qpot) -> dict:
     quiver, W = qpot
     arrows = [a for a in sorted(quiver.arrow_ids(), key=_idkey)
               if not quiver.is_localized(a)]
+    derivs = derivatives(quiver, W)
     return {"relations": [
-        {"arrow": str(a),
-         "element": element_to_json(cyclic_derivative(quiver, W, a))}
+        {"arrow": str(a), "element": element_to_json(derivs[a])}
         for a in arrows]}
 
 

@@ -524,24 +524,6 @@ class OrbitChoice:
         return f"OrbitChoice(generators={list(self.generators)}, bases={self.bases})"
 
 
-def default_choice(quiver: Quiver, phi: QuiverAutomorphism,
-                   bases: Optional[Mapping] = None) -> OrbitChoice:
-    """A canonical choice: per arrow orbit, prefer the arrow whose source is
-    the base of its source-vertex orbit, then the lowest id."""
-    reps = {}
-    for orb in phi.vertex_orbits():
-        for v in orb:
-            reps[v] = orb[0]
-    if bases is None:
-        bases = {orb[0]: orb[0] for orb in phi.vertex_orbits()}
-    generators = []
-    for orb in phi.arrow_orbits():
-        base = bases[reps[quiver.source(orb[0])]]
-        at_base = sorted((a for a in orb if quiver.source(a) == base), key=_idkey)
-        generators.append(at_base[0] if at_base else min(orb, key=_idkey))
-    return OrbitChoice(generators, bases)
-
-
 @dataclass(frozen=True)
 class XiTable:
     """The embedding's pieces, computed once per orbit quiver.
@@ -612,9 +594,6 @@ class SemidirectQuiver:
                 b = self.phi.apply_arrow(g, j)
                 member.setdefault((g, self.base.source(b)), b)
         return XiTable(image, member, unwind)
-
-    def xi_arrow(self, a) -> Word:
-        return self.xi_table.image[a]
 
     def word_degree(self, w: Word) -> int:
         return sum(e for a, e in w.letters if a in self.quiver.localized)
@@ -1015,16 +994,6 @@ def verify_transport_identity(ctx: SemidirectQuiver, W: Potential,
 # -- serialization --------------------------------------------------------------
 
 
-def automorphism_to_json(phi: QuiverAutomorphism) -> dict:
-    return {
-        "vertex_perm": {str(v): w for v, w in sorted(phi.vertex_perm.items(),
-                                                     key=lambda kv: _idkey(kv[0]))},
-        "arrow_perm": {str(a): b for a, b in sorted(phi.arrow_perm.items(),
-                                                    key=lambda kv: _idkey(kv[0]))},
-        "order": phi.order,
-    }
-
-
 def _match_keys(perm: Mapping, pool: Iterable) -> dict:
     """Map JSON string keys back onto actual vertex/arrow ids."""
     by_str = {str(x): x for x in pool}
@@ -1034,18 +1003,6 @@ def _match_keys(perm: Mapping, pool: Iterable) -> dict:
             raise InvalidAutomorphism(f"unknown id in permutation: {k!r} -> {v!r}")
         out[by_str[str(k)]] = by_str[str(v)]
     return out
-
-
-def quiver_automorphism_from_json(quiver: Quiver, obj: dict) -> QuiverAutomorphism:
-    phi = QuiverAutomorphism(
-        quiver,
-        _match_keys(obj["vertex_perm"], quiver.vertices),
-        _match_keys(obj["arrow_perm"], quiver.arrow_ids()),
-    )
-    if "order" in obj and int(obj["order"]) != phi.order:
-        raise InvalidAutomorphism(
-            f"declared order {obj['order']} but actual order is {phi.order}")
-    return phi
 
 
 def tiling_automorphism_from_json(tiling: BraneTiling, obj: dict) -> TilingAutomorphism:

@@ -18,6 +18,9 @@ Conventions, fixed once and used everywhere:
   letters in written order.  For a cycle written ``t_0 t_1 ... t_{k-1}`` and
   an occurrence ``t_i == a`` the contribution is the linear word
   ``t_{i+1} ... t_{k-1} t_0 ... t_{i-1}``, a path target(a) -> source(a).
+  :func:`derivatives` builds every arrow's derivative in one pass over W
+  and is memoized per (quiver, W); every reader of a derivative, from
+  :func:`cyclic_derivative` to :func:`ginzburg_dga`, looks it up there.
 * Letters are ``(symbol, exp)`` tuples, ``exp`` in ``{+1, -1}``, here and
   in the group words of :mod:`tessella.presentation`.  Both layers share
   one letter kernel that trusts its input: :func:`_cancel`, :func:`_invert`,
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -139,6 +143,10 @@ class Quiver:
                 f"{len(self.arrows)} arrows, "
                 f"{len(self.localized)} localized)")
 
+    def __hash__(self):
+        return hash((frozenset(self.vertices), frozenset(self.arrows),
+                     self.localized))
+
     def __eq__(self, other):
         return (isinstance(other, Quiver)
                 and sorted(self.vertices, key=_idkey) == sorted(other.vertices, key=_idkey)
@@ -162,10 +170,6 @@ class Quiver:
     def word(self, letters: Sequence[Letter] = (), at=None) -> "Word":
         """Build and normalize a word; ``at`` fixes the vertex of a constant."""
         return normalize(self, letters, at=at)
-
-    def element(self, terms: Mapping | None = None) -> "Element":
-        return Element((w if isinstance(w, Word) else self.word(w), c)
-                       for w, c in (terms or {}).items())
 
 
 class _Forest:
@@ -209,10 +213,6 @@ class Word:
 
     def is_constant(self) -> bool:
         return not self.letters
-
-    def inverse(self, quiver: Quiver) -> "Word":
-        inv = _invert(self.letters)
-        return normalize(quiver, inv, at=self.target if not inv else None)
 
     def sort_key(self):
         return (len(self.letters),
@@ -312,13 +312,15 @@ class _Combination:
             terms = terms.items()
         clean: dict = {}
         for k, c in terms or ():
-            c = Fraction(c)
-            if c:
-                c += clean.get(k, 0)
-                if c:
-                    clean[k] = c
-                else:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if k in clean:
+                c += clean[k]
+                if not c:
                     del clean[k]
+                    continue
+            if c:
+                clean[k] = c
         self.coeffs = clean
 
     def is_zero(self) -> bool:
@@ -365,10 +367,6 @@ class Element(_Combination):
     __slots__ = ()
     _order = staticmethod(Word.sort_key)
     _render = staticmethod(str)
-
-    @staticmethod
-    def zero() -> "Element":
-        return Element()
 
     @staticmethod
     def from_word(word: Word, coeff=1) -> "Element":
@@ -487,38 +485,75 @@ class Potential(_Combination):
         return {a for cyc in self.coeffs for a, _ in cyc}
 
 
-def cyclic_derivative(quiver: Quiver, W: Potential, a) -> Element:
-    """Rotate each occurrence of ``a`` to the front of its cycle and delete it.
+class Derivatives(dict):
+    """Arrow -> cyclic derivative, for each arrow that has one.  Reading an
+    arrow without one raises its fault; reading an arrow not in the quiver
+    raises UnknownArrow.  Tables are shared through the cache: read only."""
+
+    __slots__ = ("_faults",)
+
+    def __init__(self, values: dict, faults: dict):
+        super().__init__(values)
+        self._faults = faults
+
+    def __missing__(self, a):
+        if a in self._faults:
+            self._faults[a]()
+        raise UnknownArrow(a)
+
+
+def _derivative_fault(quiver: Quiver, cyc: tuple, a):
+    """Raises the fault that differentiating ``cyc`` by ``a`` meets: an
+    inverse occurrence, or the closure check from the first ``a`` on."""
+    if any(x == a and e != 1 for x, e in cyc):
+        raise InverseOfNonLocalized(
+            f"cannot differentiate through an inverse occurrence of {a!r}")
+    first = cyc.index((a, 1))
+    normalize(quiver, cyc[first + 1:] + cyc[:first + 1])
+    raise NonComposable(f"cycle {cyc!r} is not closed")
+
+
+@lru_cache(maxsize=16)
+def derivatives(quiver: Quiver, W: Potential) -> Derivatives:
+    """The cyclic derivative by every arrow of ``quiver``, from one pass over
+    ``W``, memoized per (quiver, W).
 
     Localized arrows are allowed (the derivative is then taken on the
     un-localized view), but only exponent-1 occurrences are differentiable:
-    a cycle containing ``a`` inverted has no cyclic derivative here.  Keys
-    are normal cycles, so each is checked on ``quiver`` once, not per slice.
+    a cycle containing ``a`` inverted leaves ``a`` without a derivative.
+    Each cycle's closure is checked once.  An arrow's fault is the first,
+    in the order of W's cycles, among the cycles that hold it.
     """
-    if not quiver.has_arrow(a):
-        raise UnknownArrow(a)
-    source, target, letter = quiver.target(a), quiver.source(a), (a, 1)
-    pairs = []
+    pairs: dict = {a: [] for a in quiver.arrow_ids()}
+    faults: dict = {}
     for cyc, c in W.coeffs.items():
-        if any(x == a and e != 1 for x, e in cyc):
-            raise InverseOfNonLocalized(
-                f"cannot differentiate through an inverse occurrence of {a!r}")
-        if letter not in cyc:
-            continue
-        first = cyc.index(letter)
-        # the rotation that ends in ``a``: closed when its wrap seam holds
-        rot = normalize(quiver, cyc[first + 1:] + cyc[:first + 1])
-        if rot.source != rot.target:
-            raise NonComposable(f"cycle {cyc!r} is not closed")
-        pairs += ((Word(source, target, cyc[i + 1:] + cyc[:i]), c)
-                  for i in range(first, len(cyc)) if cyc[i] == letter)
-    return Element(pairs)
+        held = {x for x, _ in cyc if x in pairs and x not in faults}
+        inverted = {x for x, e in cyc if e != 1}
+        try:
+            w = normalize(quiver, cyc)
+            closed = w.source == w.target
+        except (ValueError, KeyError):  # replayed per arrow when read
+            closed = False
+        for x in held:
+            if not closed or x in inverted:
+                faults[x] = partial(_derivative_fault, quiver, cyc, x)
+        for i, (x, _) in enumerate(cyc):
+            if x in held and x not in faults:
+                pairs[x].append((Word(quiver.target(x), quiver.source(x),
+                                      cyc[i + 1:] + cyc[:i]), c))
+    return Derivatives({a: Element(p) for a, p in pairs.items()
+                        if a not in faults}, faults)
+
+
+def cyclic_derivative(quiver: Quiver, W: Potential, a) -> Element:
+    """The derivative of ``W`` by ``a``: a lookup into :func:`derivatives`."""
+    return derivatives(quiver, W)[a]
 
 
 def jacobi_relations(quiver: Quiver, W: Potential) -> list[Element]:
     """Cyclic derivatives by every non-localized arrow, in canonical order."""
-    return [cyclic_derivative(quiver, W, a)
-            for a in quiver.arrow_ids() if not quiver.is_localized(a)]
+    derivs = derivatives(quiver, W)
+    return [derivs[a] for a in quiver.arrow_ids() if not quiver.is_localized(a)]
 
 
 # -- bounded ideal-membership evidence ---------------------------------------
@@ -677,9 +712,10 @@ def ginzburg_dga(quiver: Quiver, W: Potential) -> GinzburgDga:
     degree.update({star[a]: -1 for a in quiver._src})
     degree.update({loop[v]: -2 for v in quiver.vertices})
 
-    diff: dict = {a: Element.zero() for a in quiver._src}
+    diff: dict = {a: Element() for a in quiver._src}
+    derivs = derivatives(quiver, W)
     for a in quiver._src:
-        diff[star[a]] = cyclic_derivative(quiver, W, a)
+        diff[star[a]] = derivs[a]
     for v in quiver.vertices:
         pairs = []
         for a in sorted(quiver._src, key=_idkey):
@@ -704,8 +740,9 @@ def check_d_squared(dga: GinzburgDga) -> tuple[bool, dict]:
 def commutator_sum(quiver: Quiver, W: Potential) -> Element:
     """sum over arrows of (a dW/da - dW/da a); identically 0 for any W."""
     pairs = []
+    derivs = derivatives(quiver, W)
     for a in quiver.arrow_ids():
-        da = cyclic_derivative(quiver, W, a)
+        da = derivs[a]
         aw = Element.from_word(quiver.word([(a, 1)]))
         pairs += multiply(quiver, aw, da).coeffs.items()
         pairs += ((w, -c) for w, c in multiply(quiver, da, aw).coeffs.items())

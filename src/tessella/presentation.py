@@ -54,7 +54,7 @@ from .pathalg import (
     _rotations,
     _seam,
     _wrap_reduce,
-    cyclic_derivative,
+    derivatives,
     jacobi_relations,
     normalize,
     word_product,
@@ -284,14 +284,6 @@ def phi_action_from_json(obj: Mapping) -> PhiAction:
     return PhiAction(pres, mapping, obj["order"])
 
 
-def phi_action_to_json(phi: PhiAction) -> dict:
-    return {
-        "genus": phi.pres.genus,
-        "order": phi.order,
-        "phi_star": {g: render_group_word(w) for g, w in phi.mapping.items()},
-    }
-
-
 # ---------------------------------------------------------------------------
 # semidirect normal forms
 
@@ -354,17 +346,6 @@ class MatrixUnitElement:
     def __str__(self):
         c = "" if self.coeff == 1 else f"{self.coeff} * "
         return f"E_[{self.row},{self.col}]({c}{self.elem})"
-
-
-def matrix_unit_multiply(x: MatrixUnitElement, y: MatrixUnitElement,
-                         phi: PhiAction) -> MatrixUnitElement:
-    """Matrix-unit product over the semidirect group algebra."""
-    if x.col != y.row:
-        raise NonComposable(
-            f"E_[{x.row},{x.col}] cannot multiply E_[{y.row},{y.col}]")
-    return MatrixUnitElement(x.row, y.col,
-                             semidirect_multiply(x.elem, y.elem, phi),
-                             x.coeff * y.coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +677,11 @@ def verify_psi_relations(ctx, W: Potential, mode: str = "certificate",
     else:
         rots = _face_rotations(W)
     checks = []
+    derivs = derivatives(ctx.quiver, W)
     for a in ctx.quiver.arrow_ids():
         if ctx.quiver.is_localized(a):
             continue  # derivatives by iso arrows are not needed for the map
-        el = cyclic_derivative(ctx.quiver, W, a)
+        el = derivs[a]
         if el.is_zero():
             checks.append(RelationCheck(a, True, True, True, "zero-derivative"))
             continue

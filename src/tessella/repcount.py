@@ -27,7 +27,11 @@ not depend on block size, slice size or thread count.  The count kernel reads
 each term of W once per slice through shared suffix and prefix products,
 which give its trace and every occurrence's cyclic derivative (elementwise at
 d = 1, batched matmuls otherwise).  The per-point :class:`MatrixRep` route
-(:func:`trace_potential`, :func:`crit_check`) is the sweep's oracle.
+(:func:`trace_potential`, :func:`crit_check`) is the sweep's oracle.  Its
+two halves share nothing: :func:`crit_check` evaluates the derivative table
+of :func:`tessella.pathalg.derivatives` (built once per quiver and
+potential) at the point, and :func:`trace_gradient` recomputes the same
+partials from W through shared prefix and suffix products of each term.
 
 Exhaustive sweeps count modulo gauge.  The group prod_v GL_d acts on the
 space by M_a -> g_t(a) M_a g_s(a)^-1, and these quantities are invariant:
@@ -58,7 +62,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product as _iproduct
+from itertools import accumulate, product as _iproduct
+from operator import mul
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -73,7 +78,7 @@ from .pathalg import (
     _Forest,
     _idkey,
     _is_prime,
-    cyclic_derivative,
+    derivatives,
     ideal_reduce,
     jacobi_relations,
     multiply,
@@ -99,7 +104,8 @@ def _require_prime(q: int) -> None:
 
 def _coeff_mod(c: Fraction, q: int) -> int:
     """A rational coefficient as an element of F_q (denominator inverted)."""
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     den = c.denominator % q
     if den == 0:
         raise ValueError(f"coefficient {c} is not defined in F_{q}")
@@ -128,9 +134,16 @@ def _zero_mat(d: int) -> tuple:
 
 
 def _mat_mul(a, b, q: int) -> tuple:
-    d = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d)) % q
-                       for j in range(d)) for i in range(d))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % q for col in cols)
+                 for row in a)
+
+
+def _mat_mul_or(a, b, q: int):
+    """``a b`` mod q, where None stands for the identity."""
+    if a is None or b is None:
+        return b if a is None else a
+    return _mat_mul(a, b, q)
 
 
 def _mat_add(a, b, q: int) -> tuple:
@@ -253,13 +266,13 @@ class MatrixRep:
         return self._inverses[a]
 
     def _word_matrix(self, letters) -> tuple:
-        out = _eye(self.d)
+        out = None
         for a, e in letters:
             if a not in self.matrices:
                 raise ShapeMismatch(f"no matrix for arrow {a!r}")
             m = self.matrices[a] if e == 1 else self._inverse(a)
-            out = _mat_mul(out, m, self.q)
-        return out
+            out = _mat_mul_or(out, m, self.q)
+        return out or _eye(self.d)
 
     def evaluate(self, x) -> tuple:
         """Matrix of a Word, or the coefficient-weighted sum for an Element."""
@@ -267,8 +280,8 @@ class MatrixRep:
             return self._word_matrix(x.letters)
         if isinstance(x, Element):
             out = _zero_mat(self.d)
-            for w in x.words():
-                c = _coeff_mod(x.coeffs[w], self.q)
+            for w, c in x.coeffs.items():  # a sum mod q: any order will do
+                c = _coeff_mod(c, self.q)
                 out = _mat_add(out, _mat_scale(c, self._word_matrix(w.letters),
                                                self.q), self.q)
             return out
@@ -278,13 +291,17 @@ class MatrixRep:
         return f"MatrixRep(d={self.d}, q={self.q}, {len(self.matrices)} arrows)"
 
 
-def trace_potential(rep: MatrixRep, W: Potential) -> int:
-    """Value of Tr W at the representation, as an element of F_q."""
+def _require_matrices(rep: MatrixRep, W: Potential) -> None:
     missing = W.arrows_used() - set(rep.matrices)
     if missing:
         raise ShapeMismatch(
             f"potential uses arrows without matrices: "
             f"{sorted(missing, key=_idkey)}")
+
+
+def trace_potential(rep: MatrixRep, W: Potential) -> int:
+    """Value of Tr W at the representation, as an element of F_q."""
+    _require_matrices(rep, W)
     total = 0
     for c, cyc in W.terms():
         total += _coeff_mod(c, rep.q) * _mat_trace(rep._word_matrix(cyc),
@@ -297,24 +314,28 @@ def trace_gradient(rep: MatrixRep, W: Potential) -> dict:
 
     Entry (i, j) of the matrix for arrow ``a`` is the partial derivative of
     Tr W by the (i, j) entry of the matrix assigned to ``a``, computed
-    directly from occurrences via d/dX_ij Tr(X M) = M_ji.  This is the
-    independent cross-check route for :func:`crit_check`.
+    directly from occurrences via d/dX_ij Tr(X M) = M_ji.  For a term
+    l_0 ... l_{k-1}, occurrence i has M = l_{i+1} ... l_{k-1} l_0 ... l_{i-1},
+    the product of a shared suffix and a shared prefix, so a term costs
+    about 3k matrix products.  This is the independent cross-check route for
+    :func:`crit_check`: it reads W, not the derivative table.
     """
-    missing = W.arrows_used() - set(rep.matrices)
-    if missing:
-        raise ShapeMismatch(
-            f"potential uses arrows without matrices: "
-            f"{sorted(missing, key=_idkey)}")
+    _require_matrices(rep, W)
     q = rep.q
     out = {a: _zero_mat(rep.d) for a in rep.matrices}
     for c, cyc in W.terms():
         cm = _coeff_mod(c, q)
-        for i, (a, e) in enumerate(cyc):
+        for a, e in cyc:
             if e != 1:
                 raise InverseOfNonLocalized(
                     f"cannot differentiate through an inverse of {a!r}")
-            rest = cyc[i + 1:] + cyc[:i]
-            m = rep._word_matrix(rest)
+        mats = [rep.matrices[a] for a, _ in cyc]
+        # prefix[i] = l_0 ... l_{i-1}, suffix[i] = l_{i+1} ... l_{k-1}
+        prefix = [None, *accumulate(mats[:-1], lambda x, y: _mat_mul(x, y, q))]
+        suffix = [*accumulate(mats[:0:-1], lambda x, y: _mat_mul(y, x, q))]
+        suffix = suffix[::-1] + [None]
+        for (a, _), pre, suf in zip(cyc, prefix, suffix):
+            m = _mat_mul_or(suf, pre, q) or _eye(rep.d)
             out[a] = _mat_add(out[a], _mat_scale(cm, _transpose(m), q), q)
     return out
 
@@ -330,9 +351,10 @@ def crit_check(rep: MatrixRep, quiver: Quiver, W: Potential) -> bool:
     not a property of the input, hence RuntimeError.
     """
     grads = trace_gradient(rep, W)
+    derivs = derivatives(quiver, W)
     flat = True
     for a in quiver.arrow_ids():
-        d_val = rep.evaluate(cyclic_derivative(quiver, W, a))
+        d_val = rep.evaluate(derivs[a])
         if _transpose(d_val) != grads[a]:
             raise RuntimeError(
                 f"gradient cross-check failed at arrow {a!r}")
@@ -558,7 +580,7 @@ def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
     of a term l_0...l_{L-1} are built right to left; occurrence i adds
     c * suffix * prefix to its arrow's sum, and the running prefix
     l_0...l_{i-1} ends as the full product.  Every letter of a differentiated
-    W has exponent 1 (``cyclic_derivative`` refuses the others)."""
+    W has exponent 1 (``derivatives`` refuses the others)."""
     values = {x: space.letter_values(idx, x) for _, cyc in terms for x in cyc}
     vals = np.zeros(n, dtype=np.int64)
     grads: dict = {}
@@ -662,8 +684,9 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
     space = _RepSpace(quiver, d, q, _gauge_tree(quiver, d)
                       if mode == "exhaustive" else ())
     terms = _coefficients(W, d, q)
+    derivs = derivatives(quiver, W)
     for a in quiver.arrow_ids():  # refuses inverse occurrences of a
-        cyclic_derivative(quiver, W, a)
+        derivs[a]
     if mode == "sample":
         if not isinstance(sample_size, int) or sample_size < 1:
             raise ValueError("sample mode needs sample_size >= 1")

@@ -9,8 +9,8 @@ from math import gcd
 
 import pytest
 
-from tessella.equivariant import tiling_automorphism_from_json
-from tessella.pathalg import Potential, Quiver, parse_letters
+from tessella.equivariant import OrbitChoice, tiling_automorphism_from_json
+from tessella.pathalg import Potential, Quiver, _idkey, parse_letters
 from tessella.surfacemap import tiling_from_json
 
 # Two square tiles on the torus: one white and one black 4-valent vertex
@@ -51,6 +51,23 @@ def orbit_potential(q: Quiver) -> Potential:
     terms = [(1, "abreabre"), (2, "rdrc"), (-2, "ardbrc"), (-1, "rere")]
     return Potential.build(q, [(c, [a for a, _ in parse_letters(w)])
                                for c, w in terms])
+
+
+def default_choice(quiver: Quiver, phi, bases=None) -> OrbitChoice:
+    """A canonical choice: per arrow orbit, prefer the arrow whose source is
+    the base of its source-vertex orbit, then the lowest id."""
+    reps = {}
+    for orb in phi.vertex_orbits():
+        for v in orb:
+            reps[v] = orb[0]
+    if bases is None:
+        bases = {orb[0]: orb[0] for orb in phi.vertex_orbits()}
+    generators = []
+    for orb in phi.arrow_orbits():
+        base = bases[reps[quiver.source(orb[0])]]
+        at_base = sorted((a for a in orb if quiver.source(a) == base), key=_idkey)
+        generators.append(at_base[0] if at_base else min(orb, key=_idkey))
+    return OrbitChoice(generators, bases)
 
 
 def cyclic_cover(base: dict, n: int, voltages, seed: int):

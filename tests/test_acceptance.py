@@ -193,7 +193,7 @@ def test_criterion_03_derivative_suite():
     }
     for arrow, terms in display.items():
         got = cyclic_derivative(ctx.quiver, Wp, arrow)
-        want = Element.zero()
+        want = Element()
         for coeff, word in terms:
             want = want + Element.from_word(
                 ctx.quiver.word(parse_letters(word)), coeff)

@@ -159,7 +159,7 @@ def small_cases(draw):
     terms = [(c, w) for c, w, _ in element_words(draw(st.integers(0, 4)))
              if w]
     W = Potential.build(quiver, terms) if terms else Potential()
-    omega = Element.zero()
+    omega = Element()
     for c, letters, start in element_words(draw(st.integers(1, 2))):
         omega = omega + Element.from_word(quiver.word(letters, at=start), c)
     return quiver, W, omega, d, q
@@ -228,7 +228,7 @@ def _two_vertices(W_terms, omega_words, d, q, loop=True):
     arrows = [("t", 0, 1), ("u", 1, 0)] + ([("x", 1, 1)] if loop else [])
     quiver = Quiver([0, 1], arrows, localized=["t"])
     W = Potential.build(quiver, W_terms)
-    omega = Element.zero()
+    omega = Element()
     for c, letters in omega_words:
         omega = omega + Element.from_word(
             quiver.word(letters, at=None if letters else 1), c)

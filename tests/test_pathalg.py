@@ -24,6 +24,7 @@ from tessella.pathalg import (
     check_d_squared,
     commutator_sum,
     cyclic_derivative,
+    derivatives,
     element_from_json,
     element_to_json,
     ginzburg_dga,
@@ -39,7 +40,9 @@ from tessella.pathalg import (
     word_product,
 )
 
-from conftest import orbit_quiver
+from tessella.surfacemap import dual_quiver
+
+from conftest import SQUARE_TORUS, cyclic_cover, genus2_quiver, orbit_quiver
 
 
 def _w(q, s, at=None):
@@ -47,7 +50,7 @@ def _w(q, s, at=None):
 
 
 def _el(q, terms):
-    out = Element.zero()
+    out = Element()
     for c, s in terms:
         out = out + Element.from_word(_w(q, s), c)
     return out
@@ -184,6 +187,138 @@ def test_derivative_refuses_an_inverse_letter_the_quiver_does_not_invert():
     assert cyclic_derivative(q, w, "x") == _el(q, [(1, "s^-1 y s^-1")])
     with pytest.raises(InverseOfNonLocalized):
         cyclic_derivative(Quiver([1, 2], arrows), w, "x")
+
+
+def _cyclic_derivative_reference(quiver, W, a):
+    """``cyclic_derivative`` before the derivative table: one scan of all of
+    W per arrow, checking each cycle that holds ``a`` from its first ``a``."""
+    if not quiver.has_arrow(a):
+        raise UnknownArrow(a)
+    source, target, letter = quiver.target(a), quiver.source(a), (a, 1)
+    pairs = []
+    for cyc, c in W.coeffs.items():
+        if any(x == a and e != 1 for x, e in cyc):
+            raise InverseOfNonLocalized(
+                f"cannot differentiate through an inverse occurrence of {a!r}")
+        if letter not in cyc:
+            continue
+        first = cyc.index(letter)
+        rot = normalize(quiver, cyc[first + 1:] + cyc[:first + 1])
+        if rot.source != rot.target:
+            raise NonComposable(f"cycle {cyc!r} is not closed")
+        pairs += ((Word(source, target, cyc[i + 1:] + cyc[:i]), c)
+                  for i in range(first, len(cyc)) if cyc[i] == letter)
+    return Element(pairs)
+
+
+def _torus_cover_quiver():
+    tiling, _ = cyclic_cover(SQUARE_TORUS, 3, (0, 0, 1, 1), seed=0)
+    return dual_quiver(tiling)[0]
+
+
+_DERIVATIVE_QUIVERS = {"genus2": genus2_quiver, "orbit": orbit_quiver,
+                       "torus-cover": _torus_cover_quiver}
+
+
+def _random_closed_cycle(quiver, rng, length):
+    """A random walk over the arrows and the inverses of localized arrows,
+    closed by a shortest path of arrows back to its start; written order."""
+    letters = [(a, 1) for a in quiver.arrow_ids()]
+    letters += [(a, -1) for a in quiver.arrow_ids() if quiver.is_localized(a)]
+    start = here = rng.choice(quiver.vertices)
+    walk = []  # in the order applied
+    for _ in range(length):
+        step = rng.choice([l for l in letters
+                           if quiver.letter_ends(l)[0] == here])
+        walk.append(step)
+        here = quiver.letter_ends(step)[1]
+    home = {here: []}  # vertex -> arrows from ``here`` to it, as applied
+    frontier = [here]
+    while start not in home:
+        reached = []
+        for v in frontier:
+            for a in quiver.arrow_ids():
+                t = quiver.target(a)
+                if quiver.source(a) == v and t not in home:
+                    home[t] = home[v] + [(a, 1)]
+                    reached.append(t)
+        frontier = reached
+    return list(reversed(walk + home[start]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_DERIVATIVE_QUIVERS)),
+       seed=st.integers(0, 2**32 - 1), terms=st.integers(1, 5),
+       localize=st.integers(0, 3),
+       view=st.sampled_from(["built on", "freed", "one arrow moved"]))
+def test_the_derivative_table_matches_the_per_arrow_loop(name, seed, terms,
+                                                         localize, view):
+    """Every arrow's entry equals the old loop's derivative, in value and
+    term order, or raises the same fault with the same message.  W is read
+    on the quiver it was built on, with every arrow freed (so inverse
+    letters of other arrows fail the closure check), or with one arrow
+    moved to a loop (so cycles through it may not close)."""
+    base = _DERIVATIVE_QUIVERS[name]()
+    rng = random.Random(seed)
+    arrows = base.arrow_ids()
+    quiver = Quiver(base.vertices, base.arrows, base.localized
+                    | set(rng.sample(arrows, localize)))
+    pairs = []
+    for _ in range(terms):
+        cycle = _random_closed_cycle(quiver, rng, rng.randint(1, 8))
+        try:
+            Potential.build(quiver, [(1, cycle)])
+        except NonComposable:  # cancels to a constant path
+            continue
+        pairs.append((rng.choice([-2, -1, Fraction(1, 2), 1, 3]), cycle))
+    W = Potential.build(quiver, pairs)
+    if view == "freed":
+        quiver = Quiver(quiver.vertices, quiver.arrows)
+    elif view == "one arrow moved":
+        moved, at = rng.choice(arrows), rng.choice(quiver.vertices)
+        quiver = Quiver(quiver.vertices,
+                        [(a, at, at) if a == moved else (a, s, t)
+                         for a, s, t in quiver.arrows], quiver.localized)
+    derivatives.cache_clear()  # equal inputs of earlier examples share a table
+    table = derivatives(quiver, W)
+    defined = []
+    for a in arrows:
+        try:
+            want = _cyclic_derivative_reference(quiver, W, a)
+        except (ValueError, KeyError) as exc:
+            with pytest.raises(type(exc)) as got:
+                table[a]
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            assert table[a] == want and list(table[a].coeffs) == list(want.coeffs)
+            assert cyclic_derivative(quiver, W, a) is table[a]
+            defined.append(a)
+    assert list(table) == defined
+    with pytest.raises(UnknownArrow):
+        table["no such arrow"]
+
+
+def test_the_derivative_table_is_built_once_per_quiver_and_potential(qp, wp):
+    derivatives.cache_clear()
+    table = derivatives(qp, wp)
+    assert derivatives(orbit_quiver(), Potential(dict(wp.coeffs))) is table
+    assert jacobi_relations(qp, wp) == [table[a] for a in "abcde"]
+    assert derivatives.cache_info().misses == 1
+    assert hash(qp) == hash(Quiver(reversed(qp.vertices),
+                                   reversed(qp.arrows), ["r"]))
+
+
+def test_a_faulty_arrow_raises_only_when_read(qp):
+    """``e`` occurs inverted, so it alone has no derivative."""
+    q = Quiver(qp.vertices, qp.arrows, localized=["e", "r"])
+    w = Potential.build(q, [(1, [("e", -1), "c"]), (1, ["a"])])
+    table = derivatives(q, w)
+    assert list(table) == ["a", "b", "c", "d", "r"]
+    assert table["a"] == Element.from_word(q.word((), at=1))
+    assert table["c"] == Element.from_word(q.word([("e", -1)]))
+    with pytest.raises(InverseOfNonLocalized, match="occurrence of 'e'"):
+        table["e"]
 
 
 def test_one_loop_cube():
@@ -429,7 +564,7 @@ def test_multiply_associative(seed):
     rng = random.Random(seed)
 
     def rand_element():
-        out = Element.zero()
+        out = Element()
         for _ in range(rng.randint(0, 3)):
             letters, _ = _random_word_letters(qp, rng, rng.randint(0, 4))
             w = qp.word(letters, at=rng.choice([1, 2]) if not letters else None)
@@ -637,7 +772,7 @@ def test_potential_accepts_localized_inverses_and_wrap_cancels(qp):
 
 
 def test_element_json_round_trip(qp):
-    x = Element.zero()
+    x = Element()
     x = x + Element.from_word(qp.word(parse_letters("r^-1 a")), Fraction(1, 2))
     x = x + Element.from_word(qp.word((), at=2), -3)
     items = element_to_json(x)

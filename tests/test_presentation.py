@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import genus2_potential, genus2_quiver
+from conftest import default_choice, genus2_potential, genus2_quiver
 from tessella.datafiles import load_data
 from tessella.equivariant import (
     OrbitChoice,
     QuiverAutomorphism,
     build_orbit_quiver,
-    default_choice,
     transport_potential,
 )
 from tessella.pathalg import (
@@ -44,10 +43,8 @@ from tessella.presentation import (
     dehn_reduce,
     free_reduce,
     invert_letters,
-    matrix_unit_multiply,
     parse_group_word,
     phi_action_from_json,
-    phi_action_to_json,
     psi_assignment_from_json,
     psi_eval,
     psi_multiply,
@@ -423,6 +420,14 @@ def test_phi_action_validation_errors():
         PhiAction(PRES2, good, 0)
 
 
+def phi_action_to_json(phi: PhiAction) -> dict:
+    return {
+        "genus": phi.pres.genus,
+        "order": phi.order,
+        "phi_star": {g: render_group_word(w) for g, w in phi.mapping.items()},
+    }
+
+
 def test_phi_action_json_round_trip(phi_star):
     blob = phi_action_to_json(phi_star)
     again = phi_action_from_json(blob)
@@ -484,6 +489,17 @@ def test_semidirect_centrality_of_full_twist(phi_star):
     lhs = semidirect_multiply(g, SemidirectElement((), phi_star.order), phi_star)
     rhs = semidirect_multiply(SemidirectElement((), phi_star.order), g, phi_star)
     assert semidirect_equal(lhs, rhs, phi_star)
+
+
+def matrix_unit_multiply(x: MatrixUnitElement, y: MatrixUnitElement,
+                         phi: PhiAction) -> MatrixUnitElement:
+    """Matrix-unit product over the semidirect group algebra."""
+    if x.col != y.row:
+        raise NonComposable(
+            f"E_[{x.row},{x.col}] cannot multiply E_[{y.row},{y.col}]")
+    return MatrixUnitElement(x.row, y.col,
+                             semidirect_multiply(x.elem, y.elem, phi),
+                             x.coeff * y.coeff)
 
 
 def test_matrix_unit_multiply(phi_star):

@@ -4,6 +4,7 @@ strata of a chosen element, and the weighted degree-one probe."""
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from fractions import Fraction
 from itertools import islice, product as iproduct
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 import tessella.repcount as repcount
 from tessella.pathalg import (
     Element,
+    InverseOfNonLocalized,
     Potential,
     Quiver,
     cyclic_derivative,
+    derivatives,
     parse_letters,
 )
 from tessella.repcount import (
@@ -339,6 +342,126 @@ def test_gradient_mismatched_arrows_raises():
     rep = scalar_rep(3, 1, 1, 1, 1, 1, 0)
     with pytest.raises(ShapeMismatch):
         trace_gradient(rep, Potential.build(loop, [(1, "xx")]))
+
+
+# -- the per-point route against the loops it replaced ---------------------------
+
+
+def _mat_mul_reference(a, b, q):
+    """``_mat_mul`` before its row by column form: a generator per entry."""
+    d = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d)) % q
+                       for j in range(d)) for i in range(d))
+
+
+def _word_matrix_reference(rep, letters):
+    """``MatrixRep._word_matrix`` before it started from the first letter."""
+    out = repcount._eye(rep.d)
+    for a, e in letters:
+        m = rep.matrix(a) if e == 1 else repcount._mat_inv(rep.matrix(a), rep.q)
+        out = _mat_mul_reference(out, m, rep.q)
+    return out
+
+
+def _trace_gradient_reference(rep, W):
+    """``trace_gradient`` before its shared prefix and suffix products:
+    every occurrence's product from scratch."""
+    q = rep.q
+    out = {a: repcount._zero_mat(rep.d) for a in rep.matrices}
+    for c, cyc in W.terms():
+        cm = repcount._coeff_mod(c, q)
+        for i, (a, e) in enumerate(cyc):
+            if e != 1:
+                raise InverseOfNonLocalized(
+                    f"cannot differentiate through an inverse of {a!r}")
+            m = _word_matrix_reference(rep, cyc[i + 1:] + cyc[:i])
+            out[a] = repcount._mat_add(
+                out[a], repcount._mat_scale(cm, repcount._transpose(m), q), q)
+    return out
+
+
+def _random_rep(quiver, d, q, rng):
+    mats = {}
+    for a in quiver.arrow_ids():
+        while True:
+            m = tuple(tuple(rng.randrange(q) for _ in range(d))
+                      for _ in range(d))
+            if not quiver.is_localized(a) or repcount._mat_det(m, q):
+                break
+        mats[a] = m
+    return MatrixRep(quiver, d, q, mats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 4), q=st.sampled_from([2, 3, 5, 7, 101]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mat_mul_matches_the_generator_form(d, q, seed):
+    rng = random.Random(seed)
+    a, b = ([[rng.randrange(q) for _ in range(d)] for _ in range(d)]
+            for _ in range(2))
+    assert repcount._mat_mul(a, b, q) == _mat_mul_reference(a, b, q)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_trace_gradient_and_word_matrices_match_the_per_occurrence_loop(d, q):
+    rng = random.Random(1000 * d + q)
+    quiver = counting_quiver()
+    potentials = [counting_potential(quiver),
+                  Potential.build(quiver, [(Fraction(1, 11), "a"),
+                                           (3, "aabab"), (-1, "rc")])]
+    words = [(), parse_letters("a"), parse_letters("rdrc"),
+             [("a", -1), ("r", 1), ("c", 1), ("b", -1)]]
+    for _ in range(4):
+        rep = _random_rep(quiver, d, q, rng)
+        for W in potentials:
+            assert trace_gradient(rep, W) == _trace_gradient_reference(rep, W)
+        for letters in words:
+            assert (rep._word_matrix(letters)
+                    == _word_matrix_reference(rep, letters))
+
+
+def test_trace_gradient_still_refuses_an_inverse_letter():
+    quiver = counting_quiver()
+    W = Potential.build(quiver, [(1, "rc"), (1, [("a", -1), ("b", 1)])])
+    rep = _random_rep(quiver, 2, 3, random.Random(0))
+    with pytest.raises(InverseOfNonLocalized) as want:
+        _trace_gradient_reference(rep, W)
+    with pytest.raises(InverseOfNonLocalized) as got:
+        trace_gradient(rep, W)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("route", ["gradient", "derivative"])
+def test_crit_check_raises_when_its_two_routes_disagree(monkeypatch, route):
+    quiver = counting_quiver()
+    W = counting_potential(quiver)
+    rep = _random_rep(quiver, 2, 3, random.Random(5))
+    assert crit_check(rep, quiver, W) in (True, False)
+    if route == "gradient":
+        def planted(rep, W):
+            grads = trace_gradient(rep, W)
+            grads["c"] = repcount._mat_add(grads["c"], repcount._eye(2), 3)
+            return grads
+        monkeypatch.setattr(repcount, "trace_gradient", planted)
+    else:
+        table = derivatives(quiver, W)
+        bump = Element.from_word(quiver.word((), at=2))
+        monkeypatch.setattr(repcount, "derivatives",
+                            lambda quiver, W: {**table, "c": table["c"] + bump})
+    with pytest.raises(RuntimeError, match="cross-check failed at arrow 'c'"):
+        crit_check(rep, quiver, W)
+
+
+def test_repeated_crit_checks_build_the_derivative_table_once():
+    quiver = counting_quiver()
+    W = counting_potential(quiver)
+    reps = list(islice(iter_reps(quiver, 1, 5), 300))
+    derivatives.cache_clear()
+    flat = [crit_check(rep, quiver, W) for rep in reps]
+    info = derivatives.cache_info()
+    assert (info.misses, info.hits) == (1, 299)
+    assert 0 < sum(flat) < 300
 
 
 # -- exhaustive enumeration -------------------------------------------------------

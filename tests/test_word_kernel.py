@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import genus2_quiver
+from conftest import default_choice, genus2_quiver
 from tessella import equivariant, pathalg
 from tessella.datafiles import load_data
 from tessella.equivariant import (
     OrbitChoice,
     QuiverAutomorphism,
     build_orbit_quiver,
-    default_choice,
     factor_word,
     induced_quiver_automorphism,
     tiling_automorphism_from_json,
@@ -192,7 +191,7 @@ def test_iso_word_matches_the_normalize_route(name):
 def test_xi_table_matches_slow_route_on_arrows(name):
     ctx = context(name)
     for a in ctx.base.arrow_ids():
-        assert ctx.xi_arrow(a) == normalize(ctx.quiver, slow_xi_letters(ctx, a))
+        assert ctx.xi_table.image[a] == normalize(ctx.quiver, slow_xi_letters(ctx, a))
 
 
 @settings(max_examples=200, deadline=None)
