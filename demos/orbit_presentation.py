@@ -30,7 +30,7 @@ def main() -> None:
           f"{validate_tiling(tiling)['faces']} tiles")
 
     tiling, taut, matching = equivariant_dimer(tiling, taut)
-    duals = sorted(tiling.arrow_name(min(h, k)) for h, k in matching)
+    duals = sorted(tiling.dual_arrow(h) for h, _ in matching)
     print(f"equivariant dimer found; dual arrows {duals} "
           f"(one of {len(all_dimers(tiling))} perfect matchings)")
 

@@ -34,7 +34,8 @@ Conventions
   is not a symmetry, and a stuck equivariant dimer (``MatchingStuck``); 5
   an internal fault.
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
-  sweep; it never changes a count.
+  sweep, at most one per CPU the process may run on; it never changes a
+  count.
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
 * Only the stages that count (``count``, ``probe`` and the pipeline's count
@@ -502,7 +503,7 @@ def _count(run, counting) -> list:
 
 
 def _dual_names(tiling, matching) -> list:
-    return sorted(tiling.arrow_name(min(h, k)) for h, k in matching)
+    return sorted(tiling.dual_arrow(h) for h, _ in matching)
 
 
 def _refine_json(run, refined) -> dict:
@@ -961,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-field representation counts.",
         epilog="Exit codes: 0 ok, 2 verification failure, 3 no admissible "
                "choice, 4 input error, 5 internal fault.  TESSELLA_THREADS "
-               "caps parallelism.")
+               "sets a count's threads, at most one per usable CPU.")
     parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 

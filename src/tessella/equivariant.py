@@ -57,7 +57,6 @@ from .surfacemap import (
     BraneTiling,
     CombinatorialMap,
     _cycles_of,
-    _face_index,
     dual_quiver,
     validate_tiling,
 )
@@ -160,8 +159,9 @@ class TilingAutomorphism:
                 raise InvalidAutomorphism(f"half-edge {h} breaks commutation with the pairing")
             if perm[m.rotation[h]] != m.rotation[perm[h]]:
                 raise InvalidAutomorphism(f"half-edge {h} breaks commutation with the rotation")
+        color = {h: tiling.coloring[v] for h, v in m.vertex_index().items()}
         for h in hset:
-            if tiling.color_of(perm[h]) != tiling.color_of(h):
+            if color[perm[h]] != color[h]:
                 raise InvalidAutomorphism("automorphism swaps vertex colours")
         self.order = _perm_order([perm])
 
@@ -180,12 +180,10 @@ def induced_quiver_automorphism(tiling: BraneTiling, taut: TilingAutomorphism,
         quiver, _ = dual_quiver(tiling)
     m = tiling.map
     perm = taut.half_edge_perm
-    face_no = _face_index(m)
+    face_no = m.face_index()
     vertex_perm = {face_no[h]: face_no[perm[h]] for h in m.half_edges}
-    arrow_perm = {}
-    for (h, k) in m.edges():
-        img = min(perm[h], perm[k])
-        arrow_perm[tiling.arrow_name(h)] = tiling.arrow_name(img)
+    arrow_perm = {tiling.dual_arrow(h): tiling.dual_arrow(perm[h])
+                  for h, _ in m.edges()}
     return QuiverAutomorphism(quiver, vertex_perm, arrow_perm)
 
 
@@ -236,21 +234,6 @@ class _Surgeon:
     def vertex_cycle_of(self, h: int) -> tuple[int, ...]:
         """The rotation cycle through ``h``, starting at ``h``."""
         return _cycles_of(self.map.rotation, (h,))[0]
-
-    def vertex_handle(self, h: int) -> int:
-        return min(self.vertex_cycle_of(h))
-
-    def color_at(self, h: int) -> str:
-        return self.coloring[self.vertex_handle(h)]
-
-    def face_orbit_size(self, face: tuple[int, ...]) -> int:
-        fset = frozenset(face)
-        cur = fset
-        for d in range(1, self.order + 1):
-            cur = frozenset(self.perm[h] for h in cur)
-            if cur == fset:
-                return d
-        raise InvalidAutomorphism("face orbit does not close")
 
     def insert_before(self, pending: dict[int, int]) -> None:
         """Insert new half-edges into rotations, each directly before its key."""
@@ -313,25 +296,29 @@ def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
     s = _Surgeon(tiling, taut)
     n = s.order
     while True:
+        # one snapshot of the cells per pass, taken before the pass edits
         faces = s.map.face_cycles()
-        violator = None
+        face_of = s.map.face_index()
         for face in faces:
-            d = s.face_orbit_size(face)
+            # the face's orbit size: the first power of the symmetry taking
+            # a half-edge of it back into it (at most n, which fixes all)
+            d, img = 1, s.perm[face[0]]
+            while face_of[img] != face_of[face[0]]:
+                d, img = d + 1, s.perm[img]
             if d < n:
-                violator = (face, d)
                 break
-        if violator is None:
+        else:
             break
-        face, d = violator
         k = n // d
-        v = min(s.vertex_handle(h) for h in face)
-        c0 = min(h for h in face if s.vertex_handle(h) == v)
+        vertex_of = s.map.vertex_index()
+        v = min(vertex_of[h] for h in face)
+        c0 = min(h for h in face if vertex_of[h] == v)
         corners = [s.apply(c0, j * d) for j in range(k)]
         if len(set(corners)) != k:
             raise InvalidAutomorphism(
                 f"symmetry fixes a face but moves its boundary in an "
                 f"unexpected pattern at corner {c0}")
-        centre_color = "b" if s.color_at(c0) == "w" else "w"
+        centre_color = "b" if s.coloring[v] == "w" else "w"
         boundary_half, centre_half = s.new_edge_orbit()
         s.insert_before({s.apply(c0, m_): boundary_half[m_] for m_ in range(n)})
         # one centre per face in the orbit; its rotation lists the spokes in
@@ -339,7 +326,7 @@ def refine_tiling(tiling: BraneTiling, taut: TilingAutomorphism
         # consecutive spokes bound a tile with the boundary arc between them
         for l in range(d):
             ms = [m_ for m_ in range(n) if m_ % d == l]
-            target_face = next(f for f in faces if s.apply(c0, l) in f)
+            target_face = faces[face_of[s.apply(c0, l)] - 1]
             order = sorted(ms, key=lambda m_: target_face.index(s.apply(c0, m_)),
                            reverse=True)
             cyc = [centre_half[m_] for m_ in order]
@@ -371,8 +358,8 @@ def _adjacency(pairs: Iterable[tuple]) -> tuple[dict, dict]:
 
 def _matching_data(s: _Surgeon) -> tuple[dict, dict]:
     """White->black adjacency and a representative edge per vertex pair."""
-    ends = ((s.vertex_handle(h), s.vertex_handle(k), (h, k))
-            for h, k in s.map.edges())
+    vertex_of = s.map.vertex_index()
+    ends = ((vertex_of[h], vertex_of[k], (h, k)) for h, k in s.map.edges())
     return _adjacency((u, v, e) if s.coloring[u] == "w" else (v, u, e)
                       for u, v, e in ends)
 
@@ -408,10 +395,7 @@ def all_dimers(tiling: BraneTiling) -> list[frozenset]:
     """Every perfect matching of the tiling vertices, as edge sets."""
     m = tiling.map
     edges = m.edges()
-    vert = {}
-    for cyc in m.vertex_cycles():
-        for h in cyc:
-            vert[h] = cyc[0]
+    vert = m.vertex_index()
     out = []
 
     def extend(chosen: list, remaining: set):
@@ -424,18 +408,19 @@ def all_dimers(tiling: BraneTiling) -> list[frozenset]:
             if v in ends and ends <= remaining and len(ends) == 2:
                 extend(chosen + [(h, k)], remaining - ends)
 
-    extend([], {c[0] for c in m.vertex_cycles()})
+    extend([], set(vert.values()))
     return out
 
 
 def _cofacial(s: _Surgeon) -> tuple[dict, dict]:
     """White->black co-facial adjacency and a corner pair per vertex pair."""
+    vertex_of = s.map.vertex_index()
 
     def pairs():
         for face in s.map.face_cycles():
             at: dict[int, int] = {}
             for h in face:
-                at.setdefault(s.vertex_handle(h), h)
+                at.setdefault(vertex_of[h], h)
             handles = sorted(at)
             for u in handles:
                 if s.coloring[u] == "w":
@@ -470,7 +455,9 @@ def equivariant_dimer(tiling: BraneTiling, taut: TilingAutomorphism
                 f"symmetry order {n}")
         minority = "b" if excess > 0 else "w"
         majority = "w" if excess > 0 else "b"
-        corner = min(h for h in s.map.half_edges if s.color_at(h) == majority)
+        vertex_of = s.map.vertex_index()
+        corner = min(h for h in s.map.half_edges
+                     if s.coloring[vertex_of[h]] == majority)
         for _ in range(abs(excess) // n):
             s.add_pendant_orbit(corner, minority)
         whites = sorted(h for h, c in s.coloring.items() if c == "w")
@@ -889,7 +876,7 @@ class ChoiceSearch:
         matching's dual arrows, whose other arrows have degree 0, and whose
         transport certificate holds.  Raises ``NoChoiceFound`` with a
         search report when there is none."""
-        dimer_duals = {self.tiling.arrow_name(min(h, k)) for (h, k) in dimer}
+        dimer_duals = {self.tiling.dual_arrow(h) for h, _ in dimer}
         want = self._hits(dimer_duals)
         for i, (choice, hits) in enumerate(self.candidates):
             if hits == want and self._certificate(i):
@@ -915,10 +902,10 @@ class ChoiceSearch:
         admits a choice, raises what ``choose(matching)`` raises.
         """
         m = self.tiling.map
-        edge_of = {self.tiling.arrow_name(h): (h, k) for h, k in m.edges()}
-        vertex_of = {h: cyc[0] for cyc in m.vertex_cycles() for h in cyc}
-        handles = self.tiling.vertex_handles()  # in increasing order
-        given = self._hits(self.tiling.arrow_name(min(e)) for e in matching)
+        edge_of = {self.tiling.dual_arrow(h): (h, k) for h, k in m.edges()}
+        vertex_of = m.vertex_index()
+        handles = sorted(set(vertex_of.values()))
+        given = self._hits(self.tiling.dual_arrow(h) for h, _ in matching)
         kept = {given: matching}  # hits -> its matching, None if not perfect
         won: dict = {}            # hits -> its first certified candidate
         for i, (choice, hits) in enumerate(self.candidates):

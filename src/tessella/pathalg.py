@@ -565,10 +565,6 @@ class ReduceResult:
     residual: Element
     rounds: int
 
-    @property
-    def kind(self) -> str:
-        return "zero" if self.zero else "unknown"
-
 
 def _leading_word(rel: Element) -> Word | None:
     """Longest word of the relation; ties broken lexicographically."""
@@ -657,9 +653,6 @@ class GinzburgDga:
     differential: dict = field(default_factory=dict)  # generator -> Element
     star: dict = field(default_factory=dict)          # arrow -> star id
     loop: dict = field(default_factory=dict)          # vertex -> loop id
-
-    def word_degree(self, w: Word) -> int:
-        return sum(self.degree[a] * e for a, e in w.letters)
 
     def d_word(self, w: Word) -> Element:
         """Graded Leibniz extension of the generator differential.
@@ -752,16 +745,25 @@ def commutator_sum(quiver: Quiver, W: Potential) -> Element:
 # -- compact text forms and JSON -------------------------------------------
 
 
+def parse_tokens(s: str) -> tuple[Letter, ...]:
+    """Whitespace-separated tokens; ``tok^-1`` inverts and ``tok^1`` is
+    ``tok``.  ``""`` is empty; an empty name raises ``ValueError``."""
+    out = []
+    for tok in s.split():
+        if tok.endswith("^-1"):
+            name, exp = tok[:-3], -1
+        else:
+            name, exp = tok.removesuffix("^1"), 1
+        if not name:
+            raise ValueError(f"empty generator name in token {tok!r}")
+        out.append((name, exp))
+    return tuple(out)
+
+
 def parse_letters(s: str) -> list[Letter]:
-    """'ardbr' -> single-char letters; 'e^-1 c' -> space-separated tokens."""
+    """'ardbr' -> single-char letters; 'e^-1 c' -> :func:`parse_tokens`."""
     if " " in s:
-        out = []
-        for tok in s.split():
-            if tok.endswith("^-1"):
-                out.append((tok[:-3], -1))
-            else:
-                out.append((tok, 1))
-        return out
+        return list(parse_tokens(s))
     return [(ch, 1) for ch in s]
 
 

@@ -57,6 +57,7 @@ from .pathalg import (
     derivatives,
     jacobi_relations,
     normalize,
+    parse_tokens,
     word_product,
 )
 
@@ -80,22 +81,9 @@ class NotInTreeClosure(KeyError):
 
 
 def parse_group_word(s: str) -> tuple[Letter, ...]:
-    """Whitespace-separated tokens; ``tok^-1`` inverts.  ``""`` is empty."""
-    out = []
-    for tok in s.split():
-        if tok.endswith("^-1"):
-            name = tok[:-3]
-            exp = -1
-        elif tok.endswith("^1"):
-            name = tok[:-2]
-            exp = 1
-        else:
-            name = tok
-            exp = 1
-        if not name:
-            raise ValueError(f"empty generator name in token {tok!r}")
-        out.append((name, exp))
-    return tuple(out)
+    """:func:`tessella.pathalg.parse_tokens`: whitespace-separated tokens,
+    ``tok^-1`` inverts.  ``""`` is empty."""
+    return parse_tokens(s)
 
 
 def render_group_word(letters: Sequence[Letter]) -> str:

@@ -20,10 +20,11 @@ tallies and never folded into them.
 Every batch count (:func:`enumerate_reps`, :func:`stratify_by_omega`,
 :func:`conjecture_probe_d1`) is one sweep over blocks of ``_CHUNK`` points:
 ranges of the lexicographic order (arrows by id, last arrow fastest) on
-``TESSELLA_THREADS`` threads, or seeded draws, one block after another.  A
-kernel sees at most ``_SLICE`` points at a time, which bounds its working
-set, and returns exact integer tallies that merge by addition, so outputs do
-not depend on block size, slice size or thread count.  The count kernel reads
+``TESSELLA_THREADS`` threads (at most one per CPU the process may run on),
+or seeded draws, one block after another.  A kernel sees at most
+``_SLICE`` points at a time, which bounds its working set, and returns
+exact integer tallies that merge by addition, so outputs do not depend on
+block size, slice size or thread count.  The count kernel reads
 each term of W once per slice through shared suffix and prefix products,
 which give its trace and every occurrence's cyclic derivative (elementwise at
 d = 1, batched matmuls otherwise).  The per-point :class:`MatrixRep` route
@@ -548,7 +549,11 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
         workers = max(1, int(os.environ.get("TESSELLA_THREADS", "1")))
     except ValueError:
         workers = 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # at most one thread per CPU the process may run on: the pool starts a
+    # thread per submitted block while none is idle
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=min(workers, cpus)) as pool:
         tally = sum(pool.map(block, range(0, space.total, _CHUNK)))
     return [int(t) * space.gauge for t in tally]
 

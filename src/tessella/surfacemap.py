@@ -26,6 +26,14 @@ Minimal cycles compose in the right-to-left word convention of
 Vertices and faces are referred to by *handles*: the smallest half-edge in
 the corresponding cycle.  All orderings used for output (faces, edges,
 potential terms) are by handle, so every construction is deterministic.
+
+* The cell index: ``CombinatorialMap.vertex_index`` (half-edge -> vertex
+  handle), ``CombinatorialMap.face_index`` (half-edge -> face number, as
+  the dual quiver numbers faces) and ``BraneTiling.dual_arrow`` (half-edge
+  -> name of the arrow dual to its edge) answer every per-half-edge
+  question of this module and of :mod:`tessella.equivariant`.  The two
+  indexes are fresh dicts on every call, never cached, because tiling
+  surgery edits a map in place; a loop takes one snapshot and reads it.
 """
 
 from __future__ import annotations
@@ -138,6 +146,16 @@ class CombinatorialMap:
                 out.append((h, k))
         return out
 
+    def vertex_index(self) -> dict[int, int]:
+        """half-edge -> handle of its vertex (a fresh dict on every call)."""
+        return {h: cyc[0] for cyc in self.vertex_cycles() for h in cyc}
+
+    def face_index(self) -> dict[int, int]:
+        """half-edge -> 1-based face number, faces in ``face_cycles`` order
+        (a fresh dict on every call)."""
+        return {h: i for i, cyc in enumerate(self.face_cycles(), start=1)
+                for h in cyc}
+
     def vertex_of(self, h: int) -> tuple[int, ...]:
         """The rotation cycle through ``h``, from its smallest half-edge."""
         if h not in self.rotation:
@@ -194,6 +212,11 @@ class BraneTiling:
     def arrow_name(self, edge_min: int) -> str:
         return self.labels.get(edge_min, f"e{edge_min}")
 
+    def dual_arrow(self, h: int) -> str:
+        """Name of the arrow dual to the edge through half-edge ``h``."""
+        edge_min = min(h, self.map.involution[h])
+        return self.arrow_name(edge_min)
+
 
 def validate_tiling(tiling: BraneTiling) -> dict:
     """Check tiling axioms and return a report (never raises).
@@ -208,8 +231,8 @@ def validate_tiling(tiling: BraneTiling) -> dict:
     if problems:
         return report
 
-    vcycles = m.vertex_cycles()
-    handles = [c[0] for c in vcycles]
+    vertex_of = m.vertex_index()
+    handles = sorted(set(vertex_of.values()))
     color = dict(tiling.coloring)
     for h in handles:
         if color.get(h) not in ("w", "b"):
@@ -219,11 +242,11 @@ def validate_tiling(tiling: BraneTiling) -> dict:
             problems.append(f"colour assigned to non-vertex handle {k}")
     if not problems:
         for (h, k) in m.edges():
-            cw, cb = tiling.color_of(h), tiling.color_of(k)
+            cw, cb = color[vertex_of[h]], color[vertex_of[k]]
             if cw == cb:
                 problems.append(f"edge ({h},{k}) joins two {cw} vertices")
 
-    report["vertices"] = len(vcycles)
+    report["vertices"] = len(handles)
     report["edges"] = len(m.edges())
     report["faces"] = len(m.face_cycles())
     chi = report["vertices"] - report["edges"] + report["faces"]
@@ -232,23 +255,6 @@ def validate_tiling(tiling: BraneTiling) -> dict:
         problems.append(f"Euler characteristic {chi} is not that of an oriented closed surface")
     report["valid"] = not problems
     return report
-
-
-def _face_index(m: CombinatorialMap) -> dict[int, int]:
-    """half-edge -> 1-based face number (faces ordered by smallest half-edge)."""
-    idx = {}
-    for i, cyc in enumerate(m.face_cycles(), start=1):
-        for h in cyc:
-            idx[h] = i
-    return idx
-
-
-def _white_half(tiling: BraneTiling, edge: tuple[int, int]) -> tuple[int, int]:
-    """(white half, black half) of an edge."""
-    h, k = edge
-    if tiling.color_of(h) == "w":
-        return h, k
-    return k, h
 
 
 def dual_quiver(tiling: BraneTiling) -> tuple[Quiver, Potential]:
@@ -261,13 +267,13 @@ def dual_quiver(tiling: BraneTiling) -> tuple[Quiver, Potential]:
         raise InvalidTiling("; ".join(report["problems"]))
 
     m = tiling.map
-    face_of = _face_index(m)
-    vertices = list(range(1, len(m.face_cycles()) + 1))
+    face_of = m.face_index()
+    vertex_of = m.vertex_index()
     arrows = []
     for (h, k) in m.edges():
-        hw, hb = _white_half(tiling, (h, k))
-        arrows.append((tiling.arrow_name(h), face_of[hb], face_of[hw]))
-    quiver = Quiver(vertices, arrows)
+        hw, hb = (h, k) if tiling.coloring[vertex_of[h]] == "w" else (k, h)
+        arrows.append((tiling.dual_arrow(h), face_of[hb], face_of[hw]))
+    quiver = Quiver(list(range(1, max(face_of.values()) + 1)), arrows)
 
     terms = []
     for handle in tiling.vertex_handles():
@@ -292,11 +298,7 @@ def minimal_cycle(tiling: BraneTiling, v: int) -> tuple[str, ...]:
         raise UnknownVertex(v)
     color = tiling.coloring.get(v)
     halves = list(cyc) if color == "w" else [cyc[0]] + list(reversed(cyc[1:]))
-    names = []
-    for h in halves:
-        k = m.involution[h]
-        names.append(tiling.arrow_name(min(h, k)))
-    return tuple(names)
+    return tuple(tiling.dual_arrow(h) for h in halves)
 
 
 # -- serialization -----------------------------------------------------------

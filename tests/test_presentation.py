@@ -24,6 +24,7 @@ from tessella.pathalg import (
     Quiver,
     UnknownArrow,
     normalize,
+    parse_letters,
     word_product,
 )
 from tessella.presentation import (
@@ -150,6 +151,29 @@ def test_parse_and_render_group_words():
     assert render_group_word(()) == ""
     with pytest.raises(ValueError):
         parse_group_word("^-1")
+
+
+_TOKENS = st.sampled_from(["x1", "y1", "r", "ab", "x1^-1", "r^-1", "y1^1",
+                           "ab^1", "c^-1"])
+
+
+@given(st.lists(_TOKENS, min_size=1, max_size=6),
+       st.sampled_from([" ", "  ", " \t "]))
+@settings(max_examples=60, deadline=None)
+def test_path_and_group_parsers_read_tokens_alike(tokens, sep):
+    """One token reader serves both parsers: on any string with a space
+    the path-word parser reads exactly the group-word tokens."""
+    s = " " + sep.join(tokens)
+    assert tuple(parse_letters(s)) == parse_group_word(s)
+
+
+def test_path_and_group_parsers_share_the_edge_cases():
+    assert parse_letters("x^1 y") == [("x", 1), ("y", 1)]
+    for bad in ("^-1 a", "a ^1"):
+        with pytest.raises(ValueError, match="empty generator name"):
+            parse_letters(bad)
+        with pytest.raises(ValueError, match="empty generator name"):
+            parse_group_word(bad)
 
 
 def test_as_group_letters_validation():

@@ -583,6 +583,44 @@ def test_chunking_and_threads_do_not_change_reports(monkeypatch):
     assert enumerate_reps(q, W, 1, 3) == base
 
 
+def test_threads_are_capped_at_the_usable_cpus(monkeypatch):
+    """``TESSELLA_THREADS`` asks for at most one worker per CPU the process
+    may run on.  A serial stand-in for the pool records ``max_workers``, so
+    the test starts no thread."""
+    q = counting_quiver()
+    W = counting_potential(q)
+    base = enumerate_reps(q, W, 1, 3)
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(repcount, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(repcount.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    for threads in ("100000", "1", "2", "0"):
+        monkeypatch.setenv("TESSELLA_THREADS", threads)
+        assert enumerate_reps(q, W, 1, 3) == base
+    assert asked == [2, 1, 2, 1]
+    # without an affinity mask the cap is the machine's CPU count
+    monkeypatch.delattr(repcount.os, "sched_getaffinity", raising=False)
+    monkeypatch.setenv("TESSELLA_THREADS", "100000")
+    for cpus, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(repcount.os, "cpu_count", lambda: cpus)
+        assert enumerate_reps(q, W, 1, 3) == base
+        assert asked[-1] == want
+
+
 def test_count_report_validates_tallies():
     norm = {"L_exponent": Fraction(-1), "GL_exponent": -1, "GL_order": 1}
     with pytest.raises(ValueError, match="histogram"):

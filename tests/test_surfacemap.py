@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import square_torus_covers
 from tessella.datafiles import load_data
-from tessella.equivariant import tiling_automorphism_from_json
+from tessella.equivariant import (
+    MatchingStuck,
+    equivariant_dimer,
+    refine_tiling,
+    tiling_automorphism_from_json,
+)
 from tessella.pathalg import Potential
 from tessella.surfacemap import (
     BraneTiling,
@@ -250,6 +256,53 @@ def test_each_arrow_meets_one_white_and_one_black_cycle():
         assert counts["w"] == {a: 1 for a in names}
         assert counts["b"] == {a: 1 for a in names}
         assert lengths["w"] == lengths["b"] == len(tiling.map.edges())
+
+
+# -- the cell index -----------------------------------------------------------
+
+
+def assert_cell_index(tiling):
+    """The index agrees half-edge by half-edge with the per-half-edge
+    lookups and with the face order the dual quiver uses."""
+    m = tiling.map
+    vertex_of, face_of = m.vertex_index(), m.face_index()
+    assert set(vertex_of) == set(face_of) == set(m.half_edges)
+    for i, cyc in enumerate(m.face_cycles(), start=1):
+        assert [face_of[h] for h in cyc] == [i] * len(cyc)
+    for h in m.half_edges:
+        assert vertex_of[h] == m.vertex_of(h)[0]
+        assert tiling.dual_arrow(h) == tiling.dual_arrow(m.involution[h])
+        assert tiling.color_of(h) == tiling.coloring[vertex_of[h]]
+
+
+def _index_inputs(family):
+    """The bundled and random tilings, or each two-square-torus cover of
+    order 2 and 3 with its refinement and its equivariant dimer's tiling
+    (when the dimer exists).  Lazily, so an input is checked before the
+    code that reads its index builds the next one."""
+    if family == "random":
+        yield genus2_tiling()
+        yield torus_tiling()
+        yield from _random_tilings(10)
+        return
+    for n in (2, 3):
+        for _, tiling, taut in square_torus_covers(n):
+            yield tiling
+            refined = refine_tiling(tiling, taut)
+            yield refined[0]
+            try:
+                yield equivariant_dimer(*refined)[0]
+            except MatchingStuck:
+                pass
+
+
+@pytest.mark.parametrize("family", ["random", "covers"])
+def test_cell_index_agrees_with_the_per_half_edge_lookups(family):
+    checked = 0
+    for tiling in _index_inputs(family):
+        assert_cell_index(tiling)
+        checked += 1
+    assert checked >= 12
 
 
 def test_recoloured_torus_reverses_arrows():
