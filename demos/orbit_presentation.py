@@ -35,7 +35,7 @@ def main() -> None:
           f"(one of {len(all_dimers(tiling))} perfect matchings)")
 
     # Among the matchings that admit a homogeneous section, take the one
-    # whose certified generators come first alphabetically, so the output
+    # whose admissible generators come first alphabetically, so the output
     # lines up with the bundled derivation script.
     search = ChoiceSearch(tiling, taut)
     W = search.W

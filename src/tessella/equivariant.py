@@ -15,13 +15,14 @@ builds the machinery relating the dual quiver ``Q`` to its orbit quiver
   ``a = phi^k(gen)`` maps to ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the
   unique iso-arrow words between the matching endpoints),
 * ``transport_potential`` pushes the tiling potential to ``Q'``, and
-  ``ChoiceSearch`` lists the candidate choices once and picks one making
-  the transported potential homogeneous of degree ``n`` in the isomorphism
-  arrows: for one matching (``choose``, or ``choose_homogeneous_xi``), or
-  the smallest-lettered over every perfect matching (``canonical``), in
-  one pass over the candidates.  ``all_dimers`` enumerates the perfect
-  matchings by brute force; it is the oracle the search is tested
-  against, not a step of it.
+  ``ChoiceSearch`` picks a choice making the transported potential
+  homogeneous of degree ``n`` in the isomorphism arrows, from arrow
+  degrees alone: its degree-n arrows must be dual to a perfect matching,
+  the others of degree 0.  It answers for one matching (``choose``, or
+  ``choose_homogeneous_xi``), or takes the smallest-lettered over every
+  perfect matching (``canonical``), building no orbit quiver.  ``all_dimers``
+  enumerates the perfect matchings by brute force; it is the oracle the
+  search is tested against, not a step of it.
 
 The isomorphism arrows are the orbit quiver's localized arrows; they carry
 degree +1 (inverses -1) and all other arrows degree 0.
@@ -785,16 +786,20 @@ class ChoiceSearch:
 
     Candidates range over one source vertex per vertex orbit (determining
     the generators, hence satisfying the common-source condition) and one
-    chain base per vertex orbit, in ``product`` order.  They are listed
-    once, on construction, and nothing about them depends on the matching.
-    A candidate's arrow degrees, read off chain positions without building
-    an orbit quiver, name the one matching it can serve: when every arrow
-    has degree 0 or ``n``, the matching whose dual arrows are its degree-n
-    arrows (``hits``, ``None`` when ``n = 1``, where every matching asks
-    for all degrees 0); otherwise none, and it is only counted.  Its
-    transport certificate (an actual transport, homogeneous of degree ``n``
-    with no isomorphism arrow of both signs) is computed on first need and
-    kept.
+    chain base per vertex orbit, in ``product`` order.  A candidate's arrow
+    degrees are read off chain positions without building an orbit quiver.
+    It can serve a matching only when every arrow has degree 0 or ``n``:
+    then its degree-n arrows (``hits``, ``None`` when ``n = 1``, where
+    every matching asks for all degrees 0) must be the matching's duals.
+    The search keeps the first candidate of each such set, in search order.
+
+    No candidate is transported: the degrees decide.  Each term of W is the
+    boundary cycle of one tiling vertex, so its transported degree is ``n``
+    times the number of ``hits`` edges at that vertex.  W is homogeneous of
+    degree ``n`` exactly when those edges meet every tiling vertex once,
+    that is, form a perfect matching (for ``n = 1`` every term has degree
+    0).  The common-source condition keeps any isomorphism arrow from
+    occurring with both signs, so the transport raises nothing either.
     """
 
     def __init__(self, tiling: BraneTiling, taut: TilingAutomorphism):
@@ -810,18 +815,24 @@ class ChoiceSearch:
         self.vertex_orbits = self.phi.vertex_orbits()
         self.arrow_orbits = self.phi.arrow_orbits()
         self.size = 0  # the candidates, counting those that serve no matching
-        self.candidates: list[tuple[OrbitChoice, Optional[frozenset]]] = []
-        for choice, degrees in self._candidates():
+        # hits -> the first candidate with those degree-n arrows
+        self.first: dict[Optional[frozenset], OrbitChoice] = {}
+        for generators, bases, degrees in self._candidates():
             self.size += 1
             if all(d in (0, self.want_hit) for d in degrees.values()):
                 hits = self._hits(a for a, d in degrees.items() if d)
-                self.candidates.append((choice, hits))
-        self._certified: dict = {}  # index into candidates -> certificate
+                if hits not in self.first:
+                    self.first[hits] = OrbitChoice(
+                        generators, bases, require_common_source=True)
+        m = tiling.map
+        self._edge_of = {tiling.dual_arrow(h): (h, k) for h, k in m.edges()}
+        self._vertex_of = m.vertex_index()
+        self._handles = sorted(set(self._vertex_of.values()))
 
     def _candidates(self):
-        """Yield (choice, arrow degrees) for every candidate, in order; the
-        degrees are those ``SemidirectQuiver.arrow_degree`` would read off
-        the candidate's orbit quiver."""
+        """Yield (generators, bases, arrow degrees) for every candidate, in
+        order; the degrees are those ``SemidirectQuiver.arrow_degree`` would
+        read off the candidate's orbit quiver."""
         quiver, n = self.quiver, self.phi.order
         where = {}  # vertex -> (orbit representative, index along the orbit)
         for orb in self.vertex_orbits:
@@ -853,34 +864,27 @@ class ChoiceSearch:
                                for a, ta, tg, sg, sa in ends}
                     base_of = {orb[0]: b
                                for orb, b in zip(self.vertex_orbits, bases)}
-                    yield (OrbitChoice(generators, base_of,
-                                       require_common_source=True), degrees)
+                    yield generators, base_of, degrees
 
     def _hits(self, arrows) -> Optional[frozenset]:
         return frozenset(arrows) if self.want_hit else None
 
-    def _certificate(self, i: int) -> bool:
-        if i not in self._certified:
-            ctx = build_orbit_quiver(self.quiver, self.phi,
-                                     self.candidates[i][0])
-            try:
-                res = transport_potential(self.W, ctx)
-                ok = res.homogeneous and res.degree == self.want_hit
-            except MixedInverseViolation:
-                ok = False
-            self._certified[i] = ok
-        return self._certified[i]
+    def _perfect(self, hits: Optional[frozenset]) -> bool:
+        """Whether the edges dual to ``hits`` meet every tiling vertex once,
+        so that the candidates with these degree-n arrows transport W
+        homogeneously of degree ``n``; always, when ``n = 1``."""
+        return hits is None or self._handles == sorted(
+            self._vertex_of[h] for a in hits for h in self._edge_of[a])
 
     def choose(self, dimer: frozenset) -> OrbitChoice:
         """The first candidate whose degree-n arrows are exactly the
-        matching's dual arrows, whose other arrows have degree 0, and whose
-        transport certificate holds.  Raises ``NoChoiceFound`` with a
-        search report when there is none."""
+        matching's dual arrows and whose other arrows have degree 0, when
+        those duals form a perfect matching.  Raises ``NoChoiceFound`` with
+        a search report when there is none."""
         dimer_duals = {self.tiling.dual_arrow(h) for h, _ in dimer}
         want = self._hits(dimer_duals)
-        for i, (choice, hits) in enumerate(self.candidates):
-            if hits == want and self._certificate(i):
-                return choice
+        if want in self.first and self._perfect(want):
+            return self.first[want]
         raise NoChoiceFound(
             f"no admissible choice after {self.size} candidates "
             f"(order {self.phi.order}, {len(self.vertex_orbits)} vertex "
@@ -891,37 +895,26 @@ class ChoiceSearch:
         """The admissible (matching, choice) with the smallest generator
         letters, over the given matching and every perfect matching.
 
-        Distinct matchings can certify differently-lettered sections of the
+        Distinct matchings can admit differently-lettered sections of the
         same arrow orbits; the smallest makes the emitted presentation
         deterministic and lines companion data such as derivation scripts
-        up with it.  One pass keeps the ``hits`` that are the given
-        matching's duals or dual to a perfect matching (their edges cover
-        each tiling vertex once), each with its first certified candidate:
-        what :meth:`choose` returns for that matching.  Ties go to the given
-        matching, then to the smallest sorted dual names.  When no matching
-        admits a choice, raises what ``choose(matching)`` raises.
+        up with it.  One pass over the kept candidates takes those whose
+        ``hits`` are dual to a perfect matching: what :meth:`choose` returns
+        for that matching.  Ties go to the given matching, then to the
+        smallest sorted dual names.  When no matching admits a choice,
+        raises what ``choose(matching)`` raises.
         """
-        m = self.tiling.map
-        edge_of = {self.tiling.dual_arrow(h): (h, k) for h, k in m.edges()}
-        vertex_of = m.vertex_index()
-        handles = sorted(set(vertex_of.values()))
         given = self._hits(self.tiling.dual_arrow(h) for h, _ in matching)
-        kept = {given: matching}  # hits -> its matching, None if not perfect
-        won: dict = {}            # hits -> its first certified candidate
-        for i, (choice, hits) in enumerate(self.candidates):
-            if hits not in kept:
-                edges = frozenset(edge_of[a] for a in hits)
-                ends = sorted(vertex_of[h] for e in edges for h in e)
-                kept[hits] = edges if ends == handles else None
-            if kept[hits] is not None and hits not in won \
-                    and self._certificate(i):
-                won[hits] = choice
+        won = {hits: choice for hits, choice in self.first.items()
+               if self._perfect(hits)}
         if not won:  # not even for the given matching
             return self.choose(matching)  # raises its NoChoiceFound
         best = min(won, key=lambda hits: (
             tuple(str(g) for g in won[hits].generators), hits != given,
             sorted(hits or ())))
-        return kept[best], won[best]
+        if best == given:
+            return matching, won[best]
+        return frozenset(self._edge_of[a] for a in best), won[best]
 
 
 def choose_homogeneous_xi(tiling: BraneTiling, taut: TilingAutomorphism,
@@ -930,10 +923,11 @@ def choose_homogeneous_xi(tiling: BraneTiling, taut: TilingAutomorphism,
 
     ``ChoiceSearch(tiling, taut).choose(dimer)``: the first candidate, in
     search order, under which every dimer-dual arrow embeds with degree
-    equal to the symmetry order and every other arrow with degree 0,
-    certified by an actual transport.  The pipeline's pick over every
-    perfect matching is :meth:`ChoiceSearch.canonical`.  Raises
-    ``NoChoiceFound`` with a search report when no candidate qualifies.
+    equal to the symmetry order and every other arrow with degree 0, when
+    the dimer is a perfect matching (which makes the transported potential
+    homogeneous of that degree).  The pipeline's pick over every perfect
+    matching is :meth:`ChoiceSearch.canonical`.  Raises ``NoChoiceFound``
+    with a search report when no candidate qualifies.
     """
     return ChoiceSearch(tiling, taut).choose(dimer)
 

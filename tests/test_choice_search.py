@@ -1,7 +1,10 @@
 """The one-pass choice search against the per-matching loops it replaced.
 
 ``reference_choose`` below is a test-only copy of the slow route: a fresh
-search per matching that builds an orbit quiver for every candidate.
+search per matching that builds an orbit quiver for every candidate and
+certifies by transport.  ``transport_certificate`` is the certificate the
+search once computed per candidate; it must agree with the perfect-matching
+test that replaced it on every candidate passing the degree filter.
 ``reference_canonical`` is the loop over every perfect matching that
 ``ChoiceSearch.canonical`` replaced: ``all_dimers`` in sorted dual order,
 one query per matching, raising the given matching's failure when none
@@ -10,9 +13,9 @@ generators, bases) and the same ``NoChoiceFound`` text on the bundled
 genus-2 tiling, the identity symmetry of the torus, seeded double covers of
 the genus-2 tiling (which exhaust the search), relabelled cyclic covers of
 the torus and the small connected covers of the two-square torus.  A
-counting guard checks that the search builds and transports each candidate
-at most once, and a guard with ``all_dimers`` disabled checks that the
-program never enumerates the matchings.
+counting guard checks that the search builds no orbit quiver and transports
+nothing, and a guard with ``all_dimers`` disabled checks that the program
+never enumerates the matchings.
 """
 
 import contextlib
@@ -111,6 +114,18 @@ def reference_choose(tiling, taut, dimer):
         f"no admissible choice after {tried} candidates "
         f"(order {n}, {len(vertex_orbits)} vertex orbits, "
         f"{len(arrow_orbits)} arrow orbits, dimer duals {sorted(dimer_duals)})")
+
+
+def transport_certificate(search, generators, bases):
+    """The candidate's transport is homogeneous of degree ``n`` (0 when
+    ``n = 1``), with no isomorphism arrow of both signs."""
+    choice = OrbitChoice(generators, bases, require_common_source=True)
+    ctx = build_orbit_quiver(search.quiver, search.phi, choice)
+    try:
+        res = transport_potential(search.W, ctx)
+    except MixedInverseViolation:
+        return False
+    return res.homogeneous and res.degree == search.want_hit
 
 
 def matchings_in_order(tiling, matching):
@@ -322,17 +337,15 @@ def test_sixteen_fold_torus_cover_keeps_its_pinned_choice():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_only_the_given_and_perfect_matchings_compete(monkeypatch, seed):
-    """With every transport certificate forced to hold, a degree-n set of
-    the genus-2 double covers that is dual to no perfect matching would win
-    if it were kept; ``canonical`` must still agree with the loop over
-    ``all_dimers``."""
-    monkeypatch.setattr(ChoiceSearch, "_certificate", lambda self, i: True)
+def test_only_the_given_and_perfect_matchings_compete(seed):
+    """The search keeps degree-n sets of the genus-2 double covers that are
+    dual to no perfect matching, and one would win if it competed;
+    ``canonical`` must still agree with the loop over ``all_dimers``."""
     tiling, taut, matching = genus2_double_cover(seed)
     search = ChoiceSearch(tiling, taut)
     perfect = {frozenset(tiling.arrow_name(min(e)) for e in m)
                for m in all_dimers(tiling)}
-    assert {hits for _, hits in search.candidates} - perfect
+    assert set(search.first) - perfect
     want = canonical_outcome(lambda: reference_canonical(
         tiling, search.choose, matching, []))
     assert canonical_outcome(
@@ -340,11 +353,11 @@ def test_only_the_given_and_perfect_matchings_compete(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("extra", [False, True])
-def test_a_set_covering_a_vertex_twice_does_not_compete(monkeypatch, extra):
-    """A certified candidate with the smallest letters, put first, wins
-    when its degree-n set is dual to a perfect matching other than the
-    given one, and that matching is returned; with one more arrow its set
-    still covers every tiling vertex, two of them twice, and it loses."""
+def test_a_set_covering_a_vertex_twice_does_not_compete(extra):
+    """A kept candidate with the smallest letters wins when its degree-n
+    set is dual to a perfect matching other than the given one, and that
+    matching is returned; with one more arrow its set still covers every
+    tiling vertex, two of them twice, and it loses."""
     tiling, taut, matching = prepared(*bundled())
     search = ChoiceSearch(tiling, taut)
     given = {frozenset(e) for e in matching}
@@ -353,8 +366,7 @@ def test_a_set_covering_a_vertex_twice_does_not_compete(monkeypatch, extra):
     hits = {tiling.arrow_name(min(e)) for e in other}
     if extra:
         hits.add(next(a for a in search.quiver.arrow_ids() if a not in hits))
-    search.candidates.insert(0, (OrbitChoice(["0"], {}), frozenset(hits)))
-    monkeypatch.setattr(ChoiceSearch, "_certificate", lambda self, i: True)
+    search.first[frozenset(hits)] = OrbitChoice(["0"], {})
     m, choice = search.canonical(matching)
     assert (choice.generators == ("0",)) is not extra
     if not extra:
@@ -363,10 +375,11 @@ def test_a_set_covering_a_vertex_twice_does_not_compete(monkeypatch, extra):
 
 @pytest.mark.parametrize("name", ["genus2-double-cover", "torus3"])
 def test_every_degree_pattern_as_a_query_agrees(name):
-    """Query each candidate's degree-n arrow set, read off its orbit quiver,
+    """Every candidate's degrees equal those read off its orbit quiver.
+    Query each degree-n arrow set of a candidate passing the degree filter
     as an edge set.  On the double cover these sets are not perfect
-    matchings, so they pass the degree filter and fail the transport
-    certificate; on the torus cover two candidates share each set."""
+    matchings, so they pass the degree filter and serve no matching; on the
+    torus cover two candidates share each set."""
     if name == "torus3":
         tiling, taut, _ = torus_cover(3, 11)
     else:
@@ -377,16 +390,46 @@ def test_every_degree_pattern_as_a_query_agrees(name):
     edge_of = {tiling.arrow_name(min(e)): e for e in tiling.map.edges()}
     n = search.phi.order
     patterns = set()
-    for choice, hits in search.candidates:
+    for generators, bases, degrees in search._candidates():
+        choice = OrbitChoice(generators, bases, require_common_source=True)
         ctx = build_orbit_quiver(search.quiver, search.phi, choice)
-        degrees = {a: ctx.arrow_degree(a) for a in search.quiver.arrow_ids()}
-        assert set(degrees.values()) <= {0, n}
-        assert hits == frozenset(a for a, d in degrees.items() if d)
-        patterns.add(frozenset(edge_of[a] for a in hits))
+        assert degrees == {a: ctx.arrow_degree(a)
+                           for a in search.quiver.arrow_ids()}
+        if set(degrees.values()) <= {0, n}:
+            patterns.add(frozenset(edge_of[a] for a, d in degrees.items()
+                                   if d))
     assert patterns
     for edges in sorted(patterns, key=sorted):
         assert outcome(search.choose, edges) == \
             outcome(reference_choose, tiling, taut, edges)
+
+
+def certificate_inputs():
+    yield prepared(*bundled())
+    for n in range(2, 9):
+        for seed in (0, 1):
+            yield torus_cover(n, seed)
+    for n in (2, 3):
+        yield from reaching_the_choice_stage(square_torus_covers(n))
+    for seed in range(3):
+        yield genus2_double_cover(seed)
+
+
+def test_the_transport_certificate_is_the_perfect_matching_test():
+    """On every candidate passing the degree filter, the transport
+    certificate holds exactly when the degree-n arrows are dual to a perfect
+    matching, the test the search applies instead."""
+    seen = {True: 0, False: 0}
+    for tiling, taut, _ in certificate_inputs():
+        search = ChoiceSearch(tiling, taut)
+        for generators, bases, degrees in search._candidates():
+            if set(degrees.values()) <= {0, search.want_hit}:
+                hits = search._hits(a for a, d in degrees.items() if d)
+                perfect = search._perfect(hits)
+                assert transport_certificate(search, generators, bases) \
+                    == perfect, (generators, bases)
+                seen[perfect] += 1
+    assert seen[True] and seen[False]
 
 
 @settings(max_examples=25, deadline=None)
@@ -400,10 +443,11 @@ def test_relabelled_torus_covers_agree(n, seed):
 
 
 @pytest.mark.parametrize("n", [1, 8])
-def test_each_candidate_is_built_and_transported_at_most_once(monkeypatch, n):
-    """On the 8-fold cover each matching asks for its own degree-n set; with
-    the identity symmetry every matching asks for all degrees 0, so the
-    matchings share the candidates and their certificates."""
+def test_canonical_builds_and_transports_nothing(monkeypatch, n):
+    """The degrees decide: on the 8-fold cover, where each matching asks
+    for its own degree-n set, and with the identity symmetry, where every
+    matching asks for all degrees 0, ``canonical`` builds no orbit quiver
+    and transports nothing."""
     if n == 1:
         torus = tiling_from_json(load_data("torus_tiling.json"))
         tiling, taut, matching = equivariant_dimer(
@@ -428,9 +472,7 @@ def test_each_candidate_is_built_and_transported_at_most_once(monkeypatch, n):
     matchings = matchings_in_order(tiling, matching)
     assert len(matchings) > 1
     ChoiceSearch(tiling, taut).canonical(matching)
-    assert built and transported
-    assert len(set(built)) == len(built) <= n * n
-    assert len(set(transported)) == len(transported)
+    assert built == [] and transported == []
 
 
 # -- all_dimers is a test oracle -----------------------------------------------

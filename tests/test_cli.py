@@ -211,6 +211,33 @@ def test_transport_with_explicit_choice_file(tmp_path, capsys):
     assert with_choice == automatic
 
 
+def test_a_choice_that_is_not_homogeneous_fails_verification(tmp_path,
+                                                            capsys):
+    """Only a choice file reaches the check: the search keeps homogeneous
+    choices.  Generators a, c, e, g, i transport W with mixed degrees."""
+    path = tmp_path / "choice.json"
+    path.write_text(json.dumps({"generators": ["a", "c", "e", "g", "i"],
+                                "bases": {"1": 1},
+                                "require_common_source": False}))
+    rc, out, err = run(["transport", "--choice", str(path)], capsys)
+    assert rc == EXIT_VERIFY
+    assert json.loads(out)["homogeneous"] is False
+    assert err == "error: transported potential is not homogeneous\n"
+    assert run(["transport", "--choice", str(path),
+                "--no-require-homogeneous"], capsys) == (EXIT_OK, out, "")
+
+
+def test_a_choice_with_mixed_signs_is_input_error(tmp_path, capsys):
+    path = tmp_path / "choice.json"
+    path.write_text(json.dumps({"generators": ["a", "b", "c", "d", "f"],
+                                "bases": {"1": 1},
+                                "require_common_source": False}))
+    rc, out, err = run(["transport", "--choice", str(path)], capsys)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == ("error: MixedInverseViolation: isomorphism arrows "
+                   "occurring with both signs: ['r']\n")
+
+
 _GENERATORS = ["a", "b", "c", "d", "e"]
 
 
@@ -736,6 +763,61 @@ def test_pipeline_config_value_of_the_wrong_type_names_the_field(
     assert rc == EXIT_INPUT and out == ""
     assert err == f"error: InputError: pipeline config field {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_tiling_that_is_not_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    rc, out, err = run(["dual", str(path)], capsys)
+    assert (rc, out) == (EXIT_INPUT, "") and err.count("\n") == 1
+    assert err.startswith(f"error: InputError: {path} is not valid JSON: ")
+
+
+def test_a_directory_as_the_tiling_is_input_error(tmp_path, capsys):
+    rc, out, err = run(["dual", str(tmp_path)], capsys)
+    assert (rc, out) == (EXIT_INPUT, "") and err.count("\n") == 1
+    assert err.startswith(f"error: InputError: cannot read {tmp_path}: ")
+
+
+def test_a_dimension_below_one_is_input_error(tmp_path, capsys):
+    message = "error: InputError: dimension must be >= 1, got 0\n"
+    assert run(["count", "--q", "2", "--d", "0"], capsys) == \
+        (EXIT_INPUT, "", message)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"dimension": 0,
+                                    "output_dir": str(tmp_path / "out")}))
+    assert run(["pipeline", "--config", str(cfg_path)], capsys) == \
+        (EXIT_INPUT, "", message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"mode": "fast"}, "unknown mode 'fast'"),
+    ({"mode": "sample"}, "sample mode needs a sample size"),
+    ({"mode": "sample", "sample_size": 5},
+     "sample mode needs an explicit seed"),
+    ({"psi_mode": "x"}, "unknown psi_mode 'x'"),
+])
+def test_a_pipeline_config_value_out_of_range_is_input_error(
+        tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**config,
+                                    "output_dir": str(tmp_path / "out")}))
+    assert run(["pipeline", "--config", str(cfg_path)], capsys) == \
+        (EXIT_INPUT, "", f"error: InputError: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_dehn_mode_needs_a_psi_assignment(tmp_path, capsys):
+    phi_star = load_data("genus2_phi_star.json")
+    del phi_star["psi_assignment"]
+    path = tmp_path / "phi_star.json"
+    path.write_text(json.dumps(phi_star))
+    rc, out, err = run(["psi-verify", "--mode", "dehn", "--phi-star",
+                        str(path)], capsys)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == ("error: InputError: the surface-action config lacks a "
+                   "psi_assignment table, which dehn mode needs\n")
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):

@@ -190,12 +190,14 @@ def test_minimal_cycles_are_the_potential_terms():
 # -- potential invariants -----------------------------------------------------
 
 
-def _random_tilings(count, max_edges=6):
-    """Small connected bipartite maps found by seeded rejection sampling."""
+def _random_tilings(count, max_edges=6, max_seed=500):
+    """Small connected bipartite maps found by seeded rejection sampling.
+    Ten take 56 seeds; when ``validate_tiling`` rejects too many maps, the
+    seed bound turns a loop that never ends into a failure."""
     found = []
-    seed = 0
-    while len(found) < count:
-        seed += 1
+    for seed in range(1, max_seed + 1):
+        if len(found) == count:
+            break
         rng = random.Random(seed)
         n = rng.randrange(2, max_edges + 1)
         halves = list(range(2 * n))
@@ -238,6 +240,7 @@ def _random_tilings(count, max_edges=6):
         tiling = BraneTiling(m, colors)
         if validate_tiling(tiling)["valid"]:
             found.append(tiling)
+    assert len(found) == count, f"{len(found)} tilings in {max_seed} seeds"
     return found
 
 
