@@ -89,6 +89,9 @@ _CHUNK = 1 << 16  # points per block: the unit of threading and of sample draws
 _SLICE = 1 << 12  # points per kernel call: bounds the prefix/suffix arrays
 _STATE_GUARD = 10 ** 8
 _POOL_GUARD = 4 * 10 ** 6
+# a sample draw reads one 32-bit Mersenne Twister word per try (_Draws), which
+# is exact only for pools below 2^32; _POOL_GUARD keeps every pool under it
+_DRAW_LIMIT = 1 << 32
 
 
 class ShapeMismatch(ValueError):
@@ -437,10 +440,8 @@ class _RepSpace:
         return {a: (offs // self.strides[a]) % self.sizes[a]
                 for a in self.arrows}
 
-    def sample_indices(self, rng: random.Random, n: int) -> dict:
-        return {a: np.array([rng.randrange(self.sizes[a]) for _ in range(n)],
-                            dtype=np.int64)
-                for a in self.arrows}
+    def sample_indices(self, source: _Draws, n: int) -> dict:
+        return {a: source.below(self.sizes[a], n) for a in self.arrows}
 
     def letter_values(self, idx: dict, letter) -> np.ndarray:
         a, e = letter
@@ -520,20 +521,62 @@ def iter_reps(quiver: Quiver, d: int, q: int,
         yield space.rep_at(k)
 
 
+class _Draws:
+    """The values of ``random.Random(seed).randrange(size)``, read in bulk.
+
+    CPython's ``randrange(size)`` takes ``getrandbits(k)``, k =
+    ``size.bit_length()``, until the result is below ``size``, and for
+    k <= 32 each try is the top k bits of one 32-bit MT19937 word.
+    ``getrandbits(32 * m)`` returns the generator's next m words, the first
+    one least significant.  So the first n accepted words give the next n
+    draws; words read past the n-th accepted one wait in ``_words`` for the
+    next call.
+    """
+
+    def __init__(self, seed) -> None:
+        self._rng = random.Random(seed)
+        self._words = np.empty(0, dtype=np.uint32)
+
+    def below(self, size: int, n: int) -> np.ndarray:
+        """The next n values of ``randrange(size)``, as int64."""
+        if size >= _DRAW_LIMIT:
+            raise StateSpaceTooLarge(
+                f"a pool of {size} matrices is too large to sample: draws "
+                f"read one 32-bit word per try, exact below {_DRAW_LIMIT}")
+        k = size.bit_length()
+        out = []
+        while n:
+            if not len(self._words):  # enough tries for n draws on average
+                m = n * (1 << k) // size + 64
+                self._words = np.frombuffer(self._rng.getrandbits(32 * m)
+                                            .to_bytes(4 * m, "little"), "<u4")
+            tops = self._words >> (32 - k)
+            hits = np.flatnonzero(tops < size)[:n]
+            out.append(tops[hits])
+            n -= len(hits)
+            # spent: the words up to the n-th accepted one, or all of them
+            used = len(self._words) if n else hits[-1] + 1
+            self._words = self._words[used:]
+        return np.concatenate(out).astype(np.int64)
+
+
 def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
     """Sum of ``kernel(idx, n)`` over the whole space, or over ``draws``
     seeded uniform points; ``idx`` holds each arrow's pool indices for one
     slice of ``n <= _SLICE`` points and the kernel returns integer tallies.
-    An exhaustive sweep walks the gauge slice and scales its sums, as Python
-    integers, by ``space.gauge``."""
+    Sample mode draws blocks of ``_CHUNK`` points in order, each arrow's
+    indices in id order, as ``random.Random(seed).randrange`` of the pool
+    size; :class:`_Draws` reads that stream in bulk from the same
+    generator.  An exhaustive sweep walks the gauge slice and scales its
+    sums, as Python integers, by ``space.gauge``."""
     def tally(idx: dict, n: int):
         return sum(kernel({a: v[lo:lo + _SLICE] for a, v in idx.items()},
                           min(_SLICE, n - lo)) for lo in range(0, n, _SLICE))
 
     if draws is not None:
-        rng = random.Random(seed)
+        source = _Draws(seed)
         sizes = [min(_CHUNK, draws - lo) for lo in range(0, draws, _CHUNK)]
-        return sum(tally(space.sample_indices(rng, n), n) for n in sizes)
+        return sum(tally(space.sample_indices(source, n), n) for n in sizes)
     if space.total > _STATE_GUARD:
         tree = len(space.fixed)
         raise StateSpaceTooLarge(

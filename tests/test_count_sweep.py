@@ -3,11 +3,12 @@
 ``enumerate_reps``, ``stratify_by_omega`` and ``conjecture_probe_d1`` share
 one block/slice/thread sweep, which in exhaustive mode walks one gauge slice
 of the space.  These tests pin seeded sample reports to values recorded
-before the sweep was introduced, and an exhaustive q = 17 report to the
-bytes the unreduced sweep printed; hold every batch count to a walk over
-``iter_reps`` with the per-point evaluators on generated quivers and
-potentials (inverse letters included), and to the same sweep with no gauge
-tree; check that block size, slice size and thread count never change a
+before the sweep was introduced, and an exhaustive and a sampled q = 17
+report to the bytes the unreduced sweep and the per-draw ``randrange`` loop
+printed; hold the bulk index draws to that loop, draw for draw; hold every
+batch count to a walk over ``iter_reps`` with the per-point evaluators on
+generated quivers and potentials (inverse letters included), and to the
+same sweep with no gauge tree; check that block size, slice size and thread count never change a
 result, that omega strata which are not gauge invariant get no tree, and
 test the exhaustive and int64 guards at their edges.
 """
@@ -16,6 +17,9 @@ from __future__ import annotations
 
 import math
 import os
+import random
+import subprocess
+import sys
 import warnings
 from itertools import product
 from pathlib import Path
@@ -36,6 +40,9 @@ from tessella.pathalg import (
 )
 from tessella.repcount import (
     StateSpaceTooLarge,
+    _Draws,
+    _RepSpace,
+    _sweep,
     _check_int64,
     _gauge_tree,
     _mat_det,
@@ -103,6 +110,125 @@ def test_sample_reports_ignore_slices_and_threads(bundled_counting):
             mock.patch.dict(os.environ, {"TESSELLA_THREADS": "3"}):
         assert enumerate_reps(quiver, W, 1, 5, mode="sample",
                               sample_size=70000, seed=9) == base
+
+
+# -- the draw stream ------------------------------------------------------------
+
+
+def reference_draws(seed, sizes, blocks) -> list:
+    """Sample mode's draws as one ``randrange`` per point per arrow: for each
+    block of n points, for each arrow's pool size, n draws.  Returns each
+    arrow's draws over all blocks."""
+    rng = random.Random(seed)
+    out = [[] for _ in sizes]
+    for n in blocks:
+        for drawn, size in zip(out, sizes):
+            drawn.extend(rng.randrange(size) for _ in range(n))
+    return out
+
+
+def bulk_draws(seed, sizes, blocks) -> list:
+    source = _Draws(seed)
+    out = [[] for _ in sizes]
+    for n in blocks:
+        for drawn, size in zip(out, sizes):
+            got = source.below(size, n)
+            assert got.dtype == "int64" and len(got) == n
+            drawn.extend(got.tolist())
+    return out
+
+
+_SEEDS = [0, -5, (1 << 40) + 3]
+# GL_1(F_2) (each draw about two words), 2, a power of two (about half the
+# words rejected), F_17, GL_2(F_3), the largest pool the guard admits and the
+# largest one-word size
+_SIZES = [1, 2, 16, 17, 48, repcount._POOL_GUARD, repcount._DRAW_LIMIT - 1]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_bulk_draws_follow_the_randrange_stream(seed):
+    """Words read ahead for one arrow serve the next arrow and block."""
+    blocks = [1, 1, 2, 7, repcount._CHUNK + 3, 1000, 1]
+    assert (bulk_draws(seed, _SIZES, blocks)
+            == reference_draws(seed, _SIZES, blocks))
+
+
+def _recorded_sample(space, draws, seed) -> list:
+    """Each arrow's indices, in order, as ``_sweep`` hands them to a kernel."""
+    seen = {a: [] for a in space.arrows}
+
+    def kernel(idx, n):
+        for a, v in idx.items():
+            assert len(v) == n
+            seen[a].extend(v.tolist())
+        return 0
+
+    assert _sweep(space, kernel, draws, seed) == 0
+    return [seen[a] for a in space.arrows]
+
+
+_ONE_LOCALIZED = Quiver([0], [("x", 0, 0), ("y", 0, 0)], localized=["y"])
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("draws", [1, 5, repcount._CHUNK + 5])
+@pytest.mark.parametrize("case", ["q2-gl1", "bundled-q17", "bundled-d2-q3"])
+def test_sample_sweep_draws_the_randrange_stream(bundled_counting, case,
+                                                 draws, seed):
+    """Blocks of ``_CHUNK`` draws, the last one short, arrows in id order."""
+    quiver = _ONE_LOCALIZED if case == "q2-gl1" else bundled_counting[0]
+    d, q = {"q2-gl1": (1, 2), "bundled-q17": (1, 17),
+            "bundled-d2-q3": (2, 3)}[case]
+    space = _RepSpace(quiver, d, q)
+    sizes = [space.sizes[a] for a in space.arrows]
+    assert set(sizes) == {"q2-gl1": {2, 1}, "bundled-q17": {17, 16},
+                          "bundled-d2-q3": {81, 48}}[case]
+    blocks = [min(repcount._CHUNK, draws - lo)
+              for lo in range(0, draws, repcount._CHUNK)]
+    assert (_recorded_sample(space, draws, seed)
+            == reference_draws(seed, sizes, blocks))
+
+
+def test_pools_stay_below_the_one_word_draw_limit():
+    assert repcount._DRAW_LIMIT == 1 << 32
+    assert repcount._POOL_GUARD < repcount._DRAW_LIMIT
+
+
+def test_a_pool_at_the_draw_limit_is_refused_with_one_line():
+    with pytest.raises(StateSpaceTooLarge, match="32-bit") as info:
+        _Draws(0).below(repcount._DRAW_LIMIT, 1)
+    assert "\n" not in str(info.value)
+    space = _RepSpace(_ONE_LOCALIZED, 1, 3)
+    space.sizes["x"] = repcount._DRAW_LIMIT
+    with pytest.raises(StateSpaceTooLarge, match="32-bit"):
+        _sweep(space, lambda idx, n: 0, 10, 0)
+
+
+_IMPORTS = """
+import sys
+from tessella import cli
+from tessella.pathalg import Element, parse_letters
+from tessella.repcount import conjecture_probe_d1, enumerate_reps
+quiver, W = cli._Run({})["counting"]
+omega = Element.from_word(quiver.word(parse_letters("rere")))
+enumerate_reps(quiver, W, 1, 3)
+conjecture_probe_d1(quiver, W, omega, 3)
+print("numpy.random" in sys.modules)
+enumerate_reps(quiver, W, 1, 3, mode="sample", sample_size=10, seed=0)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_counting_does_not_import_numpy_random():
+    """Sample mode reads its words from ``random``, so no count pays for
+    numpy.random's import."""
+    path = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORTS],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\nFalse\n"
 
 
 # -- generated quivers against per-point walks -------------------------------
@@ -369,6 +495,16 @@ def test_count_q17_prints_the_bytes_of_the_unreduced_sweep(capsys):
     """``tessella count --q 17 --d 1`` as the full-space sweep printed it."""
     assert cli.main(["count", "--q", "17", "--d", "1"]) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_Q17.read_bytes()
+
+
+GOLDEN_SAMPLE = GOLDEN_Q17.with_name("count_q17_sample.out")
+
+
+def test_count_q17_sample_prints_the_bytes_of_the_per_draw_loop(capsys):
+    """The benchmark's sample call as one ``randrange`` per draw printed it."""
+    assert cli.main(["count", "--q", "17", "--mode", "sample",
+                     "--sample-size", "150000", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_SAMPLE.read_bytes()
 
 
 # -- the exhaustive guard ------------------------------------------------------
