@@ -11,9 +11,9 @@ builds the machinery relating the dual quiver ``Q`` to its orbit quiver
 * ``build_orbit_quiver`` constructs ``Q'``: the original vertices, one
   generating arrow per arrow orbit, and a chain of localized isomorphism
   arrows through each vertex orbit,
-* ``xi_embed`` realizes every path of ``Q`` as a word in ``Q'`` (the arrow
-  ``a = phi^k(gen)`` maps to ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the
-  unique iso-arrow words between the matching endpoints),
+* ``xi_embed`` realizes every path of ``Q`` as a word in ``Q'`` from tabled
+  pieces (the arrow ``a = phi^k(gen)`` maps to ``p_a . gen . q_a``, with the
+  unique iso words ``p_a``, ``q_a``), and ``factor_word`` matches them back,
 * ``transport_potential`` pushes the tiling potential to ``Q'``, and
   ``ChoiceSearch`` picks a choice making the transported potential
   homogeneous of degree ``n`` in the isomorphism arrows, from arrow
@@ -45,6 +45,7 @@ from .pathalg import (
     Potential,
     Quiver,
     UnknownArrow,
+    UnknownVertexError,
     Word,
     _idkey,
     _invert,
@@ -52,7 +53,6 @@ from .pathalg import (
     cyclic_derivative,
     multiply,
     normalize,
-    word_product,
 )
 from .surfacemap import (
     BraneTiling,
@@ -516,15 +516,23 @@ class OrbitChoice:
 class XiTable:
     """The embedding's pieces, computed once per orbit quiver.
 
-    ``image[a]`` is xi(a) for every base arrow ``a``; ``member[(g, v)]`` is
-    the orbit member of generator ``g`` whose source is ``v``; ``unwind[b]``
-    is the inverse iso-prefix p_b^-1 of member ``b``, the iso letters from
-    target(b) back to the generator's target.
+    ``image[a]`` is xi(a) = p_a . gen . q_a, ``head[a]`` its letters up to
+    ``(gen, 1)`` and ``tail[a]`` those of q_a.  The iso arrows of a vertex
+    orbit form a chain, a path graph, so reduced iso words are unique
+    (``iso[(u, v)]``): for a composable pair (source(a) = target(b)) the
+    seam q_a . p_b reduces to ``join[(a, b)]``, the letters of
+    ``iso_word(target(gen_b), source(gen_a))``, and ``step[(a, b)]`` adds
+    ``(gen_b, 1)``: xi(a b c) is ``head[a] + step[(a, b)] + step[(b, c)] +
+    tail[c]``.  ``member[(g, v)]`` is g's orbit member with source ``v``.
     """
 
     image: dict
     member: dict
-    unwind: dict
+    head: dict
+    tail: dict
+    join: dict
+    iso: dict
+    step: dict
 
 
 @dataclass
@@ -552,6 +560,8 @@ class SemidirectQuiver:
 
     def iso_word(self, u, v) -> Word:
         """The unique word of isomorphism arrows (or inverses) from u to v."""
+        if u not in self.chain_pos or v not in self.chain_pos:
+            raise UnknownVertexError(u if u not in self.chain_pos else v)
         ru, pu = self.chain_pos[u]
         rv, pv = self.chain_pos[v]
         if ru != rv:
@@ -566,22 +576,25 @@ class SemidirectQuiver:
 
     @cached_property
     def xi_table(self) -> XiTable:
-        """Fill the table from ``iso_word`` and ``word_product``: xi(a) is
-        ``p_a . gen . q_a`` with ``q_a``, ``p_a`` the iso words from the
-        source of ``a`` to the source of its generator and from the
-        generator's target to the target of ``a``; ``unwind[a]`` is p_a^-1."""
-        image, member, unwind = {}, {}, {}
+        """Fill the table from ``iso_word``."""
+        base = self.base
+        iso = {(u, v): self.iso_word(u, v) for orbit in self.phi.vertex_orbits()
+               for u in orbit for v in orbit}
+        image, member, head, tail, arrows_into = {}, {}, {}, {}, {}
         for a, (gen, _) in self.gen_of.items():
-            q = self.iso_word(self.base.source(a), self.base.source(gen))
-            p = self.iso_word(self.base.target(gen), self.base.target(a))
-            g = Word(q.target, p.source, ((gen, 1),))
-            image[a] = word_product(self.quiver, p, g, q)
-            unwind[a] = _invert(p.letters)
-        for g in self.choice.generators:
-            for j in range(self.phi.order):
-                b = self.phi.apply_arrow(g, j)
-                member.setdefault((g, self.base.source(b)), b)
-        return XiTable(image, member, unwind)
+            q = iso[base.source(a), base.source(gen)]
+            p = iso[base.target(gen), base.target(a)]
+            head[a], tail[a] = p.letters + ((gen, 1),), q.letters
+            image[a] = Word(q.source, p.target, head[a] + tail[a])
+            arrows_into.setdefault(base.target(a), []).append(a)
+        join = {(a, b): iso[base.target(self.gen_of[b][0]), base.source(gen)].letters
+                for a, (gen, _) in self.gen_of.items()
+                for b in arrows_into.get(base.source(a), ())}
+        step = {(a, b): seam + head[b][-1:] for (a, b), seam in join.items()}
+        for g, j in product(self.choice.generators, range(self.phi.order)):
+            b = self.phi.apply_arrow(g, j)
+            member.setdefault((g, base.source(b)), b)
+        return XiTable(image, member, head, tail, join, iso, step)
 
     def word_degree(self, w: Word) -> int:
         return sum(e for a, e in w.letters if a in self.quiver.localized)
@@ -671,24 +684,35 @@ def xi_embed(p, ctx: SemidirectQuiver) -> Word:
 
     ``p`` may be a Word of the base quiver or a sequence of arrow ids in
     written (right-to-left acting) order.  Every letter is checked before
-    the images are joined; a seam whose arrows do not compose raises
-    ``NonComposable``.
+    the tabled pieces are laid end to end (see :class:`XiTable`); a pair of
+    arrows that does not compose raises ``NonComposable``.
     """
     if isinstance(p, Word):
         letters = p.letters
-        if not letters:
-            return p  # the base and orbit quivers share their vertices
+        if not letters:  # the base and orbit quivers share their vertices
+            if p.source not in ctx.chain_pos:
+                raise UnknownVertexError(p.source)
+            return p
     else:
         letters = tuple((a, 1) for a in p)
         if not letters:
             raise NonComposable("an empty path needs a Word carrying its vertex")
-    image = ctx.xi_table.image
+    table = ctx.xi_table
+    head, step = table.head, table.step
     for a, e in letters:
-        if e != 1:
-            raise NonComposable(f"paths are inverse-free, got {a!r}^{e}")
-        if a not in image:
-            raise UnknownArrow(a)
-    return word_product(ctx.quiver, *(image[a] for a, _ in letters))
+        if e != 1 or a not in head:
+            raise UnknownArrow(a) if e == 1 else NonComposable(
+                f"paths are inverse-free, got {a!r}^{e}")
+    first = last = letters[0][0]
+    out = list(head[first])
+    for a, _ in letters[1:]:
+        piece = step.get((last, a))
+        if piece is None:
+            raise NonComposable(f"{table.image[last]!r} after {table.image[a]!r}")
+        out += piece
+        last = a
+    out += table.tail[last]
+    return Word(table.image[last].source, table.image[first].target, tuple(out))
 
 
 def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
@@ -698,24 +722,19 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
     quiver; when the word's degree vanishes mod the symmetry order, ``q``
     is a constant path and ``w`` lies in the image of the embedding.
 
-    One right-to-left pass over a letter stack: the rightmost generator
-    ``g`` and the iso tail after it must be xi(b) minus its iso-prefix for
-    the orbit member ``b`` of ``g`` starting where the word does; both are
-    popped and p_b^-1 is joined at the seam, which leaves the rest of the
-    word times p_b^-1, a normal word starting at target(b).
+    One right-to-left pass over the generators, each naming the orbit
+    member ``b`` that starts where the path so far ends.  As reduced iso
+    words are unique (see :class:`XiTable`), each iso run has one allowed
+    value: ``tail[b]`` right of the first generator, ``join[(b, b')]``
+    between members, ``iso_word(target(g), w.target)`` left of the last
+    ``g``.  Other runs raise ``MalformedWord``: at once if b's iso tail is
+    no suffix of q_b, else after the pass, whose checks come first.
     """
-    table = ctx.xi_table
-    iso = ctx.quiver.localized
-    stack = list(w.letters)
-    p_letters: list = []
-    v0 = w.source
-    while True:
-        gen_idx = len(stack) - 1
-        while gen_idx >= 0 and stack[gen_idx][0] in iso:
-            gen_idx -= 1
-        if gen_idx < 0:
-            break
-        g, e = stack[gen_idx]
+    table, iso = ctx.xi_table, ctx.quiver.localized
+    letters, p_letters = w.letters, []
+    v0, end, prev, misfit = w.source, len(letters), None, None
+    for i in [i for i, (a, _) in enumerate(letters) if a not in iso][::-1]:
+        g, e = letters[i]
         if e != 1 or g not in ctx.choice.generators:
             raise MalformedWord(f"letter {g!r}^{e} is not a generating arrow")
         b = table.member.get((g, v0))
@@ -725,25 +744,26 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
                 raise MalformedWord(
                     f"word source {v0!r} is not in the source orbit of {g!r}")
             raise MalformedWord(f"no orbit member of {g!r} has source {v0!r}")
-        tail = tuple(stack[gen_idx + 1:])
-        if tail and table.image[b].letters[-len(tail):] != tail:
-            raise MalformedWord(
-                f"the iso tail {tail!r} does not match the embedding of {b!r}")
-        del stack[gen_idx:]
-        unwind = table.unwind[b]
-        if unwind:
-            k = _seam(stack, unwind)
-            del stack[len(stack) - k:]
-            stack.extend(unwind[k:])
+        run = letters[i + 1:end]
+        piece = table.tail[b] if prev is None else table.join[b, prev]
+        if run != piece:  # b's iso tail: the run times p_prev^-1
+            unwind = () if prev is None else _invert(table.head[prev][:-1])
+            k = _seam(run, unwind)
+            tail = run[:len(run) - k] + unwind[k:]
+            if tail and table.image[b].letters[-len(tail):] != tail:
+                raise MalformedWord(
+                    f"the iso tail {tail!r} does not match the embedding of {b!r}")
+            misfit = misfit or f"the iso run {run!r} right of {g!r} is not {piece!r}"
         p_letters.append((b, 1))
-        v0 = ctx.base.target(b)
-    # the walk stops only when every letter left is an iso arrow
-    if not p_letters:
-        return w, Word(w.source, w.source, ())
-    # consecutive members compose by construction: each starts at the
-    # target of the one before
-    p_letters.reverse()
-    return Word(v0, w.target, tuple(stack)), Word(w.source, v0, tuple(p_letters))
+        prev, end, v0 = b, i, ctx.base.target(b)
+    u = ctx.quiver.target(letters[end][0]) if p_letters else w.source
+    piece = table.iso.get((u, w.target))
+    if piece is None or letters[:end] != piece.letters:
+        misfit = misfit or (f"the iso run {letters[:end]!r} does not join "
+                            f"{u!r} to {w.target!r}")
+    if misfit:
+        raise MalformedWord(misfit)
+    return table.iso[v0, w.target], Word(w.source, v0, tuple(reversed(p_letters)))
 
 
 @dataclass

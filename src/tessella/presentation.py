@@ -646,11 +646,11 @@ def verify_psi_relations(ctx, W: Potential, mode: str = "certificate",
     Each cyclic derivative by a generating arrow must be a difference
     ``p - q`` of parallel paths; the two sides agree iff (i) their transport
     degrees match and (ii) the loop ``p q^-1`` is trivial on the surface.
-    Certificate mode settles (ii) by writing the loop as a product of at most
-    two conjugates of face boundaries of the quiver embedding (the potential's
-    cycles); it needs no surface-group input.  Dehn mode computes both images
-    in the semidirect group through an explicit arrow assignment and the
-    user-supplied surface action, and decides equality with Dehn's algorithm.
+    Certificate mode, which needs no surface-group input, checks the shape
+    and (i); on a binomial derivative ``p.a`` and ``q.a`` are rotations of
+    W's cycles, so ``p q^-1`` is always two face boundaries with the empty
+    conjugator.  Dehn mode decides (ii) on the surface, with Dehn's algorithm
+    in the semidirect group, from an arrow assignment and a surface action.
     """
     if mode not in ("certificate", "dehn"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -542,6 +542,25 @@ def test_factor_word_malformed(paper):
         factor_word(ctx.quiver.word([("a", 1)]), broken)
 
 
+def test_factor_word_refuses_iso_runs_off_their_piece(paper):
+    """Each iso run has one allowed value, so a word whose run is anything
+    else is malformed: an iso-only word that is not the iso word between its
+    ends (r runs 2 -> 1), and a run left of the last generator that is not
+    in normal form.  Both raise after the generator checks."""
+    ctx = paper[5]
+    with pytest.raises(MalformedWord,
+                       match=r"iso run \(\('r', 1\),\) does not join 1 to 1"):
+        factor_word(Word(1, 1, (("r", 1),)), ctx)
+    with pytest.raises(MalformedWord, match="iso run"):
+        factor_word(Word(1, 1, (("r", 1), ("r", -1), ("a", 1))), ctx)
+    with pytest.raises(MalformedWord, match="not a generating arrow"):
+        factor_word(Word(1, 1, (("r", 1), ("r", -1), ("a", -1))), ctx)
+    with pytest.raises(MalformedWord, match="does not join 1 to 7"):
+        factor_word(Word(1, 7, (("a", 1),)), ctx)
+    q, p = factor_word(Word(1, 2, (("r", -1), ("a", 1))), ctx)
+    assert q == Word(1, 2, (("r", -1),)) and p.letters == (("a", 1),)
+
+
 def test_xi_multiplicative_injective_and_factorable(paper):
     quiver, ctx = paper[2], paper[5]
     paths = base_paths(quiver, 6)

@@ -10,12 +10,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import default_choice, genus2_potential, genus2_quiver
+from conftest import (
+    cyclic_cover,
+    default_choice,
+    genus2_potential,
+    genus2_quiver,
+    square_torus_covers,
+)
 from tessella.datafiles import load_data
 from tessella.equivariant import (
+    ChoiceSearch,
+    MatchingStuck,
+    NoChoiceFound,
     OrbitChoice,
     QuiverAutomorphism,
     build_orbit_quiver,
+    equivariant_dimer,
+    induced_quiver_automorphism,
+    refine_tiling,
     transport_potential,
 )
 from tessella.pathalg import (
@@ -23,6 +35,8 @@ from tessella.pathalg import (
     Potential,
     Quiver,
     UnknownArrow,
+    _cancel,
+    _wrap_reduce,
     normalize,
     parse_letters,
     word_product,
@@ -56,6 +70,7 @@ from tessella.presentation import (
     semidirect_normalize,
     verify_psi_relations,
 )
+from tessella.surfacemap import dual_quiver
 
 PRES2 = SurfacePresentation(2)
 PRES3 = SurfacePresentation(3)
@@ -691,6 +706,58 @@ def test_verify_certificate_torus():
     tctx, tw = torus_setup()
     report = verify_psi_relations(tctx, tw)
     assert report.ok and len(report.checks) == 3
+
+
+def transported_covers():
+    """(orbit quiver, transported potential) of the covers of the two-square
+    torus (n = 2, 3) and of the bundled torus (n = 2..6) that reach the
+    transport stage, as the pipeline builds them."""
+    covers = [(tiling, taut) for n in (2, 3)
+              for _, tiling, taut in square_torus_covers(n)]
+    covers += [cyclic_cover(load_data("torus_tiling.json"), n, (1, 0, 2), 0)
+               for n in range(2, 7)]
+    for tiling, taut in covers:
+        try:
+            tiling, taut, matching = equivariant_dimer(
+                *refine_tiling(tiling, taut))
+            _, choice = ChoiceSearch(tiling, taut).canonical(matching)
+        except (MatchingStuck, NoChoiceFound):
+            continue
+        quiver, W = dual_quiver(tiling)
+        phi = induced_quiver_automorphism(tiling, taut, quiver)
+        octx = build_orbit_quiver(quiver, phi, choice)
+        yield octx, transport_potential(W, octx).potential
+
+
+def test_certificates_need_no_conjugator(ctx, wprime, monkeypatch):
+    """Certificate mode checks the binomial shape and the degrees; the loop
+    itself is always settled by the empty conjugator.  For a binomial
+    derivative p - q of W by a, p.a and q.a are rotations of W's cycles, so
+    p q^-1 is a product of two face boundaries with no conjugation.  So the
+    search over conjugators never passes its first entry, and only Dehn
+    mode decides the loop on the surface."""
+    from tessella import presentation
+
+    calls = []
+
+    def recorded(loop, rots):
+        method = face_certificate(loop, rots)
+        calls.append((loop, rots, method))
+        return method
+
+    face_certificate = presentation._face_certificate
+    monkeypatch.setattr(presentation, "_face_certificate", recorded)
+    reports = [verify_psi_relations(ctx, wprime)]
+    reports += [verify_psi_relations(octx, Wp)
+                for octx, Wp in transported_covers()]
+    assert len(reports) > 10 and all(r.ok for r in reports)
+    assert len(calls) > 50
+    for loop, rots, method in calls:
+        loop = _cancel(loop)
+        assert method is not None
+        assert not loop or _wrap_reduce(loop) in rots or any(
+            not beta or _wrap_reduce(beta) in rots
+            for beta in (_cancel(rot + loop) for rot in rots)), loop
 
 
 def test_verify_degree_failure_is_reported(ctx):

@@ -1,11 +1,14 @@
-"""The table-driven embedding and the one-pass factorization against the slow
-route: iso words built by ``SemidirectQuiver.iso_word`` and joined by
+"""The table-driven embedding and the one-pass factorization against two
+slow routes: iso words built by ``SemidirectQuiver.iso_word`` and joined by
 ``normalize``, with ``iso_word`` itself held to chain letters passed through
-``normalize``.  Contexts: the bundled genus-2 example, each admissible choice
+``normalize``; and the seam-walking ``xi_embed`` / ``factor_word`` the
+closed form replaced, kept here as reference copies, on valid words and on
+mutated ones.  Contexts: the bundled genus-2 example, each admissible choice
 of acceptance criterion 05, and order-3 and order-4 cyclic covers of the
 bundled torus, whose iso chains are long enough for inverse iso letters to
 cancel across seams."""
 
+import dataclasses
 import itertools
 import random
 from functools import lru_cache, partial
@@ -18,6 +21,7 @@ from conftest import default_choice, genus2_quiver
 from tessella import equivariant, pathalg
 from tessella.datafiles import load_data
 from tessella.equivariant import (
+    MalformedWord,
     OrbitChoice,
     QuiverAutomorphism,
     build_orbit_quiver,
@@ -27,7 +31,16 @@ from tessella.equivariant import (
     transport_potential,
     xi_embed,
 )
-from tessella.pathalg import Word, normalize
+from tessella.pathalg import (
+    NonComposable,
+    UnknownArrow,
+    UnknownVertexError,
+    Word,
+    _invert,
+    _seam,
+    normalize,
+    word_product,
+)
 from tessella.surfacemap import dual_quiver, tiling_from_json
 
 ARROW_SWAP = {"a": "j", "b": "i", "c": "h", "d": "g", "e": "f",
@@ -156,6 +169,133 @@ def random_walk(quiver, rng, length) -> tuple:
     return tuple(walk)
 
 
+# -- the seam-walking route the closed form replaced ---------------------------
+
+
+@lru_cache(maxsize=None)
+def reference_table(name) -> tuple:
+    """(image, member, unwind) as the seam walk tabled them: xi(a) joined by
+    ``word_product``, and p_a^-1 for each base arrow ``a``."""
+    ctx = context(name)
+    image, member, unwind = {}, {}, {}
+    for a, (gen, _) in ctx.gen_of.items():
+        q = ctx.iso_word(ctx.base.source(a), ctx.base.source(gen))
+        p = ctx.iso_word(ctx.base.target(gen), ctx.base.target(a))
+        g = Word(q.target, p.source, ((gen, 1),))
+        image[a] = word_product(ctx.quiver, p, g, q)
+        unwind[a] = _invert(p.letters)
+    for g in ctx.choice.generators:
+        for j in range(ctx.phi.order):
+            b = ctx.phi.apply_arrow(g, j)
+            member.setdefault((g, ctx.base.source(b)), b)
+    return image, member, unwind
+
+
+def reference_xi_embed(p, name) -> Word:
+    if isinstance(p, Word):
+        letters = p.letters
+        if not letters:
+            return p
+    else:
+        letters = tuple((a, 1) for a in p)
+        if not letters:
+            raise NonComposable("an empty path needs a Word carrying its vertex")
+    image = reference_table(name)[0]
+    for a, e in letters:
+        if e != 1:
+            raise NonComposable(f"paths are inverse-free, got {a!r}^{e}")
+        if a not in image:
+            raise UnknownArrow(a)
+    return word_product(context(name).quiver, *(image[a] for a, _ in letters))
+
+
+def reference_factor_word(w: Word, name) -> tuple:
+    ctx = context(name)
+    image, member, unwinds = reference_table(name)
+    iso = ctx.quiver.localized
+    stack = list(w.letters)
+    p_letters: list = []
+    v0 = w.source
+    while True:
+        gen_idx = len(stack) - 1
+        while gen_idx >= 0 and stack[gen_idx][0] in iso:
+            gen_idx -= 1
+        if gen_idx < 0:
+            break
+        g, e = stack[gen_idx]
+        if e != 1 or g not in ctx.choice.generators:
+            raise MalformedWord(f"letter {g!r}^{e} is not a generating arrow")
+        b = member.get((g, v0))
+        if b is None:
+            if v0 not in ctx.chain_pos or \
+                    ctx.chain_pos[v0][0] != ctx.chain_pos[ctx.quiver.source(g)][0]:
+                raise MalformedWord(
+                    f"word source {v0!r} is not in the source orbit of {g!r}")
+            raise MalformedWord(f"no orbit member of {g!r} has source {v0!r}")
+        tail = tuple(stack[gen_idx + 1:])
+        if tail and image[b].letters[-len(tail):] != tail:
+            raise MalformedWord(
+                f"the iso tail {tail!r} does not match the embedding of {b!r}")
+        del stack[gen_idx:]
+        unwind = unwinds[b]
+        if unwind:
+            k = _seam(stack, unwind)
+            del stack[len(stack) - k:]
+            stack.extend(unwind[k:])
+        p_letters.append((b, 1))
+        v0 = ctx.base.target(b)
+    if not p_letters:
+        return w, Word(w.source, w.source, ())
+    p_letters.reverse()
+    return Word(v0, w.target, tuple(stack)), Word(w.source, v0, tuple(p_letters))
+
+
+def outcome(f, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return "value", f(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return "raised", type(exc), str(exc)
+
+
+def prefixed_image(ctx, path, iso_target) -> tuple:
+    """xi(path) with an iso word in front, and that iso word: the target
+    moves to another member of its vertex orbit."""
+    w = xi_embed(path, ctx)
+    orbit = ctx.chain_pos[w.target][0]
+    members = [v for v, (rep, _) in ctx.chain_pos.items() if rep == orbit]
+    iso = ctx.iso_word(w.target, members[iso_target % len(members)])
+    return normalize(ctx.quiver, iso.letters + w.letters), iso
+
+
+def mutate(ctx, w: Word, rng) -> Word:
+    """One fault: a flipped exponent, an iso letter dropped or inserted
+    where an iso run meets a generator or an end of the word, an unknown
+    arrow, or a source outside every generator's source orbit."""
+    letters = list(w.letters)
+    iso = ctx.quiver.localized
+    seams = [i for i in range(len(letters) + 1)
+             if i in (0, len(letters))
+             or (letters[i - 1][0] in iso) != (letters[i][0] in iso)]
+    kind = rng.choice(["flip", "drop", "insert", "unknown", "source"])
+    if kind == "flip" and letters:
+        i = rng.randrange(len(letters))
+        letters[i] = (letters[i][0], -letters[i][1])
+    elif kind == "drop":
+        spots = [j for i in seams for j in (i - 1, i)
+                 if 0 <= j < len(letters) and letters[j][0] in iso]
+        if spots:
+            del letters[rng.choice(spots)]
+    elif kind == "insert":
+        r = rng.choice(sorted(iso))
+        letters.insert(rng.choice(seams), (r, rng.choice((1, -1))))
+    elif kind == "unknown":
+        letters.insert(rng.randrange(len(letters) + 1), ("zz", 1))
+    else:
+        return Word("nowhere", w.target, tuple(letters))
+    return Word(w.source, w.target, tuple(letters))
+
+
 # -- properties ----------------------------------------------------------------
 
 
@@ -216,6 +356,179 @@ def test_fast_paths_match_slow_route(name, seed, length, iso_target):
     assert factor_word(prefixed, ctx) == (iso, p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(CONTEXT_NAMES), seed=st.integers(0, 2**32 - 1),
+       length=st.integers(1, 10), iso_target=st.integers(0, 3))
+def test_closed_form_matches_the_seam_walk(name, seed, length, iso_target):
+    ctx = context(name)
+    path = random_walk(ctx.base, random.Random(seed), length)
+    p = ctx.base.word([(a, 1) for a in path])
+    for given_path in (path, p):
+        assert xi_embed(given_path, ctx) == reference_xi_embed(given_path, name)
+    w = xi_embed(path, ctx)
+    prefixed, _ = prefixed_image(ctx, path, iso_target)
+    for word in (w, prefixed):
+        assert factor_word(word, ctx) == reference_factor_word(word, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(CONTEXT_NAMES), seed=st.integers(0, 2**32 - 1),
+       length=st.integers(1, 6), iso_target=st.integers(0, 3),
+       faults=st.integers(1, 2))
+def test_mutated_words_fail_as_the_seam_walk_does(name, seed, length,
+                                                  iso_target, faults):
+    """A mutated word raises what the seam walk raised, type and message.
+    Where the seam walk returned a value, the closed form either returns the
+    same value or raises ``MalformedWord``: the seam walk accepted an iso
+    run shorter than its piece and never checked the run left of the last
+    generator, nor an iso-only word."""
+    ctx = context(name)
+    rng = random.Random(seed)
+    w, _ = prefixed_image(ctx, random_walk(ctx.base, rng, length), iso_target)
+    for _ in range(faults):
+        w = mutate(ctx, w, rng)
+    want, got = (outcome(reference_factor_word, w, name),
+                 outcome(factor_word, w, ctx))
+    if want[0] == "raised" or got[0] == "value":
+        assert got == want, w
+    else:
+        assert got[1] is MalformedWord, w
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(CONTEXT_NAMES), seed=st.integers(0, 2**32 - 1),
+       length=st.integers(1, 6))
+def test_mutated_paths_fail_as_the_seam_walk_does(name, seed, length):
+    """Inverse, unknown and non-composable letters raise what the seam walk
+    raised, type and message."""
+    ctx = context(name)
+    rng = random.Random(seed)
+    letters = [(a, 1) for a in random_walk(ctx.base, rng, length)]
+    i = rng.randrange(len(letters))
+    kind = rng.choice(["flip", "unknown", "drop", "swap"])
+    if kind == "flip":
+        letters[i] = (letters[i][0], -1)
+    elif kind == "unknown":
+        letters[i] = ("zz", 1)
+    elif kind == "drop" and len(letters) > 2:
+        del letters[1]
+    else:
+        letters.reverse()
+    p = Word(0, 0, tuple(letters))  # the embedding reads only the letters
+    assert outcome(xi_embed, p, ctx) == outcome(reference_xi_embed, p, name)
+    if all(e == 1 for _, e in letters):
+        arrows = [a for a, _ in letters]
+        assert outcome(xi_embed, arrows, ctx) == \
+            outcome(reference_xi_embed, arrows, name)
+
+
+def test_words_the_seam_walk_accepted_are_refused():
+    """Three kinds of malformed word the seam walk split into garbage: an
+    iso-only word that is not the iso word between its ends, a run left of
+    the last generator that is not the seam of q with p_b, and a run
+    shorter than its piece.  Each now raises ``MalformedWord`` naming the
+    run."""
+    ctx = context("torus4_base0")
+    r0, r1, r2 = ctx.iso_chain[ctx.phi.vertex_orbits()[0][0]]
+    u, v = ctx.quiver.source(r0), ctx.quiver.target(r1)
+    bad_iso = Word(u, v, ((r1, 1),))
+    assert reference_factor_word(bad_iso, "torus4_base0")[0] == bad_iso
+    with pytest.raises(MalformedWord, match="iso run"):
+        factor_word(bad_iso, ctx)
+    w = xi_embed(random_walk(ctx.base, random.Random(2), 3), ctx)
+    for extra in ((r0, 1), (r2, -1)):
+        bent = Word(w.source, w.target, (extra,) + w.letters)
+        assert outcome(reference_factor_word, bent, "torus4_base0")[0] == "value"
+        with pytest.raises(MalformedWord, match="iso run"):
+            factor_word(bent, ctx)
+    rng, short = random.Random(3), 0
+    for _ in range(40):
+        w = xi_embed(random_walk(ctx.base, rng, 3), ctx)
+        for i in range(len(w.letters) - 1):
+            if w.letters[i][0] in ctx.iso_arrows() \
+                    or w.letters[i + 1][0] not in ctx.iso_arrows():
+                continue  # drop the first letter right of a generator
+            cut = Word(w.source, w.target, w.letters[:i + 1] + w.letters[i + 2:])
+            if outcome(reference_factor_word, cut, "torus4_base0")[0] == "value":
+                short += 1
+                with pytest.raises(MalformedWord, match="iso run"):
+                    factor_word(cut, ctx)
+    assert short
+
+
+# -- the table -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CONTEXT_NAMES)
+def test_table_pieces_are_the_seams(name):
+    """``head`` and ``tail`` split each image around its generator, every
+    ``join`` entry is q_a . p_b in normal form, keyed by exactly the
+    composable pairs, and ``step`` follows each seam with b's generator."""
+    ctx = context(name)
+    base, table = ctx.base, ctx.xi_table
+    arrows = base.arrow_ids()
+    for a in arrows:
+        gen, _ = ctx.gen_of[a]
+        assert table.head[a][-1] == (gen, 1)
+        assert table.tail[a] == slow_iso_word(
+            ctx, base.source(a), base.source(gen)).letters
+        assert table.head[a] + table.tail[a] == table.image[a].letters
+    assert set(table.join) == set(table.step) == {
+        (a, b) for a in arrows for b in arrows
+        if base.source(a) == base.target(b)}
+    for (a, b), seam in table.join.items():
+        gen_a, gen_b = ctx.gen_of[a][0], ctx.gen_of[b][0]
+        q_a = slow_iso_word(ctx, base.source(a), base.source(gen_a))
+        p_b = slow_iso_word(ctx, base.target(gen_b), base.target(b))
+        assert seam == normalize(ctx.quiver, q_a.letters + p_b.letters,
+                                 at=p_b.source).letters
+        assert table.step[a, b] == seam + ((gen_b, 1),)
+    for (u, v), word in table.iso.items():
+        assert word == slow_iso_word(ctx, u, v)
+
+
+def test_the_kernel_joins_no_seams(monkeypatch):
+    """On valid input, ``xi_embed`` and ``factor_word`` lay tabled pieces
+    end to end: no ``word_product`` and no ``_seam`` call, once the table is
+    built."""
+    calls = []
+
+    def counting(f):
+        def counted(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return counted
+
+    rng = random.Random(7)
+    for name in CONTEXT_NAMES:
+        ctx = context(name)
+        ctx.xi_table  # built before anything is counted
+        for module in (pathalg, equivariant):
+            for f in (word_product, _seam):
+                if hasattr(module, f.__name__):
+                    monkeypatch.setattr(module, f.__name__, counting(f))
+        for length in range(1, 8):
+            path = random_walk(ctx.base, rng, length)
+            for w in (xi_embed(path, ctx), prefixed_image(ctx, path, length)[0]):
+                factor_word(w, ctx)
+        monkeypatch.undo()
+    assert calls == []
+
+
+def test_unknown_vertices_are_refused():
+    ctx = bundled_context()
+    with pytest.raises(UnknownVertexError):
+        ctx.iso_word(9, 1)
+    with pytest.raises(UnknownVertexError):
+        ctx.iso_word(1, 9)
+    with pytest.raises(KeyError):  # still a KeyError for old callers
+        ctx.iso_word(9, 1)
+    assert reference_xi_embed(Word(9, 9, ()), "bundled") == Word(9, 9, ())
+    with pytest.raises(UnknownVertexError):
+        xi_embed(Word(9, 9, ()), ctx)
+    assert xi_embed(Word(2, 2, ()), ctx) == Word(2, 2, ())
+
+
 # -- laziness ------------------------------------------------------------------
 
 
@@ -227,9 +540,13 @@ def test_xi_table_is_built_on_first_use_and_reused():
     assert "xi_table" not in vars(ctx)
     xi_embed("ab", ctx)
     table = vars(ctx)["xi_table"]
+    names = [f.name for f in dataclasses.fields(table)]
+    assert names == ["image", "member", "head", "tail", "join", "iso", "step"]
+    before = {n: dict(getattr(table, n)) for n in names}
     xi_embed("fe", ctx)
     factor_word(xi_embed("fe", ctx), ctx)
     assert ctx.xi_table is table
+    assert {n: getattr(table, n) for n in names} == before and all(before.values())
 
 
 # -- no revalidation -----------------------------------------------------------
