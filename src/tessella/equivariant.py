@@ -523,7 +523,9 @@ class XiTable:
     seam q_a . p_b reduces to ``join[(a, b)]``, the letters of
     ``iso_word(target(gen_b), source(gen_a))``, and ``step[(a, b)]`` adds
     ``(gen_b, 1)``: xi(a b c) is ``head[a] + step[(a, b)] + step[(b, c)] +
-    tail[c]``.  ``member[(g, v)]`` is g's orbit member with source ``v``.
+    tail[c]``.  ``member[(g, v)]`` is ``(b, target(b))`` for g's orbit
+    member ``b`` with source ``v``: one lookup per generator moves the
+    factorization to b's target.
     """
 
     image: dict
@@ -593,7 +595,7 @@ class SemidirectQuiver:
         step = {(a, b): seam + head[b][-1:] for (a, b), seam in join.items()}
         for g, j in product(self.choice.generators, range(self.phi.order)):
             b = self.phi.apply_arrow(g, j)
-            member.setdefault((g, base.source(b)), b)
+            member.setdefault((g, base.source(b)), (b, base.target(b)))
         return XiTable(image, member, head, tail, join, iso, step)
 
     def word_degree(self, w: Word) -> int:
@@ -731,19 +733,22 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
     no suffix of q_b, else after the pass, whose checks come first.
     """
     table, iso = ctx.xi_table, ctx.quiver.localized
-    letters, p_letters = w.letters, []
+    member, letters, p_letters = table.member, w.letters, []
     v0, end, prev, misfit = w.source, len(letters), None, None
-    for i in [i for i, (a, _) in enumerate(letters) if a not in iso][::-1]:
+    for i in range(len(letters) - 1, -1, -1):
         g, e = letters[i]
-        if e != 1 or g not in ctx.choice.generators:
-            raise MalformedWord(f"letter {g!r}^{e} is not a generating arrow")
-        b = table.member.get((g, v0))
-        if b is None:  # a member exists only for sources in g's source orbit
+        if g in iso:
+            continue
+        hop = member.get((g, v0)) if e == 1 else None
+        if hop is None:  # not a generator, or no member of it starts at v0
+            if e != 1 or g not in ctx.choice.generators:
+                raise MalformedWord(f"letter {g!r}^{e} is not a generating arrow")
             if v0 not in ctx.chain_pos or \
                     ctx.chain_pos[v0][0] != ctx.chain_pos[ctx.quiver.source(g)][0]:
                 raise MalformedWord(
                     f"word source {v0!r} is not in the source orbit of {g!r}")
             raise MalformedWord(f"no orbit member of {g!r} has source {v0!r}")
+        b, target = hop
         run = letters[i + 1:end]
         piece = table.tail[b] if prev is None else table.join[b, prev]
         if run != piece:  # b's iso tail: the run times p_prev^-1
@@ -755,7 +760,7 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
                     f"the iso tail {tail!r} does not match the embedding of {b!r}")
             misfit = misfit or f"the iso run {run!r} right of {g!r} is not {piece!r}"
         p_letters.append((b, 1))
-        prev, end, v0 = b, i, ctx.base.target(b)
+        prev, end, v0 = b, i, target
     u = ctx.quiver.target(letters[end][0]) if p_letters else w.source
     piece = table.iso.get((u, w.target))
     if piece is None or letters[:end] != piece.letters:

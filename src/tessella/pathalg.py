@@ -39,6 +39,7 @@ Coefficients are exact rationals throughout.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -199,17 +200,30 @@ class _Forest:
         return True
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "source target letters", defaults=((),))):
     """Normalized composable word with its endpoints.
 
     ``letters`` is the written (left-to-right) form; the rightmost letter is
     applied first.  Construct through :func:`normalize` / ``Quiver.word``.
+
+    An immutable tuple ``(source, target, letters)``, so it builds at tuple
+    speed and ``isinstance(w, tuple)`` holds; but a Word equals only a Word,
+    never a plain tuple with the same entries, and Words do not order
+    (``<`` raises ``TypeError``).  Its hash is ``hash((source, target,
+    letters))``.
     """
 
-    source: object
-    target: object
-    letters: tuple = ()
+    __slots__ = ()
+
+    def __eq__(self, other):
+        # False, not NotImplemented: the reflected tuple.__eq__ would say True
+        return other.__class__ is Word and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = None
 
     def is_constant(self) -> bool:
         return not self.letters

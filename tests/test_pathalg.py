@@ -3,6 +3,7 @@ bounded ideal reduction, and the doubled-quiver differential."""
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -54,6 +55,44 @@ def _el(q, terms):
     for c, s in terms:
         out = out + Element.from_word(_w(q, s), c)
     return out
+
+
+# -- Word --------------------------------------------------------------------
+
+
+def test_a_word_is_a_tuple_that_equals_only_words():
+    letters = (("a", 1), ("r", -1))
+    w, plain = Word(1, 2, letters), (1, 2, letters)
+    assert isinstance(w, tuple) and tuple(w) == plain
+    assert w != plain and plain != w
+    assert not w == plain and not plain == w
+    assert w == Word(1, 2, letters) and not w != Word(1, 2, letters)
+    assert w != Word(2, 2, letters)
+    assert plain not in {w} and w not in {plain}
+    # the hash of the frozen dataclass it replaced: set orders stay put
+    assert hash(w) == hash((w.source, w.target, w.letters))
+
+
+def test_a_word_is_immutable():
+    w = Word(1, 2, (("a", 1),))
+    for name in ("source", "target", "letters", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 3)
+    assert w == Word(1, 2, (("a", 1),))
+
+
+def test_a_word_builds_by_keyword_with_no_letters_by_default():
+    assert Word(1, 1).letters == ()
+    assert Word(target=2, letters=(("a", 1),), source=1) == \
+        Word(1, 2, (("a", 1),))
+
+
+def test_words_do_not_order():
+    w, v = Word(1, 1), Word(2, 2)
+    for left, right in ((w, v), (w, tuple(v)), (tuple(w), v)):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 # -- normalize ---------------------------------------------------------------

@@ -3,10 +3,11 @@ slow routes: iso words built by ``SemidirectQuiver.iso_word`` and joined by
 ``normalize``, with ``iso_word`` itself held to chain letters passed through
 ``normalize``; and the seam-walking ``xi_embed`` / ``factor_word`` the
 closed form replaced, kept here as reference copies, on valid words and on
-mutated ones.  Contexts: the bundled genus-2 example, each admissible choice
-of acceptance criterion 05, and order-3 and order-4 cyclic covers of the
-bundled torus, whose iso chains are long enough for inverse iso letters to
-cancel across seams."""
+mutated ones; and the closed-form ``factor_word`` that the one-hop walk
+replaced, which must agree with it exactly, value or exception.  Contexts:
+the bundled genus-2 example, each admissible choice of acceptance criterion
+05, and order-3 and order-4 cyclic covers of the bundled torus, whose iso
+chains are long enough for inverse iso letters to cancel across seams."""
 
 import dataclasses
 import itertools
@@ -250,6 +251,51 @@ def reference_factor_word(w: Word, name) -> tuple:
     return Word(v0, w.target, tuple(stack)), Word(w.source, v0, tuple(p_letters))
 
 
+# -- the closed-form walk the one-hop walk replaced ----------------------------
+
+
+def reference_closed_form_factor_word(w: Word, name) -> tuple:
+    """``factor_word`` before each generator took one hop: a scan of the
+    generators, a member lookup (here the seam walk's ``member``, which
+    holds the arrow alone) and a target lookup per generator."""
+    ctx = context(name)
+    table, iso = ctx.xi_table, ctx.quiver.localized
+    member = reference_table(name)[1]
+    letters, p_letters = w.letters, []
+    v0, end, prev, misfit = w.source, len(letters), None, None
+    for i in [i for i, (a, _) in enumerate(letters) if a not in iso][::-1]:
+        g, e = letters[i]
+        if e != 1 or g not in ctx.choice.generators:
+            raise MalformedWord(f"letter {g!r}^{e} is not a generating arrow")
+        b = member.get((g, v0))
+        if b is None:  # a member exists only for sources in g's source orbit
+            if v0 not in ctx.chain_pos or \
+                    ctx.chain_pos[v0][0] != ctx.chain_pos[ctx.quiver.source(g)][0]:
+                raise MalformedWord(
+                    f"word source {v0!r} is not in the source orbit of {g!r}")
+            raise MalformedWord(f"no orbit member of {g!r} has source {v0!r}")
+        run = letters[i + 1:end]
+        piece = table.tail[b] if prev is None else table.join[b, prev]
+        if run != piece:  # b's iso tail: the run times p_prev^-1
+            unwind = () if prev is None else _invert(table.head[prev][:-1])
+            k = _seam(run, unwind)
+            tail = run[:len(run) - k] + unwind[k:]
+            if tail and table.image[b].letters[-len(tail):] != tail:
+                raise MalformedWord(
+                    f"the iso tail {tail!r} does not match the embedding of {b!r}")
+            misfit = misfit or f"the iso run {run!r} right of {g!r} is not {piece!r}"
+        p_letters.append((b, 1))
+        prev, end, v0 = b, i, ctx.base.target(b)
+    u = ctx.quiver.target(letters[end][0]) if p_letters else w.source
+    piece = table.iso.get((u, w.target))
+    if piece is None or letters[:end] != piece.letters:
+        misfit = misfit or (f"the iso run {letters[:end]!r} does not join "
+                            f"{u!r} to {w.target!r}")
+    if misfit:
+        raise MalformedWord(misfit)
+    return table.iso[v0, w.target], Word(w.source, v0, tuple(reversed(p_letters)))
+
+
 def outcome(f, *args):
     """A call's value, or the type and message of what it raised."""
     try:
@@ -393,6 +439,49 @@ def test_mutated_words_fail_as_the_seam_walk_does(name, seed, length,
         assert got == want, w
     else:
         assert got[1] is MalformedWord, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(CONTEXT_NAMES), seed=st.integers(0, 2**32 - 1),
+       length=st.integers(1, 8), iso_target=st.integers(0, 3),
+       faults=st.integers(0, 2))
+def test_one_hop_walk_matches_the_closed_form_walk(name, seed, length,
+                                                   iso_target, faults):
+    """On valid, iso-prefixed and mutated words alike, ``factor_word``
+    returns the closed-form walk's value or raises its exception, type and
+    message."""
+    ctx = context(name)
+    rng = random.Random(seed)
+    path = random_walk(ctx.base, rng, length)
+    prefixed, _ = prefixed_image(ctx, path, iso_target)
+    words = [xi_embed(path, ctx), prefixed]
+    for _ in range(faults):
+        words.append(mutate(ctx, words[-1], rng))
+    for w in words:
+        assert outcome(factor_word, w, ctx) == \
+            outcome(reference_closed_form_factor_word, w, name), w
+
+
+@pytest.mark.parametrize("name", ["admissible0", "torus4_base0"])
+def test_one_hop_walk_meets_two_faults_as_the_closed_form_walk_did(name):
+    """Every word made from an image by dropping two letters, or by
+    inserting two iso letters anywhere: where two runs are off their
+    pieces, both walks name the same one."""
+    ctx = context(name)
+    signed = [(r, e) for r in sorted(ctx.quiver.localized) for e in (1, -1)]
+    rng = random.Random(5)
+    for _ in range(4):
+        image = xi_embed(random_walk(ctx.base, rng, 3), ctx)
+        letters, bent = image.letters, []
+        for i, j in itertools.combinations(range(len(letters)), 2):
+            bent.append(letters[:i] + letters[i + 1:j] + letters[j + 1:])
+        for i, j in itertools.combinations_with_replacement(
+                range(len(letters) + 1), 2):
+            bent += [letters[:i] + (x,) + letters[i:j] + (y,) + letters[j:]
+                     for x, y in itertools.product(signed, repeat=2)]
+        for w in (Word(image.source, image.target, b) for b in bent):
+            assert outcome(factor_word, w, ctx) == \
+                outcome(reference_closed_form_factor_word, w, name), w
 
 
 @settings(max_examples=100, deadline=None)
