@@ -55,6 +55,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+from .datafiles import InputError, check_object, is_int, list_of
 from .equivariant import (
     ChoiceSearch,
     MatchingStuck,
@@ -88,6 +89,7 @@ from .presentation import (
     MissingPhiAction,
     check_derivation_script,
     contracted_relations,
+    derivation_script_from_json,
     phi_action_from_json,
     psi_assignment_from_json,
     verify_psi_relations,
@@ -110,10 +112,6 @@ _BUNDLED = {"tiling": "genus2_tiling.json",
             "automorphism": "genus2_automorphism.json",
             "phi_star": "genus2_phi_star.json",
             "script": "genus2_derivation.json"}
-
-
-class InputError(ValueError):
-    """Bad paths, malformed files, or invalid option combinations."""
 
 
 # (exception types, exit code): the first row that matches a fault decides,
@@ -189,142 +187,6 @@ def _parse_json(raw: bytes, path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_id(x) -> bool:
-    return isinstance(x, str) or _is_int(x)
-
-
-def _list_of(ok):
-    return lambda xs: isinstance(xs, list) and all(map(ok, xs))
-
-
-def _object_of(ok):
-    return lambda d: isinstance(d, dict) and all(map(ok, d.values()))
-
-
-def _check_object(obj, what: str, spec=(), optional=()) -> None:
-    """Checks that a ``what`` file holds a JSON object whose fields pass
-    the tests of ``spec`` (key, shape, test); only the keys in ``optional``
-    may be left out.  A failure is an input error that names the field."""
-    if not isinstance(obj, dict):
-        raise InputError(f"a {what} file holds a JSON object, "
-                         f"not {type(obj).__name__}")
-    for key, shape, ok in spec:
-        if key in obj:
-            if not ok(obj[key]):
-                raise InputError(f"{what} field {key!r} must be {shape}")
-        elif key not in optional:
-            raise InputError(f"{what} field {key!r} is missing")
-
-
-_TILING_FIELDS = (
-    ("half_edges", "a list of integers", _list_of(_is_int)),
-    ("involution", "a list of integer pairs", _list_of(
-        lambda p: isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)))),
-    ("rotation", "a list of nonempty integer lists", _list_of(
-        lambda c: isinstance(c, list) and bool(c) and all(map(_is_int, c)))),
-    ("labels", "an object of string or integer names keyed by half-edge "
-     "numbers", lambda d: _object_of(_is_id)(d) and all(map(str.isdecimal, d))),
-)
-
-
-def _tiling_from_json(obj):
-    """``tiling_from_json`` behind a check of the file's shape, so that a
-    malformed tiling is an input error that names the bad field."""
-    _check_object(obj, "tiling", _TILING_FIELDS, optional=("labels",))
-    rotation = obj["rotation"]
-    coloring = obj.get("coloring", {})
-    if not (isinstance(coloring, dict)
-            and all(k.isdecimal() and int(k) < len(rotation) for k in coloring)):
-        raise InputError("tiling field 'coloring' must be keyed by rotation "
-                         f"cycle indices 0..{len(rotation) - 1}")
-    return tiling_from_json(obj)
-
-
-def _automorphism_from_json(tiling, obj):
-    """``tiling_automorphism_from_json`` behind a check of the file's shape:
-    an object whose ``half_edge_perm`` (or the object itself) maps integer
-    keys to integers, and whose optional ``order`` is an integer."""
-    if not isinstance(obj, dict):
-        raise InputError(f"an automorphism file holds a JSON object, "
-                         f"not {type(obj).__name__}")
-    perm = obj.get("half_edge_perm", obj)
-    if not isinstance(perm, dict):
-        raise InputError(f"automorphism field 'half_edge_perm' must be an "
-                         f"object, not {type(perm).__name__}")
-    if not all(k.removeprefix("-").isdecimal() and _is_int(v)
-               for k, v in perm.items()):
-        raise InputError("automorphism field 'half_edge_perm' must map "
-                         "integer keys to integers")
-    if "order" in obj and not _is_int(obj["order"]):
-        raise InputError("automorphism field 'order' must be an integer")
-    return tiling_automorphism_from_json(tiling, obj)
-
-
-def _check_terms(obj, name: str) -> None:
-    """Checks the shape of an element's or a potential's terms: a list of
-    objects, each with a ``coeff`` (an integer or a fraction string) and a
-    ``word`` of [arrow, exponent] pairs.  ``name`` says where the terms
-    were read, for the message."""
-    if not isinstance(obj, list):
-        raise InputError(f"{name} must be a list of terms, "
-                         f"not {type(obj).__name__}")
-    for i, term in enumerate(obj):
-        if not (isinstance(term, dict) and "word" in term and "coeff" in term):
-            raise InputError(f"{name} term {i} must be an object with fields "
-                             f"'coeff' and 'word'")
-        word = term["word"]
-        if not (isinstance(word, list) and all(
-                isinstance(x, list) and len(x) == 2 and _is_int(x[1])
-                for x in word)):
-            raise InputError(f"{name} term {i} field 'word' must be a list "
-                             f"of [arrow, exponent] pairs")
-        if not (_is_int(term["coeff"]) or isinstance(term["coeff"], str)):
-            raise InputError(f"{name} term {i} field 'coeff' must be an "
-                             f"integer or a fraction string")
-
-
-def _omega_from_json(quiver, obj, name: str):
-    """``element_from_json`` behind :func:`_check_terms`."""
-    _check_terms(obj, name)
-    return element_from_json(quiver, obj)
-
-
-_QPOT_FIELDS = (
-    ("vertices", "a list of integers or strings", _list_of(_is_id)),
-    ("arrows", "a list of objects with integer or string 'id', 'src' and "
-               "'tgt' and an optional boolean 'localized'", _list_of(
-        lambda a: isinstance(a, dict)
-        and all(_is_id(a.get(k)) for k in ("id", "src", "tgt"))
-        and isinstance(a.get("localized", False), bool))),
-)
-
-
-def _qpot_from_json(obj):
-    """``qpot_from_json`` behind a check of the file's shape; the terms of
-    its potential are checked as :func:`_check_terms` checks an element."""
-    _check_object(obj, "qpot", _QPOT_FIELDS)
-    _check_terms(obj.get("potential", []), "qpot field 'potential'")
-    return qpot_from_json(obj)
-
-
-_CHOICE_FIELDS = (
-    ("generators", "a list of arrow ids", _list_of(_is_id)),
-    ("bases", "an object", lambda b: isinstance(b, dict)),
-    ("require_common_source", "a boolean", lambda b: isinstance(b, bool)),
-)
-
-
-def _choice_from_json(quiver, obj):
-    """``orbit_choice_from_json`` behind a check of the file's shape."""
-    _check_object(obj, "choice", _CHOICE_FIELDS,
-                  optional=("require_common_source",))
-    return orbit_choice_from_json(quiver, obj)
-
-
 def _taut_to_json(taut) -> dict:
     return {"half_edge_perm": {str(h): k for h, k in
                                sorted(taut.half_edge_perm.items())},
@@ -371,7 +233,7 @@ class _Choice(NamedTuple):
 
 
 def _tiling(run):
-    tiling = _tiling_from_json(run.load("tiling"))
+    tiling = tiling_from_json(run.load("tiling"))
     report = validate_tiling(tiling)
     if not report["valid"]:
         raise InputError("; ".join(report["problems"]))
@@ -383,7 +245,7 @@ def _choice(run, dimer) -> _Choice:
     if run.opts.get("choice"):
         quiver, W = dual_quiver(tiling)
         phi = induced_quiver_automorphism(tiling, taut, quiver)
-        choice = _choice_from_json(quiver, run.load("choice"))
+        choice = orbit_choice_from_json(quiver, run.load("choice"))
     else:  # the search holds the dual quiver and symmetry it built
         search = ChoiceSearch(tiling, taut)
         quiver, W, phi = search.quiver, search.W, search.phi
@@ -406,17 +268,6 @@ def _d_squared(quiver, W) -> dict:
                                     for g, x in witnesses.items()}}
 
 
-_PHI_STAR_FIELDS = (
-    ("genus", "an integer", _is_int),
-    ("order", "an integer", _is_int),
-    ("phi_star", "an object of group-word strings",
-     _object_of(lambda w: isinstance(w, str))),
-    ("psi_assignment", "an object of [group-word string, integer] pairs",
-     _object_of(lambda p: isinstance(p, list) and len(p) == 2
-                and isinstance(p[0], str) and _is_int(p[1]))),
-)
-
-
 def _surface_action(run) -> tuple:
     """(PhiAction, psi assignment) in dehn mode, (None, None) otherwise."""
     if run.opts["psi_mode"] != "dehn":
@@ -426,8 +277,6 @@ def _surface_action(run) -> tuple:
             "psi-verify in dehn mode needs a surface-action config "
             "(--phi-star FILE, or --bundled-phi-star for the packaged one)")
     cfg = run.load("phi_star")
-    _check_object(cfg, "phi_star", _PHI_STAR_FIELDS,
-                  optional=("psi_assignment",))
     phi = phi_action_from_json(cfg)
     if "psi_assignment" not in cfg:
         raise InputError("the surface-action config lacks a psi_assignment "
@@ -441,33 +290,8 @@ def _psi_relations(run, action, c: _Choice, tp) -> dict:
                                 phi=phi, assignment=assignment).to_json()
 
 
-def _is_step(step) -> bool:
-    if not isinstance(step, dict):
-        return False
-    move, target = step.get("move"), step.get("target")
-    return ("from" in step and isinstance(move, dict)
-            and all(_is_int(move[k]) for k in ("relation", "step") if k in move)
-            and isinstance(move.get("word", ""), (str, list))
-            and isinstance(target, list) and len(target) == 2
-            and all(isinstance(w, (str, list)) for w in target)
-            and isinstance(step.get("establishes", ""), str))
-
-
-_SCRIPT_FIELDS = (
-    ("steps", "a list of step objects with a 'from', a 'move' object (integer "
-              "'relation' and 'step', a word 'word', where given), a 'target' "
-              "list of two words and an optional string 'establishes'",
-     _list_of(_is_step)),
-    ("contract", "a list of arrow ids", _list_of(_is_id)),
-)
-
-
 def _derivation_script(run, c: _Choice, tp) -> dict:
-    blob = run.load("script")
-    # a script file is a list of steps or an object holding them
-    script = {"steps": blob} if isinstance(blob, list) else blob
-    _check_object(script, "derivation script", _SCRIPT_FIELDS,
-                  optional=("contract",))
+    script = derivation_script_from_json(run.load("script"))
     contract = script.get("contract", ())
     unknown = [a for a in contract if not c.ctx.quiver.has_arrow(a)]
     if unknown:
@@ -553,13 +377,13 @@ def _probe_json(run, counting) -> dict:
 
     quiver, W = counting
     if run.opts.get("omega"):  # with or without a qpot file
-        omega = _omega_from_json(quiver, run.load("omega"), "omega file")
+        omega = element_from_json(quiver, run.load("omega"), "omega file")
     elif not run.opts.get("qpot"):
         omega = Element((quiver.word(parse_letters(w)), 1)
                         for w in ("rere", "erer"))
     elif "omega" in run.load("qpot"):
-        omega = _omega_from_json(quiver, run.load("qpot")["omega"],
-                                 "qpot field 'omega'")
+        omega = element_from_json(quiver, run.load("qpot")["omega"],
+                                  "qpot field 'omega'")
     else:
         raise InputError("the probe needs an omega element: embed an "
                          "\"omega\" key in the file or pass --omega")
@@ -643,7 +467,8 @@ class _Stage:
 _STAGES = (
     _Stage("tiling", (), _tiling),
     _Stage("automorphism", ("tiling",),
-           lambda run, t: _automorphism_from_json(t, run.load("automorphism")),
+           lambda run, t: tiling_automorphism_from_json(
+               t, run.load("automorphism")),
            "tile", _tile_report),
     _Stage("dual", ("tiling",), lambda run, t: dual_quiver(t),
            "dual", _dual_report),
@@ -768,7 +593,7 @@ def _run_command(args) -> int:
     command = _COMMANDS[args.command]
     run = _Run(command.options(args))
     if run.opts.get("qpot"):
-        run.values[command.qpot] = _qpot_from_json(run.load("qpot"))
+        run.values[command.qpot] = qpot_from_json(run.load("qpot"))
     payload = command.view(run, run[command.target])
     _output(args, payload)
     error = command.error(run, payload) if command.error else None
@@ -787,11 +612,11 @@ _CONFIG_FIELDS = (
       for key in ("tiling", "automorphism", "phi_star", "script")),
     ("psi_mode", "a string", lambda x: isinstance(x, str)),
     ("require_homogeneous", "a boolean", lambda x: isinstance(x, bool)),
-    ("field_sizes", "a list of integers", _list_of(_is_int)),
-    ("dimension", "an integer", _is_int),
+    ("field_sizes", "a list of integers", list_of(is_int)),
+    ("dimension", "an integer", is_int),
     ("mode", "a string", lambda x: isinstance(x, str)),
-    ("sample_size", "an integer or null", lambda x: x is None or _is_int(x)),
-    ("seed", "an integer or null", lambda x: x is None or _is_int(x)),
+    ("sample_size", "an integer or null", lambda x: x is None or is_int(x)),
+    ("seed", "an integer or null", lambda x: x is None or is_int(x)),
     ("output_dir", "a path string", lambda x: isinstance(x, str)),
 )
 
@@ -816,8 +641,8 @@ class PipelineConfig:
     @staticmethod
     def from_json(obj: dict,
                   base_dir: Optional[Path] = None) -> "PipelineConfig":
-        _check_object(obj, "pipeline config", _CONFIG_FIELDS,
-                      optional=[key for key, _, _ in _CONFIG_FIELDS])
+        check_object(obj, "pipeline config", _CONFIG_FIELDS,
+                     optional=[key for key, _, _ in _CONFIG_FIELDS])
         unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
         if unknown:
             raise InputError(f"unknown config keys: {unknown}")

@@ -39,6 +39,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, Optional
 
+from .datafiles import InputError, check_object, is_id, is_int, list_of
 from .pathalg import (
     Element,
     NonComposable,
@@ -1012,9 +1013,24 @@ def _match_keys(perm: Mapping, pool: Iterable) -> dict:
 
 
 def tiling_automorphism_from_json(tiling: BraneTiling, obj: dict) -> TilingAutomorphism:
-    perm = obj["half_edge_perm"] if "half_edge_perm" in obj else obj
-    taut = TilingAutomorphism(tiling, {int(k): int(v) for k, v in perm.items()})
-    if "order" in obj and int(obj["order"]) != taut.order:
+    """A symmetry of ``tiling``, after a check of the file's shape: an
+    object whose ``half_edge_perm`` (or the object itself) maps integer
+    keys to integers, and whose optional ``order`` is an integer."""
+    if not isinstance(obj, dict):
+        raise InputError(f"an automorphism file holds a JSON object, "
+                         f"not {type(obj).__name__}")
+    perm = obj.get("half_edge_perm", obj)
+    if not isinstance(perm, dict):
+        raise InputError(f"automorphism field 'half_edge_perm' must be an "
+                         f"object, not {type(perm).__name__}")
+    if not all(k.removeprefix("-").isdecimal() and is_int(v)
+               for k, v in perm.items()):
+        raise InputError("automorphism field 'half_edge_perm' must map "
+                         "integer keys to integers")
+    if "order" in obj and not is_int(obj["order"]):
+        raise InputError("automorphism field 'order' must be an integer")
+    taut = TilingAutomorphism(tiling, {int(k): v for k, v in perm.items()})
+    if "order" in obj and obj["order"] != taut.order:
         raise InvalidAutomorphism(
             f"declared order {obj['order']} but actual order is {taut.order}")
     return taut
@@ -1029,7 +1045,17 @@ def orbit_choice_to_json(choice: OrbitChoice) -> dict:
     }
 
 
+_CHOICE_FIELDS = (
+    ("generators", "a list of arrow ids", list_of(is_id)),
+    ("bases", "an object", lambda b: isinstance(b, dict)),
+    ("require_common_source", "a boolean", lambda b: isinstance(b, bool)),
+)
+
+
 def orbit_choice_from_json(quiver: Quiver, obj: dict) -> OrbitChoice:
+    """An embedding choice, after a check of the file's shape."""
+    check_object(obj, "choice", _CHOICE_FIELDS,
+                 optional=("require_common_source",))
     bases = _match_keys(dict(obj["bases"]), quiver.vertices)
     return OrbitChoice(obj["generators"], bases,
                        obj.get("require_common_source", False))

@@ -46,6 +46,8 @@ from functools import lru_cache, partial
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
+from .datafiles import InputError, check_object, is_id, is_int, list_of
+
 Letter = tuple  # (arrow id, exponent in {+1, -1})
 
 
@@ -794,6 +796,39 @@ def quiver_to_json(quiver: Quiver) -> dict:
     }
 
 
+_QPOT_FIELDS = (
+    ("vertices", "a list of integers or strings", list_of(is_id)),
+    ("arrows", "a list of objects with integer or string 'id', 'src' and "
+               "'tgt' and an optional boolean 'localized'", list_of(
+        lambda a: isinstance(a, dict)
+        and all(is_id(a.get(k)) for k in ("id", "src", "tgt"))
+        and isinstance(a.get("localized", False), bool))),
+)
+
+
+def _check_terms(obj, name: str) -> None:
+    """Checks the shape of an element's or a potential's terms: a list of
+    objects, each with a ``coeff`` (an integer or a fraction string) and a
+    ``word`` of [arrow, exponent] pairs.  ``name`` says where the terms
+    were read, for the message."""
+    if not isinstance(obj, list):
+        raise InputError(f"{name} must be a list of terms, "
+                         f"not {type(obj).__name__}")
+    for i, term in enumerate(obj):
+        if not (isinstance(term, dict) and "word" in term and "coeff" in term):
+            raise InputError(f"{name} term {i} must be an object with fields "
+                             f"'coeff' and 'word'")
+        word = term["word"]
+        if not (isinstance(word, list) and all(
+                isinstance(x, list) and len(x) == 2 and is_int(x[1])
+                for x in word)):
+            raise InputError(f"{name} term {i} field 'word' must be a list "
+                             f"of [arrow, exponent] pairs")
+        if not (is_int(term["coeff"]) or isinstance(term["coeff"], str)):
+            raise InputError(f"{name} term {i} field 'coeff' must be an "
+                             f"integer or a fraction string")
+
+
 def quiver_from_json(obj: dict) -> Quiver:
     arrows = [(d["id"], d["src"], d["tgt"]) for d in obj["arrows"]]
     localized = [d["id"] for d in obj["arrows"] if d.get("localized")]
@@ -819,8 +854,12 @@ def qpot_to_json(quiver: Quiver, W: Potential) -> dict:
 
 
 def qpot_from_json(obj: dict) -> tuple[Quiver, Potential]:
+    """A quiver with potential, after a check of the file's shape."""
+    check_object(obj, "qpot", _QPOT_FIELDS)
+    items = obj.get("potential", [])
+    _check_terms(items, "qpot field 'potential'")
     q = quiver_from_json(obj)
-    return q, potential_from_json(q, obj.get("potential", []))
+    return q, potential_from_json(q, items)
 
 
 def element_to_json(x: Element) -> list:
@@ -834,7 +873,10 @@ def element_to_json(x: Element) -> list:
     return out
 
 
-def element_from_json(quiver: Quiver, items: list) -> Element:
+def element_from_json(quiver: Quiver, items: list,
+                      name: str = "element") -> Element:
+    """An element, after :func:`_check_terms` under the label ``name``."""
+    _check_terms(items, name)
     pairs = []
     for d in items:
         letters = [(a, int(e)) for a, e in d["word"]]

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .datafiles import check_object, is_id, is_int, list_of, object_of
 from .pathalg import (
     Element,
     NonComposable,
@@ -265,8 +266,23 @@ class PhiAction:
         return f"PhiAction(genus={self.pres.genus}, order={self.order})"
 
 
+_PHI_STAR_FIELDS = (
+    ("genus", "an integer", is_int),
+    ("order", "an integer", is_int),
+    ("phi_star", "an object of group-word strings",
+     object_of(lambda w: isinstance(w, str))),
+    ("psi_assignment", "an object of [group-word string, integer] pairs",
+     object_of(lambda p: isinstance(p, list) and len(p) == 2
+               and isinstance(p[0], str) and is_int(p[1]))),
+)
+
+
 def phi_action_from_json(obj: Mapping) -> PhiAction:
-    """Build from the config shape {"genus", "order", "phi_star": {gen: word}}."""
+    """Build from the config shape {"genus", "order", "phi_star": {gen: word}},
+    after a check of the whole file's shape, its optional ``psi_assignment``
+    table included."""
+    check_object(obj, "phi_star", _PHI_STAR_FIELDS,
+                 optional=("psi_assignment",))
     pres = SurfacePresentation(obj["genus"])
     mapping = {g: parse_group_word(w) for g, w in obj["phi_star"].items()}
     return PhiAction(pres, mapping, obj["order"])
@@ -802,12 +818,43 @@ def _eq_key(eq: tuple[Word, Word]):
     return (a.source, a.target, a.letters, b.source, b.target, b.letters)
 
 
+def _is_step(step) -> bool:
+    if not isinstance(step, dict):
+        return False
+    move, target = step.get("move"), step.get("target")
+    return ("from" in step and isinstance(move, dict)
+            and all(is_int(move[k]) for k in ("relation", "step") if k in move)
+            and isinstance(move.get("word", ""), (str, list))
+            and isinstance(target, list) and len(target) == 2
+            and all(isinstance(w, (str, list)) for w in target)
+            and isinstance(step.get("establishes", ""), str))
+
+
+_SCRIPT_FIELDS = (
+    ("steps", "a list of step objects with a 'from', a 'move' object (integer "
+              "'relation' and 'step', a word 'word', where given), a 'target' "
+              "list of two words and an optional string 'establishes'",
+     list_of(_is_step)),
+    ("contract", "a list of arrow ids", list_of(is_id)),
+)
+
+
+def derivation_script_from_json(obj) -> dict:
+    """A derivation script file, after a check of its shape: a list of
+    steps, or an object holding them under ``steps`` and, optionally, the
+    arrows to contract under ``contract``.  Returns the object form."""
+    script = {"steps": obj} if isinstance(obj, list) else obj
+    check_object(script, "derivation script", _SCRIPT_FIELDS,
+                 optional=("contract",))
+    return script
+
+
 def check_derivation_script(relations, script, quiver: Quiver) -> ScriptReport:
     """Mechanically verify a derivation script against input relations.
 
     ``relations`` are binomial elements of the localized algebra over
-    ``quiver``, or explicit word pairs.  ``script`` is a list of steps, or a
-    mapping holding them under ``steps``.  A step is a mapping with keys
+    ``quiver``, or explicit word pairs.  ``script`` is a derivation script
+    as :func:`derivation_script_from_json` reads it.  A step has keys
     ``from`` (``"rel:k"`` or ``"step:j"``, 1-based), ``move`` and ``target``
     (``[lhs, rhs]`` token strings), plus an optional ``establishes`` name.
     Moves:
@@ -827,12 +874,7 @@ def check_derivation_script(relations, script, quiver: Quiver) -> ScriptReport:
     step.  The report lists the identities the verified steps establish.
     The checker verifies; it does not search for derivations.
     """
-    steps = [dict(s) for s in
-             (script["steps"] if isinstance(script, Mapping) else script)]
-    for i, s in enumerate(steps, start=1):
-        for key in ("from", "move", "target"):
-            if key not in s:
-                raise ValueError(f"step {i} lacks the {key!r} field")
+    steps = derivation_script_from_json(script)["steps"]
     rel_eqs = [_as_equation(rel, quiver, f"relation {i}")
                for i, rel in enumerate(relations, start=1)]
 
@@ -858,7 +900,7 @@ def check_derivation_script(relations, script, quiver: Quiver) -> ScriptReport:
         else:
             return fail(idx, f"source reference {ref!r} is out of range")
 
-        move = dict(raw["move"])
+        move = raw["move"]
         mk = move.get("kind")
         candidates: list[tuple[Word, Word]] = []
         if mk == "cancel":

@@ -41,6 +41,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from .datafiles import (InputError, check_object, is_id, is_int, list_of,
+                        object_of)
 from .pathalg import Potential, Quiver
 
 
@@ -316,19 +318,37 @@ def tiling_to_json(tiling: BraneTiling) -> dict:
     }
 
 
+_TILING_FIELDS = (
+    ("half_edges", "a list of integers", list_of(is_int)),
+    ("involution", "a list of integer pairs", list_of(
+        lambda p: isinstance(p, list) and len(p) == 2 and all(map(is_int, p)))),
+    ("rotation", "a list of nonempty integer lists", list_of(
+        lambda c: isinstance(c, list) and bool(c) and all(map(is_int, c)))),
+    ("labels", "an object of string or integer names keyed by half-edge "
+     "numbers", lambda d: object_of(is_id)(d) and all(map(str.isdecimal, d))),
+)
+
+
 def tiling_from_json(obj: dict) -> BraneTiling:
-    half_edges = [int(h) for h in obj["half_edges"]]
+    """A tiling, after a check of the file's shape: a malformed file is an
+    input error that names the bad field.  Whether the map is a valid
+    tiling is :func:`validate_tiling`'s question."""
+    check_object(obj, "tiling", _TILING_FIELDS, optional=("labels",))
+    coloring = obj.get("coloring", {})
+    if not (isinstance(coloring, dict) and all(
+            k.isdecimal() and int(k) < len(obj["rotation"]) for k in coloring)):
+        raise InputError("tiling field 'coloring' must be keyed by rotation "
+                         f"cycle indices 0..{len(obj['rotation']) - 1}")
     involution: dict[int, int] = {}
-    for pair in obj["involution"]:
-        a, b = int(pair[0]), int(pair[1])
+    for a, b in obj["involution"]:
         involution[a] = b
         involution[b] = a
     rotation: dict[int, int] = {}
-    cycles = [[int(h) for h in c] for c in obj["rotation"]]
+    cycles = obj["rotation"]
     for cyc in cycles:
         for i, h in enumerate(cyc):
             rotation[h] = cyc[(i + 1) % len(cyc)]
-    m = CombinatorialMap(half_edges, involution, rotation)
-    coloring = {min(cycles[int(i)]): c for i, c in obj.get("coloring", {}).items()}
+    m = CombinatorialMap(obj["half_edges"], involution, rotation)
+    coloring = {min(cycles[int(i)]): c for i, c in coloring.items()}
     labels = {int(k): v for k, v in obj.get("labels", {}).items()}
     return BraneTiling(m, coloring, labels)

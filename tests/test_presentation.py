@@ -981,7 +981,8 @@ def test_script_substitution_on_a_two_vertex_quiver():
 
 def test_derivation_script_field_validation():
     q = Quiver((1,), [("u", 1, 1), ("v", 1, 1)], localized=["u", "v"])
-    with pytest.raises(ValueError, match="step 1 lacks the 'target' field"):
+    with pytest.raises(ValueError, match="derivation script field 'steps' "
+                                         "must be a list of step objects"):
         check_derivation_script([("u v", "v u")],
                                 [{"from": "rel:1", "move": {"kind": "cancel"}}],
                                 q)
