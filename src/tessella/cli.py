@@ -28,11 +28,12 @@ Conventions
   all checks pass; 2 a verification failed; 3 no admissible embedding
   choice exists; 4 input/configuration error, including a count over its
   state-space, pool or int64 guard, a sample size below 1, an input file
-  that is missing or not JSON, a tiling that ``validate_tiling`` rejects,
-  a tiling, automorphism, qpot, choice, derivation-script or pipeline
-  config file or an omega element of the wrong shape, an automorphism that
-  is not a symmetry, and a stuck equivariant dimer (``MatchingStuck``); 5
-  an internal fault.
+  that is missing or not JSON, a file of the wrong shape (the library
+  parser that reads each format raises the ``InputError``; only the
+  pipeline config's shape is checked here), a tiling that
+  ``validate_tiling`` rejects, a dehn-mode phi_star file for another genus
+  than the tiling's, an automorphism that is not a symmetry, and a stuck
+  equivariant dimer (``MatchingStuck``); 5 an internal fault.
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
   sweep, at most one per CPU the process may run on; it never changes a
   count.
@@ -88,6 +89,7 @@ from .pathalg import (
 from .presentation import (
     MissingPhiAction,
     check_derivation_script,
+    check_phi_star,
     contracted_relations,
     derivation_script_from_json,
     phi_action_from_json,
@@ -96,6 +98,7 @@ from .presentation import (
 )
 from .surfacemap import (
     dual_quiver,
+    genus,
     tiling_from_json,
     tiling_to_json,
     validate_tiling,
@@ -277,6 +280,12 @@ def _surface_action(run) -> tuple:
             "psi-verify in dehn mode needs a surface-action config "
             "(--phi-star FILE, or --bundled-phi-star for the packaged one)")
     cfg = run.load("phi_star")
+    check_phi_star(cfg)
+    # before the presentation, whose size grows with the file's genus
+    surface = genus(run["tiling"].map)
+    if cfg["genus"] != surface:
+        raise InputError(f"the phi_star file is for genus {cfg['genus']}, "
+                         f"but the tiling has genus {surface}")
     phi = phi_action_from_json(cfg)
     if "psi_assignment" not in cfg:
         raise InputError("the surface-action config lacks a psi_assignment "

@@ -27,6 +27,11 @@ def is_id(x) -> bool:
     return isinstance(x, str) or is_int(x)
 
 
+def is_letter(x) -> bool:
+    """An [arrow id, integer exponent] pair."""
+    return isinstance(x, list) and len(x) == 2 and is_id(x[0]) and is_int(x[1])
+
+
 def list_of(ok):
     return lambda xs: isinstance(xs, list) and all(map(ok, xs))
 

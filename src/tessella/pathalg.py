@@ -46,7 +46,8 @@ from functools import lru_cache, partial
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .datafiles import InputError, check_object, is_id, is_int, list_of
+from .datafiles import (InputError, check_object, is_id, is_int, is_letter,
+                        list_of)
 
 Letter = tuple  # (arrow id, exponent in {+1, -1})
 
@@ -806,27 +807,44 @@ _QPOT_FIELDS = (
 )
 
 
-def _check_terms(obj, name: str) -> None:
-    """Checks the shape of an element's or a potential's terms: a list of
-    objects, each with a ``coeff`` (an integer or a fraction string) and a
-    ``word`` of [arrow, exponent] pairs.  ``name`` says where the terms
-    were read, for the message."""
-    if not isinstance(obj, list):
+def _fraction(c):
+    """A term's coefficient: an integer, or a string that parses to a
+    fraction with a nonzero denominator; None for anything else."""
+    if not (is_int(c) or isinstance(c, str)):
+        return None
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _terms_from_json(items, name: str) -> list:
+    """(coeff, letters, at) of each term of an element or a potential, after
+    a check of their shape: a list of objects, each with a ``coeff`` (see
+    :func:`_fraction`), a ``word`` of [arrow id, exponent] pairs and an
+    optional vertex id ``at``.  ``name`` says where the terms were read, for
+    the message."""
+    if not isinstance(items, list):
         raise InputError(f"{name} must be a list of terms, "
-                         f"not {type(obj).__name__}")
-    for i, term in enumerate(obj):
+                         f"not {type(items).__name__}")
+    terms = []
+    for i, term in enumerate(items):
         if not (isinstance(term, dict) and "word" in term and "coeff" in term):
             raise InputError(f"{name} term {i} must be an object with fields "
                              f"'coeff' and 'word'")
-        word = term["word"]
-        if not (isinstance(word, list) and all(
-                isinstance(x, list) and len(x) == 2 and is_int(x[1])
-                for x in word)):
+        if not list_of(is_letter)(term["word"]):
             raise InputError(f"{name} term {i} field 'word' must be a list "
                              f"of [arrow, exponent] pairs")
-        if not (is_int(term["coeff"]) or isinstance(term["coeff"], str)):
+        coeff = _fraction(term["coeff"])
+        if coeff is None:
             raise InputError(f"{name} term {i} field 'coeff' must be an "
                              f"integer or a fraction string")
+        at = term.get("at")
+        if not (at is None or is_id(at)):
+            raise InputError(f"{name} term {i} field 'at' must be an "
+                             f"integer or a string")
+        terms.append((coeff, [tuple(x) for x in term["word"]], at))
+    return terms
 
 
 def quiver_from_json(obj: dict) -> Quiver:
@@ -841,10 +859,8 @@ def potential_to_json(W: Potential) -> list:
 
 
 def potential_from_json(quiver: Quiver, items: list) -> Potential:
-    terms = [(Fraction(d["coeff"]),
-              [(a, int(e)) for a, e in d["word"]])
-             for d in items]
-    return Potential.build(quiver, terms)
+    terms = _terms_from_json(items, "potential")
+    return Potential.build(quiver, [(c, w) for c, w, _ in terms])
 
 
 def qpot_to_json(quiver: Quiver, W: Potential) -> dict:
@@ -856,10 +872,10 @@ def qpot_to_json(quiver: Quiver, W: Potential) -> dict:
 def qpot_from_json(obj: dict) -> tuple[Quiver, Potential]:
     """A quiver with potential, after a check of the file's shape."""
     check_object(obj, "qpot", _QPOT_FIELDS)
-    items = obj.get("potential", [])
-    _check_terms(items, "qpot field 'potential'")
-    q = quiver_from_json(obj)
-    return q, potential_from_json(q, items)
+    terms = _terms_from_json(obj.get("potential", []),
+                             "qpot field 'potential'")
+    q = quiver_from_json(obj)  # after the terms, as a file's faults are read
+    return q, Potential.build(q, [(c, w) for c, w, _ in terms])
 
 
 def element_to_json(x: Element) -> list:
@@ -875,11 +891,7 @@ def element_to_json(x: Element) -> list:
 
 def element_from_json(quiver: Quiver, items: list,
                       name: str = "element") -> Element:
-    """An element, after :func:`_check_terms` under the label ``name``."""
-    _check_terms(items, name)
-    pairs = []
-    for d in items:
-        letters = [(a, int(e)) for a, e in d["word"]]
-        w = normalize(quiver, letters, at=None if letters else d.get("at"))
-        pairs.append((w, Fraction(d["coeff"])))
-    return Element(pairs)
+    """An element, after :func:`_terms_from_json` under the label
+    ``name``."""
+    return Element((normalize(quiver, w, at=None if w else at), c)
+                   for c, w, at in _terms_from_json(items, name))

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .datafiles import check_object, is_id, is_int, list_of, object_of
+from .datafiles import (check_object, is_id, is_int, is_letter, list_of,
+                        object_of)
 from .pathalg import (
     Element,
     NonComposable,
@@ -277,12 +278,17 @@ _PHI_STAR_FIELDS = (
 )
 
 
-def phi_action_from_json(obj: Mapping) -> PhiAction:
-    """Build from the config shape {"genus", "order", "phi_star": {gen: word}},
-    after a check of the whole file's shape, its optional ``psi_assignment``
-    table included."""
+def check_phi_star(obj) -> None:
+    """Checks the shape of a surface-action file: {"genus", "order",
+    "phi_star": {gen: word}} and an optional ``psi_assignment`` table
+    ({arrow: [word, k]}, read by :func:`psi_assignment_from_json`)."""
     check_object(obj, "phi_star", _PHI_STAR_FIELDS,
                  optional=("psi_assignment",))
+
+
+def phi_action_from_json(obj: Mapping) -> PhiAction:
+    """Build from a surface-action file, after :func:`check_phi_star`."""
+    check_phi_star(obj)
     pres = SurfacePresentation(obj["genus"])
     mapping = {g: parse_group_word(w) for g, w in obj["phi_star"].items()}
     return PhiAction(pres, mapping, obj["order"])
@@ -818,15 +824,21 @@ def _eq_key(eq: tuple[Word, Word]):
     return (a.source, a.target, a.letters, b.source, b.target, b.letters)
 
 
+def _is_script_word(w) -> bool:
+    """A token string or a list of [arrow id, +-1] pairs."""
+    return isinstance(w, str) or list_of(
+        lambda x: is_letter(x) and x[1] in (1, -1))(w)
+
+
 def _is_step(step) -> bool:
     if not isinstance(step, dict):
         return False
     move, target = step.get("move"), step.get("target")
     return ("from" in step and isinstance(move, dict)
             and all(is_int(move[k]) for k in ("relation", "step") if k in move)
-            and isinstance(move.get("word", ""), (str, list))
+            and _is_script_word(move.get("word", ""))
             and isinstance(target, list) and len(target) == 2
-            and all(isinstance(w, (str, list)) for w in target)
+            and all(map(_is_script_word, target))
             and isinstance(step.get("establishes", ""), str))
 
 

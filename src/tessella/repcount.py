@@ -370,6 +370,17 @@ def crit_check(rep: MatrixRep, quiver: Quiver, W: Potential) -> bool:
 # -- the representation space -------------------------------------------------
 
 
+def _size_text(powers: Mapping) -> str:
+    """The product of ``base ** exp`` over ``powers``: its digits while it
+    fits in int64, and beyond that the powers themselves, such as
+    ``3^10000``, since a number past 4300 digits cannot even be printed."""
+    n = math.prod(b ** k for b, k in powers.items())
+    if n < 1 << 63:
+        return str(n)
+    return " * ".join(f"{b}^{k}" if k > 1 else str(b)
+                      for b, k in sorted(powers.items()) if b > 1 and k)
+
+
 @lru_cache(maxsize=None)
 def _pool(d: int, q: int, invertible: bool) -> tuple:
     """All d x d matrices over F_q in lexicographic entry order.
@@ -378,7 +389,7 @@ def _pool(d: int, q: int, invertible: bool) -> tuple:
     """
     if q ** (d * d) > _POOL_GUARD:
         raise StateSpaceTooLarge(
-            f"a single arrow already has {q ** (d * d)} matrices; "
+            f"a single arrow already has {_size_text({q: d * d})} matrices; "
             f"the per-arrow pool guard is {_POOL_GUARD}")
     mats = []
     for entries in _iproduct(range(q), repeat=d * d):
@@ -579,8 +590,11 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
         return sum(tally(space.sample_indices(source, n), n) for n in sizes)
     if space.total > _STATE_GUARD:
         tree = len(space.fixed)
+        pools = Counter(space.sizes.values())
+        gauge = Counter({gl_order(space.d, space.q): tree})
         raise StateSpaceTooLarge(
-            f"{space.total} points to sweep (state space {space.state_space} "
+            f"{_size_text(pools)} points to sweep (state space "
+            f"{_size_text(pools + gauge)} "
             f"modulo a gauge tree of {tree} arrow{'' if tree == 1 else 's'}) "
             f"exceed the exhaustive guard {_STATE_GUARD}")
 

@@ -329,6 +329,8 @@ _BAD_PAIRS = ("phi_star field 'psi_assignment' must be an object of "
     (_bundled_phi_star_with(psi_assignment={"a": ["x1^-1"]}), _BAD_PAIRS),
     (_bundled_phi_star_with(psi_assignment={"a": ["x1^-1", "0"]}), _BAD_PAIRS),
     (_bundled_phi_star_with(psi_assignment={"a": [3, 0]}), _BAD_PAIRS),
+    (_bundled_phi_star_with(genus=3),
+     "the phi_star file is for genus 3, but the tiling has genus 2"),
 ])
 def test_malformed_phi_star_names_the_field(tmp_path, capsys, phi_star,
                                             message):
@@ -347,6 +349,28 @@ def test_a_copy_of_the_bundled_phi_star_file_still_loads(tmp_path, capsys):
                    capsys)
     assert obj == run_json(["psi-verify", "--mode", "dehn",
                             "--bundled-phi-star"], capsys)
+
+
+def test_a_phi_star_file_for_a_huge_genus_fails_at_once(tmp_path):
+    """The genus is compared before the presentation, 8g rotations of
+    length 4g, is built.  The child's address space is capped, so that a
+    regression fails here and does not exhaust the machine."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "phi_star.json"
+    path.write_text(json.dumps(_bundled_phi_star_with(genus=10 ** 6)))
+    limit = 1_500_000_000
+    env_path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tessella.cli", "psi-verify", "--mode", "dehn",
+         "--phi-star", str(path)],
+        env={**os.environ, "PYTHONPATH": env_path}, capture_output=True,
+        text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_INPUT, "", "error: InputError: the phi_star file is for genus "
+        "1000000, but the tiling has genus 2\n")
 
 
 def test_pipeline_malformed_phi_star_fails_the_verify_stage(tmp_path, capsys):
@@ -381,6 +405,16 @@ def test_check_script_rejects_corrupt_step(tmp_path, capsys):
     assert json.loads(out)["failed_step"] == 5
 
 
+def test_check_script_reads_list_shaped_words(tmp_path, capsys):
+    blob = load_data("genus2_derivation.json")
+    blob["steps"][1]["move"]["word"] = [["a", 1]]
+    blob["steps"][4]["target"] = [[["r", 1]], "d r c"]
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(blob))
+    assert run_json(["check-script", str(path)], capsys) == \
+        run_json(["check-script"], capsys)
+
+
 def _bundled_script_with(step: int, **fields):
     blob = load_data("genus2_derivation.json")
     blob["steps"][step].update(fields)
@@ -409,6 +443,12 @@ _UNKNOWN_CONTRACT = ("derivation script field 'contract' names arrows "
     (_bundled_script_with(2, move=[]), _BAD_STEPS),
     (_bundled_script_with(1, move={"kind": "multiply", "word": 5,
                                    "side": "left"}), _BAD_STEPS),
+    (_bundled_script_with(1, move={"kind": "multiply", "word": [5],
+                                   "side": "left"}), _BAD_STEPS),
+    (_bundled_script_with(1, move={"kind": "multiply", "word": [["a", 2]],
+                                   "side": "left"}), _BAD_STEPS),
+    (_bundled_script_with(4, target=[[5], "d r c"]), _BAD_STEPS),
+    (_bundled_script_with(4, target=["r", [[["d"], 1]]]), _BAD_STEPS),
     (_bundled_script_with(4, target="a b"), _BAD_STEPS),
     (_bundled_script_with(4, target=["a"]), _BAD_STEPS),
     (_bundled_script_with(4, target=[5, 6]), _BAD_STEPS),
@@ -565,6 +605,17 @@ def test_probe_omega_file_is_read_against_the_bundled_quiver(tmp_path,
     ([{"coeff": [1], "word": [["r", 1]]}],
      "omega file term 0 field 'coeff' must be an integer or a fraction "
      "string"),
+    ([{"coeff": "1/0", "word": [["r", 1]]}],
+     "omega file term 0 field 'coeff' must be an integer or a fraction "
+     "string"),
+    ([{"coeff": "one", "word": [["r", 1]]}],
+     "omega file term 0 field 'coeff' must be an integer or a fraction "
+     "string"),
+    ([{"coeff": 1, "word": [[["x"], 1]]}],
+     "omega file term 0 field 'word' must be a list of [arrow, exponent] "
+     "pairs"),
+    ([{"coeff": 1, "word": [["r", 1]]}, {"coeff": 1, "word": [], "at": [1]}],
+     "omega file term 1 field 'at' must be an integer or a string"),
 ])
 def test_malformed_omega_file_names_the_field(tmp_path, capsys, omega,
                                               message):
@@ -607,6 +658,14 @@ _BAD_ARROWS = ("qpot field 'arrows' must be a list of objects with integer or "
       "potential": [{"coeff": 1, "word": "aaa"}]},
      "qpot field 'potential' term 0 field 'word' must be a list of "
      "[arrow, exponent] pairs"),
+    ({"vertices": [1], "arrows": [_ONE_LOOP],
+      "potential": [{"coeff": 1, "word": [[["a"], 1]]}]},
+     "qpot field 'potential' term 0 field 'word' must be a list of "
+     "[arrow, exponent] pairs"),
+    ({"vertices": [1], "arrows": [_ONE_LOOP],
+      "potential": [{"coeff": "1/0", "word": [["a", 1]]}]},
+     "qpot field 'potential' term 0 field 'coeff' must be an integer or a "
+     "fraction string"),
 ])
 @pytest.mark.parametrize("argv", [["count", "--q", "2"], ["probe", "--q", "3"],
                                   ["derive"], ["gdga-check"]],
@@ -1087,6 +1146,14 @@ def test_count_over_the_guard_exits_as_bad_input(q, d, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_a_pool_beyond_int64_is_named_by_its_power(capsys):
+    # 3^10000 has 4772 digits, past what Python prints of an integer
+    rc, out, err = run(["count", "--q", "3", "--d", "100"], capsys)
+    assert (rc, out, err) == (
+        EXIT_INPUT, "", "error: StateSpaceTooLarge: a single arrow already "
+        "has 3^10000 matrices; the per-arrow pool guard is 4000000\n")
+
+
 def test_pipeline_count_over_the_pool_guard_exits_as_bad_input(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"field_sizes": [47], "dimension": 2,
@@ -1342,6 +1409,11 @@ def test_version_flag_in_a_fresh_process_prints_the_tool_version():
 def test_the_cli_catches_the_counting_guard_class():
     from tessella import repcount
     assert repcount.StateSpaceTooLarge is cli.StateSpaceTooLarge
+
+
+def test_the_cli_raises_and_catches_the_parsers_input_error():
+    from tessella import datafiles
+    assert cli.InputError is datafiles.InputError
 
 
 def test_the_counting_kernel_does_not_import_presentation():

@@ -528,6 +528,16 @@ def test_guard_without_a_tree_sweeps_the_state_space():
         "tree of 0 arrows) exceed the exhaustive guard 100000000")
 
 
+def test_guard_names_sizes_beyond_int64_by_their_powers():
+    quiver = Quiver([0, 1], [("t", 0, 1)] + [(f"x{i}", 0, 0) for i in range(30)],
+                    localized=["t"])
+    with pytest.raises(StateSpaceTooLarge) as info:
+        enumerate_reps(quiver, Potential(), 1, 17)
+    assert str(info.value) == (
+        "17^30 points to sweep (state space 16 * 17^30 modulo a gauge tree "
+        "of 1 arrow) exceed the exhaustive guard 100000000")
+
+
 def test_guard_bounds_the_swept_points(bundled_counting):
     """A space over the guard whose gauge slice is under it is counted."""
     quiver, W = bundled_counting
