@@ -443,17 +443,17 @@ _UNKNOWN_CONTRACT = ("derivation script field 'contract' names arrows "
     (_bundled_script_with(2, move=[]), _BAD_STEPS),
     (_bundled_script_with(1, move={"kind": "multiply", "word": 5,
                                    "side": "left"}), _BAD_STEPS),
+    (_bundled_script_with(4, target="a b"), _BAD_STEPS),
+    (_bundled_script_with(4, target=["a"]), _BAD_STEPS),
+    (_bundled_script_with(4, target=[5, 6]), _BAD_STEPS),
+    (_bundled_script_with(0, establishes=["name"]), _BAD_STEPS),
+    ({"contract": ["zz"], "steps": []}, _UNKNOWN_CONTRACT),
     (_bundled_script_with(1, move={"kind": "multiply", "word": [5],
                                    "side": "left"}), _BAD_STEPS),
     (_bundled_script_with(1, move={"kind": "multiply", "word": [["a", 2]],
                                    "side": "left"}), _BAD_STEPS),
     (_bundled_script_with(4, target=[[5], "d r c"]), _BAD_STEPS),
     (_bundled_script_with(4, target=["r", [[["d"], 1]]]), _BAD_STEPS),
-    (_bundled_script_with(4, target="a b"), _BAD_STEPS),
-    (_bundled_script_with(4, target=["a"]), _BAD_STEPS),
-    (_bundled_script_with(4, target=[5, 6]), _BAD_STEPS),
-    (_bundled_script_with(0, establishes=["name"]), _BAD_STEPS),
-    ({"contract": ["zz"], "steps": []}, _UNKNOWN_CONTRACT),
 ])
 def test_malformed_derivation_script_names_the_field(tmp_path, capsys, script,
                                                      message):

@@ -64,35 +64,31 @@ _PLACES = {
 }
 
 
-def _same_type(a, b) -> bool:
-    return type(a) is type(b)
-
-
 BASES = _bases()
+
+
+def _at(obj, place):
+    for key in place:
+        obj = obj[key]
+    return obj
 
 
 def _mutations():
     for kind, places in _PLACES.items():
         base = BASES[kind][0]
         for value in JSON_VALUES:  # the whole file
-            if not _same_type(value, base):
+            if type(value) is not type(base):
                 yield kind, (), value, value
         for place in places:
-            holder = base
-            for key in place:
-                holder = holder[key]
+            holder = _at(base, place)
             keys = holder.keys() if isinstance(holder, dict) \
                 else range(len(holder))
             for key in keys:
                 for value in JSON_VALUES:
-                    if _same_type(value, holder[key]):
-                        continue
-                    obj = copy.deepcopy(base)
-                    target = obj
-                    for k in place:
-                        target = target[k]
-                    target[key] = value
-                    yield kind, (*place, key), value, obj
+                    if type(value) is not type(holder[key]):
+                        obj = copy.deepcopy(base)
+                        _at(obj, place)[key] = value
+                        yield kind, (*place, key), value, obj
 
 
 _CASES = list(_mutations())
