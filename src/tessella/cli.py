@@ -36,7 +36,8 @@ Conventions
   equivariant dimer (``MatchingStuck``); 5 an internal fault.
 * ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
   sweep, at most one per CPU the process may run on; it never changes a
-  count.
+  count.  A ``tessella`` process (:func:`entry`) starts no OpenBLAS thread
+  pool unless the caller sets ``OPENBLAS_NUM_THREADS``.
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
 * Only the stages that count (``count``, ``probe`` and the pipeline's count
@@ -49,6 +50,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -876,5 +878,17 @@ def main(argv=None) -> int:
         return _exit_code(exc)
 
 
+def entry() -> int:
+    """The process entry (``python -m tessella.cli`` and the ``tessella``
+    script): :func:`main` with numpy's OpenBLAS held to one thread unless
+    the caller set ``OPENBLAS_NUM_THREADS``.  No computation here calls
+    BLAS (int64 products never reach it), and OpenBLAS would otherwise
+    start a thread per usable CPU at ``import numpy``.  Nothing imports
+    numpy before this runs, and :func:`main` called in process leaves
+    ``os.environ`` alone."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

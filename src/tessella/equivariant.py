@@ -1001,17 +1001,6 @@ def verify_transport_identity(ctx: SemidirectQuiver, W: Potential,
 # -- serialization --------------------------------------------------------------
 
 
-def _match_keys(perm: Mapping, pool: Iterable) -> dict:
-    """Map JSON string keys back onto actual vertex/arrow ids."""
-    by_str = {str(x): x for x in pool}
-    out = {}
-    for k, v in perm.items():
-        if str(k) not in by_str or str(v) not in by_str:
-            raise InvalidAutomorphism(f"unknown id in permutation: {k!r} -> {v!r}")
-        out[by_str[str(k)]] = by_str[str(v)]
-    return out
-
-
 def tiling_automorphism_from_json(tiling: BraneTiling, obj: dict) -> TilingAutomorphism:
     """A symmetry of ``tiling``, after a check of the file's shape: an
     object whose ``half_edge_perm`` (or the object itself) maps integer
@@ -1056,6 +1045,10 @@ def orbit_choice_from_json(quiver: Quiver, obj: dict) -> OrbitChoice:
     """An embedding choice, after a check of the file's shape."""
     check_object(obj, "choice", _CHOICE_FIELDS,
                  optional=("require_common_source",))
-    bases = _match_keys(dict(obj["bases"]), quiver.vertices)
+    by_str = {str(v): v for v in quiver.vertices}
+    for x in (x for pair in obj["bases"].items() for x in pair):
+        if str(x) not in by_str:
+            raise InputError(f"choice field 'bases' names no vertex: {x!r}")
+    bases = {by_str[k]: by_str[str(v)] for k, v in obj["bases"].items()}
     return OrbitChoice(obj["generators"], bases,
                        obj.get("require_common_source", False))

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .datafiles import (check_object, is_id, is_int, is_letter, list_of,
-                        object_of)
+from .datafiles import (InputError, check_object, is_id, is_int, is_letter,
+                        list_of, object_of)
 from .pathalg import (
     Element,
     NonComposable,
@@ -209,9 +209,10 @@ def dehn_reduce(w, pres: SurfacePresentation) -> tuple[Letter, ...]:
 class PhiAction:
     """The automorphism induced on the surface-group generators.
 
-    ``mapping`` sends each generator to a word; validation checks that the
-    ``order``-th power fixes every generator in the group and that the
-    relator maps to a trivial word.  ``relator_conjugate`` records whether
+    ``mapping`` sends each generator to a word; validation refuses an
+    ``order`` above 4g + 2 (Wiman's bound), then checks that the relator
+    maps to a trivial word and that the ``order``-th power fixes every
+    generator in the group.  ``relator_conjugate`` records whether
     the relator image is even a free-group conjugate of a relator rotation
     (a stronger certificate that holds for some configurations only).
     """
@@ -221,6 +222,12 @@ class PhiAction:
         self.order = int(order)
         if self.order < 1:
             raise ValueError(f"order must be a positive integer, got {order!r}")
+        # Wiman: a periodic mapping class of genus g >= 2 has order at most
+        # 4g + 2; refused before any power of phi_star is taken
+        if self.order > 4 * pres.genus + 2:
+            raise InputError(
+                f"phi_star field 'order' must be at most 4g+2 = "
+                f"{4 * pres.genus + 2} at genus {pres.genus}, got {self.order}")
         known = set(pres.generators)
         extra = sorted(set(mapping) - known)
         if extra:
@@ -235,16 +242,18 @@ class PhiAction:
                 raise ValueError(f"phi_star({g!r}) uses unknown generators {bad}")
             images[g] = img
         self.mapping = images
-        for g in pres.generators:
-            w: tuple = ((g, 1),)
-            for _ in range(self.order):
-                w = self._apply_once(w)
-            if dehn_reduce(w + ((g, -1),), pres):
-                raise ValueError(
-                    f"phi^{self.order} does not fix {g!r} in the group")
         image = self._apply_once(pres.relator)
         if dehn_reduce(image, pres):
             raise ValueError("phi_star does not kill the surface relator")
+        # phi_star now acts on the group, so each power may be Dehn-reduced:
+        # free reduction alone lets the words grow exponentially
+        for g in pres.generators:
+            w: tuple = ((g, 1),)
+            for _ in range(self.order):
+                w = dehn_reduce(self._apply_once(w), pres)
+            if dehn_reduce(w + ((g, -1),), pres):
+                raise ValueError(
+                    f"phi^{self.order} does not fix {g!r} in the group")
         self.relator_conjugate = _wrap_reduce(image) in set(pres.rotations())
 
     def _apply_once(self, letters: tuple) -> tuple:

@@ -27,7 +27,11 @@ exact integer tallies that merge by addition, so outputs do not depend on
 block size, slice size or thread count.  The count kernel reads
 each term of W once per slice through shared suffix and prefix products,
 which give its trace and every occurrence's cyclic derivative (elementwise at
-d = 1, batched matmuls otherwise).  The per-point :class:`MatrixRep` route
+d = 1, batched matmuls otherwise).  Batches carry an upper bound on their
+int64 entries (q - 1 for a letter, d b_1 b_2 for a product, the sum for a
+sum, c b for a coefficient c < q) and are reduced mod q only when the next
+operation's bound would reach 2^63; every trace, histogram and zero test
+reads reduced entries.  The per-point :class:`MatrixRep` route
 (:func:`trace_potential`, :func:`crit_check`) is the sweep's oracle.  Its
 two halves share nothing: :func:`crit_check` evaluates the derivative table
 of :func:`tessella.pathalg.derivatives` (built once per quiver and
@@ -92,6 +96,7 @@ _POOL_GUARD = 4 * 10 ** 6
 # a sample draw reads one 32-bit Mersenne Twister word per try (_Draws), which
 # is exact only for pools below 2^32; _POOL_GUARD keeps every pool under it
 _DRAW_LIMIT = 1 << 32
+_INT64 = 1 << 63  # a batch's bound stays below this (see _RepSpace.mul)
 
 
 class ShapeMismatch(ValueError):
@@ -454,34 +459,78 @@ class _RepSpace:
     def sample_indices(self, source: _Draws, n: int) -> dict:
         return {a: source.below(self.sizes[a], n) for a in self.arrows}
 
-    def letter_values(self, idx: dict, letter) -> np.ndarray:
+    def letter_values(self, idx: dict, letter) -> tuple:
+        """A letter's batch and its bound q - 1."""
         a, e = letter
         if a not in self.pools:
             raise ShapeMismatch(f"no matrices for arrow {a!r}")
         pool = self._np[a] if e == 1 else self._inv_pool(a)
-        return pool[idx[a]]
+        return pool[idx[a]], self.q - 1
 
-    def identity(self, n: int) -> np.ndarray:
+    def identity(self, n: int) -> tuple:
         eye = np.eye(self.d, dtype=np.int64).reshape(self._shape)
-        return np.broadcast_to(eye, (n, *self._shape))
+        return np.broadcast_to(eye, (n, *self._shape)), 1
+
+    def reduced(self, x: tuple) -> tuple:
+        """A batch with its entries taken mod q, copied only if needed."""
+        values, bound = x
+        if bound < self.q:
+            return x
+        return values % self.q, self.q - 1
+
+    def _fit(self, x: tuple, y: tuple, size) -> tuple:
+        """x and y, the one with the larger bound reduced first, then the
+        other, until ``size(bound_x, bound_y)`` is below 2^63."""
+        if x[1] >= y[1]:
+            x = self.reduced(x)
+        else:
+            y = self.reduced(y)
+        if size(x[1], y[1]) >= _INT64:
+            x, y = self.reduced(x), self.reduced(y)
+        return x, y
 
     def mul(self, x, y):
-        """Pointwise product of two batches mod q; None is the identity."""
+        """Pointwise product of two batches; None is the identity.
+
+        A batch is a pair (int64 values, bound): every entry lies in
+        [0, bound].  The product's bound is d * bound_x * bound_y, and the
+        entries stay unreduced while that is below 2^63; past it, the
+        operand with the larger bound is reduced mod q first.  With both
+        reduced the bound is d (q-1)^2, which :func:`_check_int64` keeps
+        below 2^63, so at large q the same code reduces every time.
+        """
         if x is None or y is None:
             return y if x is None else x
-        out = x * y if self.d == 1 else np.matmul(x, y)
-        out %= self.q
-        return out
+        d = self.d
+        if d * x[1] * y[1] >= _INT64:
+            x, y = self._fit(x, y, lambda a, b: d * a * b)
+        out = x[0] * y[0] if d == 1 else np.matmul(x[0], y[0])
+        return out, d * x[1] * y[1]
 
-    def trace(self, x: np.ndarray) -> np.ndarray:
-        return x if self.d == 1 else np.trace(x, axis1=1, axis2=2)
+    def add(self, x: tuple, y: tuple) -> tuple:
+        """Sum of two batches; the bounds add."""
+        if x[1] + y[1] >= _INT64:
+            x, y = self._fit(x, y, int.__add__)
+        return x[0] + y[0], x[1] + y[1]
 
-    def element_values(self, idx: dict, x: Element, n: int) -> np.ndarray:
-        out = np.zeros((n, *self._shape), dtype=np.int64)
+    def scale(self, c: int, x: tuple) -> tuple:
+        """A batch times a coefficient 0 <= c < q; the bound is c times."""
+        if c * x[1] >= _INT64:
+            x = self.reduced(x)
+        return c * x[0], c * x[1]
+
+    def trace(self, x: tuple) -> np.ndarray:
+        """Traces of a batch, its entries reduced mod q first."""
+        values = self.reduced(x)[0]
+        return values if self.d == 1 else np.trace(values, axis1=1, axis2=2)
+
+    def element_values(self, idx: dict, x: Element, n: int) -> tuple:
+        out = np.zeros((n, *self._shape), dtype=np.int64), 0
         for w in x.words():
             mats = [self.letter_values(idx, letter) for letter in w.letters]
             word = reduce(self.mul, mats or [self.identity(n)])
-            out = (out + _coeff_mod(x.coeffs[w], self.q) * word) % self.q
+            out = self.add(out, self.scale(_coeff_mod(x.coeffs[w], self.q),
+                                           word))
         return out
 
     def rep_at(self, k: int) -> MatrixRep:
@@ -616,10 +665,14 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
 
 
 def _check_int64(d: int, q: int, terms=0, occurrences=0) -> None:
-    """Refuse sizes at which a kernel's int64 sums could overflow.  With
-    entries reduced mod q after every product, one d x d product stays below
-    d(q-1)^2, one arrow's gradient sum below occurrences(q-1)^2 and the
-    trace sum below terms*d*(q-1)^2."""
+    """Refuse sizes at which a kernel's int64 sums could overflow.
+
+    Batches are reduced mod q lazily: an operand is reduced only when the
+    next product, sum or scaling would otherwise reach 2^63
+    (:meth:`_RepSpace.mul`), and every trace, histogram and zero test reads
+    reduced entries.  The worst case is an operation on two reduced
+    operands: one d x d product stays below d(q-1)^2, one arrow's gradient
+    sum below occurrences(q-1)^2 and the trace sum below terms*d*(q-1)^2."""
     bound = max(d, occurrences, terms * d) * (q - 1) ** 2
     if bound >= 1 << 63:
         raise StateSpaceTooLarge(
@@ -642,7 +695,9 @@ def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
     of a term l_0...l_{L-1} are built right to left; occurrence i adds
     c * suffix * prefix to its arrow's sum, and the running prefix
     l_0...l_{i-1} ends as the full product.  Every letter of a differentiated
-    W has exponent 1 (``derivatives`` refuses the others)."""
+    W has exponent 1 (``derivatives`` refuses the others).  Products and
+    sums carry bounds and are reduced mod q only where a bound requires it
+    (:meth:`_RepSpace.mul`)."""
     values = {x: space.letter_values(idx, x) for _, cyc in terms for x in cyc}
     vals = np.zeros(n, dtype=np.int64)
     grads: dict = {}
@@ -658,12 +713,12 @@ def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
         prefix = None
         for i, (a, _) in enumerate(cyc):
             rest = space.mul(suffix[i], prefix)
-            rest = cm * (space.identity(n) if rest is None else rest)
-            grads[a] = grads[a] + rest if a in grads else rest
+            rest = space.scale(cm, space.identity(n) if rest is None else rest)
+            grads[a] = space.add(grads[a], rest) if a in grads else rest
             prefix = space.mul(prefix, mats[i])
         vals += cm * space.trace(prefix)
     crit = np.ones(n, dtype=bool)
-    for acc in grads.values():
+    for acc, _ in grads.values():
         crit &= (acc % space.q == 0).reshape(n, -1).all(axis=1)
     return vals % space.q, crit
 
@@ -841,7 +896,9 @@ def stratify_by_omega(quiver: Quiver, W: Potential, omega: Element,
 
     def kernel(idx: dict, n: int) -> np.ndarray:
         om = space.element_values(idx, omega, n)
-        nilp = (reduce(space.mul, [om] * d) == 0).reshape(n, -1).all(axis=1)
+        power = space.reduced(reduce(space.mul, [om] * d))[0]
+        nilp = (power == 0).reshape(n, -1).all(axis=1)
+        om = space.reduced(om)[0]
         inv = (om if d == 1 else _det_batch(om, q)) != 0
         return np.array([nilp.sum(), inv.sum()])
 
@@ -917,7 +974,7 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
     def kernel(idx: dict, n: int) -> np.ndarray:
         vals, _ = _evaluate(space, terms, idx, n, gradient=False)
         weights = (vals == 0).astype(np.int64) - (vals == 1).astype(np.int64)
-        om = space.element_values(idx, omega, n)
+        om = space.reduced(space.element_values(idx, omega, n))[0]
         return np.array([weights.sum(), weights[om == 0].sum(),
                          weights[om != 0].sum()])
 

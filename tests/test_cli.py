@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -371,6 +372,50 @@ def test_a_phi_star_file_for_a_huge_genus_fails_at_once(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (
         EXIT_INPUT, "", "error: InputError: the phi_star file is for genus "
         "1000000, but the tiling has genus 2\n")
+
+
+def _capped_psi_verify(phi_star_path) -> subprocess.CompletedProcess:
+    """``psi-verify --mode dehn`` in a child whose address space is capped,
+    so that a regression fails the test and does not exhaust the machine."""
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000_000
+    env_path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tessella.cli", "psi-verify", "--mode", "dehn",
+         "--phi-star", str(phi_star_path)],
+        env={**os.environ, "PYTHONPATH": env_path}, capture_output=True,
+        text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+
+
+def test_a_phi_star_order_past_wimans_bound_fails_at_once(tmp_path, capsys):
+    """An order above 4g + 2 is refused before phi_star is applied even
+    once: 10^7 applications of it used to exhaust memory."""
+    path = tmp_path / "phi_star.json"
+    path.write_text(json.dumps(_bundled_phi_star_with(order=10 ** 7)))
+    message = ("error: InputError: phi_star field 'order' must be at most "
+               "4g+2 = 10 at genus 2, got 10000000\n")
+    done = _capped_psi_verify(path)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_INPUT, "",
+                                                           message)
+    start = time.perf_counter()
+    assert run(["psi-verify", "--mode", "dehn", "--phi-star", str(path)],
+               capsys) == (EXIT_INPUT, "", message)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_wrong_phi_star_order_within_the_bound_fails_at_once(tmp_path):
+    """Each power of phi_star is Dehn-reduced: the bundled phi has order 2,
+    and checking phi^9 with free reduction alone grew the words
+    exponentially."""
+    path = tmp_path / "phi_star.json"
+    path.write_text(json.dumps(_bundled_phi_star_with(order=9)))
+    done = _capped_psi_verify(path)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_INPUT, "", "error: ValueError: phi^9 does not fix 'x1' in the "
+        "group\n")
 
 
 def test_pipeline_malformed_phi_star_fails_the_verify_stage(tmp_path, capsys):
@@ -1121,14 +1166,14 @@ def declared_scripts() -> dict:
 
 
 def test_console_entry_point_is_exposed():
-    assert declared_scripts()["tessella"] == "tessella.cli:main"
+    assert declared_scripts()["tessella"] == "tessella.cli:entry"
     try:
         dist = metadata.distribution("tessella")
     except metadata.PackageNotFoundError:
         return  # running from the source tree; the declaration is the contract
     ours = [e for e in dist.entry_points
             if e.group == "console_scripts" and e.name == "tessella"]
-    assert ours and ours[0].value == "tessella.cli:main"
+    assert ours and ours[0].value == "tessella.cli:entry"
 
 
 def test_pyproject_line_parse_agrees_with_tomllib():
@@ -1414,6 +1459,73 @@ def test_the_cli_catches_the_counting_guard_class():
 def test_the_cli_raises_and_catches_the_parsers_input_error():
     from tessella import datafiles
     assert cli.InputError is datafiles.InputError
+
+
+# A count in a new process, started as ``python -m tessella.cli`` ("-m") or
+# through the console script's target (as "module:function").  The profile
+# hook lists the process's threads when the count starts: numpy is loaded
+# by then, and the sweep has not yet started its worker thread.
+_COUNT_THREADS = """
+import importlib, json, os, runpy, sys
+how, threads = sys.argv[1], []
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "enumerate_reps":
+        threads.append(len(os.listdir("/proc/self/task")))
+
+sys.argv = ["tessella", "count", "--q", "2"]
+sys.setprofile(profile)
+try:
+    if how == "-m":
+        runpy.run_module("tessella.cli", run_name="__main__", alter_sys=True)
+    else:
+        module, name = how.split(":")
+        sys.exit(getattr(importlib.import_module(module), name)())
+except SystemExit as exc:
+    rc = exc.code
+sys.setprofile(None)
+print(json.dumps([rc, threads, os.environ.get("OPENBLAS_NUM_THREADS")]),
+      file=sys.stderr)
+"""
+
+
+def count_in_a_new_process(how: str, **env) -> list:
+    """[exit code, threads when the count starts, OPENBLAS_NUM_THREADS]."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run([sys.executable, "-c", _COUNT_THREADS, how],
+                          env={**base, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+def _usable_cpus() -> int:
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or _usable_cpus() < 2,
+                    reason="needs /proc/self/task and two usable CPUs")
+@pytest.mark.parametrize("how", ["-m", "script"])
+def test_a_counting_process_starts_no_blas_thread_pool(how):
+    """OpenBLAS starts a thread per usable CPU at ``import numpy`` unless
+    OPENBLAS_NUM_THREADS says otherwise; no count calls BLAS."""
+    how = declared_scripts()["tessella"] if how == "script" else how
+    assert count_in_a_new_process(how) == [EXIT_OK, [1], "1"]
+
+
+@pytest.mark.parametrize("how", ["-m", "script"])
+def test_a_caller_set_blas_thread_count_is_kept(how):
+    how = declared_scripts()["tessella"] if how == "script" else how
+    rc, _, value = count_in_a_new_process(how, OPENBLAS_NUM_THREADS="2")
+    assert (rc, value) == (EXIT_OK, "2")
+
+
+def test_main_in_process_leaves_the_environment_alone(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["count", "--q", "2"]) == EXIT_OK
+    assert dict(os.environ) == before
 
 
 def test_the_counting_kernel_does_not_import_presentation():

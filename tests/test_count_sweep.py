@@ -21,6 +21,7 @@ import random
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -573,3 +574,111 @@ def test_int64_guard_refuses_one_step_further(d, q, terms, occurrences):
     with pytest.raises(StateSpaceTooLarge, match="int64") as info:
         _check_int64(d, q, terms, occurrences)
     assert "\n" not in str(info.value)
+
+
+# -- lazy reduction: remainders only where a bound reaches 2^63 ---------------
+
+
+def _check_lazy_against_walk(quiver, W, omega, d, q):
+    """Every batch count against the per-point walk, once with the default
+    slice and once with 7-point slices."""
+    walk = _walk(quiver, W, omega, d, q)
+    for slice_ in (repcount._SLICE, 7):
+        with mock.patch.object(repcount, "_SLICE", slice_), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = enumerate_reps(quiver, W, d, q)
+            assert (report.histogram, report.critical) == (walk["hist"],
+                                                           walk["crit"])
+            strata = stratify_by_omega(quiver, W, omega, d, q)
+            assert (strata.nilpotent, strata.invertible) == walk["strata"]
+            if d == 1 and q > 2:
+                probe = conjecture_probe_d1(quiver, W, omega, q)
+                assert (probe.weight_total, probe.weight_nilpotent,
+                        probe.weight_invertible) == walk["probe"]
+
+
+def _power_of_a_loop(length, coeff=1):
+    """One free loop x with W = coeff * x^length and omega = x^length: the
+    exhaustive sweep visits the matrix of largest entries, whose products
+    reach every bound the kernel tracks."""
+    quiver = Quiver([0], [("x", 0, 0)])
+    W = Potential.build(quiver, [(coeff, ["x"] * length)])
+    omega = Element.from_word(quiver.word([("x", 1)] * length))
+    return quiver, W, omega
+
+
+@pytest.mark.parametrize("q", [233, 239])
+def test_an_eight_letter_term_around_the_int64_crossing(q):
+    """At d = 1, x^8 has bound (q-1)^8: 232^8 < 2^63 <= 238^8, so at
+    q = 233 no product is reduced before the trace, and at q = 239 the last
+    one must be."""
+    assert 232 ** 8 < 1 << 63 <= 238 ** 8
+    _check_lazy_against_walk(*_power_of_a_loop(8), 1, q)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_a_d2_term_around_the_int64_crossing(q):
+    """At d = 2, x^22 has bound 2^21 (q-1)^22: 2^43 at q = 3, but 2^65 at
+    q = 5, where its 22 gradient terms of bound 2^62 also overflow their
+    sum.  A bound that forgot the factor d would read 4^22 = 2^44 there."""
+    assert 2 ** 21 * 2 ** 22 < 1 << 63 <= 2 ** 21 * 4 ** 22
+    assert 22 * 2 ** 20 * 4 ** 21 >= 1 << 63
+    _check_lazy_against_walk(*_power_of_a_loop(22), 2, q)
+
+
+@pytest.mark.parametrize("q", [233, 239])
+@pytest.mark.parametrize("c", [100, -1])
+def test_omega_sums_around_the_int64_crossing(q, c):
+    """omega = c x^7 - c y^7 on two free loops vanishes exactly where
+    x^7 = y^7.  Its scaled words have bounds c (q-1)^7 and (q-c) (q-1)^7,
+    and their sum q (q-1)^7 reaches 2^63 between q = 233 and q = 239; at
+    c = -1 the word scaled by q - 1 alone does, (q-1)^8."""
+    assert 233 * 232 ** 7 < 1 << 63 <= 239 * 238 ** 7
+    assert 232 ** 8 < 1 << 63 <= 238 ** 8
+    quiver = Quiver([0], [("x", 0, 0), ("y", 0, 0)])
+    omega = (Element.from_word(quiver.word([("x", 1)] * 7), c)
+             + Element.from_word(quiver.word([("y", 1)] * 7), -c))
+    sevenths = Counter(pow(v, 7, q) for v in range(q))
+    zeros = sum(m * m for m in sevenths.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        strata = stratify_by_omega(quiver, Potential(), omega, 1, q)
+    assert (strata.nilpotent, strata.invertible) == (zeros, q * q - zeros)
+    probe = conjecture_probe_d1(quiver, Potential(), omega, q)
+    assert (probe.weight_nilpotent, probe.weight_invertible) == (
+        zeros, q * q - zeros)
+
+
+# (d, q, loops) -> longest word: spaces of at most 625 points whose long
+# words cross 2^63 at the larger q of each dimension
+_LONG_WORDS = {(1, 233, 1): 12, (1, 251, 1): 12, (1, 23, 2): 16,
+               (2, 3, 1): 34, (2, 5, 1): 26}
+
+
+@st.composite
+def long_word_cases(draw):
+    d, q, loops = key = draw(st.sampled_from(sorted(_LONG_WORDS)))
+    names = [f"x{i}" for i in range(loops)]
+    quiver = Quiver([0], [(a, 0, 0) for a in names],
+                    localized=[a for a in names if draw(st.booleans())])
+    length = st.integers(1, _LONG_WORDS[key])
+
+    def word():
+        return [draw(st.sampled_from(names)) for _ in range(draw(length))]
+
+    W = Potential.build(quiver, [(draw(st.integers(-3, 3).filter(bool)),
+                                  word())
+                                 for _ in range(draw(st.integers(1, 3)))])
+    omega = Element()
+    for _ in range(draw(st.integers(1, 2))):
+        omega = omega + Element.from_word(
+            quiver.word([(a, 1) for a in word()]),
+            draw(st.integers(-3, 3).filter(bool)))
+    return quiver, W, omega, d, q
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_word_cases())
+def test_lazy_reduction_matches_the_per_point_walk(case):
+    _check_lazy_against_walk(*case)

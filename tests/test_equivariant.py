@@ -22,7 +22,6 @@ from tessella.equivariant import (
     OrbitSizeViolation,
     QuiverAutomorphism,
     TilingAutomorphism,
-    _match_keys,
     all_dimers,
     build_orbit_quiver,
     choose_homogeneous_xi,
@@ -730,6 +729,17 @@ def automorphism_to_json(phi: QuiverAutomorphism) -> dict:
                                                     key=lambda kv: str(kv[0]))},
         "order": phi.order,
     }
+
+
+def _match_keys(perm, pool) -> dict:
+    """Map JSON string keys back onto actual vertex/arrow ids."""
+    by_str = {str(x): x for x in pool}
+    out = {}
+    for k, v in perm.items():
+        if str(k) not in by_str or str(v) not in by_str:
+            raise InvalidAutomorphism(f"unknown id in permutation: {k!r} -> {v!r}")
+        out[by_str[str(k)]] = by_str[str(v)]
+    return out
 
 
 def quiver_automorphism_from_json(quiver: Quiver, obj: dict) -> QuiverAutomorphism:

@@ -56,7 +56,7 @@ _PLACES = {
     "automorphism": [()],
     "qpot": [(), ("potential", 0), ("potential", 0, "word", 0)],
     "omega": [(), (0,), (0, "word", 0), (2,)],
-    "choice": [()],
+    "choice": [(), ("bases",)],
     "phi_star": [(), ("psi_assignment", "a")],
     # step 1 multiplies, step 2 substitutes
     "script": [(), ("steps", 0), ("steps", 0, "target"), ("steps", 1, "move"),
@@ -118,3 +118,12 @@ def test_a_malformed_file_exits_cleanly(capsys, tmp_path, kind, where, value,
     assert err.count("\n") <= 1, err
     error_type = err.removeprefix("error: ").partition(":")[0]
     assert error_type not in BARE_ERRORS, err
+
+
+@pytest.mark.parametrize("bases, bad", [({"1": [2]}, "[2]"), ({"7": 2}, "'7'"),
+                                        ({"1": 9}, "9")])
+def test_a_choice_base_that_names_no_vertex_is_named(capsys, tmp_path, bases,
+                                                     bad):
+    choice = dict(BASES["choice"][0], bases=bases)
+    assert _outcome(capsys, tmp_path, "choice", choice) == (
+        4, f"error: InputError: choice field 'bases' names no vertex: {bad}\n")
