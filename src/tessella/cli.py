@@ -70,6 +70,7 @@ from .equivariant import (
     orbit_choice_to_json,
     refine_tiling,
     tiling_automorphism_from_json,
+    tiling_automorphism_to_json,
     transport_potential,
     verify_transport_identity,
 )
@@ -190,12 +191,6 @@ def _parse_json(raw: bytes, path):
         return json.loads(raw)
     except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _taut_to_json(taut) -> dict:
-    return {"half_edge_perm": {str(h): k for h, k in
-                               sorted(taut.half_edge_perm.items())},
-            "order": taut.order}
 
 
 def _check_counting(opts: dict) -> None:
@@ -344,7 +339,7 @@ def _dual_names(tiling, matching) -> list:
 def _refine_json(run, refined) -> dict:
     tiling, taut = refined
     return {"tiling": tiling_to_json(tiling),
-            "automorphism": _taut_to_json(taut),
+            "automorphism": tiling_automorphism_to_json(taut),
             "changed": tiling is not run["tiling"]}
 
 
@@ -581,7 +576,7 @@ _COMMANDS = {
     "refine": _Command("refine", _refine_json),
     "dimer": _Command("dimer", lambda run, d: {
         **_dimer_json(d), "tiling": tiling_to_json(d[0]),
-        "automorphism": _taut_to_json(d[1])}),
+        "automorphism": tiling_automorphism_to_json(d[1])}),
     "choose-xi": _Command("choice", _choice_json),
     "transport": _Command("transport", _transport_json,
                           error=_homogeneity_error),

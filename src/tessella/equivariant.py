@@ -812,12 +812,17 @@ class ChoiceSearch:
 
     Candidates range over one source vertex per vertex orbit (determining
     the generators, hence satisfying the common-source condition) and one
-    chain base per vertex orbit, in ``product`` order.  A candidate's arrow
-    degrees are read off chain positions without building an orbit quiver.
-    It can serve a matching only when every arrow has degree 0 or ``n``:
-    then its degree-n arrows (``hits``, ``None`` when ``n = 1``, where
-    every matching asks for all degrees 0) must be the matching's duals.
-    The search keeps the first candidate of each such set, in search order.
+    chain base per vertex orbit, in ``product`` order.  With a generator
+    g's source and target at chain positions ps and pt, the arrow
+    phi^k(g) has degree n([ps + k >= n] - [pt + k >= n]), which is what
+    :meth:`SemidirectQuiver.arrow_degree` reads off the orbit quiver.  So
+    every degree is 0 or ``n`` exactly when pt <= ps for every generator
+    (inequalities between residues, not a linear system mod n), and the
+    degree-n arrows are the run phi^k(g), n - ps <= k < n - pt, of each
+    arrow orbit.  Such a candidate can serve a matching only when its
+    degree-n arrows (``hits``, ``None`` when ``n = 1``, where every
+    matching asks for all degrees 0) are the matching's duals.  The search
+    keeps the first candidate of each such set, in search order.
 
     No candidate is transported: the degrees decide.  Each term of W is the
     boundary cycle of one tiling vertex, so its transported degree is ``n``
@@ -836,17 +841,15 @@ class ChoiceSearch:
         sizes, free = orbit_sizes(self.quiver, self.phi)
         if not free:
             raise OrbitSizeViolation(f"orbit sizes {sizes} (order {n})")
-        # for n = 1 every arrow must have degree 0, whatever the matching
-        self.want_hit = n if n > 1 else 0
         self.vertex_orbits = self.phi.vertex_orbits()
         self.arrow_orbits = self.phi.arrow_orbits()
         self.size = 0  # the candidates, counting those that serve no matching
         # hits -> the first candidate with those degree-n arrows
         self.first: dict[Optional[frozenset], OrbitChoice] = {}
-        for generators, bases, degrees in self._candidates():
+        for generators, bases, arrows in self._candidates():
             self.size += 1
-            if all(d in (0, self.want_hit) for d in degrees.values()):
-                hits = self._hits(a for a, d in degrees.items() if d)
+            if arrows is not None:
+                hits = self._hits(arrows)
                 if hits not in self.first:
                     self.first[hits] = OrbitChoice(
                         generators, bases, require_common_source=True)
@@ -856,44 +859,36 @@ class ChoiceSearch:
         self._handles = sorted(set(self._vertex_of.values()))
 
     def _candidates(self):
-        """Yield (generators, bases, arrow degrees) for every candidate, in
-        order; the degrees are those ``SemidirectQuiver.arrow_degree`` would
-        read off the candidate's orbit quiver."""
+        """Yield (generators, bases, degree-n arrows) for every candidate,
+        in order; the arrows are ``None`` when some generator has pt > ps."""
         quiver, n = self.quiver, self.phi.order
-        where = {}  # vertex -> (orbit representative, index along the orbit)
-        for orb in self.vertex_orbits:
-            for k, v in enumerate(orb):
-                where[v] = (orb[0], k)
+        where = {v: (j, k) for j, orb in enumerate(self.vertex_orbits)
+                 for k, v in enumerate(orb)}  # vertex -> (orbit, index in it)
+        reps = [orb[0] for orb in self.vertex_orbits]
         option_space = [sorted(orb, key=_idkey) for orb in self.vertex_orbits]
         for sources in product(*option_space):
-            src_of = {orb[0]: sv for orb, sv in zip(self.vertex_orbits, sources)}
-            gen_of = {}
+            runs = []  # (orbit from its generator g, where s(g), where t(g))
             for orb in self.arrow_orbits:
-                want = src_of[where[quiver.source(orb[0])][0]]
-                picked = [a for a in orb if quiver.source(a) == want]
-                if len(picked) != 1:
-                    break
-                gen_of.update((a, picked[0]) for a in orb)
-            else:
-                ends = [(a, where[quiver.target(a)], where[quiver.target(g)],
-                         where[quiver.source(g)], where[quiver.source(a)])
-                        for a, g in gen_of.items()]
-                generators = set(gen_of.values())
-                for bases in product(*option_space):
-                    start = {orb[0]: where[b][1]
-                             for orb, b in zip(self.vertex_orbits, bases)}
-
-                    def pos(at):  # position along the chain from the base
-                        return (at[1] - start[at[0]]) % n
-
-                    degrees = {a: pos(ta) - pos(tg) + pos(sg) - pos(sa)
-                               for a, ta, tg, sg, sa in ends}
-                    base_of = {orb[0]: b
-                               for orb, b in zip(self.vertex_orbits, bases)}
-                    yield generators, base_of, degrees
+                j, k = where[quiver.source(orb[0])]
+                i = (where[sources[j]][1] - k) % n  # orb[i] leaves sources[j]
+                run = orb[i:] + orb[:i]
+                runs.append((run, where[sources[j]],
+                             where[quiver.target(run[0])]))
+            generators = [run[0] for run, _, _ in runs]
+            for bases in product(*option_space):
+                start = [where[b][1] for b in bases]
+                arrows = []
+                for run, (js, s), (jt, t) in runs:
+                    ps, pt = (s - start[js]) % n, (t - start[jt]) % n
+                    if pt > ps:
+                        arrows = None
+                        break
+                    arrows += run[n - ps:n - pt]
+                yield generators, dict(zip(reps, bases)), arrows
 
     def _hits(self, arrows) -> Optional[frozenset]:
-        return frozenset(arrows) if self.want_hit else None
+        # for n = 1 every arrow must have degree 0, whatever the matching
+        return frozenset(arrows) if self.phi.order > 1 else None
 
     def _perfect(self, hits: Optional[frozenset]) -> bool:
         """Whether the edges dual to ``hits`` meet every tiling vertex once,
@@ -1023,6 +1018,13 @@ def tiling_automorphism_from_json(tiling: BraneTiling, obj: dict) -> TilingAutom
         raise InvalidAutomorphism(
             f"declared order {obj['order']} but actual order is {taut.order}")
     return taut
+
+
+def tiling_automorphism_to_json(taut: TilingAutomorphism) -> dict:
+    """The file :func:`tiling_automorphism_from_json` reads back."""
+    return {"half_edge_perm": {str(h): k for h, k in
+                               sorted(taut.half_edge_perm.items())},
+            "order": taut.order}
 
 
 def orbit_choice_to_json(choice: OrbitChoice) -> dict:

@@ -245,12 +245,8 @@ class PhiAction:
         image = self._apply_once(pres.relator)
         if dehn_reduce(image, pres):
             raise ValueError("phi_star does not kill the surface relator")
-        # phi_star now acts on the group, so each power may be Dehn-reduced:
-        # free reduction alone lets the words grow exponentially
         for g in pres.generators:
-            w: tuple = ((g, 1),)
-            for _ in range(self.order):
-                w = dehn_reduce(self._apply_once(w), pres)
+            w = self._power(((g, 1),), self.order)
             if dehn_reduce(w + ((g, -1),), pres):
                 raise ValueError(
                     f"phi^{self.order} does not fix {g!r} in the group")
@@ -263,14 +259,20 @@ class PhiAction:
             out.extend(img if e == 1 else _invert(img))
         return _cancel(out)
 
-    def apply(self, w, k: int = 1) -> tuple[Letter, ...]:
-        """phi^k of a word.  Negative k wraps modulo the order: phi^order
-        acts as the group identity, so phi^-1 may be computed as
-        phi^(order-1)."""
-        letters = free_reduce(w)
-        for _ in range(k % self.order):
-            letters = self._apply_once(letters)
+    def _power(self, letters: tuple, k: int) -> tuple:
+        """k applications of phi_star, each Dehn-reduced.  Once phi_star
+        kills the relator it acts on the group, so reducing between
+        applications is sound; free reduction alone lets the words grow
+        exponentially."""
+        for _ in range(k):
+            letters = dehn_reduce(self._apply_once(letters), self.pres)
         return letters
+
+    def apply(self, w, k: int = 1) -> tuple[Letter, ...]:
+        """phi^k of a word, Dehn-reduced after each application.  Negative
+        k wraps modulo the order: phi^order acts as the group identity, so
+        phi^-1 may be computed as phi^(order-1)."""
+        return self._power(free_reduce(w), k % self.order)
 
     def __repr__(self):
         return f"PhiAction(genus={self.pres.genus}, order={self.order})"
@@ -634,12 +636,8 @@ def _psi_assignment_table(ctx, phi: PhiAction, assignment) -> dict:
     for a in ctx.quiver.arrow_ids():
         if a not in assignment:
             raise ValueError(f"assignment is missing arrow {a!r}")
-        v = assignment[a]
-        if isinstance(v, SemidirectElement):
-            el = v
-        else:
-            word, k = v
-            el = SemidirectElement(word, int(k))
+        word, k = assignment[a]
+        el = SemidirectElement(word, int(k))
         expected = -1 if ctx.quiver.is_localized(a) else 0
         if el.k != expected:
             raise ValueError(

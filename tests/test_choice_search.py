@@ -2,9 +2,13 @@
 
 ``reference_choose`` below is a test-only copy of the slow route: a fresh
 search per matching that builds an orbit quiver for every candidate and
-certifies by transport.  ``transport_certificate`` is the certificate the
-search once computed per candidate; it must agree with the perfect-matching
-test that replaced it on every candidate passing the degree filter.
+certifies by transport.  ``checked_candidates`` holds each candidate's
+degree-n arrows (or ``None``) to the degrees ``arrow_degree`` reads off its
+orbit quiver, and those degrees to a test-side copy of the closed form
+n([ps + k >= n] - [pt + k >= n]).  ``transport_certificate`` is the
+certificate the search once computed per candidate; it must agree with the
+perfect-matching test that replaced it on every candidate whose degrees are
+all 0 or n.
 ``reference_canonical`` is the loop over every perfect matching that
 ``ChoiceSearch.canonical`` replaced: ``all_dimers`` in sorted dual order,
 one query per matching, raising the given matching's failure when none
@@ -50,6 +54,7 @@ from tessella.equivariant import (
     orbit_sizes,
     refine_tiling,
     tiling_automorphism_from_json,
+    tiling_automorphism_to_json,
     transport_potential,
 )
 from tessella.pathalg import _idkey
@@ -125,7 +130,37 @@ def transport_certificate(search, generators, bases):
         res = transport_potential(search.W, ctx)
     except MixedInverseViolation:
         return False
-    return res.homogeneous and res.degree == search.want_hit
+    n = search.phi.order
+    return res.homogeneous and res.degree == (n if n > 1 else 0)
+
+
+def closed_form_degree(ctx, a):
+    """n([ps + k >= n] - [pt + k >= n]) for a = phi^k(g), with g's source
+    and target at chain positions ps and pt."""
+    n = ctx.phi.order
+    g, k = ctx.gen_of[a]
+    _, ps = ctx.chain_pos[ctx.base.source(g)]
+    _, pt = ctx.chain_pos[ctx.base.target(g)]
+    return n * ((ps + k >= n) - (pt + k >= n))
+
+
+def checked_candidates(search):
+    """``search._candidates()``, each checked against its orbit quiver: every
+    arrow's ``arrow_degree`` equals the closed form, invalid candidates
+    included; the arrows are ``None`` exactly when some degree is neither 0
+    nor n, and otherwise are the degree-n arrows, each once."""
+    n = search.phi.order
+    for generators, bases, arrows in search._candidates():
+        choice = OrbitChoice(generators, bases, require_common_source=True)
+        ctx = build_orbit_quiver(search.quiver, search.phi, choice)
+        degrees = {a: ctx.arrow_degree(a) for a in search.quiver.arrow_ids()}
+        assert degrees == {a: closed_form_degree(ctx, a) for a in degrees}
+        if set(degrees.values()) <= {0, n}:
+            assert arrows is not None and len(set(arrows)) == len(arrows)
+            assert set(arrows) == {a for a, d in degrees.items() if d}
+        else:
+            assert arrows is None, (generators, bases)
+        yield generators, bases, arrows
 
 
 def matchings_in_order(tiling, matching):
@@ -375,11 +410,11 @@ def test_a_set_covering_a_vertex_twice_does_not_compete(extra):
 
 @pytest.mark.parametrize("name", ["genus2-double-cover", "torus3"])
 def test_every_degree_pattern_as_a_query_agrees(name):
-    """Every candidate's degrees equal those read off its orbit quiver.
-    Query each degree-n arrow set of a candidate passing the degree filter
-    as an edge set.  On the double cover these sets are not perfect
-    matchings, so they pass the degree filter and serve no matching; on the
-    torus cover two candidates share each set."""
+    """Every candidate's degree-n arrows, or ``None``, agree with the
+    degrees read off its orbit quiver.  Query each degree-n arrow set as an
+    edge set.  On the double cover these sets are not perfect matchings, so
+    they serve no matching; on the torus cover two candidates share each
+    set."""
     if name == "torus3":
         tiling, taut, _ = torus_cover(3, 11)
     else:
@@ -388,16 +423,9 @@ def test_every_degree_pattern_as_a_query_agrees(name):
     empty = outcome(search.choose, frozenset())  # exhausts the candidates
     assert empty == outcome(reference_choose, tiling, taut, frozenset())
     edge_of = {tiling.arrow_name(min(e)): e for e in tiling.map.edges()}
-    n = search.phi.order
-    patterns = set()
-    for generators, bases, degrees in search._candidates():
-        choice = OrbitChoice(generators, bases, require_common_source=True)
-        ctx = build_orbit_quiver(search.quiver, search.phi, choice)
-        assert degrees == {a: ctx.arrow_degree(a)
-                           for a in search.quiver.arrow_ids()}
-        if set(degrees.values()) <= {0, n}:
-            patterns.add(frozenset(edge_of[a] for a, d in degrees.items()
-                                   if d))
+    patterns = {frozenset(edge_of[a] for a in arrows)
+                for _, _, arrows in checked_candidates(search)
+                if arrows is not None}
     assert patterns
     for edges in sorted(patterns, key=sorted):
         assert outcome(search.choose, edges) == \
@@ -416,20 +444,34 @@ def certificate_inputs():
 
 
 def test_the_transport_certificate_is_the_perfect_matching_test():
-    """On every candidate passing the degree filter, the transport
+    """On every candidate whose degrees are all 0 or n, the transport
     certificate holds exactly when the degree-n arrows are dual to a perfect
     matching, the test the search applies instead."""
     seen = {True: 0, False: 0}
     for tiling, taut, _ in certificate_inputs():
         search = ChoiceSearch(tiling, taut)
-        for generators, bases, degrees in search._candidates():
-            if set(degrees.values()) <= {0, search.want_hit}:
-                hits = search._hits(a for a, d in degrees.items() if d)
-                perfect = search._perfect(hits)
+        for generators, bases, arrows in checked_candidates(search):
+            if arrows is not None:
+                perfect = search._perfect(search._hits(arrows))
                 assert transport_certificate(search, generators, bases) \
                     == perfect, (generators, bases)
                 seen[perfect] += 1
     assert seen[True] and seen[False]
+
+
+@settings(max_examples=20, deadline=None)
+@given(cover=st.one_of(
+    st.tuples(st.integers(2, 6), st.integers(0, 2**32 - 1)).map(
+        lambda ns: torus_cover(*ns)),
+    st.sampled_from(range(3)).map(genus2_double_cover)))
+def test_the_closed_form_degrees_are_the_orbit_quiver_degrees(cover):
+    """On relabelled torus covers (n = 2..6) and the genus-2 double covers,
+    every candidate's degrees follow n([ps + k >= n] - [pt + k >= n]), and
+    its degree-n arrows are exactly the degree-n arrows of its orbit
+    quiver."""
+    tiling, taut, _ = cover
+    search = ChoiceSearch(tiling, taut)
+    assert sum(1 for _ in checked_candidates(search)) == search.size
 
 
 @settings(max_examples=25, deadline=None)
@@ -526,7 +568,7 @@ def test_the_program_never_enumerates_the_matchings(monkeypatch, tmp_path):
     (tmp_path / "tiling.json").write_text(
         json.dumps(cli.tiling_to_json(tiling)))
     (tmp_path / "automorphism.json").write_text(
-        json.dumps(cli._taut_to_json(taut)))
+        json.dumps(tiling_automorphism_to_json(taut)))
     (tmp_path / "config.json").write_text(json.dumps({
         "tiling": "tiling.json", "automorphism": "automorphism.json",
         "field_sizes": [2], "dimension": 1, "output_dir": "out"}))

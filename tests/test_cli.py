@@ -28,6 +28,7 @@ from tessella.cli import (
     run_pipeline,
 )
 from tessella.datafiles import load_data
+from tessella.equivariant import tiling_automorphism_to_json
 from tessella.pathalg import (InverseOfNonLocalized, cyclic_derivative,
                               parse_letters, qpot_from_json, qpot_to_json)
 
@@ -372,6 +373,30 @@ def test_a_phi_star_file_for_a_huge_genus_fails_at_once(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (
         EXIT_INPUT, "", "error: InputError: the phi_star file is for genus "
         "1000000, but the tiling has genus 2\n")
+
+
+def test_a_phi_star_order_at_a_multiple_of_the_period_finishes(tmp_path,
+                                                               capsys):
+    """The bundled order-2 action declared with ``order`` 10 is valid, and
+    every power of it is Dehn-reduced as it is taken, so dehn mode ends
+    with the bundled verdict; free-reduced powers grow exponentially and
+    the run hung.  The child's address space is capped as above."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "phi_star.json"
+    path.write_text(json.dumps(_bundled_phi_star_with(order=10)))
+    limit = 1_500_000_000
+    env_path = os.pathsep.join(filter(None, [str(SRC),
+                                             os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tessella.cli", "psi-verify", "--mode", "dehn",
+         "--phi-star", str(path)],
+        env={**os.environ, "PYTHONPATH": env_path}, capture_output=True,
+        text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert json.loads(done.stdout) == run_json(
+        ["psi-verify", "--mode", "dehn", "--bundled-phi-star"], capsys)
 
 
 def _capped_psi_verify(phi_star_path) -> subprocess.CompletedProcess:
@@ -731,7 +756,7 @@ def test_dimer_stuck_on_a_cover_exits_as_bad_input(tmp_path, capsys):
     tiling_path = tmp_path / "tiling.json"
     tiling_path.write_text(json.dumps(cli.tiling_to_json(tiling)))
     autom_path = tmp_path / "autom.json"
-    autom_path.write_text(json.dumps(cli._taut_to_json(taut)))
+    autom_path.write_text(json.dumps(tiling_automorphism_to_json(taut)))
     rc, out, err = run(["dimer", "--tiling", str(tiling_path),
                         "--automorphism", str(autom_path)], capsys)
     assert rc == EXIT_INPUT and out == ""
@@ -1037,7 +1062,7 @@ def _cover_files(tmp_path, voltages) -> dict:
     files = {"tiling": tmp_path / "tiling.json",
              "automorphism": tmp_path / "autom.json"}
     files["tiling"].write_text(json.dumps(cli.tiling_to_json(tiling)))
-    files["automorphism"].write_text(json.dumps(cli._taut_to_json(taut)))
+    files["automorphism"].write_text(json.dumps(tiling_automorphism_to_json(taut)))
     return {key: str(path) for key, path in files.items()}
 
 
@@ -1325,7 +1350,7 @@ def test_the_choice_stage_builds_the_dual_quiver_once(tmp_path, monkeypatch):
     tiling_path = tmp_path / "tiling.json"
     tiling_path.write_text(json.dumps(cli.tiling_to_json(tiling)))
     autom_path = tmp_path / "autom.json"
-    autom_path.write_text(json.dumps(cli._taut_to_json(taut)))
+    autom_path.write_text(json.dumps(tiling_automorphism_to_json(taut)))
     calls = Counter()
 
     def counted(name, real):

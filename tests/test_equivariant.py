@@ -1,6 +1,7 @@
 """Tests for tiling/quiver symmetries, orbit quivers, and the path embedding."""
 
 import dataclasses
+import json
 import random
 from functools import lru_cache
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (default_choice, genus2_potential, genus2_quiver,
-                      orbit_potential, orbit_quiver)
+from conftest import (SQUARE_TORUS, cyclic_cover, default_choice,
+                      genus2_potential, genus2_quiver, orbit_potential,
+                      orbit_quiver)
 from tessella.datafiles import load_data
 from tessella.equivariant import (
     BadChoice,
@@ -33,6 +35,7 @@ from tessella.equivariant import (
     orbit_sizes,
     refine_tiling,
     tiling_automorphism_from_json,
+    tiling_automorphism_to_json,
     transport_potential,
     verify_transport_identity,
     xi_embed,
@@ -767,14 +770,42 @@ def test_quiver_automorphism_json_round_trip(paper):
         quiver_automorphism_from_json(quiver, {**obj, "vertex_perm": {"9": "1"}})
 
 
+def assert_automorphism_round_trips(tiling, taut) -> dict:
+    """The written file, through JSON text, reads back as the same
+    symmetry and writes the same object again."""
+    obj = tiling_automorphism_to_json(taut)
+    back = tiling_automorphism_from_json(tiling, json.loads(json.dumps(obj)))
+    assert (back.half_edge_perm, back.order) == (taut.half_edge_perm,
+                                                 taut.order)
+    assert tiling_automorphism_to_json(back) == obj
+    return obj
+
+
 def test_tiling_automorphism_json_forms(paper):
     tiling = paper[0]
     obj = load_data("genus2_automorphism.json")
     taut = tiling_automorphism_from_json(tiling, obj)
     bare = tiling_automorphism_from_json(tiling, obj["half_edge_perm"])
     assert taut.half_edge_perm == bare.half_edge_perm
+    assert assert_automorphism_round_trips(tiling, taut) == obj
     with pytest.raises(InvalidAutomorphism, match="order"):
         tiling_automorphism_from_json(tiling, {**obj, "order": 4})
+
+
+@pytest.mark.parametrize("base, n, voltages", [
+    ("torus", 2, (1, 0, 2)), ("torus", 4, (1, 0, 2)),
+    ("square", 2, (0, 1, 0, 1)), ("square", 3, (1, 2, 1, 0)),
+])
+def test_refined_and_matched_automorphisms_round_trip(base, n, voltages):
+    """The symmetry of a cover, of its refinement and of its equivariant
+    dimer extension, as the refine and dimer stages write them."""
+    base = load_data("torus_tiling.json") if base == "torus" else SQUARE_TORUS
+    tiling, taut = cyclic_cover(base, n, voltages, n)
+    assert_automorphism_round_trips(tiling, taut)
+    tiling, taut = refine_tiling(tiling, taut)
+    assert_automorphism_round_trips(tiling, taut)
+    tiling, taut, _ = equivariant_dimer(tiling, taut)
+    assert_automorphism_round_trips(tiling, taut)
 
 
 def test_orbit_choice_json_round_trip(paper):
