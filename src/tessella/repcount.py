@@ -33,10 +33,13 @@ sum, c b for a coefficient c < q) and are reduced mod q only when the next
 operation's bound would reach 2^63; every trace, histogram and zero test
 reads reduced entries.  The per-point :class:`MatrixRep` route
 (:func:`trace_potential`, :func:`crit_check`) is the sweep's oracle.  Its
-two halves share nothing: :func:`crit_check` evaluates the derivative table
-of :func:`tessella.pathalg.derivatives` (built once per quiver and
+two halves share no product: :func:`crit_check` evaluates the derivative
+table of :func:`tessella.pathalg.derivatives` (built once per quiver and
 potential) at the point, and :func:`trace_gradient` recomputes the same
 partials from W through shared prefix and suffix products of each term.
+Each half adds c times the last product of every word or occurrence into a
+flat integer accumulator per arrow and reduces it mod q once per sum;
+nothing computed at a point outlives the call.
 
 Exhaustive sweeps count modulo gauge.  The group prod_v GL_d acts on the
 space by M_a -> g_t(a) M_a g_s(a)^-1, and these quantities are invariant:
@@ -68,11 +71,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, product as _iproduct
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Mapping
 
 import numpy as np
 
+from .datafiles import is_int
 from .pathalg import (
     Element,
     InverseOfNonLocalized,
@@ -111,6 +115,11 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"q must be a prime (entries live in F_q), got {q!r}")
 
 
+def _require_dimension(d: int) -> None:
+    if not is_int(d) or d < 1:  # a bool is not a dimension
+        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+
+
 def _coeff_mod(c: Fraction, q: int) -> int:
     """A rational coefficient as an element of F_q (denominator inverted)."""
     if type(c) is not Fraction:
@@ -138,30 +147,22 @@ def _eye(d: int) -> tuple:
     return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
-def _zero_mat(d: int) -> tuple:
-    return tuple((0,) * d for _ in range(d))
-
-
 def _mat_mul(a, b, q: int) -> tuple:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % q for col in cols)
-                 for row in a)
+    cols = [*zip(*b)]
+    return tuple([tuple([sum(map(mul, row, col)) % q for col in cols])
+                  for row in a])
 
 
-def _mat_mul_or(a, b, q: int):
-    """``a b`` mod q, where None stands for the identity."""
-    if a is None or b is None:
-        return b if a is None else a
-    return _mat_mul(a, b, q)
+def _add_product(acc: list, c: int, rows, cols) -> list:
+    """``acc`` plus c times the product of the given rows and columns, as a
+    flat unreduced list: entry i*d + j gains c (row i . column j)."""
+    return list(map(add, acc, [c * sum(map(mul, r, k))
+                               for r in rows for k in cols]))
 
 
-def _mat_add(a, b, q: int) -> tuple:
-    return tuple(tuple((x + y) % q for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def _mat_scale(c: int, a, q: int) -> tuple:
-    return tuple(tuple(c * x % q for x in row) for row in a)
+def _unflat(acc: list, d: int, q: int) -> tuple:
+    """A flat accumulator as a d x d matrix reduced mod q."""
+    return tuple(zip(*[iter([x % q for x in acc])] * d))
 
 
 def _mat_trace(a, q: int) -> int:
@@ -235,8 +236,7 @@ class MatrixRep:
     def __init__(self, quiver: Quiver, d: int, q: int,
                  matrices: Mapping) -> None:
         _require_prime(q)
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        _require_dimension(d)
         arrows = set(quiver.arrow_ids())
         extra = set(matrices) - arrows
         missing = arrows - set(matrices)
@@ -280,20 +280,24 @@ class MatrixRep:
             if a not in self.matrices:
                 raise ShapeMismatch(f"no matrix for arrow {a!r}")
             m = self.matrices[a] if e == 1 else self._inverse(a)
-            out = _mat_mul_or(out, m, self.q)
+            out = m if out is None else _mat_mul(out, m, self.q)
         return out or _eye(self.d)
 
     def evaluate(self, x) -> tuple:
-        """Matrix of a Word, or the coefficient-weighted sum for an Element."""
+        """Matrix of a Word, or the coefficient-weighted sum for an Element.
+
+        A sum adds each word's last product, times its coefficient, into
+        one flat accumulator and reduces mod q once at the end."""
         if isinstance(x, Word):
             return self._word_matrix(x.letters)
         if isinstance(x, Element):
-            out = _zero_mat(self.d)
+            acc = [0] * (self.d * self.d)
             for w, c in x.coeffs.items():  # a sum mod q: any order will do
                 c = _coeff_mod(c, self.q)
-                out = _mat_add(out, _mat_scale(c, self._word_matrix(w.letters),
-                                               self.q), self.q)
-            return out
+                head = self._word_matrix(w.letters[:-1])
+                last = self._word_matrix(w.letters[-1:])
+                acc = _add_product(acc, c, head, [*zip(*last)])
+            return _unflat(acc, self.d, self.q)
         raise TypeError(f"cannot evaluate {type(x).__name__}")
 
     def __repr__(self) -> str:
@@ -326,12 +330,14 @@ def trace_gradient(rep: MatrixRep, W: Potential) -> dict:
     directly from occurrences via d/dX_ij Tr(X M) = M_ji.  For a term
     l_0 ... l_{k-1}, occurrence i has M = l_{i+1} ... l_{k-1} l_0 ... l_{i-1},
     the product of a shared suffix and a shared prefix, so a term costs
-    about 3k matrix products.  This is the independent cross-check route for
-    :func:`crit_check`: it reads W, not the derivative table.
+    about 3k matrix products; the last one, c (suffix prefix)^T, goes
+    straight into the arrow's flat accumulator, reduced mod q once at the
+    end.  This is the independent cross-check route for :func:`crit_check`:
+    it reads W, not the derivative table, and shares no product with it.
     """
     _require_matrices(rep, W)
-    q = rep.q
-    out = {a: _zero_mat(rep.d) for a in rep.matrices}
+    q, eye = rep.q, _eye(rep.d)
+    acc = {a: [0] * (rep.d * rep.d) for a in rep.matrices}
     for c, cyc in W.terms():
         cm = _coeff_mod(c, q)
         for a, e in cyc:
@@ -340,13 +346,13 @@ def trace_gradient(rep: MatrixRep, W: Potential) -> dict:
                     f"cannot differentiate through an inverse of {a!r}")
         mats = [rep.matrices[a] for a, _ in cyc]
         # prefix[i] = l_0 ... l_{i-1}, suffix[i] = l_{i+1} ... l_{k-1}
-        prefix = [None, *accumulate(mats[:-1], lambda x, y: _mat_mul(x, y, q))]
+        prefix = [eye, *accumulate(mats[:-1], lambda x, y: _mat_mul(x, y, q))]
         suffix = [*accumulate(mats[:0:-1], lambda x, y: _mat_mul(y, x, q))]
-        suffix = suffix[::-1] + [None]
+        suffix = suffix[::-1] + [eye]
         for (a, _), pre, suf in zip(cyc, prefix, suffix):
-            m = _mat_mul_or(suf, pre, q) or _eye(rep.d)
-            out[a] = _mat_add(out[a], _mat_scale(cm, _transpose(m), q), q)
-    return out
+            # (suf pre)^T = pre^T suf^T: pre's columns times suf's rows
+            acc[a] = _add_product(acc[a], cm, [*zip(*pre)], suf)
+    return {a: _unflat(m, rep.d, q) for a, m in acc.items()}
 
 
 def crit_check(rep: MatrixRep, quiver: Quiver, W: Potential) -> bool:
@@ -356,8 +362,10 @@ def crit_check(rep: MatrixRep, quiver: Quiver, W: Potential) -> bool:
     open locus the coordinates are the same matrix entries) is evaluated at
     the representation; as a cross-check the entrywise gradient of the trace
     polynomial is recomputed independently and compared via
-    grad(a) = (dW/da)(rep)^T.  A mismatch would indicate an evaluation bug,
-    not a property of the input, hence RuntimeError.
+    grad(a) = (dW/da)(rep)^T.  Each route sums into flat accumulators
+    reduced once per sum, and neither reuses a product of the other or of
+    an earlier call.  A mismatch would indicate an evaluation bug, not a
+    property of the input, hence RuntimeError.
     """
     grads = trace_gradient(rep, W)
     derivs = derivatives(quiver, W)
@@ -419,8 +427,7 @@ class _RepSpace:
 
     def __init__(self, quiver: Quiver, d: int, q: int, fixed=()) -> None:
         _require_prime(q)
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        _require_dimension(d)
         self.quiver = quiver
         self.d = d
         self.q = q
@@ -558,6 +565,7 @@ def _gauge_tree(quiver: Quiver, d: int, omega: Element | None = None) -> tuple:
 def state_space_size(quiver: Quiver, d: int, q: int) -> int:
     """Number of representations at dimension d over F_q."""
     _require_prime(q)
+    _require_dimension(d)
     free = q ** (d * d)
     inv = gl_order(d, q)
     return math.prod(inv if quiver.is_localized(a) else free

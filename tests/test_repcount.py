@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product as iproduct
 
@@ -138,6 +139,24 @@ def test_rep_requires_prime_field():
 def test_rep_requires_positive_dimension():
     with pytest.raises(ValueError, match="dimension"):
         MatrixRep(free_loop(), 0, 3, {"x": ()})
+
+
+@pytest.mark.parametrize("d", [True, False, 2.0])
+def test_a_dimension_that_is_not_an_int_is_refused(d):
+    q = counting_quiver()
+    W = counting_potential(q)
+    mats = {a: ((1,),) for a in q.arrow_ids()}
+    calls = [lambda: MatrixRep(q, d, 2, mats),
+             lambda: enumerate_reps(q, W, d, 2),
+             lambda: enumerate_reps(q, W, d, 2, mode="sample", sample_size=5,
+                                    seed=0),
+             lambda: stratify_by_omega(q, W, omega_element(q), d, 3),
+             lambda: nth_rep(q, d, 2, 0),
+             lambda: next(iter_reps(q, d, 2)),
+             lambda: state_space_size(q, d, 2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimension must be a positive"):
+            call()
 
 
 def test_rep_requires_exact_arrow_cover():
@@ -354,12 +373,43 @@ def _mat_mul_reference(a, b, q):
                        for j in range(d)) for i in range(d))
 
 
+def _mat_add_reference(a, b, q):
+    """``_mat_add``, which summed tuple matrices entry by entry mod q."""
+    return tuple(tuple((x + y) % q for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def _mat_scale_reference(c, a, q):
+    """``_mat_scale``, which scaled a tuple matrix mod q."""
+    return tuple(tuple(c * x % q for x in row) for row in a)
+
+
+def _coeff_mod_reference(c, q):
+    c = Fraction(c)
+    if c.denominator % q == 0:
+        raise ValueError(f"coefficient {c} is not defined in F_{q}")
+    return c.numerator * pow(c.denominator, -1, q) % q
+
+
 def _word_matrix_reference(rep, letters):
     """``MatrixRep._word_matrix`` before it started from the first letter."""
     out = repcount._eye(rep.d)
     for a, e in letters:
+        if e != 1 and not rep.quiver.is_localized(a):
+            raise InverseOfNonLocalized(a)
         m = rep.matrix(a) if e == 1 else repcount._mat_inv(rep.matrix(a), rep.q)
         out = _mat_mul_reference(out, m, rep.q)
+    return out
+
+
+def _evaluate_reference(rep, x):
+    """``MatrixRep.evaluate`` on an Element before its flat accumulator:
+    every word's matrix scaled and added mod q, one new matrix per word."""
+    out = tuple((0,) * rep.d for _ in range(rep.d))
+    for w, c in x.coeffs.items():
+        c = _coeff_mod_reference(c, rep.q)
+        out = _mat_add_reference(out, _mat_scale_reference(
+            c, _word_matrix_reference(rep, w.letters), rep.q), rep.q)
     return out
 
 
@@ -367,17 +417,30 @@ def _trace_gradient_reference(rep, W):
     """``trace_gradient`` before its shared prefix and suffix products:
     every occurrence's product from scratch."""
     q = rep.q
-    out = {a: repcount._zero_mat(rep.d) for a in rep.matrices}
+    out = {a: tuple((0,) * rep.d for _ in range(rep.d)) for a in rep.matrices}
     for c, cyc in W.terms():
-        cm = repcount._coeff_mod(c, q)
+        cm = _coeff_mod_reference(c, q)
         for i, (a, e) in enumerate(cyc):
             if e != 1:
                 raise InverseOfNonLocalized(
                     f"cannot differentiate through an inverse of {a!r}")
             m = _word_matrix_reference(rep, cyc[i + 1:] + cyc[:i])
-            out[a] = repcount._mat_add(
-                out[a], repcount._mat_scale(cm, repcount._transpose(m), q), q)
+            out[a] = _mat_add_reference(
+                out[a], _mat_scale_reference(cm, repcount._transpose(m), q), q)
     return out
+
+
+def _crit_check_reference(rep, quiver, W):
+    """``crit_check`` on the references: both routes compared per arrow."""
+    grads = _trace_gradient_reference(rep, W)
+    derivs = derivatives(quiver, W)
+    flat = True
+    for a in quiver.arrow_ids():
+        d_val = _evaluate_reference(rep, derivs[a])
+        if repcount._transpose(d_val) != grads[a]:
+            raise RuntimeError(f"gradient cross-check failed at arrow {a!r}")
+        flat = flat and mat_is_zero(d_val)
+    return flat
 
 
 def _random_rep(quiver, d, q, rng):
@@ -441,7 +504,7 @@ def test_crit_check_raises_when_its_two_routes_disagree(monkeypatch, route):
     if route == "gradient":
         def planted(rep, W):
             grads = trace_gradient(rep, W)
-            grads["c"] = repcount._mat_add(grads["c"], repcount._eye(2), 3)
+            grads["c"] = _mat_add_reference(grads["c"], repcount._eye(2), 3)
             return grads
         monkeypatch.setattr(repcount, "trace_gradient", planted)
     else:
@@ -451,6 +514,89 @@ def test_crit_check_raises_when_its_two_routes_disagree(monkeypatch, route):
                             lambda quiver, W: {**table, "c": table["c"] + bump})
     with pytest.raises(RuntimeError, match="cross-check failed at arrow 'c'"):
         crit_check(rep, quiver, W)
+
+
+def _same_outcome(f, g):
+    """f() and g() return the same value, or raise the same error."""
+    try:
+        want = g()
+    except Exception as err:  # noqa: BLE001 - the type is compared below
+        with pytest.raises(type(err)) as got:
+            f()
+        assert str(got.value) == str(err)
+        return
+    assert f() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 4), q=st.sampled_from([2, 3, 5, 7, 101]),
+       seed=st.integers(0, 2**32 - 1))
+def test_evaluate_and_crit_check_match_the_tuple_references(d, q, seed):
+    quiver = counting_quiver()
+    rep = _random_rep(quiver, d, q, random.Random(seed))
+    W = counting_potential(quiver)
+    W_eleven = Potential.build(quiver, [(Fraction(1, 11), "a"),
+                                        (3, "aabab"), (-1, "rc")])
+    word = quiver.word
+    looped = Quiver(quiver.vertices, [*quiver.arrows, ("x", 1, 1)],
+                    localized=quiver.localized)
+    # a word with r^-1 exists only where r is localized; the rep's r is not
+    r_inverse = Quiver(quiver.vertices, quiver.arrows,
+                       localized=quiver.arrow_ids()).word([("r", -1)])
+    elements = [
+        *derivatives(quiver, W).values(),
+        *derivatives(quiver, W_eleven).values(),
+        Element.from_word(word((), at=1), Fraction(1, 11))
+        + Element.from_word(word(parse_letters("a")), 3),
+        Element.from_word(word([("a", -1), ("r", 1), ("c", 1), ("b", -1)]),
+                          Fraction(-2, 11))
+        + Element.from_word(word([("c", 1), ("a", -1)]), 5),
+        Element.from_word(word((), at=2), Fraction(1, q)),  # not in F_q
+        Element.from_word(r_inverse),
+        Element.from_word(looped.word(parse_letters("xa"))),  # no matrix for x
+        Element.from_word(word((), at=2), 0),
+    ]
+    for x in elements:
+        _same_outcome(lambda: rep.evaluate(x),
+                      lambda: _evaluate_reference(rep, x))
+    for pot in (W, W_eleven, Potential()):
+        _same_outcome(lambda: trace_gradient(rep, pot),
+                      lambda: _trace_gradient_reference(rep, pot))
+        _same_outcome(lambda: crit_check(rep, quiver, pot),
+                      lambda: _crit_check_reference(rep, quiver, pot))
+    foreign = Potential.build(looped, [(1, "xx")])
+    with pytest.raises(ShapeMismatch, match=r"without matrices: \['x'\]"):
+        trace_gradient(rep, foreign)
+
+
+def test_crit_check_repeats_its_products_and_shares_none(monkeypatch):
+    """No work is kept between calls: a second crit_check on the same rep
+    makes the same products.  And its two routes share none: it makes
+    exactly the products of trace_gradient and of the derivative table's
+    evaluations run on their own."""
+    quiver = counting_quiver()
+    W = counting_potential(quiver)
+    rep = _random_rep(quiver, 2, 3, random.Random(11))
+    derivs = derivatives(quiver, W)
+    calls = Counter()
+    for name in ("_mat_mul", "_add_product"):
+        def counted(*args, name=name, f=getattr(repcount, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(repcount, name, counted)
+
+    def products(f):
+        calls.clear()
+        f()
+        return Counter(calls)
+
+    first = products(lambda: crit_check(rep, quiver, W))
+    assert first["_mat_mul"] > 0 and first["_add_product"] > 0
+    assert products(lambda: crit_check(rep, quiver, W)) == first
+    gradient = products(lambda: trace_gradient(rep, W))
+    derivative = products(
+        lambda: [rep.evaluate(derivs[a]) for a in quiver.arrow_ids()])
+    assert first == gradient + derivative
 
 
 def test_repeated_crit_checks_build_the_derivative_table_once():
