@@ -7,7 +7,7 @@ representations over F_2, F_3, F_5, shows a two-dimensional count, and
 runs the stratified probe that compares weighted counts against the
 q-scaled nilpotent stratum.
 
-Run:  python3 demos/point_counts.py          (set TESSELLA_THREADS to taste)
+Run:  python3 demos/point_counts.py
 """
 
 from tessella.pathalg import Element, Potential, Quiver, parse_letters

@@ -27,17 +27,17 @@ Conventions
 * Exit codes, from a subcommand and the pipeline alike (``_FAULTS``): 0
   all checks pass; 2 a verification failed; 3 no admissible embedding
   choice exists; 4 input/configuration error, including a count over its
-  state-space, pool or int64 guard, a sample size below 1, an input file
-  that is missing or not JSON, a file of the wrong shape (the library
-  parser that reads each format raises the ``InputError``; only the
-  pipeline config's shape is checked here), a tiling that
-  ``validate_tiling`` rejects, a dehn-mode phi_star file for another genus
-  than the tiling's, an automorphism that is not a symmetry, and a stuck
-  equivariant dimer (``MatchingStuck``); 5 an internal fault.
-* ``TESSELLA_THREADS`` sets the worker threads of an exhaustive count's
-  sweep, at most one per CPU the process may run on; it never changes a
-  count.  A ``tessella`` process (:func:`entry`) starts no OpenBLAS thread
-  pool unless the caller sets ``OPENBLAS_NUM_THREADS``.
+  state-space, pool or int64 guard, an empty ``field_sizes``, a sample
+  size below 1, an input file that is missing or not JSON, a file of the
+  wrong shape (the library parser that reads each format raises the
+  ``InputError``; only the pipeline config's shape is checked here), a
+  tiling that ``validate_tiling`` rejects, a dehn-mode phi_star file for
+  another genus than the tiling's, an automorphism that is not a
+  symmetry, and a stuck equivariant dimer (``MatchingStuck``); 5 an
+  internal fault.
+* A count sweeps its points on the calling thread, and a ``tessella``
+  process (:func:`entry`) starts no OpenBLAS thread pool unless the caller
+  sets ``OPENBLAS_NUM_THREADS``.
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
 * Only the stages that count (``count``, ``probe`` and the pipeline's count
@@ -197,6 +197,8 @@ def _check_counting(opts: dict) -> None:
     """Checks the count options (``field_sizes``, ``dimension``, ``mode``,
     ``sample_size``, ``seed``) of ``count``, ``probe`` and a pipeline
     config."""
+    if not opts["field_sizes"]:
+        raise InputError("field_sizes must list at least one prime")
     for q in opts["field_sizes"]:
         if not _is_prime(q):
             raise InputError(f"field size {q} is not prime")
@@ -792,8 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tiling symmetries, orbit quivers with potential, and "
                     "finite-field representation counts.",
         epilog="Exit codes: 0 ok, 2 verification failure, 3 no admissible "
-               "choice, 4 input error, 5 internal fault.  TESSELLA_THREADS "
-               "sets a count's threads, at most one per usable CPU.")
+               "choice, 4 input error, 5 internal fault.")
     parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 

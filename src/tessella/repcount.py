@@ -19,12 +19,11 @@ tallies and never folded into them.
 
 Every batch count (:func:`enumerate_reps`, :func:`stratify_by_omega`,
 :func:`conjecture_probe_d1`) is one sweep over blocks of ``_CHUNK`` points:
-ranges of the lexicographic order (arrows by id, last arrow fastest) on
-``TESSELLA_THREADS`` threads (at most one per CPU the process may run on),
-or seeded draws, one block after another.  A kernel sees at most
-``_SLICE`` points at a time, which bounds its working set, and returns
-exact integer tallies that merge by addition, so outputs do not depend on
-block size, slice size or thread count.  The count kernel reads
+ranges of the lexicographic order (arrows by id, last arrow fastest) or
+seeded draws, one block after another on the calling thread.  A kernel
+sees at most ``_SLICE`` points at a time, which bounds its working set, and
+returns exact integer tallies that merge by addition, so outputs do not
+depend on block size or slice size.  The count kernel reads
 each term of W once per slice through shared suffix and prefix products,
 which give its trace and every occurrence's cyclic derivative (elementwise at
 d = 1, batched matmuls otherwise).  Batches carry an upper bound on their
@@ -62,11 +61,9 @@ full space.
 from __future__ import annotations
 
 import math
-import os
 import random
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -93,7 +90,7 @@ from .pathalg import (
     multiply,
 )
 
-_CHUNK = 1 << 16  # points per block: the unit of threading and of sample draws
+_CHUNK = 1 << 16  # points per block: the unit of index decoding and of draws
 _SLICE = 1 << 12  # points per kernel call: bounds the prefix/suffix arrays
 _STATE_GUARD = 10 ** 8
 _POOL_GUARD = 4 * 10 ** 6
@@ -659,17 +656,8 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
         hi = min(lo + _CHUNK, space.total)
         return tally(space.chunk_indices(lo, hi), hi - lo)
 
-    try:
-        workers = max(1, int(os.environ.get("TESSELLA_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    # at most one thread per CPU the process may run on: the pool starts a
-    # thread per submitted block while none is idle
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=min(workers, cpus)) as pool:
-        tally = sum(pool.map(block, range(0, space.total, _CHUNK)))
-    return [int(t) * space.gauge for t in tally]
+    sums = sum(block(lo) for lo in range(0, space.total, _CHUNK))
+    return [int(t) * space.gauge for t in sums]
 
 
 def _check_int64(d: int, q: int, terms=0, occurrences=0) -> None:
@@ -813,10 +801,10 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
     for a in quiver.arrow_ids():  # refuses inverse occurrences of a
         derivs[a]
     if mode == "sample":
-        if not isinstance(sample_size, int) or sample_size < 1:
-            raise ValueError("sample mode needs sample_size >= 1")
-        if seed is None:
-            raise ValueError("sample mode needs an explicit seed")
+        if not is_int(sample_size) or sample_size < 1:
+            raise ValueError("sample mode needs an integer sample_size >= 1")
+        if not is_int(seed):
+            raise ValueError("sample mode needs an explicit integer seed")
     elif mode == "exhaustive":
         sample_size = seed = None
     else:

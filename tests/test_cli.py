@@ -926,6 +926,7 @@ def test_a_dimension_below_one_is_input_error(tmp_path, capsys):
     ({"mode": "sample", "sample_size": 5},
      "sample mode needs an explicit seed"),
     ({"psi_mode": "x"}, "unknown psi_mode 'x'"),
+    ({"field_sizes": []}, "field_sizes must list at least one prime"),
 ])
 def test_a_pipeline_config_value_out_of_range_is_input_error(
         tmp_path, capsys, config, message):
@@ -1489,7 +1490,7 @@ def test_the_cli_raises_and_catches_the_parsers_input_error():
 # A count in a new process, started as ``python -m tessella.cli`` ("-m") or
 # through the console script's target (as "module:function").  The profile
 # hook lists the process's threads when the count starts: numpy is loaded
-# by then, and the sweep has not yet started its worker thread.
+# by then, and the sweep runs on the calling thread.
 _COUNT_THREADS = """
 import importlib, json, os, runpy, sys
 how, threads = sys.argv[1], []
@@ -1551,6 +1552,25 @@ def test_main_in_process_leaves_the_environment_alone(monkeypatch, capsys):
     before = dict(os.environ)
     assert main(["count", "--q", "2"]) == EXIT_OK
     assert dict(os.environ) == before
+
+
+_COUNT_ON_ONE_THREAD = """
+import contextlib, io, sys, threading
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda t: (started.append(t.name), start(t))
+from tessella import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["count", "--q", "11", "--d", "1"])
+print(rc, started, "concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_count_starts_no_thread_and_imports_no_pool():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _COUNT_ON_ONE_THREAD],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == f"{EXIT_OK} [] False\n"
 
 
 def test_the_counting_kernel_does_not_import_presentation():

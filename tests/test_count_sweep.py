@@ -1,16 +1,17 @@
 """The counting sweep against fixed outputs and against per-point walks.
 
 ``enumerate_reps``, ``stratify_by_omega`` and ``conjecture_probe_d1`` share
-one block/slice/thread sweep, which in exhaustive mode walks one gauge slice
+one block/slice sweep, which in exhaustive mode walks one gauge slice
 of the space.  These tests pin seeded sample reports to values recorded
 before the sweep was introduced, and an exhaustive and a sampled q = 17
 report to the bytes the unreduced sweep and the per-draw ``randrange`` loop
 printed; hold the bulk index draws to that loop, draw for draw; hold every
 batch count to a walk over ``iter_reps`` with the per-point evaluators on
 generated quivers and potentials (inverse letters included), and to the
-same sweep with no gauge tree; check that block size, slice size and thread count never change a
-result, that omega strata which are not gauge invariant get no tree, and
-test the exhaustive and int64 guards at their edges.
+same sweep with no gauge tree; check that block size, slice size and a
+leftover ``TESSELLA_THREADS`` never change a result, that omega strata
+which are not gauge invariant get no tree, and test the exhaustive and
+int64 guards at their edges.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def test_sample_reports_are_pinned(bundled_counting, case, expected):
 
 
 def test_sample_reports_ignore_slices_and_threads(bundled_counting):
+    """The threads are a ``TESSELLA_THREADS`` left in the environment,
+    which the sweep no longer reads."""
     quiver, W = bundled_counting
     base = enumerate_reps(quiver, W, 1, 5, mode="sample", sample_size=70000,
                           seed=9)
@@ -319,18 +322,16 @@ def _walk(quiver, W, omega, d, q):
             "strata": (nilp, inv), "probe": (w_total, w_nilp, w_inv)}
 
 
-# (block size, slice size, threads): settings that must not change a count
-SWEEP_CONFIGS = list(product((16, repcount._CHUNK), (5, repcount._SLICE),
-                             ("1", "3")))
+# (block size, slice size): settings that must not change a count
+SWEEP_CONFIGS = list(product((16, repcount._CHUNK), (5, repcount._SLICE)))
 
 
 def _check_against_walk(quiver, W, omega, d, q):
     assert state_space_size(quiver, d, q) <= 256
     walk = _walk(quiver, W, omega, d, q)
-    for chunk, slice_, threads in SWEEP_CONFIGS:
+    for chunk, slice_ in SWEEP_CONFIGS:
         with mock.patch.object(repcount, "_CHUNK", chunk), \
                 mock.patch.object(repcount, "_SLICE", slice_), \
-                mock.patch.dict(os.environ, {"TESSELLA_THREADS": threads}), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             if walk["crit"] is None:

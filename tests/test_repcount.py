@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -719,6 +720,8 @@ def test_counts_invariant_under_arrow_relabeling():
 
 
 def test_chunking_and_threads_do_not_change_reports(monkeypatch):
+    """Block size changes no report, nor does a ``TESSELLA_THREADS`` left
+    in the environment, which the sweep no longer reads."""
     q = counting_quiver()
     W = counting_potential(q)
     base = enumerate_reps(q, W, 1, 3)
@@ -729,42 +732,25 @@ def test_chunking_and_threads_do_not_change_reports(monkeypatch):
     assert enumerate_reps(q, W, 1, 3) == base
 
 
-def test_threads_are_capped_at_the_usable_cpus(monkeypatch):
-    """``TESSELLA_THREADS`` asks for at most one worker per CPU the process
-    may run on.  A serial stand-in for the pool records ``max_workers``, so
-    the test starts no thread."""
+def test_counts_start_no_thread(monkeypatch):
+    """Every batch count sweeps its blocks on the calling thread."""
     q = counting_quiver()
     W = counting_potential(q)
-    base = enumerate_reps(q, W, 1, 3)
-    asked = []
+    started = []
+    start = threading.Thread.start
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(repcount, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(repcount.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    for threads in ("100000", "1", "2", "0"):
-        monkeypatch.setenv("TESSELLA_THREADS", threads)
-        assert enumerate_reps(q, W, 1, 3) == base
-    assert asked == [2, 1, 2, 1]
-    # without an affinity mask the cap is the machine's CPU count
-    monkeypatch.delattr(repcount.os, "sched_getaffinity", raising=False)
-    monkeypatch.setenv("TESSELLA_THREADS", "100000")
-    for cpus, want in ((3, 3), (None, 1)):
-        monkeypatch.setattr(repcount.os, "cpu_count", lambda: cpus)
-        assert enumerate_reps(q, W, 1, 3) == base
-        assert asked[-1] == want
+    monkeypatch.setattr(threading.Thread, "start", record)
+    enumerate_reps(q, W, 1, 3)
+    enumerate_reps(q, W, 1, 3, mode="sample", sample_size=50, seed=1)
+    with warnings.catch_warnings():  # omega's centrality is not certified
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stratify_by_omega(q, W, omega_element(q), 1, 3)
+    conjecture_probe_d1(q, W, omega_element(q), 3)
+    assert started == []
 
 
 def test_count_report_validates_tallies():
@@ -819,6 +805,17 @@ def test_sampling_requires_size_and_seed():
         enumerate_reps(q, W, 1, 3, mode="sample", seed=1)
     with pytest.raises(ValueError, match="seed"):
         enumerate_reps(q, W, 1, 3, mode="sample", sample_size=10)
+
+
+@pytest.mark.parametrize("size, seed, message", [
+    (True, 1, "sample_size"), (2.0, 1, "sample_size"),
+    (10, True, "seed"), (10, 2.5, "seed"), (True, True, "sample_size")])
+def test_a_sample_size_or_seed_that_is_not_an_int_is_refused(size, seed,
+                                                              message):
+    q = counting_quiver()
+    with pytest.raises(ValueError, match=f"needs an .*integer {message}"):
+        enumerate_reps(q, counting_potential(q), 1, 3, mode="sample",
+                       sample_size=size, seed=seed)
 
 
 # -- enumeration order ----------------------------------------------------------
