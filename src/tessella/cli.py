@@ -43,6 +43,8 @@ Conventions
 * Only the stages that count (``count``, ``probe`` and the pipeline's count
   step) import :mod:`tessella.repcount`, and with it numpy; every other
   subcommand, and ``--version``, runs without numpy.
+* Records are NamedTuples or plain classes: at import a NamedTuple compiles
+  only its one-line ``__new__``, and no module generates other methods.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -463,8 +464,7 @@ def _count_report(run, reports, write) -> str:
     return "; ".join(f"q={r['q']}: total {r['total']}" for r in reports)
 
 
-@dataclass(frozen=True)
-class _Stage:
+class _Stage(NamedTuple):
     name: str
     reads: tuple
     compute: Callable  # (run, *values of the stages read) -> value
@@ -516,7 +516,7 @@ class _Run:
     """
 
     def __init__(self, opts: dict):
-        self.opts = {**vars(PipelineConfig()), **opts}
+        self.opts = {**PipelineConfig()._asdict(), **opts}
         self.values: dict = {}
         self.digests: dict = {}
         self._raw: dict = {}
@@ -564,8 +564,7 @@ def _count_options(args) -> dict:
     return opts
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     target: str
     view: Callable = lambda run, value: value  # (run, value) -> payload
     qpot: Optional[str] = None  # the stage that a qpot file stands in for
@@ -629,8 +628,7 @@ _CONFIG_FIELDS = (
 )
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Everything a full run needs; None paths mean the bundled example."""
 
     tiling: Optional[str] = None
@@ -651,7 +649,7 @@ class PipelineConfig:
                   base_dir: Optional[Path] = None) -> "PipelineConfig":
         check_object(obj, "pipeline config", _CONFIG_FIELDS,
                      optional=[key for key, _, _ in _CONFIG_FIELDS])
-        unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
+        unknown = sorted(set(obj) - set(PipelineConfig._fields))
         if unknown:
             raise InputError(f"unknown config keys: {unknown}")
         kwargs = dict(obj)
@@ -669,7 +667,7 @@ class PipelineConfig:
             path = getattr(self, key)
             if path is not None and not Path(path).exists():
                 raise InputError(f"{key} file {path} does not exist")
-        _check_counting(vars(self))
+        _check_counting(self._asdict())
         if self.psi_mode not in ("certificate", "dehn"):
             raise InputError(f"unknown psi_mode {self.psi_mode!r}")
         if self.psi_mode == "dehn" and self.phi_star is None:
@@ -677,12 +675,11 @@ class PipelineConfig:
                 "psi_mode dehn needs a phi_star config file")
 
     def to_json(self) -> dict:
-        return {**vars(self), "field_sizes": list(self.field_sizes),
+        return {**self._asdict(), "field_sizes": list(self.field_sizes),
                 "output_dir": str(self.output_dir)}
 
 
-@dataclass
-class StageOutcome:
+class StageOutcome(NamedTuple):
     name: str
     status: str  # ok | failed | skipped
     detail: str = ""
@@ -692,8 +689,7 @@ class StageOutcome:
                 "detail": self.detail}
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of a full pipeline run.
 
     ``timing`` (stage -> seconds) is kept out of the canonical JSON so that
@@ -708,7 +704,7 @@ class RunReport:
     artifacts: list
     ok: bool
     exit_code: int
-    timing: dict = field(default_factory=dict)
+    timing: dict
 
     def to_json(self) -> dict:
         return {"version": self.version, "config": self.config,
@@ -731,7 +727,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    run = _Run(vars(config))
+    run = _Run(config._asdict())
     stages: list[StageOutcome] = []
     artifacts: list[str] = []
     timing: dict[str, float] = {}
@@ -778,7 +774,7 @@ def cmd_pipeline(args) -> int:
         obj = _parse_json(_read_input(args.config)[0], args.config)
         cfg = PipelineConfig.from_json(obj, Path(args.config).resolve().parent)
     if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
+        cfg = cfg._replace(output_dir=args.output_dir)
     report = run_pipeline(cfg)
     sys.stdout.write(_dumps(report.to_json()))
     return report.exit_code

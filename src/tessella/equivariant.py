@@ -33,11 +33,10 @@ isomorphism arrow appears in the transported potential with both signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .datafiles import InputError, check_object, is_id, is_int, list_of
 from .pathalg import (
@@ -513,8 +512,7 @@ class OrbitChoice:
         return f"OrbitChoice(generators={list(self.generators)}, bases={self.bases})"
 
 
-@dataclass(frozen=True)
-class XiTable:
+class XiTable(NamedTuple):
     """The embedding's pieces, computed once per orbit quiver.
 
     ``image[a]`` is xi(a) = p_a . gen . q_a, ``head[a]`` its letters up to
@@ -538,7 +536,6 @@ class XiTable:
     step: dict
 
 
-@dataclass
 class SemidirectQuiver:
     """The orbit quiver with its provenance.
 
@@ -550,13 +547,13 @@ class SemidirectQuiver:
     as ``arrow_degree``, needs none of it.
     """
 
-    quiver: Quiver
-    base: Quiver
-    phi: QuiverAutomorphism
-    choice: OrbitChoice
-    iso_chain: dict      # orbit rep -> iso arrow ids along the chain
-    chain_pos: dict      # vertex -> (orbit rep, position from the base)
-    gen_of: dict         # arrow of base quiver -> (generator, k), a = phi^k(gen)
+    def __init__(self, quiver: Quiver, base: Quiver, phi: QuiverAutomorphism,
+                 choice: OrbitChoice, iso_chain: dict, chain_pos: dict,
+                 gen_of: dict):
+        self.quiver, self.base, self.phi, self.choice = quiver, base, phi, choice
+        self.iso_chain = iso_chain  # orbit rep -> iso arrow ids along the chain
+        self.chain_pos = chain_pos  # vertex -> (orbit rep, position from the base)
+        self.gen_of = gen_of  # arrow of base quiver -> (generator, k), a = phi^k(gen)
 
     def iso_arrows(self) -> list:
         return [r for chain in self.iso_chain.values() for r in chain]
@@ -700,8 +697,7 @@ def xi_embed(p, ctx: SemidirectQuiver) -> Word:
         letters = tuple((a, 1) for a in p)
         if not letters:
             raise NonComposable("an empty path needs a Word carrying its vertex")
-    table = ctx.xi_table
-    head, step = table.head, table.step
+    image, _, head, tail, _, _, step = ctx.xi_table  # named reads cost more
     for a, e in letters:
         if e != 1 or a not in head:
             raise UnknownArrow(a) if e == 1 else NonComposable(
@@ -711,11 +707,11 @@ def xi_embed(p, ctx: SemidirectQuiver) -> Word:
     for a, _ in letters[1:]:
         piece = step.get((last, a))
         if piece is None:
-            raise NonComposable(f"{table.image[last]!r} after {table.image[a]!r}")
+            raise NonComposable(f"{image[last]!r} after {image[a]!r}")
         out += piece
         last = a
-    out += table.tail[last]
-    return Word(table.image[last].source, table.image[first].target, tuple(out))
+    out += tail[last]
+    return Word(image[last].source, image[first].target, tuple(out))
 
 
 def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
@@ -733,8 +729,8 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
     ``g``.  Other runs raise ``MalformedWord``: at once if b's iso tail is
     no suffix of q_b, else after the pass, whose checks come first.
     """
-    table, iso = ctx.xi_table, ctx.quiver.localized
-    member, letters, p_letters = table.member, w.letters, []
+    image, member, head, tail, join, iso_words, _ = ctx.xi_table
+    iso, letters, p_letters = ctx.quiver.localized, w.letters, []
     v0, end, prev, misfit = w.source, len(letters), None, None
     for i in range(len(letters) - 1, -1, -1):
         g, e = letters[i]
@@ -751,37 +747,31 @@ def factor_word(w: Word, ctx: SemidirectQuiver) -> tuple[Word, Word]:
             raise MalformedWord(f"no orbit member of {g!r} has source {v0!r}")
         b, target = hop
         run = letters[i + 1:end]
-        piece = table.tail[b] if prev is None else table.join[b, prev]
+        piece = tail[b] if prev is None else join[b, prev]
         if run != piece:  # b's iso tail: the run times p_prev^-1
-            unwind = () if prev is None else _invert(table.head[prev][:-1])
+            unwind = () if prev is None else _invert(head[prev][:-1])
             k = _seam(run, unwind)
-            tail = run[:len(run) - k] + unwind[k:]
-            if tail and table.image[b].letters[-len(tail):] != tail:
-                raise MalformedWord(
-                    f"the iso tail {tail!r} does not match the embedding of {b!r}")
+            iso_tail = run[:len(run) - k] + unwind[k:]
+            if iso_tail and image[b].letters[-len(iso_tail):] != iso_tail:
+                raise MalformedWord(f"the iso tail {iso_tail!r} does not "
+                                    f"match the embedding of {b!r}")
             misfit = misfit or f"the iso run {run!r} right of {g!r} is not {piece!r}"
         p_letters.append((b, 1))
         prev, end, v0 = b, i, target
     u = ctx.quiver.target(letters[end][0]) if p_letters else w.source
-    piece = table.iso.get((u, w.target))
+    piece = iso_words.get((u, w.target))
     if piece is None or letters[:end] != piece.letters:
         misfit = misfit or (f"the iso run {letters[:end]!r} does not join "
                             f"{u!r} to {w.target!r}")
     if misfit:
         raise MalformedWord(misfit)
-    return table.iso[v0, w.target], Word(w.source, v0, tuple(reversed(p_letters)))
+    return iso_words[v0, w.target], Word(w.source, v0, tuple(reversed(p_letters)))
 
 
-@dataclass
-class TransportResult:
+class TransportResult(NamedTuple):
     potential: Potential
     homogeneous: bool
     degree: Optional[int]
-
-    def __iter__(self):
-        yield self.potential
-        yield self.homogeneous
-        yield self.degree
 
 
 def transport_potential(W: Potential, ctx: SemidirectQuiver) -> TransportResult:
@@ -953,8 +943,7 @@ def choose_homogeneous_xi(tiling: BraneTiling, taut: TilingAutomorphism,
     return ChoiceSearch(tiling, taut).choose(dimer)
 
 
-@dataclass
-class TransportIdentity:
+class TransportIdentity(NamedTuple):
     passed: bool
     witness: Element
     lhs: Element

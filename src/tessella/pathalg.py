@@ -40,11 +40,10 @@ Coefficients are exact rationals throughout.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .datafiles import (InputError, check_object, is_id, is_int, is_letter,
                         list_of)
@@ -576,8 +575,7 @@ def jacobi_relations(quiver: Quiver, W: Potential) -> list[Element]:
 # -- bounded ideal-membership evidence ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(NamedTuple):
     zero: bool
     residual: Element
     rounds: int
@@ -656,8 +654,7 @@ def ideal_reduce(quiver: Quiver, x: Element, relations: Sequence[Element],
 # -- Ginzburg-style differential graded structure ----------------------------
 
 
-@dataclass
-class GinzburgDga:
+class GinzburgDga(NamedTuple):
     """Doubled quiver with vertex loops and the potential differential.
 
     Degrees: original arrows 0, starred arrows -1, vertex loops -2.  The
@@ -666,10 +663,10 @@ class GinzburgDga:
 
     quiver: Quiver            # doubled quiver: arrows + stars + loops
     base: Quiver              # the original quiver
-    degree: dict = field(default_factory=dict)
-    differential: dict = field(default_factory=dict)  # generator -> Element
-    star: dict = field(default_factory=dict)          # arrow -> star id
-    loop: dict = field(default_factory=dict)          # vertex -> loop id
+    degree: dict
+    differential: dict        # generator -> Element
+    star: dict                # arrow -> star id
+    loop: dict                # vertex -> loop id
 
     def d_word(self, w: Word) -> Element:
         """Graded Leibniz extension of the generator differential.

@@ -36,9 +36,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .datafiles import (InputError, check_object, is_id, is_int, is_letter,
                         list_of, object_of)
@@ -309,8 +308,12 @@ def phi_action_from_json(obj: Mapping) -> PhiAction:
 # semidirect normal forms
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class _SemidirectFields(NamedTuple):
+    word: tuple
+    k: int
+
+
+class SemidirectElement(_SemidirectFields):
     """A group element ``(w, k)`` of the semidirect product with the integers.
 
     ``word`` is stored freely reduced; the library operations additionally
@@ -318,12 +321,10 @@ class SemidirectElement:
     of group elements is decided by :func:`semidirect_equal`, not ``==``.
     """
 
-    word: tuple = ()
-    k: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", free_reduce(self.word))
-        object.__setattr__(self, "k", int(self.k))
+    def __new__(cls, word: tuple = (), k: int = 0):
+        return super().__new__(cls, free_reduce(word), int(k))
 
     def __str__(self):
         return f"([{render_group_word(self.word) or '1'}], {self.k})"
@@ -352,17 +353,20 @@ def semidirect_equal(x: SemidirectElement, y: SemidirectElement,
         x.word + _invert(y.word), phi.pres)
 
 
-@dataclass(frozen=True)
-class MatrixUnitElement:
-    """E_{row,col}(coeff * elem): one nonzero entry over the group algebra."""
-
+class _MatrixUnitFields(NamedTuple):
     row: object
     col: object
     elem: SemidirectElement
-    coeff: Fraction = Fraction(1)
+    coeff: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+
+class MatrixUnitElement(_MatrixUnitFields):
+    """E_{row,col}(coeff * elem): one nonzero entry over the group algebra."""
+
+    __slots__ = ()
+
+    def __new__(cls, row, col, elem: SemidirectElement, coeff=1):
+        return super().__new__(cls, row, col, elem, Fraction(coeff))
 
     def __str__(self):
         c = "" if self.coeff == 1 else f"{self.coeff} * "
@@ -563,8 +567,7 @@ def psi_multiply(x: MatrixUnitElement, y: MatrixUnitElement, ctx, tree=None,
 # relation verification
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     arrow: object
     ok: bool
     degree_ok: bool
@@ -573,8 +576,7 @@ class RelationCheck:
     witness: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PsiVerifyReport:
+class PsiVerifyReport(NamedTuple):
     mode: str
     ok: bool
     checks: tuple
@@ -783,8 +785,7 @@ def contracted_relations(quiver: Quiver, W: Potential,
     return q2, out
 
 
-@dataclass(frozen=True)
-class ScriptReport:
+class ScriptReport(NamedTuple):
     ok: bool
     steps_total: int
     steps_checked: int

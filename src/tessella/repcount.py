@@ -64,12 +64,11 @@ import math
 import random
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, product as _iproduct
 from operator import add, mul
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -729,20 +728,7 @@ def _normalization(quiver: Quiver, d: int, q: int) -> dict:
 # -- count reports ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Tallies of the trace function over a representation space.
-
-    ``total`` is the size of the full space in exhaustive mode (which sweeps
-    one gauge slice of it) and the number of draws in sample mode;
-    ``state_space`` is always the size of the full space.  ``histogram``
-    maps every residue of F_q to its fibre count; ``zeros`` and ``ones``
-    repeat the 0- and 1-fibre for convenience.  ``critical`` counts the
-    points where every partial derivative of Tr W vanishes.  ``normalization`` carries the symbolic
-    prefactors (L exponent, GL exponent and order); they are never folded
-    into the integer counts.
-    """
-
+class _CountFields(NamedTuple):
     q: int
     d: int
     mode: str
@@ -755,7 +741,24 @@ class CountReport:
     normalization: dict
     seed: int | None = None
 
-    def __post_init__(self) -> None:
+
+class CountReport(_CountFields):
+    """Tallies of the trace function over a representation space.
+
+    ``total`` is the size of the full space in exhaustive mode (which sweeps
+    one gauge slice of it) and the number of draws in sample mode;
+    ``state_space`` is always the size of the full space.  ``histogram``
+    maps every residue of F_q to its fibre count; ``zeros`` and ``ones``
+    repeat the 0- and 1-fibre for convenience.  ``critical`` counts the
+    points where every partial derivative of Tr W vanishes.  ``normalization`` carries the symbolic
+    prefactors (L exponent, GL exponent and order); they are never folded
+    into the integer counts.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sum(self.histogram.values()) != self.total:
             raise ValueError("histogram does not sum to total")
         if (self.histogram.get(0, 0) != self.zeros
@@ -763,6 +766,7 @@ class CountReport:
             raise ValueError("zeros/ones disagree with the histogram")
         if not 0 <= self.critical <= self.total:
             raise ValueError("critical count out of range")
+        return self
 
     def to_json(self) -> dict:
         out = {"q": self.q, "d": self.d, "mode": self.mode,
@@ -826,8 +830,17 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
 # -- strata of a chosen element -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrataReport:
+class _StrataFields(NamedTuple):
+    q: int
+    d: int
+    total: int
+    nilpotent: int
+    invertible: int
+    mixed: int
+    central_certified: bool
+
+
+class StrataReport(_StrataFields):
     """Counts of representations by how a chosen element acts.
 
     ``nilpotent`` counts points where the element's matrix is nilpotent
@@ -838,19 +851,15 @@ class StrataReport:
     downgrades to a warning since bounded rewriting is evidence, not proof.
     """
 
-    q: int
-    d: int
-    total: int
-    nilpotent: int
-    invertible: int
-    mixed: int
-    central_certified: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.nilpotent + self.invertible + self.mixed != self.total:
             raise ValueError("strata do not partition the space")
         if min(self.nilpotent, self.invertible, self.mixed) < 0:
             raise ValueError("negative stratum count")
+        return self
 
     def to_json(self) -> dict:
         return {"q": self.q, "d": self.d, "total": self.total,
@@ -915,8 +924,18 @@ def _det_batch(mats: np.ndarray, q: int) -> np.ndarray:
 # -- the degree-one probe -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class _ProbeFields(NamedTuple):
+    q: int
+    weight_total: int
+    weight_nilpotent: int
+    weight_invertible: int
+    nilpotent_times_q: int
+    nilpotent_times_qminus1: int
+    total_matches: bool
+    invertible_matches: bool
+
+
+class ProbeReport(_ProbeFields):
     """Both sides of the degree-one coefficient comparison at d = 1.
 
     The weight of a point set is |f^{-1}(0)| - |f^{-1}(1)| inside it.  The
@@ -927,18 +946,13 @@ class ProbeReport:
     heuristic; the probe reports and never asserts.
     """
 
-    q: int
-    weight_total: int
-    weight_nilpotent: int
-    weight_invertible: int
-    nilpotent_times_q: int
-    nilpotent_times_qminus1: int
-    total_matches: bool
-    invertible_matches: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.weight_total != self.weight_nilpotent + self.weight_invertible:
             raise ValueError("weights do not partition at d = 1")
+        return self
 
     def to_json(self) -> dict:
         return {"q": self.q,

@@ -1,6 +1,5 @@
 """Tests for tiling/quiver symmetries, orbit quivers, and the path embedding."""
 
-import dataclasses
 import json
 import random
 from functools import lru_cache
@@ -23,6 +22,7 @@ from tessella.equivariant import (
     OrbitChoice,
     OrbitSizeViolation,
     QuiverAutomorphism,
+    SemidirectQuiver,
     TilingAutomorphism,
     all_dimers,
     build_orbit_quiver,
@@ -538,10 +538,12 @@ def test_factor_word_malformed(paper):
         factor_word(Word(7, 1, (("a", -1), ("r", -1))), ctx)
     with pytest.raises(MalformedWord, match="source orbit"):
         factor_word(Word(7, 2, (("e", 1), ("r", -1))), ctx)
-    broken = dataclasses.replace(ctx)
+    broken = SemidirectQuiver(ctx.quiver, ctx.base, ctx.phi, ctx.choice,
+                              ctx.iso_chain, ctx.chain_pos, ctx.gen_of)
     del broken.xi_table.member[("a", 1)]
     with pytest.raises(MalformedWord, match="no orbit member"):
         factor_word(ctx.quiver.word([("a", 1)]), broken)
+    assert ("a", 1) in ctx.xi_table.member  # the copy built its own table
 
 
 def test_factor_word_refuses_iso_runs_off_their_piece(paper):

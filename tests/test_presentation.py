@@ -483,6 +483,24 @@ def test_semidirect_element_normal_form():
     assert str(SemidirectElement((), -1)) == "([1], -1)"
 
 
+def test_records_normalize_their_fields_when_built():
+    """The constructors free-reduce ``word``, make ``k`` an int and
+    ``coeff`` a Fraction, and the reprs name every field."""
+    x = SemidirectElement(word=[("x1", 1), ("y1", 1), ("y1", -1)], k=2.0)
+    assert x.word == (("x1", 1),) and type(x.word) is tuple
+    assert x.k == 2 and type(x.k) is int
+    assert SemidirectElement() == SemidirectElement((), 0)
+    assert repr(x) == "SemidirectElement(word=(('x1', 1),), k=2)"
+    unit = MatrixUnitElement(1, 2, x, 3)
+    assert unit.coeff == 3 and type(unit.coeff) is Fraction
+    assert MatrixUnitElement(1, 2, x).coeff == Fraction(1)
+    assert repr(unit) == ("MatrixUnitElement(row=1, col=2, elem="
+                          "SemidirectElement(word=(('x1', 1),), k=2), "
+                          "coeff=Fraction(3, 1))")
+    with pytest.raises(AttributeError):
+        x.k = 3
+
+
 def test_semidirect_translation_powers(phi_star):
     t = SemidirectElement((), -1)
     assert semidirect_multiply(t, t, phi_star) == SemidirectElement((), -2)

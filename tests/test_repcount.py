@@ -763,6 +763,14 @@ def test_count_report_validates_tallies():
         CountReport(q=2, d=1, mode="exhaustive", total=2, state_space=2,
                     zeros=0, ones=1, critical=0, histogram={0: 1, 1: 1},
                     normalization=norm)
+    for critical in (-1, 3):
+        with pytest.raises(ValueError, match="critical count out of range"):
+            CountReport(q=2, d=1, mode="exhaustive", total=2, state_space=2,
+                        zeros=1, ones=1, critical=critical,
+                        histogram={0: 1, 1: 1}, normalization=norm)
+    report = CountReport(2, 1, "exhaustive", 2, 2, 1, 1, 2, {0: 1, 1: 1}, norm)
+    assert report.seed is None
+    assert repr(report).startswith("CountReport(q=2, d=1, mode='exhaustive',")
 
 
 def test_count_report_json_round_shape():
@@ -985,6 +993,19 @@ def test_strata_report_validates_partition():
     with pytest.raises(ValueError, match="partition"):
         StrataReport(q=3, d=1, total=10, nilpotent=3, invertible=3, mixed=3,
                      central_certified=True)
+    with pytest.raises(ValueError, match="negative stratum count"):
+        StrataReport(q=3, d=1, total=10, nilpotent=-1, invertible=5, mixed=6,
+                     central_certified=True)
+
+
+def test_probe_report_validates_weights():
+    with pytest.raises(ValueError, match="weights do not partition at d = 1"):
+        ProbeReport(q=3, weight_total=5, weight_nilpotent=2,
+                    weight_invertible=2, nilpotent_times_q=6,
+                    nilpotent_times_qminus1=4, total_matches=False,
+                    invertible_matches=False)
+    report = ProbeReport(3, 4, 2, 2, 6, 4, False, False)
+    assert report.to_json()["weight_total"] == 4
 
 
 # -- the degree-one probe ----------------------------------------------------------
