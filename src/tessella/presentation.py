@@ -36,6 +36,7 @@ Conventions
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -308,17 +309,16 @@ def phi_action_from_json(obj: Mapping) -> PhiAction:
 # semidirect normal forms
 
 
-class _SemidirectFields(NamedTuple):
-    word: tuple
-    k: int
-
-
-class SemidirectElement(_SemidirectFields):
+class SemidirectElement(namedtuple("SemidirectElement", "word k")):
     """A group element ``(w, k)`` of the semidirect product with the integers.
 
     ``word`` is stored freely reduced; the library operations additionally
     Dehn-reduce, so elements they return are in (one) reduced form.  Equality
     of group elements is decided by :func:`semidirect_equal`, not ``==``.
+
+    An immutable tuple ``(word, k)``: ``==``, ``<`` and ``hash`` are the
+    tuple's, so an element equals a plain tuple with the same entries.
+    ``_make`` and ``_replace`` skip the normalisation of both fields.
     """
 
     __slots__ = ()
@@ -353,15 +353,13 @@ def semidirect_equal(x: SemidirectElement, y: SemidirectElement,
         x.word + _invert(y.word), phi.pres)
 
 
-class _MatrixUnitFields(NamedTuple):
-    row: object
-    col: object
-    elem: SemidirectElement
-    coeff: Fraction
+class MatrixUnitElement(namedtuple("MatrixUnitElement", "row col elem coeff")):
+    """E_{row,col}(coeff * elem): one nonzero entry over the group algebra.
 
-
-class MatrixUnitElement(_MatrixUnitFields):
-    """E_{row,col}(coeff * elem): one nonzero entry over the group algebra."""
+    An immutable tuple ``(row, col, elem, coeff)`` with the tuple's ``==``,
+    ``<`` and ``hash``; ``_make`` and ``_replace`` skip the ``Fraction``
+    conversion of ``coeff``.
+    """
 
     __slots__ = ()
 

@@ -63,12 +63,12 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, product as _iproduct
 from operator import add, mul
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -728,21 +728,9 @@ def _normalization(quiver: Quiver, d: int, q: int) -> dict:
 # -- count reports ------------------------------------------------------------
 
 
-class _CountFields(NamedTuple):
-    q: int
-    d: int
-    mode: str
-    total: int
-    state_space: int
-    zeros: int
-    ones: int
-    critical: int
-    histogram: dict
-    normalization: dict
-    seed: int | None = None
-
-
-class CountReport(_CountFields):
+class CountReport(namedtuple(
+        "CountReport", "q d mode total state_space zeros ones critical "
+        "histogram normalization seed", defaults=(None,))):
     """Tallies of the trace function over a representation space.
 
     ``total`` is the size of the full space in exhaustive mode (which sweeps
@@ -753,6 +741,10 @@ class CountReport(_CountFields):
     points where every partial derivative of Tr W vanishes.  ``normalization`` carries the symbolic
     prefactors (L exponent, GL exponent and order); they are never folded
     into the integer counts.
+
+    The three count reports are immutable tuples of their fields, with the
+    tuple's ``==``, ``<`` and ``hash``.  The constructor checks the counts;
+    ``_make`` and ``_replace`` skip the checks.
     """
 
     __slots__ = ()
@@ -830,17 +822,9 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
 # -- strata of a chosen element -----------------------------------------------
 
 
-class _StrataFields(NamedTuple):
-    q: int
-    d: int
-    total: int
-    nilpotent: int
-    invertible: int
-    mixed: int
-    central_certified: bool
-
-
-class StrataReport(_StrataFields):
+class StrataReport(namedtuple(
+        "StrataReport",
+        "q d total nilpotent invertible mixed central_certified")):
     """Counts of representations by how a chosen element acts.
 
     ``nilpotent`` counts points where the element's matrix is nilpotent
@@ -849,6 +833,7 @@ class StrataReport(_StrataFields):
     ``central_certified`` records whether bounded rewriting proved the
     element central modulo the derivative ideal; a failed certificate only
     downgrades to a warning since bounded rewriting is evidence, not proof.
+    A tuple of its fields, as :class:`CountReport` is.
     """
 
     __slots__ = ()
@@ -924,18 +909,10 @@ def _det_batch(mats: np.ndarray, q: int) -> np.ndarray:
 # -- the degree-one probe -----------------------------------------------------
 
 
-class _ProbeFields(NamedTuple):
-    q: int
-    weight_total: int
-    weight_nilpotent: int
-    weight_invertible: int
-    nilpotent_times_q: int
-    nilpotent_times_qminus1: int
-    total_matches: bool
-    invertible_matches: bool
-
-
-class ProbeReport(_ProbeFields):
+class ProbeReport(namedtuple(
+        "ProbeReport", "q weight_total weight_nilpotent weight_invertible "
+        "nilpotent_times_q nilpotent_times_qminus1 total_matches "
+        "invertible_matches")):
     """Both sides of the degree-one coefficient comparison at d = 1.
 
     The weight of a point set is |f^{-1}(0)| - |f^{-1}(1)| inside it.  The
@@ -943,7 +920,8 @@ class ProbeReport(_ProbeFields):
     nilpotent/invertible strata, the scaled nilpotent weights the two
     identities predict for them, and whether the numbers match.  Whether
     this point-count weight is the right specialization is a modeling
-    heuristic; the probe reports and never asserts.
+    heuristic; the probe reports and never asserts.  A tuple of its fields,
+    as :class:`CountReport` is.
     """
 
     __slots__ = ()
