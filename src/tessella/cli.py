@@ -41,8 +41,11 @@ Conventions
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
 * Only the stages that count (``count``, ``probe`` and the pipeline's count
-  step) import :mod:`tessella.repcount`, and with it numpy; every other
-  subcommand, and ``--version``, runs without numpy.
+  step) import :mod:`tessella.repcount`; every other subcommand, and
+  ``--version``, runs without it.  A count loads numpy only past the scalar
+  budget of an exhaustive d = 1 count (``repcount._SCALAR_BUDGET``
+  point-letters), in sample mode, or at d >= 2, so ``count --q 3 --d 1``
+  and ``probe --q 3`` on the bundled example run without numpy too.
 * Records are NamedTuples or plain classes: at import a NamedTuple compiles
   only its one-line ``__new__``, and no module generates other methods.
 """
@@ -322,7 +325,7 @@ def _verify(run, transport_identity, d_squared, psi_relations) -> dict:
 
 
 def _count(run, counting) -> list:
-    from .repcount import enumerate_reps  # numpy: loaded only to count
+    from .repcount import enumerate_reps  # loaded only to count
 
     quiver, W = counting
     o = run.opts
@@ -382,7 +385,7 @@ def _derive_json(run, qpot) -> dict:
 
 
 def _probe_json(run, counting) -> dict:
-    from .repcount import conjecture_probe_d1  # numpy: loaded only to count
+    from .repcount import conjecture_probe_d1  # loaded only to count
 
     quiver, W = counting
     if run.opts.get("omega"):  # with or without a qpot file

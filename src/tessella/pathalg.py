@@ -466,10 +466,11 @@ class Potential(_Combination):
     meaningful only for localized arrows and arise e.g. when a potential is
     pushed through an algebra embedding.  Cycles enter only through
     :meth:`build`; the constructor, ``+``, ``-`` and ``scale`` trust keys
-    that are already canonical.
+    that are already canonical.  A Potential is never changed once built,
+    so :meth:`terms` sorts its cycles on the first call only.
     """
 
-    __slots__ = ()
+    __slots__ = ("_terms",)
     _render = staticmethod(render_letters)
 
     @staticmethod
@@ -493,9 +494,13 @@ class Potential(_Combination):
             pairs.append((canonical_rotation(letters), coeff))
         return Potential(pairs)
 
-    def terms(self) -> list[tuple]:
+    def terms(self) -> tuple:
         """(coeff, letter-tuple cycle) pairs in canonical order."""
-        return [(self.coeffs[c], c) for c in self._sorted()]
+        try:
+            return self._terms
+        except AttributeError:
+            self._terms = tuple((self.coeffs[c], c) for c in self._sorted())
+            return self._terms
 
     def arrows_used(self) -> set:
         return {a for cyc in self.coeffs for a, _ in cyc}

@@ -17,27 +17,35 @@ normalizations (the half power of the ambient dimension, and the order of
 the gauge group GL_d per vertex) are reported symbolically alongside the
 tallies and never folded into them.
 
-Every batch count (:func:`enumerate_reps`, :func:`stratify_by_omega`,
-:func:`conjecture_probe_d1`) is one sweep over blocks of ``_CHUNK`` points:
-ranges of the lexicographic order (arrows by id, last arrow fastest) or
-seeded draws, one block after another on the calling thread.  A kernel
-sees at most ``_SLICE`` points at a time, which bounds its working set, and
-returns exact integer tallies that merge by addition, so outputs do not
-depend on block size or slice size.  The count kernel reads
-each term of W once per slice through shared suffix and prefix products,
-which give its trace and every occurrence's cyclic derivative (elementwise at
-d = 1, batched matmuls otherwise).  Batches carry an upper bound on their
-int64 entries (q - 1 for a letter, d b_1 b_2 for a product, the sum for a
-sum, c b for a coefficient c < q) and are reduced mod q only when the next
-operation's bound would reach 2^63; every trace, histogram and zero test
-reads reduced entries.  The per-point :class:`MatrixRep` route
-(:func:`trace_potential`, :func:`crit_check`) is the sweep's oracle.  Its
-two halves share no product: :func:`crit_check` evaluates the derivative
-table of :func:`tessella.pathalg.derivatives` (built once per quiver and
-potential) at the point, and :func:`trace_gradient` recomputes the same
-partials from W through shared prefix and suffix products of each term.
-Each half adds c times the last product of every word or occurrence into a
-flat integer accumulator per arrow and reduces it mod q once per sum;
+A batch count takes one of two routes.  :func:`enumerate_reps` and
+:func:`conjecture_probe_d1` sweep an exhaustive d = 1 gauge slice of at
+most ``_SCALAR_BUDGET`` point-letters (slice points times the letters of W,
+plus omega's for the probe, but 16 at least) on Python ints in
+:func:`_sweep_d1`, which imports no numpy.  Every other count (sample mode, d >= 2, a larger slice,
+and every :func:`stratify_by_omega`) is the numpy sweep below, which
+imports numpy when it starts; both routes give the same tallies and raise
+the same errors.
+
+The numpy sweep runs over blocks of ``_CHUNK`` points: ranges of the
+lexicographic order (arrows by id, last arrow fastest) or seeded draws, one
+block after another on the calling thread.  A kernel sees at most ``_SLICE``
+points at a time, which bounds its working set, and returns exact integer
+tallies that merge by addition, so outputs do not depend on block size or
+slice size.  The count kernel reads each term of W once per slice through
+shared suffix and prefix products, which give its trace and every
+occurrence's cyclic derivative (elementwise at d = 1, batched matmuls
+otherwise).  Batches carry an upper bound on their int64 entries (q - 1 for
+a letter, d b_1 b_2 for a product, the sum for a sum, c b for a coefficient
+c < q) and are reduced mod q only when the next operation's bound would
+reach 2^63; every trace, histogram and zero test reads reduced entries.  The
+per-point :class:`MatrixRep` route (:func:`trace_potential`,
+:func:`crit_check`) is the oracle of both sweeps, and neither sweep calls
+it.  Its two halves share no product: :func:`crit_check` evaluates the
+derivative table of :func:`tessella.pathalg.derivatives` (built once per
+quiver and potential) at the point, and :func:`trace_gradient` recomputes
+the same partials from W through shared prefix and suffix products of each
+term.  Each half adds c times the last product of every word or occurrence
+into a flat integer accumulator per arrow and reduces it mod q once per sum;
 nothing computed at a point outlives the call.
 
 Exhaustive sweeps count modulo gauge.  The group prod_v GL_d acts on the
@@ -70,8 +78,6 @@ from itertools import accumulate, product as _iproduct
 from operator import add, mul
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .datafiles import is_int
 from .pathalg import (
     Element,
@@ -97,6 +103,22 @@ _POOL_GUARD = 4 * 10 ** 6
 # is exact only for pools below 2^32; _POOL_GUARD keeps every pool under it
 _DRAW_LIMIT = 1 << 32
 _INT64 = 1 << 63  # a batch's bound stays below this (see _RepSpace.mul)
+# point-letters of a d = 1 gauge slice that _sweep_d1 counts without numpy.
+# A point costs about 1 us plus 0.16 us a letter and 0.5 us a term of W
+# (2-core machine, Python 3.11), and _scalar_route charges it 16 letters at
+# least, so the largest scalar count takes 7 to 45 ms by the shape of W
+# (about 30 ms at two letters a term), less than importing numpy (70 ms).
+_SCALAR_BUDGET = 1 << 16
+
+np = None  # numpy, bound by _numpy() when a batch sweep starts
+
+
+def _numpy() -> None:
+    """Import numpy as this module's ``np``.  Only the batch sweep
+    (:func:`_sweep`, and :class:`_Draws` within it) reads ``np``, so a
+    process whose counts all take :func:`_sweep_d1` never loads numpy."""
+    global np
+    import numpy as np
 
 
 class ShapeMismatch(ValueError):
@@ -441,18 +463,19 @@ class _RepSpace:
             self.strides[a], acc = acc, acc * self.sizes[a]
         # batch values: flat (size,) scalars at d = 1, (size, d, d) otherwise
         self._shape = () if d == 1 else (d, d)
-        self._np = {a: np.array(self.pools[a], dtype=np.int64)
-                    .reshape(-1, *self._shape) for a in self.arrows}
-        self._np_inv: dict = {}
+        self._np: dict = {}  # letter -> its pool_of as an int64 array
 
-    def _inv_pool(self, a) -> np.ndarray:
-        if a not in self._np_inv:
-            if not self.quiver.is_localized(a):
-                raise InverseOfNonLocalized(a)
-            self._np_inv[a] = np.array(
-                [_mat_inv(m, self.q) for m in self.pools[a]],
-                dtype=np.int64).reshape(-1, *self._shape)
-        return self._np_inv[a]
+    def pool_of(self, letter) -> tuple:
+        """The matrices a letter takes, in its arrow's pool order: the pool
+        itself, or for an inverse letter the pool's inverses."""
+        a, e = letter
+        if a not in self.pools:
+            raise ShapeMismatch(f"no matrices for arrow {a!r}")
+        if e == 1:
+            return self.pools[a]
+        if not self.quiver.is_localized(a):
+            raise InverseOfNonLocalized(a)
+        return tuple(_mat_inv(m, self.q) for m in self.pools[a])
 
     def chunk_indices(self, lo: int, hi: int) -> dict:
         offs = np.arange(lo, hi, dtype=np.int64)
@@ -464,11 +487,10 @@ class _RepSpace:
 
     def letter_values(self, idx: dict, letter) -> tuple:
         """A letter's batch and its bound q - 1."""
-        a, e = letter
-        if a not in self.pools:
-            raise ShapeMismatch(f"no matrices for arrow {a!r}")
-        pool = self._np[a] if e == 1 else self._inv_pool(a)
-        return pool[idx[a]], self.q - 1
+        if letter not in self._np:
+            self._np[letter] = np.array(self.pool_of(letter), dtype=np.int64
+                                        ).reshape(-1, *self._shape)
+        return self._np[letter][idx[letter[0]]], self.q - 1
 
     def identity(self, n: int) -> tuple:
         eye = np.eye(self.d, dtype=np.int64).reshape(self._shape)
@@ -598,6 +620,7 @@ class _Draws:
     """
 
     def __init__(self, seed) -> None:
+        _numpy()
         self._rng = random.Random(seed)
         self._words = np.empty(0, dtype=np.uint32)
 
@@ -633,6 +656,8 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
     size; :class:`_Draws` reads that stream in bulk from the same
     generator.  An exhaustive sweep walks the gauge slice and scales its
     sums, as Python integers, by ``space.gauge``."""
+    _numpy()
+
     def tally(idx: dict, n: int):
         return sum(kernel({a: v[lo:lo + _SLICE] for a, v in idx.items()},
                           min(_SLICE, n - lo)) for lo in range(0, n, _SLICE))
@@ -716,6 +741,86 @@ def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
     for acc, _ in grads.values():
         crit &= (acc % space.q == 0).reshape(n, -1).all(axis=1)
     return vals % space.q, crit
+
+
+def _scalar_route(space: _RepSpace, terms: list,
+                  omega: Element | None = None) -> bool:
+    """Whether an exhaustive count is small enough for :func:`_sweep_d1`:
+    d = 1 and at most ``_SCALAR_BUDGET`` point-letters, the slice's points
+    times the letters of W (and of omega, if given), a point counting as 16
+    letters at least.  So the scalar route never sweeps more than 2^12
+    points, far below the exhaustive guard."""
+    letters = sum(len(cyc) for _, cyc in terms)
+    if omega is not None:
+        letters += sum(len(w.letters) for w in omega.words())
+    return space.d == 1 and space.total * max(letters, 16) <= _SCALAR_BUDGET
+
+
+def _sweep_d1(space: _RepSpace, terms: list,
+              omega: Element | None = None) -> list:
+    """The exhaustive sweep of a d = 1 gauge slice on Python ints, without
+    numpy: the tallies the batch kernel of :func:`enumerate_reps` sums (the
+    fibre count of each residue of Tr W, then the critical points), or with
+    ``omega`` those of :func:`conjecture_probe_d1` (the weight of the whole
+    space, of the omega-nilpotent and of the omega-invertible points), each
+    times ``space.gauge`` as :func:`_sweep` returns them.
+
+    Each point mirrors :func:`_evaluate`: for the gradient, a term's suffix
+    products are built right to left, occurrence i adds c * suffix * prefix
+    to its arrow's sum, and the running prefix ends as the term's product.
+    Letters take their values from :meth:`_RepSpace.pool_of` (an inverse is
+    ``pow(x, -1, q)``) in the order the batch kernels read them, so that an
+    unknown arrow or an inverse of a free arrow raises the same error."""
+    q = space.q
+    digit = {a: i for i, a in enumerate(space.arrows)}
+    slots: dict = {}  # letter -> its place in a point's letter values
+    pools = []  # per slot: (arrow's digit, the letter's values in pool order)
+
+    def slot(letter) -> int:
+        if letter not in slots:
+            values = [m[0][0] for m in space.pool_of(letter)]
+            slots[letter] = len(pools)
+            pools.append((digit[letter[0]], values))
+        return slots[letter]
+
+    cycles = [(c, [slot(x) for x in cyc], [digit[a] for a, _ in cyc])
+              for c, cyc in terms]
+    if omega is not None:
+        words = [([slot(x) for x in w.letters],
+                  _coeff_mod(omega.coeffs[w], q)) for w in omega.words()]
+    out = [0] * (q + 1 if omega is None else 3)
+    for point in _iproduct(*[range(space.sizes[a]) for a in space.arrows]):
+        v = [values[point[i]] for i, values in pools]
+        f = 0
+        if omega is None:
+            grads = [0] * len(digit)
+            for c, ks, arrows in cycles:
+                suffix = [1]
+                for k in reversed(ks[1:]):
+                    suffix.append(v[k] * suffix[-1] % q)
+                suffix.reverse()
+                prefix = 1
+                for k, a, suf in zip(ks, arrows, suffix):
+                    grads[a] += c * suf * prefix
+                    prefix = prefix * v[k] % q
+                f += c * prefix
+            out[f % q] += 1
+            out[q] += not any(g % q for g in grads)
+            continue
+        for c, ks, _ in cycles:
+            for k in ks:
+                c = c * v[k] % q
+            f += c
+        f %= q
+        weight = (f == 0) - (f == 1)
+        value = 0
+        for ks, c in words:
+            for k in ks:
+                c = c * v[k] % q
+            value += c
+        out[0] += weight
+        out[1 if value % q == 0 else 2] += weight
+    return [t * space.gauge for t in out]
 
 
 def _normalization(quiver: Quiver, d: int, q: int) -> dict:
@@ -810,7 +915,10 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         vals, crit = _evaluate(space, terms, idx, n, gradient=True)
         return np.append(np.bincount(vals, minlength=q), crit.sum())
 
-    tally = _sweep(space, kernel, sample_size, seed)
+    if mode == "exhaustive" and _scalar_route(space, terms):
+        tally = _sweep_d1(space, terms)
+    else:
+        tally = _sweep(space, kernel, sample_size, seed)
     histogram = {v: int(tally[v]) for v in range(q)}
     return CountReport(
         q=q, d=d, mode=mode, total=sample_size or space.state_space,
@@ -966,7 +1074,9 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
         return np.array([weights.sum(), weights[om == 0].sum(),
                          weights[om != 0].sum()])
 
-    w_total, w_nilp, w_inv = map(int, _sweep(space, kernel))
+    w_total, w_nilp, w_inv = map(int, _sweep_d1(space, terms, omega)
+                                 if _scalar_route(space, terms, omega)
+                                 else _sweep(space, kernel))
     return ProbeReport(
         q=q, weight_total=w_total, weight_nilpotent=w_nilp,
         weight_invertible=w_inv, nilpotent_times_q=q * w_nilp,

@@ -1426,10 +1426,10 @@ def test_probe_reads_its_qpot_file_once(tmp_path, monkeypatch, capsys):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# numpy comes with the counting kernel; importlib.metadata only with a
-# version lookup; dataclasses with nothing, since no record generates code at
-# import.  inspect is not listed: from Python 3.12 importlib.resources
-# imports it.
+# the counting kernel comes with a count, and numpy only with a count past
+# its scalar budget; importlib.metadata only with a version lookup;
+# dataclasses with nothing, since no record generates code at import.
+# inspect is not listed: from Python 3.12 importlib.resources imports it.
 HEAVY = ("numpy", "tessella.repcount", "importlib.metadata", "dataclasses")
 _FRESH = """
 import contextlib, io, json, sys
@@ -1467,11 +1467,26 @@ def test_a_subcommand_that_does_not_count_loads_no_numpy(subcommand):
 
 
 def test_count_loads_the_counting_kernel():
+    """48 slice points at q = 3 fit the scalar budget: no numpy."""
     rc, out, loaded = in_fresh_process(["count", "--q", "3", "--d", "1"])
-    assert rc == EXIT_OK
-    assert json.loads(out)["q"] == 3
-    assert {"numpy", "tessella.repcount"} <= loaded
-    assert "dataclasses" not in loaded
+    golden = BENCHMARKS / "golden" / "count_q_3_d_1.out"
+    assert rc == EXIT_OK and out.encode() == golden.read_bytes()
+    assert loaded == {"tessella.repcount"}
+
+
+def test_a_small_probe_loads_the_counting_kernel_but_no_numpy():
+    rc, out, loaded = in_fresh_process(["probe", "--q", "3"])
+    golden = BENCHMARKS / "golden" / "probe_q_3.out"
+    assert rc == EXIT_OK and out.encode() == golden.read_bytes()
+    assert loaded == {"tessella.repcount"}
+
+
+def test_a_count_past_the_scalar_budget_loads_numpy():
+    """110,000 slice points at q = 11 take the numpy sweep."""
+    rc, out, loaded = in_fresh_process(["count", "--q", "11", "--d", "1"])
+    golden = BENCHMARKS / "golden" / "count_q11_d1.out"
+    assert rc == EXIT_OK and out.encode() == golden.read_bytes()
+    assert loaded == {"numpy", "tessella.repcount"}
 
 
 def test_version_flag_in_a_fresh_process_prints_the_tool_version():
@@ -1492,19 +1507,21 @@ def test_the_cli_raises_and_catches_the_parsers_input_error():
     assert cli.InputError is datafiles.InputError
 
 
-# A count in a new process, started as ``python -m tessella.cli`` ("-m") or
-# through the console script's target (as "module:function").  The profile
-# hook lists the process's threads when the count starts: numpy is loaded
-# by then, and the sweep runs on the calling thread.
+# A count past the scalar budget in a new process, started as ``python -m
+# tessella.cli`` ("-m") or through the console script's target (as
+# "module:function").  The profile hook lists the process's threads when the
+# numpy sweep evaluates its first slice, if numpy is loaded by then; the
+# sweep runs on the calling thread.
 _COUNT_THREADS = """
 import importlib, json, os, runpy, sys
 how, threads = sys.argv[1], []
 
 def profile(frame, event, arg):
-    if event == "call" and frame.f_code.co_name == "enumerate_reps":
+    if (event == "call" and frame.f_code.co_name == "_evaluate"
+            and not threads and "numpy" in sys.modules):
         threads.append(len(os.listdir("/proc/self/task")))
 
-sys.argv = ["tessella", "count", "--q", "2"]
+sys.argv = ["tessella", "count", "--q", "11", "--d", "1"]
 sys.setprofile(profile)
 try:
     if how == "-m":
@@ -1521,7 +1538,8 @@ print(json.dumps([rc, threads, os.environ.get("OPENBLAS_NUM_THREADS")]),
 
 
 def count_in_a_new_process(how: str, **env) -> list:
-    """[exit code, threads when the count starts, OPENBLAS_NUM_THREADS]."""
+    """[exit code, threads when the numpy sweep starts, as a list of one
+    entry or empty if numpy never loaded, OPENBLAS_NUM_THREADS]."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     done = subprocess.run([sys.executable, "-c", _COUNT_THREADS, how],
@@ -1540,7 +1558,8 @@ def _usable_cpus() -> int:
 @pytest.mark.parametrize("how", ["-m", "script"])
 def test_a_counting_process_starts_no_blas_thread_pool(how):
     """OpenBLAS starts a thread per usable CPU at ``import numpy`` unless
-    OPENBLAS_NUM_THREADS says otherwise; no count calls BLAS."""
+    OPENBLAS_NUM_THREADS says otherwise; no count calls BLAS.  The threads
+    are read once numpy has loaded."""
     how = declared_scripts()["tessella"] if how == "script" else how
     assert count_in_a_new_process(how) == [EXIT_OK, [1], "1"]
 

@@ -2,16 +2,18 @@
 
 ``enumerate_reps``, ``stratify_by_omega`` and ``conjecture_probe_d1`` share
 one block/slice sweep, which in exhaustive mode walks one gauge slice
-of the space.  These tests pin seeded sample reports to values recorded
+of the space; a small exhaustive d = 1 count or probe takes the scalar
+sweep instead.  These tests pin seeded sample reports to values recorded
 before the sweep was introduced, and an exhaustive and a sampled q = 17
 report to the bytes the unreduced sweep and the per-draw ``randrange`` loop
 printed; hold the bulk index draws to that loop, draw for draw; hold every
-batch count to a walk over ``iter_reps`` with the per-point evaluators on
-generated quivers and potentials (inverse letters included), and to the
-same sweep with no gauge tree; check that block size, slice size and a
-leftover ``TESSELLA_THREADS`` never change a result, that omega strata
-which are not gauge invariant get no tree, and test the exhaustive and
-int64 guards at their edges.
+batch count, on both routes, to a walk over ``iter_reps`` with the
+per-point evaluators on generated quivers and potentials (inverse letters
+included), and to the same sweep with no gauge tree; check that block
+size, slice size, the scalar budget and a leftover ``TESSELLA_THREADS``
+never change a result or an error, that omega strata which are not gauge
+invariant get no tree, and test the exhaustive and int64 guards at their
+edges.
 """
 
 from __future__ import annotations
@@ -38,9 +40,12 @@ from tessella.pathalg import (
     InverseOfNonLocalized,
     Potential,
     Quiver,
+    _is_prime,
     parse_letters,
 )
 from tessella.repcount import (
+    CountReport,
+    ProbeReport,
     StateSpaceTooLarge,
     _Draws,
     _RepSpace,
@@ -243,10 +248,10 @@ _MAX_ARROWS = {(1, 2): 4, (1, 3): 4, (1, 5): 3, (2, 2): 2, (2, 3): 1}
 
 
 @st.composite
-def small_cases(draw):
-    d, q = draw(st.sampled_from(sorted(_MAX_ARROWS)))
+def small_cases(draw, max_arrows=_MAX_ARROWS):
+    d, q = draw(st.sampled_from(sorted(max_arrows)))
     nv = draw(st.integers(1, 2))
-    na = draw(st.integers(1, _MAX_ARROWS[d, q]))
+    na = draw(st.integers(1, max_arrows[d, q]))
     arrows = [(f"x{i}", draw(st.integers(0, nv - 1)),
                draw(st.integers(0, nv - 1))) for i in range(na)]
     localized = [a for a, _, _ in arrows if draw(st.booleans())]
@@ -322,16 +327,20 @@ def _walk(quiver, W, omega, d, q):
             "strata": (nilp, inv), "probe": (w_total, w_nilp, w_inv)}
 
 
-# (block size, slice size): settings that must not change a count
-SWEEP_CONFIGS = list(product((16, repcount._CHUNK), (5, repcount._SLICE)))
+# (block size, slice size, scalar budget): settings that must not change a
+# count; every block and slice size on the numpy sweep (budget 0), then the
+# default budget, under which a d = 1 count or probe here is scalar
+SWEEP_CONFIGS = [*product((16, repcount._CHUNK), (5, repcount._SLICE), (0,)),
+                 (repcount._CHUNK, repcount._SLICE, repcount._SCALAR_BUDGET)]
 
 
 def _check_against_walk(quiver, W, omega, d, q):
     assert state_space_size(quiver, d, q) <= 256
     walk = _walk(quiver, W, omega, d, q)
-    for chunk, slice_ in SWEEP_CONFIGS:
+    for chunk, slice_, budget in SWEEP_CONFIGS:
         with mock.patch.object(repcount, "_CHUNK", chunk), \
                 mock.patch.object(repcount, "_SLICE", slice_), \
+                mock.patch.object(repcount, "_SCALAR_BUDGET", budget), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             if walk["crit"] is None:
@@ -408,6 +417,193 @@ def _mixed_loops():
 @pytest.mark.parametrize("d, q", [(1, 5), (2, 2)])
 def test_sweep_reads_inverse_letters_through_inverse_matrices(d, q):
     _check_against_walk(*_mixed_loops(), d, q)
+
+
+# -- the scalar route against the numpy sweep and the per-point oracle -------
+
+
+def _outcome(route, count, *args, budget=None):
+    """("ok", report) or (error type, message) of ``count(*args)`` on one
+    route: "scalar" under the default budget, "numpy" under budget 0, or
+    either under ``budget``.  Reaching the other route's sweep fails."""
+    if budget is None:
+        budget = repcount._SCALAR_BUDGET if route == "scalar" else 0
+    other = "_sweep" if route == "scalar" else "_sweep_d1"
+    with mock.patch.object(repcount, "_SCALAR_BUDGET", budget), \
+            mock.patch.object(repcount, other,
+                              side_effect=AssertionError(f"{other} ran")):
+        try:
+            return "ok", count(*args)
+        except (ValueError, StateSpaceTooLarge) as exc:
+            return type(exc), str(exc)
+
+
+def _oracle_reports(quiver, W, omega, q) -> tuple:
+    """The CountReport and ProbeReport of the per-point MatrixRep walk over
+    the full space; None where the count or the probe refuses its input."""
+    walk = _walk(quiver, W, omega, 1, q)
+    space = state_space_size(quiver, 1, q)
+    hist = walk["hist"]
+    count = None if walk["crit"] is None else CountReport(
+        q=q, d=1, mode="exhaustive", total=space, state_space=space,
+        zeros=hist[0], ones=hist[1], critical=walk["crit"], histogram=hist,
+        normalization=repcount._normalization(quiver, 1, q))
+    w_total, w_nilp, w_inv = walk["probe"]
+    probe = None if q == 2 else ProbeReport(
+        q=q, weight_total=w_total, weight_nilpotent=w_nilp,
+        weight_invertible=w_inv, nilpotent_times_q=q * w_nilp,
+        nilpotent_times_qminus1=(q - 1) * w_nilp,
+        total_matches=w_total == q * w_nilp,
+        invertible_matches=w_inv == (q - 1) * w_nilp)
+    return count, probe
+
+
+def _check_routes_against_oracle(quiver, W, omega, d, q):
+    """Both routes give the oracle's reports, or raise the same error."""
+    assert d == 1
+    count, probe = _oracle_reports(quiver, W, omega, q)
+    for run, args, expected in ((enumerate_reps, (quiver, W, 1, q), count),
+                                (conjecture_probe_d1, (quiver, W, omega, q),
+                                 probe)):
+        scalar = _outcome("scalar", run, *args)
+        assert scalar == _outcome("numpy", run, *args)
+        if expected is not None:
+            assert scalar == ("ok", expected)
+
+
+# d = 1 quivers small enough to walk per point, over each q of the probe's
+# range and q = 2
+_D1_ARROWS = {(1, 2): 4, (1, 3): 4, (1, 5): 3, (1, 7): 3}
+
+
+def _two_localized_loops():
+    """Localized loops x, y and a free loop z, with inverse letters of both
+    localized loops in W and in omega."""
+    quiver = Quiver([0], [("x", 0, 0), ("y", 0, 0), ("z", 0, 0)],
+                    localized=["x", "y"])
+    W = Potential.build(quiver, [(1, [("x", 1), ("z", 1), ("y", -1)]),
+                                 (2, [("y", -1), ("y", -1), ("z", 1)])])
+    omega = (Element.from_word(quiver.word([("y", -1)]))
+             + Element.from_word(quiver.word([("x", -1), ("z", 1)]), 3))
+    return quiver, W, omega
+
+
+INVERSE_CASES = [(*_mixed_loops(), 1, 5), (*_two_localized_loops(), 1, 7)]
+
+
+@pytest.mark.parametrize("case", INVERSE_CASES)
+def test_the_inverse_cases_read_inverse_letters_in_w_and_omega(case):
+    _, W, omega, _, _ = case
+    assert any(e == -1 for _, cyc in W.terms() for _, e in cyc)
+    assert any(e == -1 for w in omega.words() for _, e in w.letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cases(_D1_ARROWS))
+@example(TREE_CASES[0])
+@example(TREE_CASES[1])
+@example(INVERSE_CASES[0])
+@example(INVERSE_CASES[1])
+def test_scalar_route_matches_the_numpy_sweep_and_the_oracle(case):
+    _check_routes_against_oracle(*case)
+
+
+def _loops(n, letters, localized=False):
+    """n loops x0, x1, ... at one vertex and W = x0^letters."""
+    names = [f"x{i}" for i in range(n)]
+    quiver = Quiver([0], [(a, 0, 0) for a in names],
+                    localized=names if localized else [])
+    return quiver, Potential.build(quiver, [(1, ["x0"] * letters)])
+
+
+def test_a_count_at_the_budget_is_scalar_and_one_past_it_is_numpy():
+    """12 free loops over F_2 with W = x0^16: 2^12 points of 16 letters,
+    at the budget; under a budget one lower, the same count is numpy.
+    Both routes give the same report either way."""
+    assert repcount._SCALAR_BUDGET == 1 << 16
+    at = (*_loops(12, 16), 1, 2)
+    scalar = _outcome("scalar", enumerate_reps, *at)
+    assert scalar == _outcome("numpy", enumerate_reps, *at)
+    assert scalar == _outcome("numpy", enumerate_reps, *at,
+                              budget=repcount._SCALAR_BUDGET - 1)
+
+
+def test_a_probe_at_the_budget_is_scalar_and_one_past_it_is_numpy():
+    """12 localized loops over F_3 with W = x0^8 and omega = x1^8: 2^12
+    points of 16 letters."""
+    quiver, W = _loops(12, 8, localized=True)
+    at = (quiver, W, Element.from_word(quiver.word([("x1", 1)] * 8)), 3)
+    scalar = _outcome("scalar", conjecture_probe_d1, *at)
+    assert scalar == _outcome("numpy", conjecture_probe_d1, *at)
+    assert scalar == _outcome("numpy", conjecture_probe_d1, *at,
+                              budget=repcount._SCALAR_BUDGET - 1)
+
+
+@pytest.mark.parametrize("n, route", [(12, "scalar"), (13, "numpy")])
+def test_a_point_counts_as_sixteen_letters_at_least(n, route):
+    """W = x0 on n free loops over F_2: 2^n points of one letter, charged
+    as 2^n * 16 point-letters, since each point costs more than its
+    letters."""
+    case = (*_loops(n, 1), 1, 2)
+    budget = repcount._SCALAR_BUDGET
+    taken = _outcome(route, enumerate_reps, *case, budget=budget)
+    assert taken == (_outcome("numpy", enumerate_reps, *case)
+                     if route == "scalar" else
+                     _outcome("scalar", enumerate_reps, *case,
+                              budget=2 * budget))
+
+
+def _foreign_cases() -> dict:
+    """name -> (count, args, error type, message start) that both routes
+    raise: W or omega on arrows the counted quiver lacks (``y``) or holds
+    free (``x``), and a q whose (q-1)^2 reaches 2^63."""
+    free = Quiver([0], [("x", 0, 0)])
+    both_free = Quiver([0], [("x", 0, 0), ("y", 0, 0)])
+    other = Quiver([0], [("x", 0, 0), ("y", 0, 0)], localized=["x"])
+    inverse = Potential.build(other, [(1, [("x", -1), ("y", 1)])])  # x^-1 y
+    foreign = Potential.build(other, [(1, ["y", "x"])])  # x y
+    x_only = Potential.build(free, [(1, ["x"])])
+    x_inv = Element.from_word(other.word([("x", -1)]))
+    y_word = Element.from_word(other.word([("y", 1)]))
+    root = math.isqrt((1 << 63) - 1)  # largest m with m * m < 2^63
+    big = next(p for p in range(root + 2, root + 1000) if _is_prime(p))
+    no_matrices = (repcount.ShapeMismatch, "no matrices for arrow 'y'")
+    underivable = (InverseOfNonLocalized,
+                   "cannot differentiate through an inverse occurrence of 'x'")
+    return {
+        "probe-free-inverse-in-w": (conjecture_probe_d1,
+                                    (free, inverse, Element(), 5),
+                                    InverseOfNonLocalized, "x"),
+        "probe-free-inverse-in-omega": (conjecture_probe_d1,
+                                        (free, x_only, x_inv, 5),
+                                        InverseOfNonLocalized, "x"),
+        "probe-unknown-arrow-in-w": (conjecture_probe_d1,
+                                     (free, foreign, Element(), 5),
+                                     *no_matrices),
+        "probe-unknown-arrow-in-omega": (conjecture_probe_d1,
+                                         (free, x_only, y_word, 5),
+                                         *no_matrices),
+        "probe-w-before-omega": (conjecture_probe_d1,
+                                 (free, foreign, x_inv, 5), *no_matrices),
+        "count-unknown-arrow": (enumerate_reps, (free, foreign, 1, 5),
+                                repcount.ShapeMismatch,
+                                "potential uses arrows not in the quiver"),
+        "count-inverse-of-a-localized-arrow": (
+            enumerate_reps, (other, inverse, 1, 5), *underivable),
+        "count-inverse-of-a-free-arrow": (
+            enumerate_reps, (both_free, inverse, 1, 5), *underivable),
+        "probe-int64-guard": (conjecture_probe_d1,
+                              (Quiver([0], []), x_only, Element(), big),
+                              StateSpaceTooLarge, "int64 sums could reach"),
+    }
+
+
+@pytest.mark.parametrize("count, args, error, message",
+                         _foreign_cases().values(), ids=_foreign_cases())
+def test_both_routes_raise_the_same_error(count, args, error, message):
+    scalar = _outcome("scalar", count, *args)
+    assert scalar == _outcome("numpy", count, *args)
+    assert scalar[0] is error and scalar[1].startswith(message)
 
 
 # -- omega strata that are not gauge invariant get no tree --------------------
@@ -581,11 +777,14 @@ def test_int64_guard_refuses_one_step_further(d, q, terms, occurrences):
 
 
 def _check_lazy_against_walk(quiver, W, omega, d, q):
-    """Every batch count against the per-point walk, once with the default
-    slice and once with 7-point slices."""
+    """Every batch count against the per-point walk: on the numpy sweep with
+    the default slice and with 7-point slices, then with the default scalar
+    budget, which takes a d = 1 count or probe here off numpy."""
     walk = _walk(quiver, W, omega, d, q)
-    for slice_ in (repcount._SLICE, 7):
+    for slice_, budget in ((repcount._SLICE, 0), (7, 0),
+                           (repcount._SLICE, repcount._SCALAR_BUDGET)):
         with mock.patch.object(repcount, "_SLICE", slice_), \
+                mock.patch.object(repcount, "_SCALAR_BUDGET", budget), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             report = enumerate_reps(quiver, W, d, q)
