@@ -46,6 +46,10 @@ Conventions
   budget of an exhaustive d = 1 count (``repcount._SCALAR_BUDGET``
   point-letters), in sample mode, or at d >= 2, so ``count --q 3 --d 1``
   and ``probe --q 3`` on the bundled example run without numpy too.
+* No process imports :mod:`importlib.metadata`: :func:`tool_version` reads
+  the installed version from the metadata files on ``sys.path``.  Only the
+  pipeline report, which records input digests, imports :mod:`hashlib`, and
+  only a run that reads a bundled file imports :mod:`importlib.resources`.
 * Records are NamedTuples or plain classes: at import a NamedTuple compiles
   only its one-line ``__new__``, and no module generates other methods.
 """
@@ -53,16 +57,14 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .datafiles import InputError, check_object, is_int, list_of
+from .datafiles import InputError, check_object, is_int, list_of, read_data
 from .equivariant import (
     ChoiceSearch,
     MatchingStuck,
@@ -139,12 +141,48 @@ def _exit_code(exc: Exception) -> int:
 
 
 def tool_version() -> str:
-    from importlib import metadata  # tens of ms; only a version reader pays
+    """The version ``importlib.metadata.version("tessella")`` finds, or
+    "0.0.0" when no distribution is installed (a run from the source tree).
 
-    try:
-        return metadata.version("tessella")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
+    Read without importing :mod:`importlib.metadata`: the first entry of a
+    ``sys.path`` directory, in path order, whose lower-cased name ends in
+    ``.dist-info`` or ``.egg-info`` and is ``tessella`` before its first
+    ``-`` holds the version in the ``Version:`` header of its ``METADATA``
+    or ``PKG-INFO`` file (an ``.egg-info`` file is itself the header
+    block).  Zip files and ``.egg`` bundles on the path are not searched.
+    """
+    for entry in sys.path:
+        try:
+            names = os.listdir(entry or ".")
+        except OSError:  # a missing entry, or a file
+            continue
+        for name in names:
+            low = name.lower()
+            if (low.endswith((".dist-info", ".egg-info"))
+                    and low.rpartition(".")[0].partition("-")[0] == "tessella"):
+                return _metadata_version(os.path.join(entry, name))
+    return "0.0.0"
+
+
+def _metadata_version(info: str) -> str:
+    """The ``Version:`` header of the first non-empty file of ``METADATA``,
+    ``PKG-INFO`` and ``info`` itself; "0.0.0" if it has none."""
+    for path in (os.path.join(info, "METADATA"),
+                 os.path.join(info, "PKG-INFO"), info):
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.read().splitlines()
+        except OSError:  # not there, or a directory
+            continue
+        if lines:
+            for line in lines:
+                if not line:  # the headers end at the first blank line
+                    break
+                key, colon, value = line.partition(":")
+                if colon and key.lower() == "version":
+                    return value.strip()
+            break
+    return "0.0.0"
 
 
 class _VersionAction(argparse.Action):
@@ -169,25 +207,28 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _read_input(path: Optional[str],
-                bundled_name: Optional[str] = None) -> tuple[bytes, dict]:
-    """(bytes, digest record) of an input file, or of a bundled file when
-    ``path`` is None."""
+                bundled_name: Optional[str] = None) -> tuple[bytes, str]:
+    """(bytes, source) of an input file, or of a bundled file when ``path``
+    is None."""
     if path is None:
-        raw = (resources.files("tessella") / "data" / bundled_name).read_bytes()
-        return raw, {"source": f"bundled:{bundled_name}",
-                     "sha256": _digest_bytes(raw)}
+        return read_data(bundled_name), f"bundled:{bundled_name}"
     try:
         raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise InputError(f"input file {path} does not exist") from None
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return raw, {"source": str(path), "sha256": _digest_bytes(raw)}
+    return raw, str(path)
+
+
+def _input_digests(inputs: dict) -> dict:
+    """The pipeline report's record of each input (key -> (bytes, source)):
+    its source and sha256.  Only the pipeline imports :mod:`hashlib`."""
+    import hashlib
+
+    return {key: {"source": source, "sha256": hashlib.sha256(raw).hexdigest()}
+            for key, (raw, source) in inputs.items()}
 
 
 def _parse_json(raw: bytes, path):
@@ -515,14 +556,14 @@ class _Run:
     ``opts`` are the run's options under the pipeline config's names (plus
     ``choice``, ``qpot``, ``omega`` and ``bundled_phi_star`` from the
     subcommands); a key not given takes the config's default.  An input
-    file is read once, and ``digests`` records each file read.
+    file is read once, and ``inputs`` keeps its (bytes, source) for the
+    pipeline report's digests.
     """
 
     def __init__(self, opts: dict):
         self.opts = {**PipelineConfig()._asdict(), **opts}
         self.values: dict = {}
-        self.digests: dict = {}
-        self._raw: dict = {}
+        self.inputs: dict = {}
         self._json: dict = {}
 
     def __getitem__(self, name: str):
@@ -535,10 +576,10 @@ class _Run:
     def read(self, key: str) -> bytes:
         """The bytes of input file ``key`` (the bundled one when its path
         is None)."""
-        if key not in self._raw:
-            self._raw[key], self.digests[key] = _read_input(
-                self.opts.get(key), _BUNDLED.get(key))
-        return self._raw[key]
+        if key not in self.inputs:
+            self.inputs[key] = _read_input(self.opts.get(key),
+                                           _BUNDLED.get(key))
+        return self.inputs[key][0]
 
     def load(self, key: str):
         if key not in self._json:
@@ -763,7 +804,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     ok = all(s.status == "ok" for s in stages)
     report = RunReport(version=tool_version(), config=config.to_json(),
-                       input_digests=run.digests, stages=stages,
+                       input_digests=_input_digests(run.inputs), stages=stages,
                        artifacts=artifacts + ["report.json", "timings.json"],
                        ok=ok, exit_code=exit_code, timing=timing)
     (outdir / "report.json").write_text(_dumps(report.to_json()))

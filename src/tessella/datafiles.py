@@ -6,16 +6,23 @@ Imports no numpy and nothing else of the package."""
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 
 class InputError(ValueError):
     """Bad paths, malformed files, or invalid option combinations."""
 
 
+def read_data(name: str) -> bytes:
+    """The bytes of ``tessella/data/<name>``.  Only a process that reads a
+    bundled file imports :mod:`importlib.resources`."""
+    from importlib import resources
+
+    return (resources.files("tessella") / "data" / name).read_bytes()
+
+
 def load_data(name: str) -> dict:
     """Parse ``tessella/data/<name>`` (a JSON file)."""
-    return json.loads(resources.files("tessella.data").joinpath(name).read_text())
+    return json.loads(read_data(name))
 
 
 def is_int(x) -> bool:

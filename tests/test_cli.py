@@ -1165,6 +1165,67 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def _metadata(version: str, body: str = "") -> str:
+    return f"Metadata-Version: 2.1\nName: tessella\nVersion: {version}\n\n{body}"
+
+
+def _write_files(root: Path, files: dict) -> None:
+    root.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+# fake installs, one item per sys.path entry: a dict of the files in that
+# directory, None for a directory that does not exist, a string for a file;
+# and the version they give
+VERSION_CASES = {
+    "no install": ([{}], "0.0.0"),
+    "a Version line in the body": (
+        [{"tessella-0.1.0.dist-info/METADATA":
+          _metadata("0.1.0", "Version: 9.9\n")}], "0.1.0"),
+    "upper case": ([{"Tessella-2.0.dist-info/METADATA": _metadata("2.0")}],
+                   "2.0"),
+    "egg-info directory": ([{"tessella.egg-info/PKG-INFO": _metadata("0.3")}],
+                           "0.3"),
+    "egg-info file": ([{"tessella-0.4.egg-info": _metadata("0.4")}], "0.4"),
+    "look-alike": ([{"tessella_extra-1.0.dist-info/METADATA":
+                     _metadata("1.0")}], "0.0.0"),
+    "first entry wins": ([{"tessella-1.5.dist-info/METADATA": _metadata("1.5")},
+                          {"tessella-2.5.dist-info/METADATA": _metadata("2.5")}],
+                         "1.5"),
+    "missing and file entries skipped": (
+        [None, "not a directory",
+         {"tessella-3.0.dist-info/METADATA": _metadata("3.0")}], "3.0"),
+}
+
+
+@pytest.mark.parametrize("entries, version", VERSION_CASES.values(),
+                         ids=VERSION_CASES)
+def test_tool_version_agrees_with_importlib_metadata(tmp_path, monkeypatch,
+                                                     entries, version):
+    path = [str(tmp_path / str(i)) for i in range(len(entries))]
+    for entry, root in zip(entries, path):
+        if isinstance(entry, dict):
+            _write_files(Path(root), entry)
+        elif entry is not None:
+            Path(root).write_text(entry)
+    found = next(metadata.distributions(name="tessella", path=path), None)
+    assert (found.version if found else "0.0.0") == version
+    monkeypatch.setattr(sys, "path", path)
+    assert cli.tool_version() == version
+
+
+def test_tool_version_reads_the_working_directory_for_an_empty_entry(
+        tmp_path, monkeypatch):
+    _write_files(tmp_path, {"tessella-0.5.dist-info/METADATA": _metadata("0.5")})
+    monkeypatch.chdir(tmp_path)
+    assert next(metadata.distributions(name="tessella", path=[""])).version \
+        == "0.5"
+    monkeypatch.setattr(sys, "path", ["", str(tmp_path / "missing")])
+    assert cli.tool_version() == "0.5"
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -1262,17 +1323,17 @@ def test_a_sample_size_below_one_is_input_error(tmp_path, capsys, size):
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _bundled_calls() -> tuple:
-    """``BUNDLED_CALLS`` of the benchmark's workloads module, read from its
-    file so that this suite checks the same calls the benchmark does."""
+def _benchmark_module(name: str):
+    """A module of the benchmark, read from its file so that this suite
+    checks what the benchmark runs."""
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", BENCHMARKS / "workloads.py")
+        f"bench_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.BUNDLED_CALLS
+    return module
 
 
-@pytest.mark.parametrize("argv", _bundled_calls(),
+@pytest.mark.parametrize("argv", _benchmark_module("workloads").BUNDLED_CALLS,
                          ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
 def test_bundled_call_prints_the_golden_bytes(argv, capsys):
     name = "_".join(a.lstrip("-") for a in argv)
@@ -1427,10 +1488,12 @@ def test_probe_reads_its_qpot_file_once(tmp_path, monkeypatch, capsys):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # the counting kernel comes with a count, and numpy only with a count past
-# its scalar budget; importlib.metadata only with a version lookup;
-# dataclasses with nothing, since no record generates code at import.
+# its scalar budget; hashlib only with the pipeline report's input digests;
+# importlib.metadata and dataclasses with nothing: the version is read from
+# the metadata file, and no record generates code at import.
 # inspect is not listed: from Python 3.12 importlib.resources imports it.
-HEAVY = ("numpy", "tessella.repcount", "importlib.metadata", "dataclasses")
+HEAVY = ("numpy", "tessella.repcount", "hashlib", "importlib.metadata",
+         "dataclasses")
 _FRESH = """
 import contextlib, io, json, sys
 from tessella.cli import main
@@ -1444,16 +1507,16 @@ print(json.dumps({"rc": rc, "out": out.getvalue(), "modules": sorted(sys.modules
 """
 
 
-def in_fresh_process(argv) -> tuple:
-    """(exit code, stdout, the HEAVY modules loaded) of ``main(argv)`` in a
-    new interpreter."""
+def in_fresh_process(argv, flags=(), watched=HEAVY) -> tuple:
+    """(exit code, stdout, the ``watched`` modules loaded) of ``main(argv)``
+    in a new interpreter started with ``flags``."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _FRESH, *argv],
+    done = subprocess.run([sys.executable, *flags, "-c", _FRESH, *argv],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     result = json.loads(done.stdout)
     return (result["rc"], result["out"],
-            {m for m in HEAVY if m in result["modules"]})
+            {m for m in watched if m in result["modules"]})
 
 
 @pytest.mark.parametrize("subcommand",
@@ -1492,9 +1555,42 @@ def test_a_count_past_the_scalar_budget_loads_numpy():
 def test_version_flag_in_a_fresh_process_prints_the_tool_version():
     rc, out, loaded = in_fresh_process(["--version"])
     assert rc == 0 and out == cli.tool_version() + "\n"
-    assert loaded <= {"importlib.metadata"}
+    assert loaded == set()
     rc, out, _ = in_fresh_process(["--help"])
     assert rc == 0 and "--version" in out
+
+
+def test_the_pipeline_hashes_its_inputs_but_reads_no_installed_metadata(
+        tmp_path):
+    rc, out, loaded = in_fresh_process(
+        ["pipeline", "--output-dir", str(tmp_path / "out")])
+    report = json.loads(out)
+    assert rc == EXIT_OK and report["version"] == cli.tool_version()
+    assert set(report["input_digests"]) == {"tiling", "automorphism"}
+    assert loaded == {"tessella.repcount", "hashlib"}
+
+
+def test_only_a_run_that_reads_bundled_files_loads_importlib_resources(
+        tmp_path):
+    """Under ``python -S``, where no site hook imports it first: a pipeline
+    on its own tiling and symmetry files (the benchmark's 6-fold cover)
+    loads no importlib.resources, and ``dual`` on the bundled tiling does."""
+    tiling, automorphism = _benchmark_module("covers").cyclic_cover(6, 1)
+    (tmp_path / "tiling.json").write_text(json.dumps(tiling))
+    (tmp_path / "automorphism.json").write_text(json.dumps(automorphism))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "tiling": "tiling.json", "automorphism": "automorphism.json",
+        "field_sizes": [2], "output_dir": "out"}))
+    watched = ("importlib.resources",)
+    rc, out, loaded = in_fresh_process(["pipeline", "--config", str(config)],
+                                       ["-S"], watched)
+    assert rc == EXIT_OK and json.loads(out)["ok"] is True
+    assert loaded == set()
+    rc, out, loaded = in_fresh_process(["dual"], ["-S"], watched)
+    assert rc == EXIT_OK and out.encode() == (
+        BENCHMARKS / "golden" / "dual.out").read_bytes()
+    assert loaded == set(watched)
 
 
 def test_the_cli_catches_the_counting_guard_class():

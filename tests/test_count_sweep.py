@@ -358,11 +358,13 @@ def _check_against_walk(quiver, W, omega, d, q):
                         probe.weight_invertible) == walk["probe"]
 
 
-def _two_vertices(W_terms, omega_words, d, q, loop=True):
+def _two_vertices(W_terms, omega_words, d, q, loop=True, y=False):
     """Vertices 0 and 1 joined by the localized arrow t: 0 -> 1 and the free
-    arrow u: 1 -> 0, with a free loop x at 1 when ``loop``.  Words are
-    letter lists; an empty omega word is the trivial path at vertex 1."""
-    arrows = [("t", 0, 1), ("u", 1, 0)] + ([("x", 1, 1)] if loop else [])
+    arrow u: 1 -> 0, with a free loop x at 1 when ``loop`` and a free loop y
+    at 0 when ``y``.  Words are letter lists; an empty omega word is the
+    trivial path at vertex 1."""
+    arrows = [("t", 0, 1), ("u", 1, 0)] + ([("x", 1, 1)] if loop else []) \
+        + ([("y", 0, 0)] if y else [])
     quiver = Quiver([0, 1], arrows, localized=["t"])
     W = Potential.build(quiver, W_terms)
     omega = Element()
@@ -373,14 +375,15 @@ def _two_vertices(W_terms, omega_words, d, q, loop=True):
 
 
 # cases whose gauge tree is the arrow t at every d, so that every run of the
-# walk test sweeps a slice; the second reads t^-1 in W
+# walk test sweeps a slice; the second reads t^-1 in W: in t^-1 x t y the
+# loops keep t^-1 from meeting a t, so the potential keeps the inverse letter
 TREE_CASES = [
     _two_vertices([(1, ["u", "t"]), (2, ["u", "t", "u", "t"]),
                    (-1, ["u", "x", "t"]), (1, ["x", "x", "x"])],
                   [(1, [("x", 1)]), (2, [("t", 1), ("u", 1)])], 1, 3),
     _two_vertices([(1, [("u", 1), ("t", 1)]),
-                   (2, [("t", -1), ("x", 1), ("t", 1)])],
-                  [(1, [("t", 1), ("u", 1), ("x", 1)]), (1, [])], 1, 5),
+                   (2, [("t", -1), ("x", 1), ("t", 1), ("y", 1)])],
+                  [(1, [("t", 1), ("u", 1), ("x", 1)]), (1, [])], 1, 3, y=True),
     _two_vertices([(1, ["u", "t", "u", "t"]), (1, ["u", "t"])],
                   [(1, [("t", 1), ("u", 1)]),
                    (1, [("t", 1), ("u", 1), ("t", 1), ("u", 1)])],
@@ -399,8 +402,10 @@ def test_sweep_matches_per_point_walk(case):
 
 @pytest.mark.parametrize("case", TREE_CASES)
 def test_tree_cases_sweep_a_slice(case):
-    quiver, _, omega, d, _ = case
+    quiver, W, omega, d, _ = case
     assert _gauge_tree(quiver, d) == _gauge_tree(quiver, d, omega) == ("t",)
+    if case is TREE_CASES[1]:
+        assert any(e == -1 for _, cycle in W.terms() for _, e in cycle)
 
 
 def _mixed_loops():
