@@ -42,10 +42,11 @@ Conventions
   file's directory.
 * Only the stages that count (``count``, ``probe`` and the pipeline's count
   step) import :mod:`tessella.repcount`; every other subcommand, and
-  ``--version``, runs without it.  A count loads numpy only past the scalar
-  budget of an exhaustive d = 1 count (``repcount._SCALAR_BUDGET``
-  point-letters), in sample mode, or at d >= 2, so ``count --q 3 --d 1``
-  and ``probe --q 3`` on the bundled example run without numpy too.
+  ``--version``, runs without it.  A count loads numpy only in sample
+  mode, at d >= 2, or past the monomial budget of an exhaustive d = 1
+  count (``repcount._MONOMIAL_BUDGET`` image-group elements), so
+  ``count --q 11 --d 1`` and ``probe --q 11`` on the bundled example run
+  without numpy too.
 * No process imports :mod:`importlib.metadata`: :func:`tool_version` reads
   the installed version from the metadata files on ``sys.path``.  Only the
   pipeline report, which records input digests, imports :mod:`hashlib`, and

@@ -577,85 +577,6 @@ def jacobi_relations(quiver: Quiver, W: Potential) -> list[Element]:
     return [derivs[a] for a in quiver.arrow_ids() if not quiver.is_localized(a)]
 
 
-# -- bounded ideal-membership evidence ---------------------------------------
-
-
-class ReduceResult(NamedTuple):
-    zero: bool
-    residual: Element
-    rounds: int
-
-
-def _leading_word(rel: Element) -> Word | None:
-    """Longest word of the relation; ties broken lexicographically."""
-    if rel.is_zero():
-        return None
-    return min(rel.coeffs, key=lambda w: (-len(w.letters), w.sort_key()))
-
-
-def _find_subword(haystack: tuple, needle: tuple) -> int:
-    n = len(needle)
-    for i in range(len(haystack) - n + 1):
-        if haystack[i:i + n] == needle:
-            return i
-    return -1
-
-
-def ideal_reduce(quiver: Quiver, x: Element, relations: Sequence[Element],
-                 step_bound: int = 50) -> ReduceResult:
-    """Directed rewriting toward 0 modulo the two-sided ideal of ``relations``.
-
-    Each relation is oriented leading-word -> remainder (leading = longest
-    word, ties lexicographic).  Per round, every word of the current element
-    gets its leftmost (then longest, then first-listed) leading-word
-    occurrence replaced; rounds repeat up to ``step_bound`` or until the
-    element stalls.  Sound, not complete: Unknown is evidence of nothing.
-    """
-    if step_bound < 0:
-        raise ValueError("step_bound must be >= 0")
-    oriented = []
-    for rel in relations:
-        lead = _leading_word(rel)
-        if lead is None:
-            continue
-        c = rel.coeffs[lead]
-        oriented.append((lead, Element((w, -k / c) for w, k in rel.coeffs.items()
-                                       if w != lead)))
-
-    current = x
-    rounds = 0
-    while rounds < step_bound and not current.is_zero():
-        pairs = []
-        changed = False
-        for w in current.words():
-            c = current.coeffs[w]
-            best = None
-            for idx, (lead, rem) in enumerate(oriented):
-                pos = _find_subword(w.letters, lead.letters)
-                if pos < 0:
-                    continue
-                key = (pos, -len(lead.letters), idx)
-                if best is None or key < best[0]:
-                    best = (key, pos, lead, rem)
-            if best is None:
-                pairs.append((w, c))
-                continue
-            _, pos, lead, rem = best
-            changed = True
-            # the letters around the occurrence are normal words that end
-            # where the leading word does
-            prefix = Word(lead.target, w.target, w.letters[:pos])
-            suffix = Word(w.source, lead.source,
-                          w.letters[pos + len(lead.letters):])
-            pairs += ((word_product(quiver, prefix, rw, suffix), c * rc)
-                      for rw, rc in rem.coeffs.items())
-        current = Element(pairs)
-        rounds += 1
-        if not changed:
-            break
-    return ReduceResult(current.is_zero(), current, rounds)
-
-
 # -- Ginzburg-style differential graded structure ----------------------------
 
 

@@ -9,8 +9,8 @@ On that space the potential induces the trace function f = Tr W.  This
 module evaluates f, checks the critical-point equations (every cyclic
 derivative vanishing, cross-validated against the entrywise gradient of the
 trace polynomial), and tallies exhaustive or sampled counts: fibre sizes of
-f, critical points, and strata cut out by nilpotency/invertibility of a
-chosen algebra element.
+f and critical points, and at d = 1 the weighted probe split by whether a
+chosen algebra element vanishes.
 
 All counts are raw integer point counts over the prime field.  The usual
 normalizations (the half power of the ambient dimension, and the order of
@@ -18,13 +18,14 @@ the gauge group GL_d per vertex) are reported symbolically alongside the
 tallies and never folded into them.
 
 A batch count takes one of two routes.  :func:`enumerate_reps` and
-:func:`conjecture_probe_d1` sweep an exhaustive d = 1 gauge slice of at
-most ``_SCALAR_BUDGET`` point-letters (slice points times the letters of W,
-plus omega's for the probe, but 16 at least) on Python ints in
-:func:`_sweep_d1`, which imports no numpy.  Every other count (sample mode, d >= 2, a larger slice,
-and every :func:`stratify_by_omega`) is the numpy sweep below, which
-imports numpy when it starts; both routes give the same tallies and raise
-the same errors.
+:func:`conjecture_probe_d1` send an exhaustive count at d = 1 through the
+monomial map (:func:`_monomial_route`): on the torus of nonzero arrows each
+word of W (and of omega) is a monomial, so the route sums over the image
+group of that map, stratum by stratum, in place of the points, on Python
+ints and without numpy.  When those groups hold more than
+``_MONOMIAL_BUDGET`` elements, and for every other count (sample mode and
+d >= 2), the numpy sweep below runs, which imports numpy when it starts;
+both routes give the same tallies and raise the same errors.
 
 The numpy sweep runs over blocks of ``_CHUNK`` points: ranges of the
 lexicographic order (arrows by id, last arrow fastest) or seeded draws, one
@@ -53,24 +54,23 @@ space by M_a -> g_t(a) M_a g_s(a)^-1, and these quantities are invariant:
 
 * Tr W, since every term is a closed cycle (inverse letters included);
 * the critical locus, since each cyclic derivative transforms equivariantly;
-* the omega strata and probe weights, when at d = 1 every word of omega is
-  closed, and at d >= 2 every word is closed at one common vertex.
+* the probe's weights and its omega strata, when every word of omega is
+  closed (the probe runs at d = 1).
 
 :func:`_gauge_tree` picks a spanning forest of localized, non-loop arrows
 (the lowest ids first).  Fixing those arrows to the identity leaves a slice
 that meets each orbit of the non-root vertices' gauge group exactly once, so
 every tally is the slice's tally times |GL_d(F_q)|^|tree|.  The tree is empty
 when omega's words fail the condition above.  ``total`` and ``state_space``
-in the reports are always those of the full space.  Sample mode,
-:func:`iter_reps`, :func:`nth_rep` and the :class:`MatrixRep` oracle keep the
-full space.
+in the reports are always those of the full space.  Sample mode, the
+monomial route, :func:`iter_reps`, :func:`nth_rep` and the :class:`MatrixRep`
+oracle keep the full space.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import warnings
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -90,9 +90,6 @@ from .pathalg import (
     _idkey,
     _is_prime,
     derivatives,
-    ideal_reduce,
-    jacobi_relations,
-    multiply,
 )
 
 _CHUNK = 1 << 16  # points per block: the unit of index decoding and of draws
@@ -103,12 +100,9 @@ _POOL_GUARD = 4 * 10 ** 6
 # is exact only for pools below 2^32; _POOL_GUARD keeps every pool under it
 _DRAW_LIMIT = 1 << 32
 _INT64 = 1 << 63  # a batch's bound stays below this (see _RepSpace.mul)
-# point-letters of a d = 1 gauge slice that _sweep_d1 counts without numpy.
-# A point costs about 1 us plus 0.16 us a letter and 0.5 us a term of W
-# (2-core machine, Python 3.11), and _scalar_route charges it 16 letters at
-# least, so the largest scalar count takes 7 to 45 ms by the shape of W
-# (about 30 ms at two letters a term), less than importing numpy (70 ms).
-_SCALAR_BUDGET = 1 << 16
+# elements of the image groups, over all strata, that _monomial_route adds
+# up before it leaves an exhaustive d = 1 count to the numpy sweep
+_MONOMIAL_BUDGET = 1 << 14
 
 np = None  # numpy, bound by _numpy() when a batch sweep starts
 
@@ -116,7 +110,8 @@ np = None  # numpy, bound by _numpy() when a batch sweep starts
 def _numpy() -> None:
     """Import numpy as this module's ``np``.  Only the batch sweep
     (:func:`_sweep`, and :class:`_Draws` within it) reads ``np``, so a
-    process whose counts all take :func:`_sweep_d1` never loads numpy."""
+    process whose counts all take :func:`_monomial_route` never loads
+    numpy."""
     global np
     import numpy as np
 
@@ -468,14 +463,20 @@ class _RepSpace:
     def pool_of(self, letter) -> tuple:
         """The matrices a letter takes, in its arrow's pool order: the pool
         itself, or for an inverse letter the pool's inverses."""
+        a, e = self.check_letter(letter)
+        if e == 1:
+            return self.pools[a]
+        return tuple(_mat_inv(m, self.q) for m in self.pools[a])
+
+    def check_letter(self, letter) -> tuple:
+        """The letter, if its arrow has matrices here and it inverts only a
+        localized arrow; else the error reading its matrices raises."""
         a, e = letter
         if a not in self.pools:
             raise ShapeMismatch(f"no matrices for arrow {a!r}")
-        if e == 1:
-            return self.pools[a]
-        if not self.quiver.is_localized(a):
+        if e != 1 and not self.quiver.is_localized(a):
             raise InverseOfNonLocalized(a)
-        return tuple(_mat_inv(m, self.q) for m in self.pools[a])
+        return letter
 
     def chunk_indices(self, lo: int, hi: int) -> dict:
         offs = np.arange(lo, hi, dtype=np.int64)
@@ -566,15 +567,13 @@ class _RepSpace:
         return MatrixRep(self.quiver, self.d, self.q, mats)
 
 
-def _gauge_tree(quiver: Quiver, d: int, omega: Element | None = None) -> tuple:
+def _gauge_tree(quiver: Quiver, omega: Element | None = None) -> tuple:
     """The arrows an exhaustive sweep fixes to the identity: the lowest-id
     spanning forest of the localized arrows (a loop never joins it).  Empty
-    when ``omega`` is given and its strata are not gauge invariant: a word
-    of omega is open, or at d >= 2 two words close at different vertices."""
-    if omega is not None:
-        ends = {(w.source, w.target) for w in omega.words()}
-        if any(s != t for s, t in ends) or (d > 1 and len(ends) > 1):
-            return ()
+    when ``omega`` is given and a word of it is open, since the probe's
+    omega strata are then not gauge invariant."""
+    if omega is not None and any(w.source != w.target for w in omega.words()):
+        return ()
     forest = _Forest(quiver)
     return tuple(a for a in quiver.arrow_ids()
                  if quiver.is_localized(a) and forest.join(a))
@@ -647,6 +646,19 @@ class _Draws:
         return np.concatenate(out).astype(np.int64)
 
 
+def _check_guard(space: _RepSpace) -> None:
+    """Refuse an exhaustive count whose gauge slice exceeds the guard."""
+    if space.total > _STATE_GUARD:
+        tree = len(space.fixed)
+        pools = Counter(space.sizes.values())
+        gauge = Counter({gl_order(space.d, space.q): tree})
+        raise StateSpaceTooLarge(
+            f"{_size_text(pools)} points to sweep (state space "
+            f"{_size_text(pools + gauge)} "
+            f"modulo a gauge tree of {tree} arrow{'' if tree == 1 else 's'}) "
+            f"exceed the exhaustive guard {_STATE_GUARD}")
+
+
 def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
     """Sum of ``kernel(idx, n)`` over the whole space, or over ``draws``
     seeded uniform points; ``idx`` holds each arrow's pool indices for one
@@ -666,15 +678,7 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
         source = _Draws(seed)
         sizes = [min(_CHUNK, draws - lo) for lo in range(0, draws, _CHUNK)]
         return sum(tally(space.sample_indices(source, n), n) for n in sizes)
-    if space.total > _STATE_GUARD:
-        tree = len(space.fixed)
-        pools = Counter(space.sizes.values())
-        gauge = Counter({gl_order(space.d, space.q): tree})
-        raise StateSpaceTooLarge(
-            f"{_size_text(pools)} points to sweep (state space "
-            f"{_size_text(pools + gauge)} "
-            f"modulo a gauge tree of {tree} arrow{'' if tree == 1 else 's'}) "
-            f"exceed the exhaustive guard {_STATE_GUARD}")
+    _check_guard(space)
 
     def block(lo: int):
         hi = min(lo + _CHUNK, space.total)
@@ -743,84 +747,144 @@ def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
     return vals % space.q, crit
 
 
-def _scalar_route(space: _RepSpace, terms: list,
-                  omega: Element | None = None) -> bool:
-    """Whether an exhaustive count is small enough for :func:`_sweep_d1`:
-    d = 1 and at most ``_SCALAR_BUDGET`` point-letters, the slice's points
-    times the letters of W (and of omega, if given), a point counting as 16
-    letters at least.  So the scalar route never sweeps more than 2^12
-    points, far below the exhaustive guard."""
-    letters = sum(len(cyc) for _, cyc in terms)
-    if omega is not None:
-        letters += sum(len(w.letters) for w in omega.words())
-    return space.d == 1 and space.total * max(letters, 16) <= _SCALAR_BUDGET
+def _exponents(space: _RepSpace, letters) -> dict:
+    """Each arrow's exponent in the monomial a word is at d = 1, its letters
+    checked in order as :meth:`_RepSpace.check_letter` does."""
+    exps: dict = {}
+    for a, e in map(space.check_letter, letters):
+        exps[a] = exps.get(a, 0) + e
+    return exps
 
 
-def _sweep_d1(space: _RepSpace, terms: list,
-              omega: Element | None = None) -> list:
-    """The exhaustive sweep of a d = 1 gauge slice on Python ints, without
-    numpy: the tallies the batch kernel of :func:`enumerate_reps` sums (the
-    fibre count of each residue of Tr W, then the critical points), or with
-    ``omega`` those of :func:`conjecture_probe_d1` (the weight of the whole
-    space, of the omega-nilpotent and of the omega-invertible points), each
-    times ``space.gauge`` as :func:`_sweep` returns them.
+def _generator(q: int) -> int:
+    """The least g whose powers g^e, e in Z/(q-1), run through F_q^*."""
+    m, rest, primes, p = q - 1, q - 1, [], 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    primes += [rest] if rest > 1 else []
+    return next(g for g in range(1, q)
+                if all(pow(g, m // p, q) != 1 for p in primes))
 
-    Each point mirrors :func:`_evaluate`: for the gradient, a term's suffix
-    products are built right to left, occurrence i adds c * suffix * prefix
-    to its arrow's sum, and the running prefix ends as the term's product.
-    Letters take their values from :meth:`_RepSpace.pool_of` (an inverse is
-    ``pow(x, -1, q)``) in the order the batch kernels read them, so that an
-    unknown arrow or an inverse of a free arrow raises the same error."""
-    q = space.q
-    digit = {a: i for i, a in enumerate(space.arrows)}
-    slots: dict = {}  # letter -> its place in a point's letter values
-    pools = []  # per slot: (arrow's digit, the letter's values in pool order)
 
-    def slot(letter) -> int:
-        if letter not in slots:
-            values = [m[0][0] for m in space.pool_of(letter)]
-            slots[letter] = len(pools)
-            pools.append((digit[letter[0]], values))
-        return slots[letter]
+def _span(columns: list, size: int, m: int, room: int) -> list | None:
+    """The subgroup of (Z/m)^size that ``columns`` generate, listed, or None
+    if it has more than ``room`` elements (found once it outgrows them).
+    Each generator g extends the group H by the cosets H + g, H + 2g, ...
+    up to the first that is H."""
+    group = [(0,) * size]
+    seen = set(group)
+    for g in columns:
+        coset = group
+        while len(group) <= room:
+            coset = [tuple([(a + b) % m for a, b in zip(h, g)]) for h in coset]
+            if coset[0] in seen:
+                break
+            group += coset
+            seen.update(coset)
+    return group if len(group) <= room else None
 
-    cycles = [(c, [slot(x) for x in cyc], [digit[a] for a, _ in cyc])
-              for c, cyc in terms]
-    if omega is not None:
-        words = [([slot(x) for x in w.letters],
-                  _coeff_mod(omega.coeffs[w], q)) for w in omega.words()]
+
+def _monomial_route(space: _RepSpace, terms: list,
+                    omega: Element | None = None) -> list | None:
+    """The tallies :func:`_sweep` returns for an exhaustive d = 1 count
+    (the fibre count of each residue of Tr W, then the critical points) or,
+    with ``omega``, probe (the weight of the whole space, of the
+    omega-nilpotent and of the omega-invertible points), counted through
+    the monomial map without visiting a point.  None when the image groups
+    below hold more than ``_MONOMIAL_BUDGET`` elements in all.
+
+    At d = 1 a word is a monomial in the arrows' scalars (an inverse letter
+    adds -1 to its arrow's exponent).  The space splits into strata by which
+    free arrows are zero.  In a stratum a word with a zero letter is 0, and
+    the other words y = (x^e_j)_j are a homomorphism of the torus of the K
+    nonzero arrows onto a subgroup H of (Z/(q-1))^T, whose fibres all hold
+    (q-1)^K / |H| points.  Every verdict is a function of y: Tr W and omega
+    sum words; a nonzero arrow a is critical iff x_a dW/da =
+    sum_i c_i m_ia y_i vanishes (m_ia the occurrences of a in term i), and
+    a zero arrow's derivative sums c_i times term i without a over the
+    terms whose one zero letter is a.  So each y of H adds its verdicts
+    once, times its fibre.
+
+    A term with two zero letters (count), or a word with one (probe), is
+    dead: it is 0, and so is every derivative through it.  A free arrow
+    that occurs only in dead words is summed out, a factor q, not split on.
+    Every stratum adds one element at least, so the split stops past the
+    budget too.
+
+    The gauge tree plays no part: the tallies are those of the full space.
+    The exhaustive guard still reads the gauge slice, as in :func:`_sweep`,
+    and errors come in the numpy kernels' order: the guard, the letters of
+    W, then omega's words, each word's letters before its coefficient."""
+    _check_guard(space)
+    q, m = space.q, space.q - 1
+    words = [(c, _exponents(space, cyc)) for c, cyc in terms]
+    for w in omega.words() if omega is not None else ():
+        exps = _exponents(space, w.letters)
+        words.append((_coeff_mod(omega.coeffs[w], q), exps))
+    free = [a for a in space.arrows if not space.quiver.is_localized(a)]
+    holders = [[i for i, (_, exps) in enumerate(words) if a in exps]
+               for a in free]
+    dead = 2 if omega is None else 1  # zero letters that kill a word
+    strata = []  # (zero arrows, arrows summed out, zero letters per word)
+
+    def split(k: int, zeros: tuple, summed: int, hits: list) -> None:
+        if len(strata) > _MONOMIAL_BUDGET:
+            return
+        if k == len(free):
+            strata.append((zeros, summed, hits))
+        elif all(hits[i] >= dead for i in holders[k]):
+            split(k + 1, zeros, summed + 1, hits)
+        else:
+            split(k + 1, zeros, summed, hits)
+            hits = hits[:]
+            for i in holders[k]:
+                hits[i] += words[i][1][free[k]]
+            split(k + 1, zeros + (free[k],), summed, hits)
+
+    split(0, (), 0, [0] * len(words))
+    room, groups = _MONOMIAL_BUDGET, []
+    for zeros, summed, hits in strata:
+        live = [i for i, h in enumerate(hits) if h < dead]
+        torus = [a for a in space.arrows if a not in zeros]
+        columns = [tuple([words[i][1].get(a, 0) % m for i in live])
+                   for a in torus]
+        group = _span([g for g in columns if any(g)], len(live), m, room)
+        if group is None:
+            return None
+        room -= len(group)
+        groups.append((group, zeros, summed, hits, live, torus))
+    g = _generator(q)
+    power = {e: pow(g, e, q) for group, *_ in groups for h in group for e in h}
     out = [0] * (q + 1 if omega is None else 3)
-    for point in _iproduct(*[range(space.sizes[a]) for a in space.arrows]):
-        v = [values[point[i]] for i, values in pools]
-        f = 0
-        if omega is None:
-            grads = [0] * len(digit)
-            for c, ks, arrows in cycles:
-                suffix = [1]
-                for k in reversed(ks[1:]):
-                    suffix.append(v[k] * suffix[-1] % q)
-                suffix.reverse()
-                prefix = 1
-                for k, a, suf in zip(ks, arrows, suffix):
-                    grads[a] += c * suf * prefix
-                    prefix = prefix * v[k] % q
-                f += c * prefix
-            out[f % q] += 1
-            out[q] += not any(g % q for g in grads)
-            continue
-        for c, ks, _ in cycles:
-            for k in ks:
-                c = c * v[k] % q
-            f += c
-        f %= q
-        weight = (f == 0) - (f == 1)
-        value = 0
-        for ks, c in words:
-            for k in ks:
-                c = c * v[k] % q
-            value += c
-        out[0] += weight
-        out[1 if value % q == 0 else 2] += weight
-    return [t * space.gauge for t in out]
+    for group, zeros, summed, hits, live, torus in groups:
+        weight = q ** summed * m ** (len(torus) - summed) // len(group)
+        whole = [(j, i) for j, i in enumerate(live) if hits[i] == 0]
+        trace = [(words[i][0], j) for j, i in whole if i < len(terms)]
+        if omega is None:  # x_a dW/da for each a of the torus, then each zero
+            eqs = [[(words[i][0] * words[i][1][a] % q, j) for j, i in whole
+                    if a in words[i][1]] for a in torus]
+            eqs += [[(words[i][0], j) for j, i in enumerate(live)
+                     if hits[i] == 1 and a in words[i][1]] for a in zeros]
+            eqs = [eq for eq in eqs if any(c for c, _ in eq)]
+        else:
+            om = [(words[i][0], j) for j, i in whole if i >= len(terms)]
+        for h in group:
+            y = [power[e] for e in h]
+            f = sum([c * y[j] for c, j in trace]) % q
+            if omega is None:
+                out[f] += weight
+                if all(sum([c * y[j] for c, j in eq]) % q == 0 for eq in eqs):
+                    out[q] += weight
+            elif f < 2:
+                sign = weight if f == 0 else -weight
+                nilpotent = sum([c * y[j] for c, j in om]) % q == 0
+                out[0] += sign
+                out[1 if nilpotent else 2] += sign
+    return out
 
 
 def _normalization(quiver: Quiver, d: int, q: int) -> dict:
@@ -895,7 +959,7 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         raise ShapeMismatch(
             f"potential uses arrows not in the quiver: "
             f"{sorted(missing, key=_idkey)}")
-    space = _RepSpace(quiver, d, q, _gauge_tree(quiver, d)
+    space = _RepSpace(quiver, d, q, _gauge_tree(quiver)
                       if mode == "exhaustive" else ())
     terms = _coefficients(W, d, q)
     derivs = derivatives(quiver, W)
@@ -915,9 +979,9 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         vals, crit = _evaluate(space, terms, idx, n, gradient=True)
         return np.append(np.bincount(vals, minlength=q), crit.sum())
 
-    if mode == "exhaustive" and _scalar_route(space, terms):
-        tally = _sweep_d1(space, terms)
-    else:
+    tally = (_monomial_route(space, terms)
+             if mode == "exhaustive" and d == 1 else None)
+    if tally is None:
         tally = _sweep(space, kernel, sample_size, seed)
     histogram = {v: int(tally[v]) for v in range(q)}
     return CountReport(
@@ -925,93 +989,6 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         state_space=space.state_space, zeros=histogram[0], ones=histogram[1],
         critical=int(tally[q]), histogram=histogram,
         normalization=_normalization(quiver, d, q), seed=seed)
-
-
-# -- strata of a chosen element -----------------------------------------------
-
-
-class StrataReport(namedtuple(
-        "StrataReport",
-        "q d total nilpotent invertible mixed central_certified")):
-    """Counts of representations by how a chosen element acts.
-
-    ``nilpotent`` counts points where the element's matrix is nilpotent
-    (power d vanishes), ``invertible`` where its determinant is nonzero;
-    ``mixed`` is the complement.  At d = 1 the mixed stratum is empty.
-    ``central_certified`` records whether bounded rewriting proved the
-    element central modulo the derivative ideal; a failed certificate only
-    downgrades to a warning since bounded rewriting is evidence, not proof.
-    A tuple of its fields, as :class:`CountReport` is.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.nilpotent + self.invertible + self.mixed != self.total:
-            raise ValueError("strata do not partition the space")
-        if min(self.nilpotent, self.invertible, self.mixed) < 0:
-            raise ValueError("negative stratum count")
-        return self
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "d": self.d, "total": self.total,
-                "nilpotent": self.nilpotent, "invertible": self.invertible,
-                "mixed": self.mixed,
-                "central_certified": self.central_certified}
-
-
-def _central_mod_derivatives(quiver: Quiver, W: Potential, omega: Element,
-                             step_bound: int = 60) -> bool:
-    """Bounded rewriting evidence that omega commutes with every arrow."""
-    rels = jacobi_relations(quiver, W)
-    for a in quiver.arrow_ids():
-        gen = Element.from_word(quiver.word([(a, 1)]))
-        comm = multiply(quiver, omega, gen) - multiply(quiver, gen, omega)
-        if not ideal_reduce(quiver, comm, rels, step_bound=step_bound).zero:
-            return False
-    return True
-
-
-def stratify_by_omega(quiver: Quiver, W: Potential, omega: Element,
-                      d: int, q: int) -> StrataReport:
-    """Split the representation space by nilpotency/invertibility of omega.
-
-    Nilpotency is tested as omega(rep)^d = 0 (sufficient by
-    Cayley-Hamilton); invertibility as det != 0.  The element is first
-    checked for centrality modulo the derivative ideal by bounded rewriting;
-    failure to certify emits a RuntimeWarning and the strata are reported
-    anyway.
-    """
-    certified = _central_mod_derivatives(quiver, W, omega)
-    if not certified:
-        warnings.warn(
-            "could not certify omega central modulo the derivative ideal "
-            "(bounded rewriting stalled); strata reported anyway",
-            RuntimeWarning, stacklevel=2)
-    space = _RepSpace(quiver, d, q, _gauge_tree(quiver, d, omega))
-    _check_int64(d, q)
-
-    def kernel(idx: dict, n: int) -> np.ndarray:
-        om = space.element_values(idx, omega, n)
-        power = space.reduced(reduce(space.mul, [om] * d))[0]
-        nilp = (power == 0).reshape(n, -1).all(axis=1)
-        om = space.reduced(om)[0]
-        inv = (om if d == 1 else _det_batch(om, q)) != 0
-        return np.array([nilp.sum(), inv.sum()])
-
-    nilp, inv = map(int, _sweep(space, kernel))
-    return StrataReport(q=q, d=d, total=space.state_space, nilpotent=nilp,
-                        invertible=inv, mixed=space.state_space - nilp - inv,
-                        central_certified=certified)
-
-
-def _det_batch(mats: np.ndarray, q: int) -> np.ndarray:
-    if mats.shape[1] == 2:
-        return (mats[:, 0, 0] * mats[:, 1, 1]
-                - mats[:, 0, 1] * mats[:, 1, 0]) % q
-    return np.array([_mat_det(tuple(map(tuple, m)), q) for m in mats],
-                    dtype=np.int64)
 
 
 # -- the degree-one probe -----------------------------------------------------
@@ -1064,7 +1041,7 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
     if q == 2:
         raise ValueError("the degree-one probe needs an odd prime q; "
                          "characteristic 2 collapses the even coefficients")
-    space = _RepSpace(quiver, 1, q, _gauge_tree(quiver, 1, omega))
+    space = _RepSpace(quiver, 1, q, _gauge_tree(quiver, omega))
     terms = _coefficients(W, 1, q)
 
     def kernel(idx: dict, n: int) -> np.ndarray:
@@ -1074,8 +1051,8 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
         return np.array([weights.sum(), weights[om == 0].sum(),
                          weights[om != 0].sum()])
 
-    w_total, w_nilp, w_inv = map(int, _sweep_d1(space, terms, omega)
-                                 if _scalar_route(space, terms, omega)
+    tally = _monomial_route(space, terms, omega)
+    w_total, w_nilp, w_inv = map(int, tally if tally is not None
                                  else _sweep(space, kernel))
     return ProbeReport(
         q=q, weight_total=w_total, weight_nilpotent=w_nilp,

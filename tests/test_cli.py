@@ -1487,8 +1487,9 @@ def test_probe_reads_its_qpot_file_once(tmp_path, monkeypatch, capsys):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# the counting kernel comes with a count, and numpy only with a count past
-# its scalar budget; hashlib only with the pipeline report's input digests;
+# the counting kernel comes with a count, and numpy only with a count that
+# sweeps (sample mode, d >= 2, or past the monomial budget at d = 1);
+# hashlib only with the pipeline report's input digests;
 # importlib.metadata and dataclasses with nothing: the version is read from
 # the metadata file, and no record generates code at import.
 # inspect is not listed: from Python 3.12 importlib.resources imports it.
@@ -1530,7 +1531,7 @@ def test_a_subcommand_that_does_not_count_loads_no_numpy(subcommand):
 
 
 def test_count_loads_the_counting_kernel():
-    """48 slice points at q = 3 fit the scalar budget: no numpy."""
+    """The monomial route counts q = 3 without numpy."""
     rc, out, loaded = in_fresh_process(["count", "--q", "3", "--d", "1"])
     golden = BENCHMARKS / "golden" / "count_q_3_d_1.out"
     assert rc == EXIT_OK and out.encode() == golden.read_bytes()
@@ -1544,10 +1545,25 @@ def test_a_small_probe_loads_the_counting_kernel_but_no_numpy():
     assert loaded == {"tessella.repcount"}
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["count", "--q", "11", "--d", "1"], "count_q11_d1"),
+    (["probe", "--q", "11"], "probe_q11")])
+def test_a_q11_count_or_probe_loads_the_counting_kernel_but_no_numpy(argv,
+                                                                    name):
+    """Over F_11 the bundled example's image groups hold 501 elements,
+    within the monomial budget, where the numpy sweep would visit 110,000
+    gauge-slice points."""
+    rc, out, loaded = in_fresh_process(argv)
+    golden = BENCHMARKS / "golden" / f"{name}.out"
+    assert rc == EXIT_OK and out.encode() == golden.read_bytes()
+    assert loaded == {"tessella.repcount"}
+
+
 def test_a_count_past_the_scalar_budget_loads_numpy():
-    """110,000 slice points at q = 11 take the numpy sweep."""
-    rc, out, loaded = in_fresh_process(["count", "--q", "11", "--d", "1"])
-    golden = BENCHMARKS / "golden" / "count_q11_d1.out"
+    """A count that the monomial route does not take, here one at d = 2,
+    sweeps with numpy."""
+    rc, out, loaded = in_fresh_process(["count", "--q", "2", "--d", "2"])
+    golden = BENCHMARKS / "golden" / "count_q2_d2.out"
     assert rc == EXIT_OK and out.encode() == golden.read_bytes()
     assert loaded == {"numpy", "tessella.repcount"}
 
@@ -1603,11 +1619,11 @@ def test_the_cli_raises_and_catches_the_parsers_input_error():
     assert cli.InputError is datafiles.InputError
 
 
-# A count past the scalar budget in a new process, started as ``python -m
-# tessella.cli`` ("-m") or through the console script's target (as
-# "module:function").  The profile hook lists the process's threads when the
-# numpy sweep evaluates its first slice, if numpy is loaded by then; the
-# sweep runs on the calling thread.
+# A count that sweeps with numpy (d = 2) in a new process, started as
+# ``python -m tessella.cli`` ("-m") or through the console script's target
+# (as "module:function").  The profile hook lists the process's threads
+# when the numpy sweep evaluates its first slice, if numpy is loaded by
+# then; the sweep runs on the calling thread.
 _COUNT_THREADS = """
 import importlib, json, os, runpy, sys
 how, threads = sys.argv[1], []
@@ -1617,7 +1633,7 @@ def profile(frame, event, arg):
             and not threads and "numpy" in sys.modules):
         threads.append(len(os.listdir("/proc/self/task")))
 
-sys.argv = ["tessella", "count", "--q", "11", "--d", "1"]
+sys.argv = ["tessella", "count", "--q", "2", "--d", "2"]
 sys.setprofile(profile)
 try:
     if how == "-m":
@@ -1680,7 +1696,7 @@ started, start = [], threading.Thread.start
 threading.Thread.start = lambda t: (started.append(t.name), start(t))
 from tessella import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(["count", "--q", "11", "--d", "1"])
+    rc = cli.main(["count", "--q", "2", "--d", "2"])
 print(rc, started, "concurrent.futures" in sys.modules)
 """
 

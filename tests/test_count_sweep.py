@@ -1,29 +1,30 @@
 """The counting sweep against fixed outputs and against per-point walks.
 
-``enumerate_reps``, ``stratify_by_omega`` and ``conjecture_probe_d1`` share
-one block/slice sweep, which in exhaustive mode walks one gauge slice
-of the space; a small exhaustive d = 1 count or probe takes the scalar
-sweep instead.  These tests pin seeded sample reports to values recorded
-before the sweep was introduced, and an exhaustive and a sampled q = 17
-report to the bytes the unreduced sweep and the per-draw ``randrange`` loop
-printed; hold the bulk index draws to that loop, draw for draw; hold every
-batch count, on both routes, to a walk over ``iter_reps`` with the
-per-point evaluators on generated quivers and potentials (inverse letters
-included), and to the same sweep with no gauge tree; check that block
-size, slice size, the scalar budget and a leftover ``TESSELLA_THREADS``
-never change a result or an error, that omega strata which are not gauge
-invariant get no tree, and test the exhaustive and int64 guards at their
-edges.
+``enumerate_reps`` and ``conjecture_probe_d1`` share one block/slice
+sweep, which in exhaustive mode walks one gauge slice of the space; an
+exhaustive d = 1 count or probe within the monomial budget takes the
+monomial route instead.  These tests pin seeded sample reports to values
+recorded before the sweep was introduced, and an exhaustive and a sampled
+q = 17 report to the bytes the unreduced sweep and the per-draw
+``randrange`` loop printed; hold the bulk index draws to that loop, draw
+for draw; hold every batch count, on both routes, to a walk over
+``iter_reps`` with the per-point evaluators on generated quivers and
+potentials (inverse letters included), and to the same sweep with no gauge
+tree; check that block size, slice size, the monomial budget and a
+leftover ``TESSELLA_THREADS`` never change a result or an error, that
+omega strata which are not gauge invariant get no tree, and test the
+exhaustive and int64 guards at their edges.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import os
 import random
 import subprocess
 import sys
-import warnings
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -34,10 +35,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tessella.repcount as repcount
+from conftest import cyclic_cover
 from tessella import cli
+from tessella.datafiles import load_data
+from tessella.equivariant import tiling_automorphism_to_json
 from tessella.pathalg import (
     Element,
     InverseOfNonLocalized,
+    NonComposable,
     Potential,
     Quiver,
     _is_prime,
@@ -52,14 +57,11 @@ from tessella.repcount import (
     _sweep,
     _check_int64,
     _gauge_tree,
-    _mat_det,
-    _mat_mul,
     conjecture_probe_d1,
     crit_check,
     enumerate_reps,
     iter_reps,
     state_space_size,
-    stratify_by_omega,
     trace_potential,
 )
 
@@ -303,7 +305,7 @@ def small_cases(draw, max_arrows=_MAX_ARROWS):
 def _walk(quiver, W, omega, d, q):
     """Every batch quantity, one ``iter_reps`` point at a time."""
     hist, crit = {v: 0 for v in range(q)}, 0
-    nilp = inv = w_total = w_nilp = w_inv = 0
+    w_total = w_nilp = w_inv = 0
     differentiable = all(e == 1 for _, cyc in W.terms() for _, e in cyc)
     for rep in iter_reps(quiver, d, q):
         f = trace_potential(rep, W)
@@ -311,12 +313,6 @@ def _walk(quiver, W, omega, d, q):
         if differentiable:
             crit += crit_check(rep, quiver, W)
         m = rep.evaluate(omega)
-        power = m
-        for _ in range(d - 1):
-            power = _mat_mul(power, m, q)
-        nilp += all(x == 0 for row in power for x in row)
-        invertible = _mat_det(m, q) != 0
-        inv += invertible
         weight = (f == 0) - (f == 1)
         w_total += weight
         if m[0][0] == 0:
@@ -324,14 +320,14 @@ def _walk(quiver, W, omega, d, q):
         else:
             w_inv += weight
     return {"hist": hist, "crit": crit if differentiable else None,
-            "strata": (nilp, inv), "probe": (w_total, w_nilp, w_inv)}
+            "probe": (w_total, w_nilp, w_inv)}
 
 
-# (block size, slice size, scalar budget): settings that must not change a
+# (block size, slice size, monomial budget): settings that must not change a
 # count; every block and slice size on the numpy sweep (budget 0), then the
-# default budget, under which a d = 1 count or probe here is scalar
+# default budget, under which a d = 1 count or probe here is monomial
 SWEEP_CONFIGS = [*product((16, repcount._CHUNK), (5, repcount._SLICE), (0,)),
-                 (repcount._CHUNK, repcount._SLICE, repcount._SCALAR_BUDGET)]
+                 (repcount._CHUNK, repcount._SLICE, repcount._MONOMIAL_BUDGET)]
 
 
 def _check_against_walk(quiver, W, omega, d, q):
@@ -340,9 +336,7 @@ def _check_against_walk(quiver, W, omega, d, q):
     for chunk, slice_, budget in SWEEP_CONFIGS:
         with mock.patch.object(repcount, "_CHUNK", chunk), \
                 mock.patch.object(repcount, "_SLICE", slice_), \
-                mock.patch.object(repcount, "_SCALAR_BUDGET", budget), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+                mock.patch.object(repcount, "_MONOMIAL_BUDGET", budget):
             if walk["crit"] is None:
                 with pytest.raises(InverseOfNonLocalized):
                     enumerate_reps(quiver, W, d, q)
@@ -350,8 +344,6 @@ def _check_against_walk(quiver, W, omega, d, q):
                 report = enumerate_reps(quiver, W, d, q)
                 assert report.histogram == walk["hist"]
                 assert report.critical == walk["crit"]
-            strata = stratify_by_omega(quiver, W, omega, d, q)
-            assert (strata.nilpotent, strata.invertible) == walk["strata"]
             if d == 1 and q > 2:
                 probe = conjecture_probe_d1(quiver, W, omega, q)
                 assert (probe.weight_total, probe.weight_nilpotent,
@@ -375,8 +367,9 @@ def _two_vertices(W_terms, omega_words, d, q, loop=True, y=False):
 
 
 # cases whose gauge tree is the arrow t at every d, so that every run of the
-# walk test sweeps a slice; the second reads t^-1 in W: in t^-1 x t y the
-# loops keep t^-1 from meeting a t, so the potential keeps the inverse letter
+# walk test on the numpy sweep sweeps a slice; the second reads t^-1 in W:
+# in t^-1 x t y the loops keep t^-1 from meeting a t, so the potential keeps
+# the inverse letter
 TREE_CASES = [
     _two_vertices([(1, ["u", "t"]), (2, ["u", "t", "u", "t"]),
                    (-1, ["u", "x", "t"]), (1, ["x", "x", "x"])],
@@ -403,7 +396,7 @@ def test_sweep_matches_per_point_walk(case):
 @pytest.mark.parametrize("case", TREE_CASES)
 def test_tree_cases_sweep_a_slice(case):
     quiver, W, omega, d, _ = case
-    assert _gauge_tree(quiver, d) == _gauge_tree(quiver, d, omega) == ("t",)
+    assert _gauge_tree(quiver) == _gauge_tree(quiver, omega) == ("t",)
     if case is TREE_CASES[1]:
         assert any(e == -1 for _, cycle in W.terms() for _, e in cycle)
 
@@ -424,19 +417,25 @@ def test_sweep_reads_inverse_letters_through_inverse_matrices(d, q):
     _check_against_walk(*_mixed_loops(), d, q)
 
 
-# -- the scalar route against the numpy sweep and the per-point oracle -------
+# -- the monomial route against the numpy sweep and the per-point oracle -----
 
 
 def _outcome(route, count, *args, budget=None):
     """("ok", report) or (error type, message) of ``count(*args)`` on one
-    route: "scalar" under the default budget, "numpy" under budget 0, or
-    either under ``budget``.  Reaching the other route's sweep fails."""
-    if budget is None:
-        budget = repcount._SCALAR_BUDGET if route == "scalar" else 0
-    other = "_sweep" if route == "scalar" else "_sweep_d1"
-    with mock.patch.object(repcount, "_SCALAR_BUDGET", budget), \
-            mock.patch.object(repcount, other,
-                              side_effect=AssertionError(f"{other} ran")):
+    route: "monomial" under ``budget`` (the default if None), with the numpy
+    sweep failing if it runs, or "numpy" with the monomial route declining
+    every count, so that the numpy kernels meet every error themselves."""
+    if route == "monomial":
+        budget = repcount._MONOMIAL_BUDGET if budget is None else budget
+        patches = (mock.patch.object(repcount, "_MONOMIAL_BUDGET", budget),
+                   mock.patch.object(repcount, "_sweep", side_effect=(
+                       AssertionError("_sweep ran"))))
+    else:
+        patches = (mock.patch.object(repcount, "_monomial_route",
+                                     return_value=None),)
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
         try:
             return "ok", count(*args)
         except (ValueError, StateSpaceTooLarge) as exc:
@@ -470,10 +469,10 @@ def _check_routes_against_oracle(quiver, W, omega, d, q):
     for run, args, expected in ((enumerate_reps, (quiver, W, 1, q), count),
                                 (conjecture_probe_d1, (quiver, W, omega, q),
                                  probe)):
-        scalar = _outcome("scalar", run, *args)
-        assert scalar == _outcome("numpy", run, *args)
+        monomial = _outcome("monomial", run, *args)
+        assert monomial == _outcome("numpy", run, *args)
         if expected is not None:
-            assert scalar == ("ok", expected)
+            assert monomial == ("ok", expected)
 
 
 # d = 1 quivers small enough to walk per point, over each q of the probe's
@@ -503,65 +502,169 @@ def test_the_inverse_cases_read_inverse_letters_in_w_and_omega(case):
     assert any(e == -1 for w in omega.words() for _, e in w.letters)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_cases(_D1_ARROWS))
+@st.composite
+def monomial_cases(draw):
+    """Loops at one vertex over F_2, F_3, F_5 or F_7: free loops x0 and x1,
+    which share a term of W, so that a stratum with both zero kills it;
+    localized loops l0, l1, ..., whose inverse letters W and omega read; and
+    perhaps a free loop z that neither W nor omega holds.  A term or word
+    of 0 to 4 more letters repeats x0 or x1 as often as it draws them."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    extra = draw(st.integers(0, {2: 4, 3: 2, 5: 1, 7: 1}[q]))
+    localized = [f"l{i}" for i in range(draw(st.integers(0, extra)))]
+    absent = ["z"] if len(localized) < extra else []
+    quiver = Quiver([0], [(a, 0, 0) for a in ["x0", "x1", *localized,
+                                               *absent]],
+                    localized=localized)
+    alphabet = [("x0", 1), ("x1", 1), *((a, e) for a in localized
+                                        for e in (1, -1))]
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def word(*start):
+        return [*start, *(draw(st.sampled_from(alphabet))
+                          for _ in range(draw(st.integers(0, 4))))]
+
+    terms = [(draw(coeff), word(("x0", 1), ("x1", 1)))]
+    terms += [(draw(coeff), word()) for _ in range(draw(st.integers(0, 3)))]
+    W = Potential()
+    for term in terms:
+        try:  # localized letters alone may cancel to a constant path
+            W = W + Potential.build(quiver, [term])
+        except NonComposable:
+            pass
+    omega = Element()
+    for _ in range(draw(st.integers(1, 2))):
+        omega = omega + Element.from_word(quiver.word(word(), at=0),
+                                          draw(coeff))
+    return quiver, W, omega, 1, q
+
+
+def _pruned():
+    """Free loops x0, x1 and z and a localized loop l over F_5, W =
+    x0^2 x1 + 3 x0 l + l^2 and omega = x0 x1 + 2 l^-1.  Once x0 is zero,
+    every word holding x1 is dead, for the count (x0^2 x1 has two zero
+    letters) and the probe (x0 x1 has one), so x1 is summed out there; z
+    is in no word, so it is summed out everywhere."""
+    quiver = Quiver([0], [(a, 0, 0) for a in ("x0", "x1", "l", "z")],
+                    localized=["l"])
+    W = Potential.build(quiver, [(1, ["x0", "x0", "x1"]),
+                                 (3, ["x0", "l"]),
+                                 (1, ["l", "l"])])
+    omega = (Element.from_word(quiver.word(parse_letters("x0 x1")))
+             + Element.from_word(quiver.word([("l", -1)]), 2))
+    return quiver, W, omega, 1, 5
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(small_cases(_D1_ARROWS), monomial_cases()))
 @example(TREE_CASES[0])
 @example(TREE_CASES[1])
 @example(INVERSE_CASES[0])
 @example(INVERSE_CASES[1])
+@example(_pruned())
 def test_scalar_route_matches_the_numpy_sweep_and_the_oracle(case):
+    """The route on Python scalars, the monomial map, on quivers of one or
+    two vertices and on loops that exercise its strata."""
     _check_routes_against_oracle(*case)
 
 
-def _loops(n, letters, localized=False):
-    """n loops x0, x1, ... at one vertex and W = x0^letters."""
+def test_the_monomial_route_splits_only_on_arrows_of_live_words():
+    """On :func:`_pruned`, x0 nonzero splits on x1 and x0 zero does not: 3
+    strata, not the 8 of three free arrows."""
+    quiver, W, omega, _, q = _pruned()
+    spans = mock.patch.object(repcount, "_span", wraps=repcount._span)
+    for run, args in ((enumerate_reps, (quiver, W, 1, q)),
+                      (conjecture_probe_d1, (quiver, W, omega, q))):
+        with spans as span:
+            run(*args)
+        assert span.call_count == 3
+
+
+def _localized_loops(q, W_powers, omega_powers=()):
+    """Localized loops x0, x1, ... at one vertex, with W the sum of
+    x_i^k over the pairs (i, k) of ``W_powers`` and omega likewise."""
+    n = 1 + max(i for i, _ in [*W_powers, *omega_powers])
     names = [f"x{i}" for i in range(n)]
-    quiver = Quiver([0], [(a, 0, 0) for a in names],
-                    localized=names if localized else [])
-    return quiver, Potential.build(quiver, [(1, ["x0"] * letters)])
+    quiver = Quiver([0], [(a, 0, 0) for a in names], localized=names)
+    W = Potential.build(quiver, [(1, [names[i]] * k) for i, k in W_powers])
+    omega = Element()
+    for i, k in omega_powers:
+        omega = omega + Element.from_word(quiver.word([(names[i], 1)] * k))
+    return quiver, W, omega
 
 
 def test_a_count_at_the_budget_is_scalar_and_one_past_it_is_numpy():
-    """12 free loops over F_2 with W = x0^16: 2^12 points of 16 letters,
-    at the budget; under a budget one lower, the same count is numpy.
-    Both routes give the same report either way."""
-    assert repcount._SCALAR_BUDGET == 1 << 16
-    at = (*_loops(12, 16), 1, 2)
-    scalar = _outcome("scalar", enumerate_reps, *at)
-    assert scalar == _outcome("numpy", enumerate_reps, *at)
-    assert scalar == _outcome("numpy", enumerate_reps, *at,
-                              budget=repcount._SCALAR_BUDGET - 1)
+    """Over F_257, W = x0 + x1^4 on localized loops maps the torus onto
+    Z/256 x 4Z/256: 2^14 elements, the budget, so the count takes the
+    monomial route on Python scalars.  Under a budget one lower it leaves
+    the count to the numpy sweep, and both give the same report."""
+    assert repcount._MONOMIAL_BUDGET == 1 << 14
+    quiver, W, _ = _localized_loops(257, [(0, 1), (1, 4)])
+    at = (quiver, W, 1, 257)
+    monomial = _outcome("monomial", enumerate_reps, *at)
+    assert monomial[0] == "ok"
+    assert monomial == _outcome("numpy", enumerate_reps, *at)
+    with pytest.raises(AssertionError, match="_sweep ran"):
+        _outcome("monomial", enumerate_reps, *at,
+                 budget=repcount._MONOMIAL_BUDGET - 1)
+    with mock.patch.object(repcount, "_MONOMIAL_BUDGET",
+                           repcount._MONOMIAL_BUDGET - 1):
+        assert ("ok", enumerate_reps(*at)) == monomial
 
 
 def test_a_probe_at_the_budget_is_scalar_and_one_past_it_is_numpy():
-    """12 localized loops over F_3 with W = x0^8 and omega = x1^8: 2^12
-    points of 16 letters."""
-    quiver, W = _loops(12, 8, localized=True)
-    at = (quiver, W, Element.from_word(quiver.word([("x1", 1)] * 8)), 3)
-    scalar = _outcome("scalar", conjecture_probe_d1, *at)
-    assert scalar == _outcome("numpy", conjecture_probe_d1, *at)
-    assert scalar == _outcome("numpy", conjecture_probe_d1, *at,
-                              budget=repcount._SCALAR_BUDGET - 1)
+    """Over F_257, W = x0 and omega = x1^4: the same 2^14 elements."""
+    quiver, W, omega = _localized_loops(257, [(0, 1)], [(1, 4)])
+    at = (quiver, W, omega, 257)
+    monomial = _outcome("monomial", conjecture_probe_d1, *at)
+    assert monomial[0] == "ok"
+    assert monomial == _outcome("numpy", conjecture_probe_d1, *at)
+    with pytest.raises(AssertionError, match="_sweep ran"):
+        _outcome("monomial", conjecture_probe_d1, *at,
+                 budget=repcount._MONOMIAL_BUDGET - 1)
 
 
-@pytest.mark.parametrize("n, route", [(12, "scalar"), (13, "numpy")])
-def test_a_point_counts_as_sixteen_letters_at_least(n, route):
-    """W = x0 on n free loops over F_2: 2^n points of one letter, charged
-    as 2^n * 16 point-letters, since each point costs more than its
-    letters."""
-    case = (*_loops(n, 1), 1, 2)
-    budget = repcount._SCALAR_BUDGET
-    taken = _outcome(route, enumerate_reps, *case, budget=budget)
-    assert taken == (_outcome("numpy", enumerate_reps, *case)
-                     if route == "scalar" else
-                     _outcome("scalar", enumerate_reps, *case,
-                              budget=2 * budget))
+def test_the_budget_counts_the_groups_of_every_stratum():
+    """A free loop r beside localized x0, x1 with W = r x0 + x1^4 over
+    F_17: the stratum r != 0 maps onto (r x0, x1^4) and r = 0 onto (x1^4,
+    and x0 from r's derivative), 64 elements each.  A budget of 128 holds
+    both; at 127 the count is the numpy sweep's, although each stratum
+    alone would fit."""
+    quiver = Quiver([0], [("r", 0, 0), ("x0", 0, 0), ("x1", 0, 0)],
+                    localized=["x0", "x1"])
+    W = Potential.build(quiver, [(1, ["r", "x0"]), (1, ["x1"] * 4)])
+    at = (quiver, W, 1, 17)
+    monomial = _outcome("monomial", enumerate_reps, *at, budget=128)
+    assert monomial[0] == "ok"
+    assert monomial == _outcome("numpy", enumerate_reps, *at)
+    with pytest.raises(AssertionError, match="_sweep ran"):
+        _outcome("monomial", enumerate_reps, *at, budget=127)
+
+
+@pytest.mark.parametrize("n, route", [(14, "monomial"), (15, "numpy")])
+def test_every_stratum_counts_against_the_budget(n, route):
+    """W = x0 + x1 + ... on n free loops over F_2: no term holds two
+    letters, so the count splits into 2^n strata, each with the trivial
+    group.  2^14 of them fit the budget; at 2^15 the split stops and the
+    numpy sweep counts, with the report a larger budget gives."""
+    quiver = Quiver([0], [(f"x{i}", 0, 0) for i in range(n)])
+    W = Potential.build(quiver, [(1, [f"x{i}"]) for i in range(n)])
+    at = (quiver, W, 1, 2)
+    wide = _outcome("monomial", enumerate_reps, *at, budget=1 << 16)
+    assert wide[0] == "ok"
+    if route == "monomial":
+        assert _outcome("monomial", enumerate_reps, *at) == wide
+    else:
+        with pytest.raises(AssertionError, match="_sweep ran"):
+            _outcome("monomial", enumerate_reps, *at)
+    assert _outcome("numpy", enumerate_reps, *at) == wide
 
 
 def _foreign_cases() -> dict:
     """name -> (count, args, error type, message start) that both routes
     raise: W or omega on arrows the counted quiver lacks (``y``) or holds
-    free (``x``), and a q whose (q-1)^2 reaches 2^63."""
+    free (``x``), a q whose (q-1)^2 reaches 2^63, a prime past the pool
+    guard, and a space past the exhaustive guard (before any letter)."""
     free = Quiver([0], [("x", 0, 0)])
     both_free = Quiver([0], [("x", 0, 0), ("y", 0, 0)])
     other = Quiver([0], [("x", 0, 0), ("y", 0, 0)], localized=["x"])
@@ -572,6 +675,11 @@ def _foreign_cases() -> dict:
     y_word = Element.from_word(other.word([("y", 1)]))
     root = math.isqrt((1 << 63) - 1)  # largest m with m * m < 2^63
     big = next(p for p in range(root + 2, root + 1000) if _is_prime(p))
+    past_pool = next(p for p in range(repcount._POOL_GUARD + 1,
+                                      repcount._POOL_GUARD + 1000)
+                     if _is_prime(p))
+    seven = Quiver([0], [(f"x{i}", 0, 0) for i in range(7)])  # 17^7 points
+    swept = (StateSpaceTooLarge, "410338673 points to sweep")
     no_matrices = (repcount.ShapeMismatch, "no matrices for arrow 'y'")
     underivable = (InverseOfNonLocalized,
                    "cannot differentiate through an inverse occurrence of 'x'")
@@ -600,47 +708,52 @@ def _foreign_cases() -> dict:
         "probe-int64-guard": (conjecture_probe_d1,
                               (Quiver([0], []), x_only, Element(), big),
                               StateSpaceTooLarge, "int64 sums could reach"),
+        "count-pool-guard-before-int64-guard": (
+            enumerate_reps, (free, x_only, 1, big),
+            StateSpaceTooLarge, "a single arrow already"),
+        "count-pool-guard": (enumerate_reps, (free, x_only, 1, past_pool),
+                             StateSpaceTooLarge, "a single arrow already"),
+        "count-exhaustive-guard": (enumerate_reps, (seven, Potential(), 1, 17),
+                                   *swept),
+        "probe-exhaustive-guard-before-letters": (
+            conjecture_probe_d1, (seven, foreign, x_inv, 17), *swept),
     }
 
 
 @pytest.mark.parametrize("count, args, error, message",
                          _foreign_cases().values(), ids=_foreign_cases())
 def test_both_routes_raise_the_same_error(count, args, error, message):
-    scalar = _outcome("scalar", count, *args)
-    assert scalar == _outcome("numpy", count, *args)
-    assert scalar[0] is error and scalar[1].startswith(message)
+    monomial = _outcome("monomial", count, *args)
+    assert monomial == _outcome("numpy", count, *args)
+    assert monomial[0] is error and monomial[1].startswith(message)
 
 
 # -- omega strata that are not gauge invariant get no tree --------------------
 
-# at d = 1 the open word t: 0 -> 1 next to the loop x^2 at 1; at d = 2 the
-# cycles u t at 0 and t u at 1
+# omega is the open word t: 0 -> 1 next to the loop x^2 at 1, and W = x^2
+# (a term u t would make every probe weight 0, with a tree or without)
 NO_TREE_CASES = [
-    _two_vertices([(1, ["u", "t"]), (1, ["x", "x"])],
+    _two_vertices([(1, ["x", "x"])],
                   [(1, [("t", 1)]), (1, [("x", 1), ("x", 1)])], 1, 5),
-    _two_vertices([(1, ["u", "t", "u", "t"])],
-                  [(1, [("u", 1), ("t", 1)]), (1, [("t", 1), ("u", 1)])],
-                  2, 2, loop=False),
 ]
 
 
-def _tree_ignoring_omega(quiver, d, omega=None):
-    return _gauge_tree(quiver, d)
+def _tree_ignoring_omega(quiver, omega=None):
+    return _gauge_tree(quiver)
 
 
-@pytest.mark.parametrize("case", NO_TREE_CASES, ids=["d1-open", "d2-two"])
+@pytest.mark.parametrize("case", NO_TREE_CASES, ids=["d1-open"])
 def test_strata_that_gauge_moves_sweep_the_whole_space(case):
     quiver, W, omega, d, q = case
-    assert _gauge_tree(quiver, d) == ("t",)
-    assert _gauge_tree(quiver, d, omega) == ()
+    assert _gauge_tree(quiver) == ("t",)
+    assert _gauge_tree(quiver, omega) == ()
     _check_against_walk(*case)
-    # the tree would be wrong here: fixing t moves the strata
-    with mock.patch.object(repcount, "_gauge_tree", _tree_ignoring_omega), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        strata = stratify_by_omega(quiver, W, omega, d, q)
+    # the tree would be wrong here: fixing t moves the probe's strata
+    with mock.patch.object(repcount, "_gauge_tree", _tree_ignoring_omega):
+        probe = _outcome("numpy", conjecture_probe_d1, quiver, W, omega, q)[1]
     walk = _walk(quiver, W, omega, d, q)
-    assert (strata.nilpotent, strata.invertible) != walk["strata"]
+    assert (probe.weight_total, probe.weight_nilpotent,
+            probe.weight_invertible) != walk["probe"]
 
 
 # -- the gauge-fixed sweep against the same sweep with no tree ----------------
@@ -648,10 +761,13 @@ def test_strata_that_gauge_moves_sweep_the_whole_space(case):
 
 def _without_tree(count, *args):
     """``count(*args)`` with every exhaustive sweep over the full space."""
-    with mock.patch.object(repcount, "_gauge_tree",
-                           lambda *_: frozenset()), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with mock.patch.object(repcount, "_gauge_tree", lambda *_: frozenset()):
+        return count(*args)
+
+
+def _on_numpy(count, *args):
+    """``count(*args)`` on the numpy sweep, the monomial route declining."""
+    with mock.patch.object(repcount, "_monomial_route", return_value=None):
         return count(*args)
 
 
@@ -663,32 +779,51 @@ def _bundled_omega(quiver):
 @pytest.mark.parametrize("d, q", [(1, 3), (1, 5), (1, 7), (1, 11), (2, 2)])
 def test_bundled_count_agrees_with_the_unreduced_sweep(bundled_counting, d,
                                                        q):
+    """The gauge-fixed sweep, the sweep with no tree and, at d = 1, the
+    monomial route."""
     quiver, W = bundled_counting
-    assert _gauge_tree(quiver, d) == ("c",)
-    assert (enumerate_reps(quiver, W, d, q)
-            == _without_tree(enumerate_reps, quiver, W, d, q))
+    assert _gauge_tree(quiver) == ("c",)
+    report = enumerate_reps(quiver, W, d, q)
+    assert report == _on_numpy(enumerate_reps, quiver, W, d, q)
+    assert report == _without_tree(_on_numpy, enumerate_reps, quiver, W, d, q)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_bundled_probe_agrees_with_the_unreduced_sweep(bundled_counting, q):
     quiver, W = bundled_counting
     omega = _bundled_omega(quiver)
-    assert _gauge_tree(quiver, 1, omega) == ("c",)
-    assert (conjecture_probe_d1(quiver, W, omega, q)
-            == _without_tree(conjecture_probe_d1, quiver, W, omega, q))
+    assert _gauge_tree(quiver, omega) == ("c",)
+    report = conjecture_probe_d1(quiver, W, omega, q)
+    assert report == _on_numpy(conjecture_probe_d1, quiver, W, omega, q)
+    assert report == _without_tree(_on_numpy, conjecture_probe_d1, quiver, W,
+                                   omega, q)
 
 
-@pytest.mark.parametrize("d, q", [(1, 3), (2, 2)])
-def test_bundled_strata_agree_with_the_unreduced_sweep(bundled_counting, d,
-                                                       q):
-    """rere closes at vertex 1 and erer at vertex 2: a tree at d = 1 only."""
-    quiver, W = bundled_counting
-    omega = _bundled_omega(quiver)
-    assert _gauge_tree(quiver, d, omega) == (("c",) if d == 1 else ())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        reduced = stratify_by_omega(quiver, W, omega, d, q)
-    assert reduced == _without_tree(stratify_by_omega, quiver, W, omega, d, q)
+def _torus_cover_counting(n, tmp_path):
+    """The counting quiver and W_phi of the n-fold torus cover with edge
+    voltages (1, 0, 2), through the chain as the pipeline runs it."""
+    tiling, taut = cyclic_cover(load_data("torus_tiling.json"), n, (1, 0, 2),
+                                seed=n)
+    files = {"tiling": tmp_path / "tiling.json",
+             "automorphism": tmp_path / "automorphism.json"}
+    files["tiling"].write_text(json.dumps(cli.tiling_to_json(tiling)))
+    files["automorphism"].write_text(
+        json.dumps(tiling_automorphism_to_json(taut)))
+    return cli._Run({k: str(v) for k, v in files.items()})["counting"]
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (3, 5), (3, 7), (4, 2),
+                                  (4, 3), (4, 5), (4, 7), (6, 2), (6, 3),
+                                  (6, 5), (8, 2), (8, 3), (16, 2)])
+def test_torus_cover_counts_agree_on_both_routes(tmp_path, n, q):
+    """n - 1 free arrows and three localized ones: the monomial route's
+    strata against the numpy sweep of the gauge slice."""
+    quiver, W = _torus_cover_counting(n, tmp_path)
+    free = [a for a in quiver.arrow_ids() if not quiver.is_localized(a)]
+    assert (len(free), len(quiver.localized)) == (n - 1, 3)
+    monomial = _outcome("monomial", enumerate_reps, quiver, W, 1, q)
+    assert monomial[0] == "ok"
+    assert monomial == _outcome("numpy", enumerate_reps, quiver, W, 1, q)
 
 
 GOLDEN_Q17 = Path(__file__).resolve().parent / "golden" / "count_q17_d1.out"
@@ -783,20 +918,16 @@ def test_int64_guard_refuses_one_step_further(d, q, terms, occurrences):
 
 def _check_lazy_against_walk(quiver, W, omega, d, q):
     """Every batch count against the per-point walk: on the numpy sweep with
-    the default slice and with 7-point slices, then with the default scalar
-    budget, which takes a d = 1 count or probe here off numpy."""
+    the default slice and with 7-point slices, then with the default
+    monomial budget, which takes a d = 1 count or probe here off numpy."""
     walk = _walk(quiver, W, omega, d, q)
     for slice_, budget in ((repcount._SLICE, 0), (7, 0),
-                           (repcount._SLICE, repcount._SCALAR_BUDGET)):
+                           (repcount._SLICE, repcount._MONOMIAL_BUDGET)):
         with mock.patch.object(repcount, "_SLICE", slice_), \
-                mock.patch.object(repcount, "_SCALAR_BUDGET", budget), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+                mock.patch.object(repcount, "_MONOMIAL_BUDGET", budget):
             report = enumerate_reps(quiver, W, d, q)
             assert (report.histogram, report.critical) == (walk["hist"],
                                                            walk["crit"])
-            strata = stratify_by_omega(quiver, W, omega, d, q)
-            assert (strata.nilpotent, strata.invertible) == walk["strata"]
             if d == 1 and q > 2:
                 probe = conjecture_probe_d1(quiver, W, omega, q)
                 assert (probe.weight_total, probe.weight_nilpotent,
@@ -846,13 +977,11 @@ def test_omega_sums_around_the_int64_crossing(q, c):
              + Element.from_word(quiver.word([("y", 1)] * 7), -c))
     sevenths = Counter(pow(v, 7, q) for v in range(q))
     zeros = sum(m * m for m in sevenths.values())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        strata = stratify_by_omega(quiver, Potential(), omega, 1, q)
-    assert (strata.nilpotent, strata.invertible) == (zeros, q * q - zeros)
-    probe = conjecture_probe_d1(quiver, Potential(), omega, q)
-    assert (probe.weight_nilpotent, probe.weight_invertible) == (
-        zeros, q * q - zeros)
+    for route in ("numpy", "monomial"):
+        _, probe = _outcome(route, conjecture_probe_d1, quiver, Potential(),
+                            omega, q, budget=1 << 16)
+        assert (probe.weight_nilpotent, probe.weight_invertible) == (
+            zeros, q * q - zeros)
 
 
 # (d, q, loops) -> longest word: spaces of at most 625 points whose long

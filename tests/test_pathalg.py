@@ -29,7 +29,6 @@ from tessella.pathalg import (
     element_from_json,
     element_to_json,
     ginzburg_dga,
-    ideal_reduce,
     jacobi_relations,
     multiply,
     normalize,
@@ -393,52 +392,6 @@ def test_jacobi_relations_on_tiling_quiver(q2, w2):
     rels = {a: cyclic_derivative(q2, w2, a) for a in "abcdefghij"}
     assert rels["c"] == _el(q2, [(1, "g"), (-1, "agi")])
     assert all(not r.is_zero() for r in rels.values())
-
-
-# -- ideal_reduce ------------------------------------------------------------
-
-
-def test_reduce_relation_to_zero(qp, wp):
-    rels = jacobi_relations(qp, wp)
-    res = ideal_reduce(qp, cyclic_derivative(qp, wp, "c"), rels)
-    assert res.zero
-
-
-def test_reduce_single_arrow_unknown(qp, wp):
-    rels = jacobi_relations(qp, wp)
-    a = _el(qp, [(1, "a")])
-    res = ideal_reduce(qp, a, rels, step_bound=10)
-    assert not res.zero
-    assert res.residual == a
-
-
-def test_reduce_r_times_dr_stalls_with_known_residual(qp, wp):
-    # The directed strategy has exactly one applicable rewrite (the leading
-    # word of the b-derivative inside r.eabreab), after which no leading word
-    # occurs in the residual; bounded rewriting reports Unknown.  This is
-    # evidence of nothing: the element *is* in the ideal, but the certificate
-    # needs two-sided multiplication by inverses, outside this move language.
-    r = _el(qp, [(1, "r")])
-    x = multiply(qp, r, cyclic_derivative(qp, wp, "r"))
-    res = ideal_reduce(qp, x, jacobi_relations(qp, wp), step_bound=50)
-    assert not res.zero
-    expected = _el(qp, [(2, "rdrc"), (2, "rcrd"), (-2, "rdbrca"), (-2, "rere")])
-    assert res.residual == expected
-
-
-def test_reduce_inside_larger_words(qp, wp):
-    # a . (c-derivative) . e reduces to zero term by term
-    rels = jacobi_relations(qp, wp)
-    a = _el(qp, [(1, "a")])
-    e = _el(qp, [(1, "e")])
-    x = multiply(qp, multiply(qp, a, cyclic_derivative(qp, wp, "c")), e)
-    assert ideal_reduce(qp, x, rels).zero
-
-
-def test_reduce_zero_bound_reports_unknown(qp, wp):
-    x = cyclic_derivative(qp, wp, "c")
-    res = ideal_reduce(qp, x, jacobi_relations(qp, wp), step_bound=0)
-    assert not res.zero and res.residual == x
 
 
 # -- Ginzburg dga ------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Finite-field representation counting: trace fibres, critical points,
-strata of a chosen element, and the weighted degree-one probe."""
+"""Finite-field representation counting: trace fibres, critical points
+and the weighted degree-one probe."""
 
 from __future__ import annotations
 
 import math
 import random
 import threading
-import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product as iproduct
@@ -32,7 +31,6 @@ from tessella.repcount import (
     ProbeReport,
     ShapeMismatch,
     StateSpaceTooLarge,
-    StrataReport,
     conjecture_probe_d1,
     crit_check,
     enumerate_reps,
@@ -40,7 +38,6 @@ from tessella.repcount import (
     iter_reps,
     nth_rep,
     state_space_size,
-    stratify_by_omega,
     trace_gradient,
     trace_potential,
 )
@@ -86,8 +83,7 @@ def scalar_brute_force(q: int) -> dict:
     the library's evaluators.
     """
     hist = {v: 0 for v in range(q)}
-    crit = nilp = inv = 0
-    w_total = w_nilp = 0
+    crit = w_total = w_nilp = 0
     for a, b, c, d, e in iproduct(range(1, q), repeat=5):
         for r in range(q):
             f = (a*a*b*b*e*e*r*r + 2*c*d*r*r - 2*a*b*c*d*r*r - e*e*r*r) % q
@@ -105,12 +101,8 @@ def scalar_brute_force(q: int) -> dict:
             weight = (f == 0) - (f == 1)
             w_total += weight
             if 2 * e * e * r * r % q == 0:
-                nilp += 1
                 w_nilp += weight
-            else:
-                inv += 1
-    return {"hist": hist, "crit": crit, "nilp": nilp, "inv": inv,
-            "w_total": w_total, "w_nilp": w_nilp}
+    return {"hist": hist, "crit": crit, "w_total": w_total, "w_nilp": w_nilp}
 
 
 def dual_partial(values: dict, W: Potential, a, q: int) -> int:
@@ -151,7 +143,6 @@ def test_a_dimension_that_is_not_an_int_is_refused(d):
              lambda: enumerate_reps(q, W, d, 2),
              lambda: enumerate_reps(q, W, d, 2, mode="sample", sample_size=5,
                                     seed=0),
-             lambda: stratify_by_omega(q, W, omega_element(q), d, 3),
              lambda: nth_rep(q, d, 2, 0),
              lambda: next(iter_reps(q, d, 2)),
              lambda: state_space_size(q, d, 2)]
@@ -746,9 +737,6 @@ def test_counts_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", record)
     enumerate_reps(q, W, 1, 3)
     enumerate_reps(q, W, 1, 3, mode="sample", sample_size=50, seed=1)
-    with warnings.catch_warnings():  # omega's centrality is not certified
-        warnings.simplefilter("ignore", RuntimeWarning)
-        stratify_by_omega(q, W, omega_element(q), 1, 3)
     conjecture_probe_d1(q, W, omega_element(q), 3)
     assert started == []
 
@@ -899,103 +887,6 @@ def test_three_way_crit_agreement_strided_q5():
         by_duals = all(dual_partial(values, W, a, 5) == 0
                        for a in quiver.arrow_ids())
         assert by_check == by_relations == by_duals
-
-
-# -- strata of a chosen element ---------------------------------------------------
-
-
-def test_strata_running_example_q3():
-    q = counting_quiver()
-    with pytest.warns(RuntimeWarning, match="central"):
-        report = stratify_by_omega(q, counting_potential(q),
-                                   omega_element(q), 1, 3)
-    brute = scalar_brute_force(3)
-    assert report.total == 96
-    assert report.nilpotent == brute["nilp"] == 32
-    assert report.invertible == brute["inv"] == 64
-    assert report.mixed == 0
-    assert report.central_certified is False
-
-
-def test_strata_running_example_q5():
-    q = counting_quiver()
-    with pytest.warns(RuntimeWarning):
-        report = stratify_by_omega(q, counting_potential(q),
-                                   omega_element(q), 1, 5)
-    brute = scalar_brute_force(5)
-    assert (report.nilpotent, report.invertible) == (brute["nilp"],
-                                                     brute["inv"])
-    assert report.mixed == 0
-
-
-def test_strata_q2_everything_nilpotent():
-    q = counting_quiver()
-    with pytest.warns(RuntimeWarning):
-        report = stratify_by_omega(q, counting_potential(q),
-                                   omega_element(q), 1, 2)
-    assert report.total == 2
-    assert report.nilpotent == 2 and report.invertible == 0
-
-
-def test_strata_localized_arrow_always_invertible():
-    q = counting_quiver()
-    om = Element.from_word(q.word(parse_letters("e")))
-    with pytest.warns(RuntimeWarning):
-        report = stratify_by_omega(q, counting_potential(q), om, 1, 2)
-    assert report.invertible == report.total == 2
-    assert report.nilpotent == 0
-
-
-def test_strata_inverse_letter_goes_through_inverse_pool():
-    q = counting_quiver()
-    om = Element.from_word(q.word([("e", -1)]))
-    with pytest.warns(RuntimeWarning):
-        report = stratify_by_omega(q, counting_potential(q), om, 1, 3)
-    assert report.invertible == report.total == 96
-
-
-def test_strata_unit_element_is_certified_central():
-    q = counting_quiver()
-    unit = (Element.from_word(q.word((), at=1))
-            + Element.from_word(q.word((), at=2)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = stratify_by_omega(q, counting_potential(q), unit, 1, 3)
-    assert report.central_certified is True
-    assert report.invertible == report.total == 96  # 2I is a unit mod 3
-
-
-def test_strata_d2_matches_per_point_walk():
-    two_loops = Quiver((0,), [("x", 0, 0), ("y", 0, 0)])
-    w = Potential.build(two_loops, [(1, "xyxy")])
-    # xy + yx has trace 0 over F_2, so det = 0 forces nilpotency there
-    # (Cayley-Hamilton) and the mixed stratum is provably empty; the single
-    # loop x has no such constraint and leaves a nonempty mixed stratum.
-    symmetric = (Element.from_word(two_loops.word(parse_letters("xy")))
-                 + Element.from_word(two_loops.word(parse_letters("yx"))))
-    single = Element.from_word(two_loops.word(parse_letters("x")))
-    for om, mixed_empty in [(symmetric, True), (single, False)]:
-        with pytest.warns(RuntimeWarning):
-            report = stratify_by_omega(two_loops, w, om, 2, 2)
-        nilp = inv = 0
-        for rep in iter_reps(two_loops, 2, 2):
-            m = np.array(rep.evaluate(om), dtype=np.int64)
-            if (m @ m % 2 == 0).all():
-                nilp += 1
-            if int(round(np.linalg.det(m))) % 2:
-                inv += 1
-        assert report.total == 256
-        assert (report.nilpotent, report.invertible) == (nilp, inv)
-        assert (report.mixed == 0) is mixed_empty
-
-
-def test_strata_report_validates_partition():
-    with pytest.raises(ValueError, match="partition"):
-        StrataReport(q=3, d=1, total=10, nilpotent=3, invertible=3, mixed=3,
-                     central_certified=True)
-    with pytest.raises(ValueError, match="negative stratum count"):
-        StrataReport(q=3, d=1, total=10, nilpotent=-1, invertible=5, mixed=6,
-                     central_certified=True)
 
 
 def test_probe_report_validates_weights():
