@@ -44,9 +44,10 @@ Conventions
   step) import :mod:`tessella.repcount`; every other subcommand, and
   ``--version``, runs without it.  A count loads numpy only in sample
   mode, at d >= 2, or past the monomial budget of an exhaustive d = 1
-  count (``repcount._MONOMIAL_BUDGET`` image-group elements), so
-  ``count --q 11 --d 1`` and ``probe --q 11`` on the bundled example run
-  without numpy too.
+  count (``repcount._MONOMIAL_BUDGET`` image-group elements, each stratum
+  charged ``repcount._STRATUM_COST`` more), so every exhaustive d = 1
+  count and probe of the bundled example, ``count --q 37 --d 1`` and
+  ``probe --q 37`` included, runs without numpy too.
 * No process imports :mod:`importlib.metadata`: :func:`tool_version` reads
   the installed version from the metadata files on ``sys.path``.  Only the
   pipeline report, which records input digests, imports :mod:`hashlib`, and
@@ -720,18 +721,13 @@ class PipelineConfig(NamedTuple):
                 "psi_mode dehn needs a phi_star config file")
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "field_sizes": list(self.field_sizes),
-                "output_dir": str(self.output_dir)}
+        return {**self._asdict(), "field_sizes": list(self.field_sizes)}
 
 
 class StageOutcome(NamedTuple):
     name: str
     status: str  # ok | failed | skipped
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "detail": self.detail}
 
 
 class RunReport(NamedTuple):
@@ -752,11 +748,10 @@ class RunReport(NamedTuple):
     timing: dict
 
     def to_json(self) -> dict:
-        return {"version": self.version, "config": self.config,
-                "input_digests": self.input_digests,
-                "stages": [s.to_json() for s in self.stages],
-                "artifacts": sorted(self.artifacts),
-                "ok": self.ok, "exit_code": self.exit_code}
+        out = self._asdict()
+        del out["timing"]
+        out["stages"] = [s._asdict() for s in self.stages]
+        return out
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -806,7 +801,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     ok = all(s.status == "ok" for s in stages)
     report = RunReport(version=tool_version(), config=config.to_json(),
                        input_digests=_input_digests(run.inputs), stages=stages,
-                       artifacts=artifacts + ["report.json", "timings.json"],
+                       artifacts=sorted(artifacts + ["report.json",
+                                                     "timings.json"]),
                        ok=ok, exit_code=exit_code, timing=timing)
     (outdir / "report.json").write_text(_dumps(report.to_json()))
     (outdir / "timings.json").write_text(_dumps(timing))

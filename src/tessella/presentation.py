@@ -580,16 +580,8 @@ class PsiVerifyReport(NamedTuple):
     checks: tuple
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "ok": self.ok,
-            "checks": [
-                {"arrow": str(c.arrow), "ok": c.ok, "degree_ok": c.degree_ok,
-                 "group_ok": c.group_ok, "method": c.method,
-                 "witness": c.witness}
-                for c in self.checks
-            ],
-        }
+        return {**self._asdict(), "checks": [
+            {**c._asdict(), "arrow": str(c.arrow)} for c in self.checks]}
 
 
 def _binomial(el: Element):
@@ -793,15 +785,7 @@ class ScriptReport(NamedTuple):
     equations: dict
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "steps_total": self.steps_total,
-            "steps_checked": self.steps_checked,
-            "failed_step": self.failed_step,
-            "reason": self.reason,
-            "established": list(self.established),
-            "equations": {k: list(v) for k, v in self.equations.items()},
-        }
+        return self._asdict()
 
 
 def _script_word(quiver: Quiver, s) -> Word:

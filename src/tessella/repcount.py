@@ -22,10 +22,13 @@ A batch count takes one of two routes.  :func:`enumerate_reps` and
 monomial map (:func:`_monomial_route`): on the torus of nonzero arrows each
 word of W (and of omega) is a monomial, so the route sums over the image
 group of that map, stratum by stratum, in place of the points, on Python
-ints and without numpy.  When those groups hold more than
-``_MONOMIAL_BUDGET`` elements, and for every other count (sample mode and
-d >= 2), the numpy sweep below runs, which imports numpy when it starts;
-both routes give the same tallies and raise the same errors.
+ints and without numpy.  When those groups' elements, plus
+``_STRATUM_COST`` for each stratum, come to more than ``_MONOMIAL_BUDGET``,
+and for every other count (sample mode and d >= 2), the numpy sweep below
+runs, which imports numpy when it starts; both routes give the same tallies
+and raise the same errors.  Only the numpy sweep reads an arrow's pool of
+matrices, which is built the first time it is read: the route and the
+guards need only the pool sizes.
 
 The numpy sweep runs over blocks of ``_CHUNK`` points: ranges of the
 lexicographic order (arrows by id, last arrow fastest) or seeded draws, one
@@ -100,9 +103,12 @@ _POOL_GUARD = 4 * 10 ** 6
 # is exact only for pools below 2^32; _POOL_GUARD keeps every pool under it
 _DRAW_LIMIT = 1 << 32
 _INT64 = 1 << 63  # a batch's bound stays below this (see _RepSpace.mul)
-# elements of the image groups, over all strata, that _monomial_route adds
-# up before it leaves an exhaustive d = 1 count to the numpy sweep
-_MONOMIAL_BUDGET = 1 << 14
+# the work _monomial_route takes on before it leaves an exhaustive d = 1 count
+# to the numpy sweep, in image-group elements (4-6 us each in Python): the
+# elements of every stratum's group, plus _STRATUM_COST per stratum for its
+# columns, group closure and equations (about 39 us)
+_MONOMIAL_BUDGET = 1 << 16
+_STRATUM_COST = 8
 
 np = None  # numpy, bound by _numpy() when a batch sweep starts
 
@@ -407,16 +413,20 @@ def _size_text(powers: Mapping) -> str:
                       for b, k in sorted(powers.items()) if b > 1 and k)
 
 
+def _arrow_sizes(quiver: Quiver, d: int, q: int) -> dict:
+    """Each arrow's number of d x d matrices over F_q: |GL_d(F_q)| for a
+    localized arrow, q^(d^2) for another."""
+    free, inv = q ** (d * d), gl_order(d, q)
+    return {a: inv if quiver.is_localized(a) else free
+            for a in quiver.arrow_ids()}
+
+
 @lru_cache(maxsize=None)
 def _pool(d: int, q: int, invertible: bool) -> tuple:
     """All d x d matrices over F_q in lexicographic entry order.
 
     With ``invertible`` the singular ones are filtered out (order kept).
     """
-    if q ** (d * d) > _POOL_GUARD:
-        raise StateSpaceTooLarge(
-            f"a single arrow already has {_size_text({q: d * d})} matrices; "
-            f"the per-arrow pool guard is {_POOL_GUARD}")
     mats = []
     for entries in _iproduct(range(q), repeat=d * d):
         rows = tuple(entries[i * d:(i + 1) * d] for i in range(d))
@@ -435,7 +445,9 @@ class _RepSpace:
 
     Each localized arrow in ``fixed`` (a gauge tree) has the identity as its
     only matrix: ``total`` counts the points of that slice, and each of them
-    stands for ``gauge`` points of the ``state_space``.
+    stands for ``gauge`` points of the ``state_space``.  The sizes come from
+    :func:`_arrow_sizes`; an arrow's pool of matrices is built the first
+    time :meth:`pool_of` reads it.
     """
 
     def __init__(self, quiver: Quiver, d: int, q: int, fixed=()) -> None:
@@ -446,10 +458,12 @@ class _RepSpace:
         self.q = q
         self.arrows = quiver.arrow_ids()
         self.fixed = frozenset(fixed)
-        self.pools = {a: (_eye(d),) if a in self.fixed
-                      else _pool(d, q, quiver.is_localized(a))
-                      for a in self.arrows}
-        self.sizes = {a: len(self.pools[a]) for a in self.arrows}
+        if q ** (d * d) > _POOL_GUARD and set(self.arrows) - self.fixed:
+            raise StateSpaceTooLarge(
+                f"a single arrow already has {_size_text({q: d * d})} "
+                f"matrices; the per-arrow pool guard is {_POOL_GUARD}")
+        self.sizes = {a: 1 if a in self.fixed else n
+                      for a, n in _arrow_sizes(quiver, d, q).items()}
         self.total = math.prod(self.sizes.values())
         self.gauge = gl_order(d, q) ** len(self.fixed)
         self.state_space = self.total * self.gauge
@@ -464,15 +478,15 @@ class _RepSpace:
         """The matrices a letter takes, in its arrow's pool order: the pool
         itself, or for an inverse letter the pool's inverses."""
         a, e = self.check_letter(letter)
-        if e == 1:
-            return self.pools[a]
-        return tuple(_mat_inv(m, self.q) for m in self.pools[a])
+        pool = ((_eye(self.d),) if a in self.fixed
+                else _pool(self.d, self.q, self.quiver.is_localized(a)))
+        return pool if e == 1 else tuple(_mat_inv(m, self.q) for m in pool)
 
     def check_letter(self, letter) -> tuple:
         """The letter, if its arrow has matrices here and it inverts only a
         localized arrow; else the error reading its matrices raises."""
         a, e = letter
-        if a not in self.pools:
+        if a not in self.sizes:
             raise ShapeMismatch(f"no matrices for arrow {a!r}")
         if e != 1 and not self.quiver.is_localized(a):
             raise InverseOfNonLocalized(a)
@@ -562,7 +576,7 @@ class _RepSpace:
     def rep_at(self, k: int) -> MatrixRep:
         if not 0 <= k < self.total:
             raise IndexError(k)
-        mats = {a: self.pools[a][(k // self.strides[a]) % self.sizes[a]]
+        mats = {a: self.pool_of((a, 1))[k // self.strides[a] % self.sizes[a]]
                 for a in self.arrows}
         return MatrixRep(self.quiver, self.d, self.q, mats)
 
@@ -583,10 +597,7 @@ def state_space_size(quiver: Quiver, d: int, q: int) -> int:
     """Number of representations at dimension d over F_q."""
     _require_prime(q)
     _require_dimension(d)
-    free = q ** (d * d)
-    inv = gl_order(d, q)
-    return math.prod(inv if quiver.is_localized(a) else free
-                     for a in quiver.arrow_ids())
+    return math.prod(_arrow_sizes(quiver, d, q).values())
 
 
 def nth_rep(quiver: Quiver, d: int, q: int, k: int) -> MatrixRep:
@@ -794,8 +805,9 @@ def _monomial_route(space: _RepSpace, terms: list,
     (the fibre count of each residue of Tr W, then the critical points) or,
     with ``omega``, probe (the weight of the whole space, of the
     omega-nilpotent and of the omega-invertible points), counted through
-    the monomial map without visiting a point.  None when the image groups
-    below hold more than ``_MONOMIAL_BUDGET`` elements in all.
+    the monomial map without visiting a point.  None when the elements of
+    the image groups below, plus ``_STRATUM_COST`` for each stratum, come to
+    more than ``_MONOMIAL_BUDGET``.
 
     At d = 1 a word is a monomial in the arrows' scalars (an inverse letter
     adds -1 to its arrow's exponent).  The space splits into strata by which
@@ -812,13 +824,13 @@ def _monomial_route(space: _RepSpace, terms: list,
     A term with two zero letters (count), or a word with one (probe), is
     dead: it is 0, and so is every derivative through it.  A free arrow
     that occurs only in dead words is summed out, a factor q, not split on.
-    Every stratum adds one element at least, so the split stops past the
-    budget too.
+    The split stops once its strata alone cost more than the budget.
 
-    The gauge tree plays no part: the tallies are those of the full space.
-    The exhaustive guard still reads the gauge slice, as in :func:`_sweep`,
-    and errors come in the numpy kernels' order: the guard, the letters of
-    W, then omega's words, each word's letters before its coefficient."""
+    The gauge tree plays no part: the tallies are those of the full space,
+    and no pool of matrices is read.  The exhaustive guard still reads the
+    gauge slice's pool sizes, as in :func:`_sweep`, and errors come in the
+    numpy kernels' order: the guard, the letters of W, then omega's words,
+    each word's letters before its coefficient."""
     _check_guard(space)
     q, m = space.q, space.q - 1
     words = [(c, _exponents(space, cyc)) for c, cyc in terms]
@@ -832,7 +844,7 @@ def _monomial_route(space: _RepSpace, terms: list,
     strata = []  # (zero arrows, arrows summed out, zero letters per word)
 
     def split(k: int, zeros: tuple, summed: int, hits: list) -> None:
-        if len(strata) > _MONOMIAL_BUDGET:
+        if len(strata) * _STRATUM_COST > _MONOMIAL_BUDGET:
             return
         if k == len(free):
             strata.append((zeros, summed, hits))
@@ -846,7 +858,7 @@ def _monomial_route(space: _RepSpace, terms: list,
             split(k + 1, zeros + (free[k],), summed, hits)
 
     split(0, (), 0, [0] * len(words))
-    room, groups = _MONOMIAL_BUDGET, []
+    room, groups = _MONOMIAL_BUDGET - len(strata) * _STRATUM_COST, []
     for zeros, summed, hits in strata:
         live = [i for i, h in enumerate(hits) if h < dead]
         torus = [a for a in space.arrows if a not in zeros]
@@ -930,17 +942,12 @@ class CountReport(namedtuple(
         return self
 
     def to_json(self) -> dict:
-        out = {"q": self.q, "d": self.d, "mode": self.mode,
-               "total": self.total, "state_space": self.state_space,
-               "zeros": self.zeros, "ones": self.ones,
-               "critical": self.critical,
-               "histogram": {str(v): c for v, c in sorted(self.histogram.items())},
-               "normalization": {
-                   "L_exponent": str(self.normalization["L_exponent"]),
-                   "GL_exponent": self.normalization["GL_exponent"],
-                   "GL_order": self.normalization["GL_order"]}}
-        if self.seed is not None:
-            out["seed"] = self.seed
+        out = self._asdict()
+        out["histogram"] = {str(v): c for v, c in self.histogram.items()}
+        out["normalization"] = {**self.normalization, "L_exponent": str(
+            self.normalization["L_exponent"])}
+        if self.seed is None:
+            del out["seed"]
         return out
 
 
@@ -1018,14 +1025,7 @@ class ProbeReport(namedtuple(
         return self
 
     def to_json(self) -> dict:
-        return {"q": self.q,
-                "weight_total": self.weight_total,
-                "weight_nilpotent": self.weight_nilpotent,
-                "weight_invertible": self.weight_invertible,
-                "nilpotent_times_q": self.nilpotent_times_q,
-                "nilpotent_times_qminus1": self.nilpotent_times_qminus1,
-                "total_matches": self.total_matches,
-                "invertible_matches": self.invertible_matches,
+        return {**self._asdict(),
                 "note": "point-count weights are a heuristic specialization"}
 
 

@@ -1559,6 +1559,45 @@ def test_a_q11_count_or_probe_loads_the_counting_kernel_but_no_numpy(argv,
     assert loaded == {"tessella.repcount"}
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["count", "--q", "37", "--d", "1"], "count_q37_d1"),
+    (["probe", "--q", "37"], "probe_q37")])
+def test_a_q37_count_or_probe_loads_the_counting_kernel_but_no_numpy(argv,
+                                                                    name):
+    """Over F_37, the largest field the bundled counts use, the image groups
+    hold 23,329 elements over 2 strata, within the monomial budget, where
+    the numpy sweep would visit 62,145,792 gauge-slice points.  The goldens
+    in ``tests/golden`` were written by that sweep."""
+    rc, out, loaded = in_fresh_process(argv)
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.out"
+    assert rc == EXIT_OK and out.encode() == golden.read_bytes()
+    assert loaded == {"tessella.repcount"}
+
+
+def test_counts_that_take_the_monomial_route_build_no_pool(monkeypatch,
+                                                           capsys):
+    """The route and the exhaustive guard read pool sizes only: with every
+    pool build failing, the bundled q = 11 count and probe still print their
+    goldens, and a count at q = 999983 is refused by the guard."""
+    from tessella import repcount
+
+    def no_pool(*args):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(repcount, "_pool", no_pool)
+    for argv, name in ((["count", "--q", "11", "--d", "1"], "count_q11_d1"),
+                       (["probe", "--q", "11"], "probe_q11")):
+        rc, out, _ = run(argv, capsys)
+        golden = BENCHMARKS / "golden" / f"{name}.out"
+        assert rc == EXIT_OK and out.encode() == golden.read_bytes()
+    rc, out, err = run(["count", "--q", "999983", "--d", "1"], capsys)
+    assert rc == EXIT_INPUT and out == ""
+    assert err == (
+        "error: StateSpaceTooLarge: 999982^4 * 999983 points to sweep (state "
+        "space 999982^5 * 999983 modulo a gauge tree of 1 arrow) exceed the "
+        "exhaustive guard 100000000\n")
+
+
 def test_a_count_past_the_scalar_budget_loads_numpy():
     """A count that the monomial route does not take, here one at d = 2,
     sweeps with numpy."""

@@ -595,62 +595,69 @@ def _localized_loops(q, W_powers, omega_powers=()):
 
 def test_a_count_at_the_budget_is_scalar_and_one_past_it_is_numpy():
     """Over F_257, W = x0 + x1^4 on localized loops maps the torus onto
-    Z/256 x 4Z/256: 2^14 elements, the budget, so the count takes the
-    monomial route on Python scalars.  Under a budget one lower it leaves
-    the count to the numpy sweep, and both give the same report."""
-    assert repcount._MONOMIAL_BUDGET == 1 << 14
+    Z/256 x 4Z/256: one stratum with 2^14 elements, which costs 2^14 +
+    ``_STRATUM_COST``.  The default budget holds it, and so does a budget of
+    exactly that cost, so the count takes the monomial route on Python
+    scalars.  Under a budget one lower it leaves the count to the numpy
+    sweep, and all give the same report."""
+    assert (repcount._MONOMIAL_BUDGET, repcount._STRATUM_COST) == (1 << 16, 8)
+    cost = (1 << 14) + repcount._STRATUM_COST
     quiver, W, _ = _localized_loops(257, [(0, 1), (1, 4)])
     at = (quiver, W, 1, 257)
     monomial = _outcome("monomial", enumerate_reps, *at)
     assert monomial[0] == "ok"
+    assert monomial == _outcome("monomial", enumerate_reps, *at, budget=cost)
     assert monomial == _outcome("numpy", enumerate_reps, *at)
     with pytest.raises(AssertionError, match="_sweep ran"):
-        _outcome("monomial", enumerate_reps, *at,
-                 budget=repcount._MONOMIAL_BUDGET - 1)
-    with mock.patch.object(repcount, "_MONOMIAL_BUDGET",
-                           repcount._MONOMIAL_BUDGET - 1):
+        _outcome("monomial", enumerate_reps, *at, budget=cost - 1)
+    with mock.patch.object(repcount, "_MONOMIAL_BUDGET", cost - 1):
         assert ("ok", enumerate_reps(*at)) == monomial
 
 
 def test_a_probe_at_the_budget_is_scalar_and_one_past_it_is_numpy():
-    """Over F_257, W = x0 and omega = x1^4: the same 2^14 elements."""
+    """Over F_257, W = x0 and omega = x1^4: the same 2^14 elements in one
+    stratum."""
+    cost = (1 << 14) + repcount._STRATUM_COST
     quiver, W, omega = _localized_loops(257, [(0, 1)], [(1, 4)])
     at = (quiver, W, omega, 257)
     monomial = _outcome("monomial", conjecture_probe_d1, *at)
     assert monomial[0] == "ok"
+    assert monomial == _outcome("monomial", conjecture_probe_d1, *at,
+                                budget=cost)
     assert monomial == _outcome("numpy", conjecture_probe_d1, *at)
     with pytest.raises(AssertionError, match="_sweep ran"):
-        _outcome("monomial", conjecture_probe_d1, *at,
-                 budget=repcount._MONOMIAL_BUDGET - 1)
+        _outcome("monomial", conjecture_probe_d1, *at, budget=cost - 1)
 
 
 def test_the_budget_counts_the_groups_of_every_stratum():
     """A free loop r beside localized x0, x1 with W = r x0 + x1^4 over
     F_17: the stratum r != 0 maps onto (r x0, x1^4) and r = 0 onto (x1^4,
-    and x0 from r's derivative), 64 elements each.  A budget of 128 holds
-    both; at 127 the count is the numpy sweep's, although each stratum
-    alone would fit."""
+    and x0 from r's derivative), 64 elements each, and each stratum costs
+    8 more.  A budget of 144 holds both; at 143 the count is the numpy
+    sweep's, although each stratum alone would fit."""
+    assert repcount._STRATUM_COST == 8
     quiver = Quiver([0], [("r", 0, 0), ("x0", 0, 0), ("x1", 0, 0)],
                     localized=["x0", "x1"])
     W = Potential.build(quiver, [(1, ["r", "x0"]), (1, ["x1"] * 4)])
     at = (quiver, W, 1, 17)
-    monomial = _outcome("monomial", enumerate_reps, *at, budget=128)
+    monomial = _outcome("monomial", enumerate_reps, *at, budget=144)
     assert monomial[0] == "ok"
     assert monomial == _outcome("numpy", enumerate_reps, *at)
     with pytest.raises(AssertionError, match="_sweep ran"):
-        _outcome("monomial", enumerate_reps, *at, budget=127)
+        _outcome("monomial", enumerate_reps, *at, budget=143)
 
 
-@pytest.mark.parametrize("n, route", [(14, "monomial"), (15, "numpy")])
+@pytest.mark.parametrize("n, route", [(12, "monomial"), (13, "numpy")])
 def test_every_stratum_counts_against_the_budget(n, route):
     """W = x0 + x1 + ... on n free loops over F_2: no term holds two
     letters, so the count splits into 2^n strata, each with the trivial
-    group.  2^14 of them fit the budget; at 2^15 the split stops and the
-    numpy sweep counts, with the report a larger budget gives."""
+    group, which cost 9 elements each.  2^12 of them fit the budget of
+    2^16; at 2^13 the split stops and the numpy sweep counts, with the
+    report a larger budget gives."""
     quiver = Quiver([0], [(f"x{i}", 0, 0) for i in range(n)])
     W = Potential.build(quiver, [(1, [f"x{i}"]) for i in range(n)])
     at = (quiver, W, 1, 2)
-    wide = _outcome("monomial", enumerate_reps, *at, budget=1 << 16)
+    wide = _outcome("monomial", enumerate_reps, *at, budget=1 << 17)
     assert wide[0] == "ok"
     if route == "monomial":
         assert _outcome("monomial", enumerate_reps, *at) == wide
