@@ -35,7 +35,8 @@ Conventions
   another genus than the tiling's, an automorphism that is not a
   symmetry, and a stuck equivariant dimer (``MatchingStuck``); 5 an
   internal fault.
-* A count sweeps its points on the calling thread, and a ``tessella``
+* A count sweeps its points on the calling thread, with elementwise
+  products of int64 entry arrays that never reach BLAS, and a ``tessella``
   process (:func:`entry`) starts no OpenBLAS thread pool unless the caller
   sets ``OPENBLAS_NUM_THREADS``.
 * Paths inside a pipeline config file are resolved relative to the config
@@ -915,8 +916,9 @@ def entry() -> int:
     """The process entry (``python -m tessella.cli`` and the ``tessella``
     script): :func:`main` with numpy's OpenBLAS held to one thread unless
     the caller set ``OPENBLAS_NUM_THREADS``.  No computation here calls
-    BLAS (int64 products never reach it), and OpenBLAS would otherwise
-    start a thread per usable CPU at ``import numpy``.  Nothing imports
+    BLAS: the counting sweep multiplies int64 entry arrays elementwise and
+    makes no matrix product call, and OpenBLAS would otherwise start a
+    thread per usable CPU at ``import numpy``.  Nothing imports
     numpy before this runs, and :func:`main` called in process leaves
     ``os.environ`` alone."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -27,22 +27,27 @@ ints and without numpy.  When those groups' elements, plus
 and for every other count (sample mode and d >= 2), the numpy sweep below
 runs, which imports numpy when it starts; both routes give the same tallies
 and raise the same errors.  Only the numpy sweep reads an arrow's pool of
-matrices, which is built the first time it is read: the route and the
-guards need only the pool sizes.
+matrices, as d^2 numpy entry arrays built the first time it is read: the
+route and the guards need only the pool sizes.
 
 The numpy sweep runs over blocks of ``_CHUNK`` points: ranges of the
 lexicographic order (arrows by id, last arrow fastest) or seeded draws, one
 block after another on the calling thread.  A kernel sees at most ``_SLICE``
 points at a time, which bounds its working set, and returns exact integer
 tallies that merge by addition, so outputs do not depend on block size or
-slice size.  The count kernel reads each term of W once per slice through
-shared suffix and prefix products, which give its trace and every
-occurrence's cyclic derivative (elementwise at d = 1, batched matmuls
-otherwise).  Batches carry an upper bound on their int64 entries (q - 1 for
-a letter, d b_1 b_2 for a product, the sum for a sum, c b for a coefficient
-c < q) and are reduced mod q only when the next operation's bound would
-reach 2^63; every trace, histogram and zero test reads reduced entries.  The
-per-point :class:`MatrixRep` route (:func:`trace_potential`,
+slice size.  A batch of n matrices is entry-major: d^2 int64 arrays of
+length n, one per entry in row-major order, so a product is the explicit
+sum of entry products and d = 1 is the case of one entry.  The count kernel
+differentiates only the live arrows, those whose cyclic derivative has a
+coefficient that is nonzero mod q (any other derivative is 0 at every
+point).  It reads each term of W once per slice: through shared suffix and
+prefix products, which give its trace and the cyclic derivative at each
+occurrence of a live arrow, or, for a term with no live arrow, through its
+product alone.  Batches carry an upper bound on their int64 entries (q - 1
+for a letter, d b_1 b_2 for a product, the sum for a sum, c b for a
+coefficient c < q) and are reduced mod q only when the next operation's
+bound would reach 2^63; every trace, histogram and zero test is taken mod
+q.  The per-point :class:`MatrixRep` route (:func:`trace_potential`,
 :func:`crit_check`) is the oracle of both sweeps, and neither sweep calls
 it.  Its two halves share no product: :func:`crit_check` evaluates the
 derivative table of :func:`tessella.pathalg.derivatives` (built once per
@@ -120,6 +125,16 @@ def _numpy() -> None:
     numpy."""
     global np
     import numpy as np
+
+
+def _mod(values: np.ndarray, m: int) -> np.ndarray:
+    """A non-negative int64 array mod m, as values - (values // m) m: numpy
+    divides an array by a scalar several times faster than it takes a
+    remainder."""
+    out = values // m
+    out *= -m
+    out += values
+    return out
 
 
 class ShapeMismatch(ValueError):
@@ -436,6 +451,34 @@ def _pool(d: int, q: int, invertible: bool) -> tuple:
     return tuple(mats)
 
 
+def _det_entries(rows: list, q: int):
+    """The determinants mod q of a batch of matrices given as rows of entry
+    arrays, by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0] % q
+    det = 0
+    for j, x in enumerate(rows[0]):
+        minor = x * _det_entries([r[:j] + r[j + 1:] for r in rows[1:]], q)
+        det = det - minor if j % 2 else det + minor
+    return det % q
+
+
+def _entry_pool(d: int, q: int, invertible: bool) -> np.ndarray:
+    """The matrices of :func:`_pool`, in its order, as a (d^2, size) int64
+    array whose row e holds entry e (row-major) of each: the base-q digits
+    of 0, 1, ..., q^(d^2) - 1, most significant first.  With ``invertible``
+    only the columns of nonzero determinant are kept."""
+    k = np.arange(q ** (d * d), dtype=np.int64)
+    pool = np.empty((d * d, len(k)), dtype=np.int64)
+    for e, row in enumerate(pool):
+        np.floor_divide(k, q ** (d * d - 1 - e), out=row)
+        row %= q
+    if invertible:
+        rows = [list(pool[i:i + d]) for i in range(0, d * d, d)]
+        pool = pool[:, _det_entries(rows, q) != 0]
+    return pool
+
+
 class _RepSpace:
     """Lexicographic indexing of every representation at fixed (d, q).
 
@@ -446,8 +489,14 @@ class _RepSpace:
     Each localized arrow in ``fixed`` (a gauge tree) has the identity as its
     only matrix: ``total`` counts the points of that slice, and each of them
     stands for ``gauge`` points of the ``state_space``.  The sizes come from
-    :func:`_arrow_sizes`; an arrow's pool of matrices is built the first
-    time :meth:`pool_of` reads it.
+    :func:`_arrow_sizes`.  The per-point paths read an arrow's pool of
+    matrices through :meth:`pool_of`, built the first time it is read; the
+    sweep reads it through :meth:`letter_values`, as numpy entry arrays.
+
+    A batch of n matrices is a pair (entries, bound): ``entries`` lists d^2
+    int64 arrays of length n, entry (i, j) of every matrix at i*d + j, and
+    every entry lies in [0, bound].  Every operation below works entry by
+    entry, so d = 1 is the case of one entry array.
     """
 
     def __init__(self, quiver: Quiver, d: int, q: int, fixed=()) -> None:
@@ -470,9 +519,8 @@ class _RepSpace:
         self.strides, acc = {}, 1
         for a in reversed(self.arrows):
             self.strides[a], acc = acc, acc * self.sizes[a]
-        # batch values: flat (size,) scalars at d = 1, (size, d, d) otherwise
-        self._shape = () if d == 1 else (d, d)
-        self._np: dict = {}  # letter -> its pool_of as an int64 array
+        self._np: dict = {}  # letter -> its pool as a (d^2, size) array
+        self._pools: dict = {}  # localized or not -> that kind's pool
 
     def pool_of(self, letter) -> tuple:
         """The matrices a letter takes, in its arrow's pool order: the pool
@@ -494,29 +542,44 @@ class _RepSpace:
 
     def chunk_indices(self, lo: int, hi: int) -> dict:
         offs = np.arange(lo, hi, dtype=np.int64)
-        return {a: (offs // self.strides[a]) % self.sizes[a]
+        return {a: _mod(offs // self.strides[a], self.sizes[a])
                 for a in self.arrows}
 
     def sample_indices(self, source: _Draws, n: int) -> dict:
         return {a: source.below(self.sizes[a], n) for a in self.arrows}
 
+    def _letter_pool(self, letter) -> np.ndarray:
+        """A letter's matrices as a (d^2, size) array, row e holding entry e
+        of each: an arrow's own pool from :func:`_entry_pool`, shared by the
+        arrows of its kind, and else (a gauge-tree arrow or an inverse
+        letter) :meth:`pool_of`'s tuples."""
+        a, e = self.check_letter(letter)
+        if e == 1 and a not in self.fixed:
+            kind = self.quiver.is_localized(a)
+            if kind not in self._pools:
+                self._pools[kind] = _entry_pool(self.d, self.q, kind)
+            return self._pools[kind]
+        pool = np.array(self.pool_of(letter), dtype=np.int64)
+        return np.ascontiguousarray(pool.reshape(-1, self.d * self.d).T)
+
     def letter_values(self, idx: dict, letter) -> tuple:
-        """A letter's batch and its bound q - 1."""
+        """A letter's batch, each entry array gathered at its arrow's pool
+        indices, and its bound q - 1."""
         if letter not in self._np:
-            self._np[letter] = np.array(self.pool_of(letter), dtype=np.int64
-                                        ).reshape(-1, *self._shape)
-        return self._np[letter][idx[letter[0]]], self.q - 1
+            self._np[letter] = self._letter_pool(letter)
+        return list(self._np[letter].take(idx[letter[0]], axis=1)), self.q - 1
 
     def identity(self, n: int) -> tuple:
-        eye = np.eye(self.d, dtype=np.int64).reshape(self._shape)
-        return np.broadcast_to(eye, (n, *self._shape)), 1
+        one, zero = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        d = self.d
+        return [one if i == j else zero for i in range(d) for j in range(d)], 1
 
     def reduced(self, x: tuple) -> tuple:
         """A batch with its entries taken mod q, copied only if needed."""
         values, bound = x
         if bound < self.q:
             return x
-        return values % self.q, self.q - 1
+        return [_mod(v, self.q) for v in values], self.q - 1
 
     def _fit(self, x: tuple, y: tuple, size) -> tuple:
         """x and y, the one with the larger bound reduced first, then the
@@ -532,8 +595,8 @@ class _RepSpace:
     def mul(self, x, y):
         """Pointwise product of two batches; None is the identity.
 
-        A batch is a pair (int64 values, bound): every entry lies in
-        [0, bound].  The product's bound is d * bound_x * bound_y, and the
+        Entry (i, j) of the product is the explicit sum over k of the entry
+        products x_ik y_kj, so its bound is d * bound_x * bound_y.  The
         entries stay unreduced while that is below 2^63; past it, the
         operand with the larger bound is reduced mod q first.  With both
         reduced the bound is d (q-1)^2, which :func:`_check_int64` keeps
@@ -544,28 +607,41 @@ class _RepSpace:
         d = self.d
         if d * x[1] * y[1] >= _INT64:
             x, y = self._fit(x, y, lambda a, b: d * a * b)
-        out = x[0] * y[0] if d == 1 else np.matmul(x[0], y[0])
+        xs, ys, out = x[0], y[0], []
+        for i in range(0, d * d, d):
+            for j in range(d):
+                entry = xs[i] * ys[j]  # a new array, summed into in place
+                for k in range(1, d):
+                    entry += xs[i + k] * ys[k * d + j]
+                out.append(entry)
         return out, d * x[1] * y[1]
 
     def add(self, x: tuple, y: tuple) -> tuple:
         """Sum of two batches; the bounds add."""
         if x[1] + y[1] >= _INT64:
             x, y = self._fit(x, y, int.__add__)
-        return x[0] + y[0], x[1] + y[1]
+        return list(map(add, x[0], y[0])), x[1] + y[1]
 
     def scale(self, c: int, x: tuple) -> tuple:
         """A batch times a coefficient 0 <= c < q; the bound is c times."""
+        if c == 1:
+            return x
         if c * x[1] >= _INT64:
             x = self.reduced(x)
-        return c * x[0], c * x[1]
+        return [c * v for v in x[0]], c * x[1]
 
     def trace(self, x: tuple) -> np.ndarray:
-        """Traces of a batch, its entries reduced mod q first."""
-        values = self.reduced(x)[0]
-        return values if self.d == 1 else np.trace(values, axis1=1, axis2=2)
+        """Traces of a batch mod q: the sum of its diagonal entries, whose
+        bound is d * bound (the entries are reduced first if that would
+        reach 2^63), reduced."""
+        d = self.d
+        if d * x[1] >= _INT64:
+            x = self.reduced(x)
+        diagonal = reduce(add, x[0][::d + 1])
+        return diagonal if d * x[1] < self.q else _mod(diagonal, self.q)
 
     def element_values(self, idx: dict, x: Element, n: int) -> tuple:
-        out = np.zeros((n, *self._shape), dtype=np.int64), 0
+        out = [np.zeros(n, dtype=np.int64)] * (self.d * self.d), 0
         for w in x.words():
             mats = [self.letter_values(idx, letter) for letter in w.letters]
             word = reduce(self.mul, mats or [self.identity(n)])
@@ -724,38 +800,55 @@ def _coefficients(W: Potential, d: int, q: int) -> list:
 
 
 def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
-              gradient: bool) -> tuple:
-    """Tr W mod q on a slice and, with ``gradient``, whether every cyclic
-    derivative vanishes.  For the gradient, suffix products l_{i+1}...l_{L-1}
-    of a term l_0...l_{L-1} are built right to left; occurrence i adds
-    c * suffix * prefix to its arrow's sum, and the running prefix
-    l_0...l_{i-1} ends as the full product.  Every letter of a differentiated
-    W has exponent 1 (``derivatives`` refuses the others).  Products and
-    sums carry bounds and are reduced mod q only where a bound requires it
-    (:meth:`_RepSpace.mul`)."""
-    values = {x: space.letter_values(idx, x) for _, cyc in terms for x in cyc}
+              live=frozenset()) -> tuple:
+    """Tr W mod q on a slice, and whether the cyclic derivative by each arrow
+    of ``live`` vanishes there (everywhere, when ``live`` is empty).
+
+    A term c l_0...l_{L-1} that holds a live arrow builds its suffix
+    products l_{i+1}...l_{L-1} right to left, down to its first live
+    occurrence; each live occurrence i adds suffix * prefix to its arrow's
+    sum, where the running prefix c l_0...l_{i-1} (c alone at i = 0) ends
+    as c times the full product.  A term with no live arrow is multiplied
+    out for its trace alone, and a term whose coefficient is 0 mod q adds
+    nothing, once its letters are read.  Every
+    letter of a differentiated W has exponent 1 (``derivatives`` refuses the
+    others).  Products and sums carry bounds and are reduced mod q only
+    where a bound requires it (:meth:`_RepSpace.mul`)."""
+    values: dict = {}
+    for _, cyc in terms:
+        for x in cyc:
+            if x not in values:
+                values[x] = space.letter_values(idx, x)
     vals = np.zeros(n, dtype=np.int64)
     grads: dict = {}
     for cm, cyc in terms:
+        if not cm:
+            continue
         mats = [values[x] for x in cyc]
-        if not gradient:
+        hot = [i for i, (a, _) in enumerate(cyc) if a in live]
+        if not hot:
             vals += cm * space.trace(reduce(space.mul, mats))
             continue
-        suffix = [None]
-        for m in reversed(mats[1:]):
+        suffix = [None]  # suffix[i - hot[0]] = l_{i+1} ... l_{L-1}
+        for m in reversed(mats[hot[0] + 1:]):
             suffix.append(space.mul(m, suffix[-1]))
         suffix.reverse()
+        mats[0] = space.scale(cm, mats[0])  # so every prefix holds c
         prefix = None
         for i, (a, _) in enumerate(cyc):
-            rest = space.mul(suffix[i], prefix)
-            rest = space.scale(cm, space.identity(n) if rest is None else rest)
-            grads[a] = space.add(grads[a], rest) if a in grads else rest
+            if a in live:
+                rest = space.mul(suffix[i - hot[0]], prefix)
+                if i == 0:  # the suffix alone, which does not hold c
+                    rest = space.scale(cm, space.identity(n) if rest is None
+                                       else rest)
+                grads[a] = space.add(grads[a], rest) if a in grads else rest
             prefix = space.mul(prefix, mats[i])
-        vals += cm * space.trace(prefix)
+        vals += space.trace(prefix)
     crit = np.ones(n, dtype=bool)
-    for acc, _ in grads.values():
-        crit &= (acc % space.q == 0).reshape(n, -1).all(axis=1)
-    return vals % space.q, crit
+    for acc in grads.values():
+        for entry in acc[0]:  # entry == 0 mod q, read as _mod does
+            crit &= entry == entry // space.q * space.q
+    return _mod(vals, space.q), crit
 
 
 def _exponents(space: _RepSpace, letters) -> dict:
@@ -824,7 +917,11 @@ def _monomial_route(space: _RepSpace, terms: list,
     A term with two zero letters (count), or a word with one (probe), is
     dead: it is 0, and so is every derivative through it.  A free arrow
     that occurs only in dead words is summed out, a factor q, not split on.
-    The split stops once its strata alone cost more than the budget.
+    The route declines at once when the free arrows that must split, each
+    with a word that no earlier free arrow can kill, make so many strata
+    that their cost alone (at least ``_STRATUM_COST`` + 1 each) passes the
+    budget, and otherwise the split stops once its strata alone cost more
+    than the budget.
 
     The gauge tree plays no part: the tallies are those of the full space,
     and no pool of matrices is read.  The exhaustive guard still reads the
@@ -841,6 +938,15 @@ def _monomial_route(space: _RepSpace, terms: list,
     holders = [[i for i, (_, exps) in enumerate(words) if a in exps]
                for a in free]
     dead = 2 if omega is None else 1  # zero letters that kill a word
+    # a free arrow with a holder that the earlier free arrows can never kill
+    # splits every stratum it meets, so there are at least 2^splits strata
+    kills, splits = [0] * len(words), 0
+    for a, held in zip(free, holders):
+        splits += any(kills[i] < dead for i in held)
+        for i in held:
+            kills[i] += words[i][1][a]
+    if (_STRATUM_COST + 1) << splits > _MONOMIAL_BUDGET:
+        return None
     strata = []  # (zero arrows, arrows summed out, zero letters per word)
 
     def split(k: int, zeros: tuple, summed: int, hits: list) -> None:
@@ -970,8 +1076,10 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
                       if mode == "exhaustive" else ())
     terms = _coefficients(W, d, q)
     derivs = derivatives(quiver, W)
-    for a in quiver.arrow_ids():  # refuses inverse occurrences of a
-        derivs[a]
+    # the arrows whose derivative is not 0 over F_q; reading derivs[a], in
+    # id order, refuses inverse occurrences of a
+    live = frozenset(a for a in quiver.arrow_ids() if any(
+        _coeff_mod(c, q) for c in derivs[a].coeffs.values()))
     if mode == "sample":
         if not is_int(sample_size) or sample_size < 1:
             raise ValueError("sample mode needs an integer sample_size >= 1")
@@ -983,7 +1091,7 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         raise ValueError(f"unknown mode {mode!r}")
 
     def kernel(idx: dict, n: int) -> np.ndarray:
-        vals, crit = _evaluate(space, terms, idx, n, gradient=True)
+        vals, crit = _evaluate(space, terms, idx, n, live)
         return np.append(np.bincount(vals, minlength=q), crit.sum())
 
     tally = (_monomial_route(space, terms)
@@ -1045,9 +1153,9 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
     terms = _coefficients(W, 1, q)
 
     def kernel(idx: dict, n: int) -> np.ndarray:
-        vals, _ = _evaluate(space, terms, idx, n, gradient=False)
+        vals, _ = _evaluate(space, terms, idx, n)
         weights = (vals == 0).astype(np.int64) - (vals == 1).astype(np.int64)
-        om = space.reduced(space.element_values(idx, omega, n))[0]
+        om = space.reduced(space.element_values(idx, omega, n))[0][0]  # d = 1
         return np.array([weights.sum(), weights[om == 0].sum(),
                          weights[om != 0].sum()])
 

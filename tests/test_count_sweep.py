@@ -13,7 +13,11 @@ potentials (inverse letters included), and to the same sweep with no gauge
 tree; check that block size, slice size, the monomial budget and a
 leftover ``TESSELLA_THREADS`` never change a result or an error, that
 omega strata which are not gauge invariant get no tree, and test the
-exhaustive and int64 guards at their edges.
+exhaustive and int64 guards at their edges.  The sweep's entry pools are
+held to the tuple pools, d = 3 samples to the per-point evaluators at
+their draws, and potentials whose derivatives vanish mod q for some
+arrows to the walk; d = 2 counts with critical loci that are neither
+empty nor everything are pinned to the bytes of the (n, d, d) layout.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -667,6 +672,20 @@ def test_every_stratum_counts_against_the_budget(n, route):
     assert _outcome("numpy", enumerate_reps, *at) == wide
 
 
+def test_a_count_that_must_split_past_the_budget_spans_no_group():
+    """On 13 free loops over F_2, W = x0 + ... + x12, no free arrow can
+    kill the term of a later one, so every arrow splits: 2^13 strata at 9
+    elements or more pass 2^16 before any is built, and the route declines
+    without spanning a group."""
+    quiver = Quiver([0], [(f"x{i}", 0, 0) for i in range(13)])
+    W = Potential.build(quiver, [(1, [f"x{i}"]) for i in range(13)])
+    at = (quiver, W, 1, 2)
+    wide = _outcome("monomial", enumerate_reps, *at, budget=1 << 17)
+    with mock.patch.object(repcount, "_span",
+                           side_effect=AssertionError("_span ran")):
+        assert ("ok", enumerate_reps(*at)) == wide
+
+
 def _foreign_cases() -> dict:
     """name -> (count, args, error type, message start) that both routes
     raise: W or omega on arrows the counted quiver lacks (``y``) or holds
@@ -833,6 +852,29 @@ def test_torus_cover_counts_agree_on_both_routes(tmp_path, n, q):
     assert monomial == _outcome("numpy", enumerate_reps, quiver, W, 1, q)
 
 
+# critical loci that are neither empty nor everything, from the sweep on
+# (n, d)-shaped batches of the parent layout
+_COVER_D2 = {
+    (3, 2): {"critical": 28800, "d": 2, "histogram": {"0": 51840, "1": 3456},
+             "mode": "exhaustive", "normalization": {
+                 "GL_exponent": -3, "GL_order": 6, "L_exponent": "-10"},
+             "ones": 3456, "q": 2, "state_space": 55296, "total": 55296,
+             "zeros": 51840},
+    (2, 3): {"critical": 373248, "d": 2,
+             "histogram": {"0": 4119552, "1": 2419200, "2": 2419200},
+             "mode": "exhaustive", "normalization": {
+                 "GL_exponent": -2, "GL_order": 48, "L_exponent": "-8"},
+             "ones": 2419200, "q": 3, "state_space": 8957952,
+             "total": 8957952, "zeros": 4119552},
+}
+
+
+@pytest.mark.parametrize("n, q", sorted(_COVER_D2))
+def test_torus_cover_counts_at_d2_are_pinned(tmp_path, n, q):
+    quiver, W = _torus_cover_counting(n, tmp_path)
+    assert enumerate_reps(quiver, W, 2, q).to_json() == _COVER_D2[n, q]
+
+
 GOLDEN_Q17 = Path(__file__).resolve().parent / "golden" / "count_q17_d1.out"
 
 
@@ -850,6 +892,15 @@ def test_count_q17_sample_prints_the_bytes_of_the_per_draw_loop(capsys):
     assert cli.main(["count", "--q", "17", "--mode", "sample",
                      "--sample-size", "150000", "--seed", "1"]) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_SAMPLE.read_bytes()
+
+
+def test_count_q3_d2_sample_prints_the_pinned_bytes(capsys):
+    """A d = 2 sample whose points are critical at some draws only, as the
+    (n, d, d) batches printed it."""
+    assert cli.main(["count", "--q", "3", "--d", "2", "--mode", "sample",
+                     "--sample-size", "20000", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_Q17.with_name(
+        "count_q3_d2_sample.out").read_bytes()
 
 
 # -- the exhaustive guard ------------------------------------------------------
@@ -1023,3 +1074,112 @@ def long_word_cases(draw):
 @given(long_word_cases())
 def test_lazy_reduction_matches_the_per_point_walk(case):
     _check_lazy_against_walk(*case)
+
+
+# -- entry-major batches, their pools, and the live arrows -------------------
+
+
+@pytest.mark.parametrize("invertible", [False, True])
+@pytest.mark.parametrize("d, q", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)])
+def test_entry_pools_hold_the_matrices_of_the_tuple_pools(d, q, invertible):
+    repcount._numpy()
+    pool = repcount._entry_pool(d, q, invertible)
+    assert pool.dtype == "int64" and pool.shape[0] == d * d
+    assert pool.T.tolist() == [[x for row in m for x in row]
+                               for m in repcount._pool(d, q, invertible)]
+
+
+def test_a_q31_d2_sample_builds_no_tuple_pool(capsys):
+    """The bundled W reads no inverse letter, so every pool the sweep reads
+    is an entry pool: with ``_pool`` failing, the count prints the bytes
+    that the tuple pools gave."""
+    with mock.patch.object(repcount, "_pool", side_effect=AssertionError(
+            "a tuple pool was built")):
+        assert cli.main(["count", "--q", "31", "--d", "2", "--mode",
+                         "sample", "--sample-size", "100", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_Q17.with_name(
+        "count_q31_d2_sample.out").read_bytes()
+
+
+def _nilpotent_loops(q):
+    """A free loop x and a localized loop y, W = x^4 + x^3 + y^q + q x y.
+    Over F_q, dW/dx is x^2 at q = 2 and x^3 at q = 3, which vanishes on the
+    nilpotent matrices of that order; dW/dy = q y^(q-1) is 0, so y^q is
+    read for its trace alone, and q x y adds nothing."""
+    quiver = Quiver([0], [("x", 0, 0), ("y", 0, 0)], localized=["y"])
+    W = Potential.build(quiver, [(1, ["x"] * 4), (1, ["x"] * 3),
+                                 (1, ["y"] * q), (q, ["x", "y"])])
+    return quiver, W
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_d3_sample_matches_the_per_point_oracle_at_its_draws(q):
+    """Each draw of ``randrange`` (:func:`reference_draws`) picks a matrix
+    of :func:`repcount._pool`, and :func:`trace_potential` and
+    :func:`crit_check` read the point they make."""
+    quiver, W = _nilpotent_loops(q)
+    d, n, seed = 3, 1000, 11
+    sizes = repcount._arrow_sizes(quiver, d, q)
+    arrows = quiver.arrow_ids()
+    draws = reference_draws(seed, [sizes[a] for a in arrows], [n])
+    pools = [repcount._pool(d, q, quiver.is_localized(a)) for a in arrows]
+    hist, crit = Counter({v: 0 for v in range(q)}), 0
+    for point in zip(*draws):
+        rep = repcount.MatrixRep(quiver, d, q, {
+            a: pool[i] for a, pool, i in zip(arrows, pools, point)})
+        hist[trace_potential(rep, W)] += 1
+        crit += crit_check(rep, quiver, W)
+    report = enumerate_reps(quiver, W, d, q, mode="sample", sample_size=n,
+                            seed=seed)
+    assert 0 < crit < n
+    assert (report.histogram, report.critical) == (dict(hist), crit)
+
+
+def _partly_dead(q):
+    """Free loops x, y, z and W = 3 x y + x z z: at q = 3 the derivative by
+    y, 3 x, is 0 and those by x and z are not."""
+    quiver = Quiver([0], [("x", 0, 0), ("y", 0, 0), ("z", 0, 0)])
+    W = Potential.build(quiver, [(3, ["x", "y"]), (1, ["x", "z", "z"])])
+    return quiver, W, Element.from_word(quiver.word(parse_letters("x"))), 1, q
+
+
+def _partly_dead_d2():
+    """A free loop x and a localized loop y, W = 3 x y + x x + y y y: at
+    q = 3, d = 2 the derivative by y, 3 x + 3 y y, is 0, and that by x is
+    2 x, so the critical points are those with x = 0."""
+    quiver = Quiver([0], [("x", 0, 0), ("y", 0, 0)], localized=["y"])
+    W = Potential.build(quiver, [(3, ["x", "y"]), (1, ["x", "x"]),
+                                 (1, ["y"] * 3)])
+    return quiver, W, Element(), 2, 3
+
+
+@pytest.mark.parametrize("case", [_partly_dead(3), _partly_dead(5),
+                                  _partly_dead_d2()],
+                         ids=["d1-q3", "d1-q5", "d2-q3"])
+def test_a_w_whose_derivatives_vanish_mod_q_for_some_arrows(case):
+    quiver, W, omega, d, q = case
+    derivs = repcount.derivatives(quiver, W)
+    zero = {a for a in quiver.arrow_ids()
+            if all(c % q == 0 for c in derivs[a].coeffs.values())}
+    assert zero == ({"y"} if q == 3 else set())
+    if d == 1:
+        _check_against_walk(*case)
+        return
+    walk = _walk(*case)
+    assert walk["crit"] == state_space_size(quiver, d, q) // q ** (d * d)
+    for count in (enumerate_reps, partial(_without_tree, enumerate_reps)):
+        report = count(quiver, W, d, q)
+        assert (report.histogram, report.critical) == (walk["hist"],
+                                                       walk["crit"])
+
+
+def test_a_count_without_a_live_arrow_adds_and_scales_no_batch(capsys):
+    """Over F_2 every derivative of the bundled W is 0, so ``count --q 2
+    --d 2`` multiplies out each term for its trace and forms no gradient."""
+    with mock.patch.object(_RepSpace, "add", side_effect=AssertionError(
+            "add")), mock.patch.object(_RepSpace, "scale",
+                                       side_effect=AssertionError("scale")):
+        assert cli.main(["count", "--q", "2", "--d", "2"]) == 0
+    golden = Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+    assert capsys.readouterr().out.encode() == (
+        golden / "count_q2_d2.out").read_bytes()
