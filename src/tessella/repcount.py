@@ -26,9 +26,9 @@ ints and without numpy.  When those groups' elements, plus
 ``_STRATUM_COST`` for each stratum, come to more than ``_MONOMIAL_BUDGET``,
 and for every other count (sample mode and d >= 2), the numpy sweep below
 runs, which imports numpy when it starts; both routes give the same tallies
-and raise the same errors.  Only the numpy sweep reads an arrow's pool of
-matrices, as d^2 numpy entry arrays built the first time it is read: the
-route and the guards need only the pool sizes.
+and raise the same errors.  The numpy sweep reads every letter, inverse ones
+too, from a pool of d^2 numpy entry arrays, built once per kind of arrow
+and exponent: the route and the guards need only the pool sizes.
 
 The numpy sweep runs over blocks of ``_CHUNK`` points: ranges of the
 lexicographic order (arrows by id, last arrow fastest) or seeded draws, one
@@ -453,9 +453,9 @@ def _pool(d: int, q: int, invertible: bool) -> tuple:
 
 def _det_entries(rows: list, q: int):
     """The determinants mod q of a batch of matrices given as rows of entry
-    arrays, by cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0] % q
+    arrays, by cofactor expansion along the first row (1 for no rows)."""
+    if len(rows) < 2:
+        return rows[0][0] % q if rows else 1
     det = 0
     for j, x in enumerate(rows[0]):
         minor = x * _det_entries([r[:j] + r[j + 1:] for r in rows[1:]], q)
@@ -479,6 +479,19 @@ def _entry_pool(d: int, q: int, invertible: bool) -> np.ndarray:
     return pool
 
 
+def _inverse_entries(pool: np.ndarray, d: int, q: int) -> np.ndarray:
+    """The inverses of a pool of invertible matrices, in its order: each
+    adjugate, from :func:`_det_entries` cofactors, times det^(q-2) = det^-1
+    (at d = 1, x^(q-2) alone; at q = 2 every det is 1)."""
+    rows = [list(pool[i:i + d]) for i in range(0, d * d, d)]
+    inv = base = _det_entries(rows, q)
+    for bit in bin(q - 2)[3:]:  # det^(q-2), the bits after the leading 1
+        inv = inv * inv % q * (base if bit == "1" else 1) % q
+    return np.array([(-1) ** (i + j) * inv * _det_entries(  # cofactor C_ji
+        [r[:i] + r[i + 1:] for r in rows[:j] + rows[j + 1:]], q) % q
+        for i, j in _iproduct(range(d), repeat=2)])
+
+
 class _RepSpace:
     """Lexicographic indexing of every representation at fixed (d, q).
 
@@ -489,9 +502,8 @@ class _RepSpace:
     Each localized arrow in ``fixed`` (a gauge tree) has the identity as its
     only matrix: ``total`` counts the points of that slice, and each of them
     stands for ``gauge`` points of the ``state_space``.  The sizes come from
-    :func:`_arrow_sizes`.  The per-point paths read an arrow's pool of
-    matrices through :meth:`pool_of`, built the first time it is read; the
-    sweep reads it through :meth:`letter_values`, as numpy entry arrays.
+    :func:`_arrow_sizes`.  :meth:`rep_at` reads its matrices from
+    :func:`_pool`, and the sweep every letter's from :meth:`_letter_pool`.
 
     A batch of n matrices is a pair (entries, bound): ``entries`` lists d^2
     int64 arrays of length n, entry (i, j) of every matrix at i*d + j, and
@@ -519,16 +531,7 @@ class _RepSpace:
         self.strides, acc = {}, 1
         for a in reversed(self.arrows):
             self.strides[a], acc = acc, acc * self.sizes[a]
-        self._np: dict = {}  # letter -> its pool as a (d^2, size) array
-        self._pools: dict = {}  # localized or not -> that kind's pool
-
-    def pool_of(self, letter) -> tuple:
-        """The matrices a letter takes, in its arrow's pool order: the pool
-        itself, or for an inverse letter the pool's inverses."""
-        a, e = self.check_letter(letter)
-        pool = ((_eye(self.d),) if a in self.fixed
-                else _pool(self.d, self.q, self.quiver.is_localized(a)))
-        return pool if e == 1 else tuple(_mat_inv(m, self.q) for m in pool)
+        self._pools: dict = {}  # see _letter_pool
 
     def check_letter(self, letter) -> tuple:
         """The letter, if its arrow has matrices here and it inverts only a
@@ -550,24 +553,24 @@ class _RepSpace:
 
     def _letter_pool(self, letter) -> np.ndarray:
         """A letter's matrices as a (d^2, size) array, row e holding entry e
-        of each: an arrow's own pool from :func:`_entry_pool`, shared by the
-        arrows of its kind, and else (a gauge-tree arrow or an inverse
-        letter) :meth:`pool_of`'s tuples."""
+        of each, built once per kind of arrow and exponent: the identity
+        alone for a gauge-tree arrow, :func:`_entry_pool` for an arrow's own
+        letter, and those matrices' inverses for an inverse letter."""
         a, e = self.check_letter(letter)
-        if e == 1 and a not in self.fixed:
-            kind = self.quiver.is_localized(a)
-            if kind not in self._pools:
-                self._pools[kind] = _entry_pool(self.d, self.q, kind)
-            return self._pools[kind]
-        pool = np.array(self.pool_of(letter), dtype=np.int64)
-        return np.ascontiguousarray(pool.reshape(-1, self.d * self.d).T)
+        key = None if a in self.fixed else (self.quiver.is_localized(a), e)
+        if key not in self._pools:
+            self._pools[key] = (
+                np.eye(self.d, dtype=np.int64).reshape(-1, 1) if key is None
+                else _entry_pool(self.d, self.q, key[0]) if e == 1
+                else _inverse_entries(self._letter_pool((a, 1)), self.d,
+                                      self.q))
+        return self._pools[key]
 
     def letter_values(self, idx: dict, letter) -> tuple:
         """A letter's batch, each entry array gathered at its arrow's pool
         indices, and its bound q - 1."""
-        if letter not in self._np:
-            self._np[letter] = self._letter_pool(letter)
-        return list(self._np[letter].take(idx[letter[0]], axis=1)), self.q - 1
+        pool = self._letter_pool(letter)
+        return list(pool.take(idx[letter[0]], axis=1)), self.q - 1
 
     def identity(self, n: int) -> tuple:
         one, zero = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -640,20 +643,11 @@ class _RepSpace:
         diagonal = reduce(add, x[0][::d + 1])
         return diagonal if d * x[1] < self.q else _mod(diagonal, self.q)
 
-    def element_values(self, idx: dict, x: Element, n: int) -> tuple:
-        out = [np.zeros(n, dtype=np.int64)] * (self.d * self.d), 0
-        for w in x.words():
-            mats = [self.letter_values(idx, letter) for letter in w.letters]
-            word = reduce(self.mul, mats or [self.identity(n)])
-            out = self.add(out, self.scale(_coeff_mod(x.coeffs[w], self.q),
-                                           word))
-        return out
-
     def rep_at(self, k: int) -> MatrixRep:
         if not 0 <= k < self.total:
             raise IndexError(k)
-        mats = {a: self.pool_of((a, 1))[k // self.strides[a] % self.sizes[a]]
-                for a in self.arrows}
+        mats = {a: _pool(self.d, self.q, self.quiver.is_localized(a))[
+            k // self.strides[a] % self.sizes[a]] for a in self.arrows}
         return MatrixRep(self.quiver, self.d, self.q, mats)
 
 
@@ -809,9 +803,10 @@ def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
     occurrence; each live occurrence i adds suffix * prefix to its arrow's
     sum, where the running prefix c l_0...l_{i-1} (c alone at i = 0) ends
     as c times the full product.  A term with no live arrow is multiplied
-    out for its trace alone, and a term whose coefficient is 0 mod q adds
-    nothing, once its letters are read.  Every
-    letter of a differentiated W has exponent 1 (``derivatives`` refuses the
+    out for its trace alone (an empty word, a constant path of omega, is the
+    identity), and a term whose coefficient is 0 mod q adds nothing, once
+    its letters are read.  Omega's words may hold inverse letters; only a
+    differentiated W has exponent 1 throughout (``derivatives`` refuses the
     others).  Products and sums carry bounds and are reduced mod q only
     where a bound requires it (:meth:`_RepSpace.mul`)."""
     values: dict = {}
@@ -827,7 +822,8 @@ def _evaluate(space: _RepSpace, terms: list, idx: dict, n: int,
         mats = [values[x] for x in cyc]
         hot = [i for i, (a, _) in enumerate(cyc) if a in live]
         if not hot:
-            vals += cm * space.trace(reduce(space.mul, mats))
+            vals += cm * space.trace(reduce(space.mul, mats or [
+                space.identity(n)]))
             continue
         suffix = [None]  # suffix[i - hot[0]] = l_{i+1} ... l_{L-1}
         for m in reversed(mats[hot[0] + 1:]):
@@ -925,9 +921,9 @@ def _monomial_route(space: _RepSpace, terms: list,
 
     The gauge tree plays no part: the tallies are those of the full space,
     and no pool of matrices is read.  The exhaustive guard still reads the
-    gauge slice's pool sizes, as in :func:`_sweep`, and errors come in the
-    numpy kernels' order: the guard, the letters of W, then omega's words,
-    each word's letters before its coefficient."""
+    gauge slice's pool sizes, as in :func:`_sweep`.  Errors come in order:
+    the guard, the letters of W, then omega's words, each word's letters
+    before its coefficient; the probe's sweep reads omega after this route."""
     _check_guard(space)
     q, m = space.q, space.q - 1
     words = [(c, _exponents(space, cyc)) for c, cyc in terms]
@@ -1025,9 +1021,9 @@ class CountReport(namedtuple(
     ``state_space`` is always the size of the full space.  ``histogram``
     maps every residue of F_q to its fibre count; ``zeros`` and ``ones``
     repeat the 0- and 1-fibre for convenience.  ``critical`` counts the
-    points where every partial derivative of Tr W vanishes.  ``normalization`` carries the symbolic
-    prefactors (L exponent, GL exponent and order); they are never folded
-    into the integer counts.
+    points where every partial derivative of Tr W vanishes.
+    ``normalization`` carries the symbolic prefactors (L exponent, GL
+    exponent and order); they are never folded into the integer counts.
 
     The three count reports are immutable tuples of their fields, with the
     tuple's ``==``, ``<`` and ``hash``.  The constructor checks the counts;
@@ -1151,15 +1147,18 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
                          "characteristic 2 collapses the even coefficients")
     space = _RepSpace(quiver, 1, q, _gauge_tree(quiver, omega))
     terms = _coefficients(W, 1, q)
+    _check_int64(1, q, len(omega.coeffs))  # omega's trace sum, as W's
 
     def kernel(idx: dict, n: int) -> np.ndarray:
         vals, _ = _evaluate(space, terms, idx, n)
         weights = (vals == 0).astype(np.int64) - (vals == 1).astype(np.int64)
-        om = space.reduced(space.element_values(idx, omega, n))[0][0]  # d = 1
+        om, _ = _evaluate(space, om_terms, idx, n)  # at d = 1, omega's value
         return np.array([weights.sum(), weights[om == 0].sum(),
                          weights[om != 0].sum()])
 
-    tally = _monomial_route(space, terms, omega)
+    tally = _monomial_route(space, terms, omega)  # checks omega's words
+    om_terms = [(_coeff_mod(omega.coeffs[w], q), w.letters)
+                for w in omega.words()]
     w_total, w_nilp, w_inv = map(int, tally if tally is not None
                                  else _sweep(space, kernel))
     return ProbeReport(

@@ -13,8 +13,9 @@ potentials (inverse letters included), and to the same sweep with no gauge
 tree; check that block size, slice size, the monomial budget and a
 leftover ``TESSELLA_THREADS`` never change a result or an error, that
 omega strata which are not gauge invariant get no tree, and test the
-exhaustive and int64 guards at their edges.  The sweep's entry pools are
-held to the tuple pools, d = 3 samples to the per-point evaluators at
+exhaustive and int64 guards at their edges.  The sweep's entry pools, an
+inverse letter's included, are held to the tuple pools and checked to be
+the only pools a sweep builds, d = 3 samples to the per-point evaluators at
 their draws, and potentials whose derivatives vanish mod q for some
 arrows to the walk; d = 2 counts with critical loci that are neither
 empty nor everything are pinned to the bytes of the (n, d, d) layout.
@@ -1079,26 +1080,58 @@ def test_lazy_reduction_matches_the_per_point_walk(case):
 # -- entry-major batches, their pools, and the live arrows -------------------
 
 
-@pytest.mark.parametrize("invertible", [False, True])
+@pytest.mark.parametrize("invertible, inverse", [
+    (False, False), (True, False), (True, True)],
+    ids=["False", "True", "inverse"])
 @pytest.mark.parametrize("d, q", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)])
-def test_entry_pools_hold_the_matrices_of_the_tuple_pools(d, q, invertible):
+def test_entry_pools_hold_the_matrices_of_the_tuple_pools(d, q, invertible,
+                                                          inverse):
+    """An arrow's entry pool holds the matrices of its tuple pool, and the
+    inverse pool of a localized arrow their inverses, in the same order."""
     repcount._numpy()
     pool = repcount._entry_pool(d, q, invertible)
-    assert pool.dtype == "int64" and pool.shape[0] == d * d
-    assert pool.T.tolist() == [[x for row in m for x in row]
-                               for m in repcount._pool(d, q, invertible)]
+    mats = repcount._pool(d, q, invertible)
+    if inverse:
+        pool = repcount._inverse_entries(pool, d, q)
+        mats = [repcount._mat_inv(m, q) for m in mats]
+    assert pool.dtype == "int64" and pool.shape == (d * d, len(mats))
+    assert pool.T.tolist() == [[x for row in m for x in row] for m in mats]
 
 
-def test_a_q31_d2_sample_builds_no_tuple_pool(capsys):
-    """The bundled W reads no inverse letter, so every pool the sweep reads
-    is an entry pool: with ``_pool`` failing, the count prints the bytes
-    that the tuple pools gave."""
-    with mock.patch.object(repcount, "_pool", side_effect=AssertionError(
-            "a tuple pool was built")):
-        assert cli.main(["count", "--q", "31", "--d", "2", "--mode",
-                         "sample", "--sample-size", "100", "--seed", "1"]) == 0
-    assert capsys.readouterr().out.encode() == GOLDEN_Q17.with_name(
-        "count_q31_d2_sample.out").read_bytes()
+# cases of test_the_sweep_builds_no_tuple_pool: the arguments of ``count``
+# and the bytes it prints, or None for the probe on _mixed_loops()
+NO_TUPLE_POOL = {
+    "q31-d2-sample": (["--q", "31", "--d", "2", "--mode", "sample",
+                       "--sample-size", "100", "--seed", "1"],
+                      GOLDEN_Q17.with_name("count_q31_d2_sample.out")),
+    "q2-d2-gauge-tree": (["--q", "2", "--d", "2"],
+                         Path(__file__).resolve().parents[1] / "benchmarks"
+                         / "golden" / "count_q2_d2.out"),
+    "probe-inverse-letters": (None, None),
+}
+
+
+@pytest.mark.parametrize("args, golden", NO_TUPLE_POOL.values(),
+                         ids=NO_TUPLE_POOL)
+def test_the_sweep_builds_no_tuple_pool(capsys, args, golden):
+    """Every pool the sweep reads is an entry pool, a gauge-tree arrow's
+    (the bundled quiver's c at d = 2) and an inverse letter's (x^-1 in the
+    probe's W and omega) included: with ``_pool`` and ``_mat_inv`` failing,
+    a count prints the bytes that the tuple pools gave, and the probe on
+    the numpy sweep gives the weights of the per-point walk."""
+    quiver, W, omega = _mixed_loops()
+    walk = _walk(quiver, W, omega, 1, 5)["probe"]
+    with contextlib.ExitStack() as stack:
+        for name in ("_pool", "_mat_inv"):
+            stack.enter_context(mock.patch.object(
+                repcount, name, side_effect=AssertionError(name)))
+        if args is None:
+            probe = _on_numpy(conjecture_probe_d1, quiver, W, omega, 5)
+            assert (probe.weight_total, probe.weight_nilpotent,
+                    probe.weight_invertible) == walk
+        else:
+            assert cli.main(["count", *args]) == 0
+            assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def _nilpotent_loops(q):
