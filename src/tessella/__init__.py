@@ -6,7 +6,9 @@ Submodules:
 * :mod:`tessella.surfacemap`   -- combinatorial maps, tilings, dual quivers
 * :mod:`tessella.pathalg`      -- exact path-algebra arithmetic
 * :mod:`tessella.equivariant`  -- automorphisms, orbit quiver, xi, transport
-* :mod:`tessella.repcount`     -- finite-field representation enumeration
+* :mod:`tessella.repcount`     -- finite-field representation counts
+* :mod:`tessella.sweep`        -- the counts' numpy batch sweep
+* :mod:`tessella.matrixrep`    -- the counts' per-point oracle
 * :mod:`tessella.presentation` -- surface groups, Psi, derivation scripts
 * :mod:`tessella.cli`          -- the ``tessella`` command
 """

@@ -41,14 +41,30 @@ Conventions
   sets ``OPENBLAS_NUM_THREADS``.
 * Paths inside a pipeline config file are resolved relative to the config
   file's directory.
-* Only the stages that count (``count``, ``probe`` and the pipeline's count
-  step) import :mod:`tessella.repcount`; every other subcommand, and
-  ``--version``, runs without it.  A count loads numpy only in sample
-  mode, at d >= 2, or past the monomial budget of an exhaustive d = 1
-  count (``repcount._MONOMIAL_BUDGET`` image-group elements, each stratum
-  charged ``repcount._STRATUM_COST`` more), so every exhaustive d = 1
-  count and probe of the bundled example, ``count --q 37 --d 1`` and
-  ``probe --q 37`` included, runs without numpy too.
+* Each process imports only the modules of what it runs:
+
+  - Only the stages that count (``count``, ``probe`` and the pipeline's
+    count step) import :mod:`tessella.repcount`, which holds the guards,
+    the reports and the monomial route; every other subcommand, and
+    ``--version``, runs without it.
+  - A count imports the numpy sweep (:mod:`tessella.sweep`), and numpy
+    with it, only in sample mode, at d >= 2, or past the monomial budget
+    of an exhaustive d = 1 count (``repcount._MONOMIAL_BUDGET``
+    image-group elements, each stratum charged ``repcount._STRATUM_COST``
+    more).  So every exhaustive d = 1 count and probe of the bundled
+    example, ``count --q 37 --d 1`` and ``probe --q 37`` included, runs
+    without either.  No run imports the per-point oracle,
+    :mod:`tessella.matrixrep`.
+  - Only the stages from ``automorphism`` on import
+    :mod:`tessella.equivariant` (:func:`_equivariant`), so ``dual``,
+    ``gdga-check`` and ``--version`` run without it.  The two faults of
+    those stages that ``_FAULTS`` names, ``NoChoiceFound`` and
+    ``MatchingStuck``, are defined in :mod:`tessella.pathalg`.
+  - :mod:`tessella.presentation` is imported at the top, although only the
+    verification stages use it: ``benchmarks/tracer.py`` reads
+    ``sys.modules["tessella.presentation"]`` in a process that has
+    imported this module and run counts only, which never load it
+    otherwise.
 * No process imports :mod:`importlib.metadata`: :func:`tool_version` reads
   the installed version from the metadata files on ``sys.path``.  Only the
   pipeline report, which records input digests, imports :mod:`hashlib`, and
@@ -68,23 +84,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .datafiles import InputError, check_object, is_int, list_of, read_data
-from .equivariant import (
-    ChoiceSearch,
-    MatchingStuck,
-    NoChoiceFound,
-    build_orbit_quiver,
-    equivariant_dimer,
-    induced_quiver_automorphism,
-    orbit_choice_from_json,
-    orbit_choice_to_json,
-    refine_tiling,
-    tiling_automorphism_from_json,
-    tiling_automorphism_to_json,
-    transport_potential,
-    verify_transport_identity,
-)
 from .pathalg import (
     Element,
+    MatchingStuck,
+    NoChoiceFound,
     Quiver,
     StateSpaceTooLarge,
     _idkey,
@@ -269,6 +272,14 @@ def _check_counting(opts: dict) -> None:
 # the stages
 
 
+def _equivariant():
+    """:mod:`tessella.equivariant`, imported by the first stage that reads
+    a symmetry (``automorphism`` and every stage after it)."""
+    from . import equivariant
+
+    return equivariant
+
+
 def _counting_quiver(quiver: Quiver) -> Quiver:
     """The counting localization: generator arrows invertible, the
     isomorphism arrows free."""
@@ -292,21 +303,23 @@ def _tiling(run):
 
 def _choice(run, dimer) -> _Choice:
     tiling, taut, matching = dimer
+    eq = _equivariant()
     if run.opts.get("choice"):
         quiver, W = dual_quiver(tiling)
-        phi = induced_quiver_automorphism(tiling, taut, quiver)
-        choice = orbit_choice_from_json(quiver, run.load("choice"))
+        phi = eq.induced_quiver_automorphism(tiling, taut, quiver)
+        choice = eq.orbit_choice_from_json(quiver, run.load("choice"))
     else:  # the search holds the dual quiver and symmetry it built
-        search = ChoiceSearch(tiling, taut)
+        search = eq.ChoiceSearch(tiling, taut)
         quiver, W, phi = search.quiver, search.W, search.phi
         matching, choice = search.canonical(matching)
-    return _Choice(matching, build_orbit_quiver(quiver, phi, choice), W)
+    return _Choice(matching, eq.build_orbit_quiver(quiver, phi, choice), W)
 
 
 def _transport_identity(run, c: _Choice, tp) -> dict:
     checks = []
     for a in c.ctx.choice.generators:
-        res = verify_transport_identity(c.ctx, c.W, tp.potential, a)
+        res = _equivariant().verify_transport_identity(c.ctx, c.W,
+                                                       tp.potential, a)
         checks.append({"arrow": str(a), "passed": res.passed,
                        "witness": element_to_json(res.witness)})
     return {"ok": all(c["passed"] for c in checks), "checks": checks}
@@ -389,7 +402,7 @@ def _dual_names(tiling, matching) -> list:
 def _refine_json(run, refined) -> dict:
     tiling, taut = refined
     return {"tiling": tiling_to_json(tiling),
-            "automorphism": tiling_automorphism_to_json(taut),
+            "automorphism": _equivariant().tiling_automorphism_to_json(taut),
             "changed": tiling is not run["tiling"]}
 
 
@@ -400,7 +413,7 @@ def _dimer_json(dimer) -> dict:
 
 
 def _choice_json(run, c: _Choice) -> dict:
-    payload = orbit_choice_to_json(c.ctx.choice)
+    payload = _equivariant().orbit_choice_to_json(c.ctx.choice)
     payload["dimer_duals"] = _dual_names(run["dimer"][0], c.matching)
     return payload
 
@@ -522,18 +535,20 @@ class _Stage(NamedTuple):
 _STAGES = (
     _Stage("tiling", (), _tiling),
     _Stage("automorphism", ("tiling",),
-           lambda run, t: tiling_automorphism_from_json(
+           lambda run, t: _equivariant().tiling_automorphism_from_json(
                t, run.load("automorphism")),
            "tile", _tile_report),
     _Stage("dual", ("tiling",), lambda run, t: dual_quiver(t),
            "dual", _dual_report),
     _Stage("refine", ("tiling", "automorphism"),
-           lambda run, t, a: refine_tiling(t, a), "refine", _refine_report),
-    _Stage("dimer", ("refine",), lambda run, r: equivariant_dimer(*r),
+           lambda run, t, a: _equivariant().refine_tiling(t, a),
+           "refine", _refine_report),
+    _Stage("dimer", ("refine",),
+           lambda run, r: _equivariant().equivariant_dimer(*r),
            "dimer", _dimer_report),
     _Stage("choice", ("dimer",), _choice, "choice", _choice_report),
     _Stage("transport", ("choice",),
-           lambda run, c: transport_potential(c.W, c.ctx),
+           lambda run, c: _equivariant().transport_potential(c.W, c.ctx),
            "transport", _transport_report),
     _Stage("transport_identity", ("choice", "transport"), _transport_identity),
     _Stage("d_squared", ("choice",), lambda run, c: _d_squared(c.ctx.base, c.W)),
@@ -624,7 +639,7 @@ _COMMANDS = {
     "refine": _Command("refine", _refine_json),
     "dimer": _Command("dimer", lambda run, d: {
         **_dimer_json(d), "tiling": tiling_to_json(d[0]),
-        "automorphism": tiling_automorphism_to_json(d[1])}),
+        "automorphism": _equivariant().tiling_automorphism_to_json(d[1])}),
     "choose-xi": _Command("choice", _choice_json),
     "transport": _Command("transport", _transport_json,
                           error=_homogeneity_error),

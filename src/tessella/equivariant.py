@@ -39,8 +39,10 @@ from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .datafiles import InputError, check_object, is_id, is_int, list_of
-from .pathalg import (
+from .pathalg import (  # MatchingStuck and NoChoiceFound: re-exported
     Element,
+    MatchingStuck,
+    NoChoiceFound,
     NonComposable,
     Potential,
     Quiver,
@@ -79,16 +81,8 @@ class MixedInverseViolation(ValueError):
     """An isomorphism arrow occurs with both signs in a transported potential."""
 
 
-class NoChoiceFound(RuntimeError):
-    """Exhaustive search found no admissible homogeneous choice."""
-
-
 class MalformedWord(ValueError):
     """The word cannot be factored over the chosen embedding."""
-
-
-class MatchingStuck(RuntimeError):
-    """No co-facial edge insertion can complete the vertex matching."""
 
 
 def _perm_order(perms: Iterable[Mapping]) -> int:

@@ -80,6 +80,19 @@ class StateSpaceTooLarge(RuntimeError):
     """An exhaustive walk was requested over more points than the guard allows."""
 
 
+# Likewise the two faults of the symmetry stages that the CLI maps to exit
+# codes, so that it catches them without importing
+# :mod:`tessella.equivariant`, which raises and re-exports both.
+
+
+class NoChoiceFound(RuntimeError):
+    """Exhaustive search found no admissible homogeneous choice."""
+
+
+class MatchingStuck(RuntimeError):
+    """No co-facial edge insertion can complete the vertex matching."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

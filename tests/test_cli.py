@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from tessella import cli
+from tessella import cli, equivariant
 from tessella.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -1131,7 +1131,7 @@ def test_an_internal_fault_exits_5_from_both_drivers(tmp_path, monkeypatch,
     def boom(tiling, taut):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "refine_tiling", boom)
+    monkeypatch.setattr(equivariant, "refine_tiling", boom)
     assert run(["refine"], capsys) == (EXIT_INTERNAL, "",
                                        "error: RuntimeError: boom\n")
     rc, out, _ = run(["pipeline", "--output-dir", str(tmp_path)], capsys)
@@ -1405,7 +1405,7 @@ def test_the_choice_stage_builds_the_dual_quiver_once(tmp_path, monkeypatch):
     cover computes each once in the search, besides the dual stage."""
     from collections import Counter
 
-    from tessella import equivariant, surfacemap
+    from tessella import surfacemap
 
     tiling, taut = cyclic_cover(load_data("torus_tiling.json"), 10, (1, 0, 2),
                                 seed=1)
@@ -1437,15 +1437,15 @@ def test_the_choice_stage_builds_the_dual_quiver_once(tmp_path, monkeypatch):
 def test_dual_reads_no_automorphism(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the automorphism was loaded")
-    monkeypatch.setattr(cli, "tiling_automorphism_from_json", refuse)
-    monkeypatch.setattr(cli, "refine_tiling", refuse)
+    monkeypatch.setattr(equivariant, "tiling_automorphism_from_json", refuse)
+    monkeypatch.setattr(equivariant, "refine_tiling", refuse)
     assert run_json(["dual"], capsys)["vertices"]
 
 
 def test_refine_runs_no_dimer(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the dimer ran")
-    monkeypatch.setattr(cli, "equivariant_dimer", refuse)
+    monkeypatch.setattr(equivariant, "equivariant_dimer", refuse)
     assert run_json(["refine"], capsys)["changed"] is False
 
 
@@ -1483,18 +1483,24 @@ def test_probe_reads_its_qpot_file_once(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# import hygiene: only the stages that count load numpy
+# import hygiene: each process loads only the modules of what it runs
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# the counting kernel comes with a count, and numpy only with a count that
-# sweeps (sample mode, d >= 2, or past the monomial budget at d = 1);
+# the counting kernel comes with a count, and the numpy sweep with numpy only
+# with a count that sweeps (sample mode, d >= 2, or past the monomial budget
+# at d = 1); the per-point oracle with no CLI run; the symmetry stages with
+# every stage from the automorphism on, so not with dual or gdga-check;
 # hashlib only with the pipeline report's input digests;
 # importlib.metadata and dataclasses with nothing: the version is read from
 # the metadata file, and no record generates code at import.
 # inspect is not listed: from Python 3.12 importlib.resources imports it.
-HEAVY = ("numpy", "tessella.repcount", "hashlib", "importlib.metadata",
+HEAVY = ("numpy", "tessella.repcount", "tessella.sweep", "tessella.matrixrep",
+         "tessella.equivariant", "hashlib", "importlib.metadata",
          "dataclasses")
+# what a count or probe of the bundled example loads of HEAVY on the monomial
+# route: the chain up to the counting quiver, and the counting kernel
+ROUTE = {"tessella.equivariant", "tessella.repcount"}
 _FRESH = """
 import contextlib, io, json, sys
 from tessella.cli import main
@@ -1525,24 +1531,28 @@ def in_fresh_process(argv, flags=(), watched=HEAVY) -> tuple:
                           "derive", "gdga-check", "verify-eq31", "psi-verify",
                           "check-script"])
 def test_a_subcommand_that_does_not_count_loads_no_numpy(subcommand):
+    """``dual`` and ``gdga-check`` read no symmetry, so they load no
+    :mod:`tessella.equivariant` either."""
     rc, out, loaded = in_fresh_process([subcommand])
     assert rc == EXIT_OK and out
-    assert loaded == set()
+    assert loaded == (set() if subcommand in ("dual", "gdga-check")
+                      else {"tessella.equivariant"})
 
 
 def test_count_loads_the_counting_kernel():
-    """The monomial route counts q = 3 without numpy."""
+    """The monomial route counts q = 3 without numpy, the numpy sweep or
+    the per-point oracle."""
     rc, out, loaded = in_fresh_process(["count", "--q", "3", "--d", "1"])
     golden = BENCHMARKS / "golden" / "count_q_3_d_1.out"
     assert rc == EXIT_OK and out.encode() == golden.read_bytes()
-    assert loaded == {"tessella.repcount"}
+    assert loaded == ROUTE
 
 
 def test_a_small_probe_loads_the_counting_kernel_but_no_numpy():
     rc, out, loaded = in_fresh_process(["probe", "--q", "3"])
     golden = BENCHMARKS / "golden" / "probe_q_3.out"
     assert rc == EXIT_OK and out.encode() == golden.read_bytes()
-    assert loaded == {"tessella.repcount"}
+    assert loaded == ROUTE
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -1556,7 +1566,7 @@ def test_a_q11_count_or_probe_loads_the_counting_kernel_but_no_numpy(argv,
     rc, out, loaded = in_fresh_process(argv)
     golden = BENCHMARKS / "golden" / f"{name}.out"
     assert rc == EXIT_OK and out.encode() == golden.read_bytes()
-    assert loaded == {"tessella.repcount"}
+    assert loaded == ROUTE
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -1571,26 +1581,19 @@ def test_a_q37_count_or_probe_loads_the_counting_kernel_but_no_numpy(argv,
     rc, out, loaded = in_fresh_process(argv)
     golden = Path(__file__).resolve().parent / "golden" / f"{name}.out"
     assert rc == EXIT_OK and out.encode() == golden.read_bytes()
-    assert loaded == {"tessella.repcount"}
+    assert loaded == ROUTE
 
 
-def test_counts_that_take_the_monomial_route_build_no_pool(monkeypatch,
-                                                           capsys):
-    """The route and the exhaustive guard read pool sizes only: with every
-    pool build failing, the bundled q = 11 count and probe still print their
-    goldens, and a count at q = 999983 is refused by the guard."""
-    from tessella import repcount
-
-    def no_pool(*args):
-        raise AssertionError("a pool was built")
-
-    monkeypatch.setattr(repcount, "_pool", no_pool)
-    for argv, name in ((["count", "--q", "11", "--d", "1"], "count_q11_d1"),
-                       (["probe", "--q", "11"], "probe_q11")):
-        rc, out, _ = run(argv, capsys)
-        golden = BENCHMARKS / "golden" / f"{name}.out"
-        assert rc == EXIT_OK and out.encode() == golden.read_bytes()
-    rc, out, err = run(["count", "--q", "999983", "--d", "1"], capsys)
+def test_counts_that_take_the_monomial_route_build_no_pool(capsys):
+    """The route and the exhaustive guard read pool sizes only, so no module
+    that builds a pool loads: not the numpy sweep (entry pools) and not the
+    per-point oracle (tuple pools).  The bundled q = 3, 11 and 37 counts and
+    probes above load neither, and nor does a count at q = 999983, which
+    the guard refuses."""
+    argv = ["count", "--q", "999983", "--d", "1"]
+    rc, out, loaded = in_fresh_process(argv)
+    assert (rc, out, loaded) == (EXIT_INPUT, "", ROUTE)
+    rc, out, err = run(argv, capsys)
     assert rc == EXIT_INPUT and out == ""
     assert err == (
         "error: StateSpaceTooLarge: 999982^4 * 999983 points to sweep (state "
@@ -1600,11 +1603,20 @@ def test_counts_that_take_the_monomial_route_build_no_pool(monkeypatch,
 
 def test_a_count_past_the_scalar_budget_loads_numpy():
     """A count that the monomial route does not take, here one at d = 2,
-    sweeps with numpy."""
+    sweeps with numpy, and still loads no per-point oracle."""
     rc, out, loaded = in_fresh_process(["count", "--q", "2", "--d", "2"])
     golden = BENCHMARKS / "golden" / "count_q2_d2.out"
     assert rc == EXIT_OK and out.encode() == golden.read_bytes()
-    assert loaded == {"numpy", "tessella.repcount"}
+    assert loaded == ROUTE | {"numpy", "tessella.sweep"}
+
+
+def test_a_sample_loads_the_sweep_but_not_the_oracle():
+    rc, out, loaded = in_fresh_process(
+        ["count", "--q", "17", "--mode", "sample", "--sample-size", "150000",
+         "--seed", "1"])
+    golden = Path(__file__).resolve().parent / "golden" / "count_q17_sample.out"
+    assert rc == EXIT_OK and out.encode() == golden.read_bytes()
+    assert loaded == ROUTE | {"numpy", "tessella.sweep"}
 
 
 def test_version_flag_in_a_fresh_process_prints_the_tool_version():
@@ -1622,7 +1634,7 @@ def test_the_pipeline_hashes_its_inputs_but_reads_no_installed_metadata(
     report = json.loads(out)
     assert rc == EXIT_OK and report["version"] == cli.tool_version()
     assert set(report["input_digests"]) == {"tiling", "automorphism"}
-    assert loaded == {"tessella.repcount", "hashlib"}
+    assert loaded == ROUTE | {"hashlib"}
 
 
 def test_only_a_run_that_reads_bundled_files_loads_importlib_resources(
@@ -1651,6 +1663,13 @@ def test_only_a_run_that_reads_bundled_files_loads_importlib_resources(
 def test_the_cli_catches_the_counting_guard_class():
     from tessella import repcount
     assert repcount.StateSpaceTooLarge is cli.StateSpaceTooLarge
+
+
+def test_the_cli_catches_the_symmetry_stage_faults():
+    """Both live in pathalg, so that ``cli`` names them in ``_FAULTS``
+    without importing equivariant, which raises them."""
+    assert equivariant.NoChoiceFound is cli.NoChoiceFound
+    assert equivariant.MatchingStuck is cli.MatchingStuck
 
 
 def test_the_cli_raises_and_catches_the_parsers_input_error():

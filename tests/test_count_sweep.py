@@ -40,7 +40,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tessella.matrixrep as matrixrep
 import tessella.repcount as repcount
+import tessella.sweep as sweep
 from conftest import cyclic_cover
 from tessella import cli
 from tessella.datafiles import load_data
@@ -58,9 +60,7 @@ from tessella.repcount import (
     CountReport,
     ProbeReport,
     StateSpaceTooLarge,
-    _Draws,
     _RepSpace,
-    _sweep,
     _check_int64,
     _gauge_tree,
     conjecture_probe_d1,
@@ -70,6 +70,7 @@ from tessella.repcount import (
     state_space_size,
     trace_potential,
 )
+from tessella.sweep import _Batches, _Draws, _sweep
 
 # -- sample reports recorded before the shared sweep -------------------------
 
@@ -111,7 +112,7 @@ def bundled_counting():
 def test_sample_reports_are_pinned(bundled_counting, case, expected):
     quiver, W = bundled_counting
     d, q, size, seed = case
-    assert size > repcount._CHUNK  # more than one draw block
+    assert size > sweep._CHUNK  # more than one draw block
     report = enumerate_reps(quiver, W, d, q, mode="sample", sample_size=size,
                             seed=seed)
     assert report.to_json() == expected
@@ -123,7 +124,7 @@ def test_sample_reports_ignore_slices_and_threads(bundled_counting):
     quiver, W = bundled_counting
     base = enumerate_reps(quiver, W, 1, 5, mode="sample", sample_size=70000,
                           seed=9)
-    with mock.patch.object(repcount, "_SLICE", 1000), \
+    with mock.patch.object(sweep, "_SLICE", 1000), \
             mock.patch.dict(os.environ, {"TESSELLA_THREADS": "3"}):
         assert enumerate_reps(quiver, W, 1, 5, mode="sample",
                               sample_size=70000, seed=9) == base
@@ -159,13 +160,13 @@ _SEEDS = [0, -5, (1 << 40) + 3]
 # GL_1(F_2) (each draw about two words), 2, a power of two (about half the
 # words rejected), F_17, GL_2(F_3), the largest pool the guard admits and the
 # largest one-word size
-_SIZES = [1, 2, 16, 17, 48, repcount._POOL_GUARD, repcount._DRAW_LIMIT - 1]
+_SIZES = [1, 2, 16, 17, 48, repcount._POOL_GUARD, sweep._DRAW_LIMIT - 1]
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_bulk_draws_follow_the_randrange_stream(seed):
     """Words read ahead for one arrow serve the next arrow and block."""
-    blocks = [1, 1, 2, 7, repcount._CHUNK + 3, 1000, 1]
+    blocks = [1, 1, 2, 7, sweep._CHUNK + 3, 1000, 1]
     assert (bulk_draws(seed, _SIZES, blocks)
             == reference_draws(seed, _SIZES, blocks))
 
@@ -188,7 +189,7 @@ _ONE_LOCALIZED = Quiver([0], [("x", 0, 0), ("y", 0, 0)], localized=["y"])
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
-@pytest.mark.parametrize("draws", [1, 5, repcount._CHUNK + 5])
+@pytest.mark.parametrize("draws", [1, 5, sweep._CHUNK + 5])
 @pytest.mark.parametrize("case", ["q2-gl1", "bundled-q17", "bundled-d2-q3"])
 def test_sample_sweep_draws_the_randrange_stream(bundled_counting, case,
                                                  draws, seed):
@@ -200,23 +201,23 @@ def test_sample_sweep_draws_the_randrange_stream(bundled_counting, case,
     sizes = [space.sizes[a] for a in space.arrows]
     assert set(sizes) == {"q2-gl1": {2, 1}, "bundled-q17": {17, 16},
                           "bundled-d2-q3": {81, 48}}[case]
-    blocks = [min(repcount._CHUNK, draws - lo)
-              for lo in range(0, draws, repcount._CHUNK)]
+    blocks = [min(sweep._CHUNK, draws - lo)
+              for lo in range(0, draws, sweep._CHUNK)]
     assert (_recorded_sample(space, draws, seed)
             == reference_draws(seed, sizes, blocks))
 
 
 def test_pools_stay_below_the_one_word_draw_limit():
-    assert repcount._DRAW_LIMIT == 1 << 32
-    assert repcount._POOL_GUARD < repcount._DRAW_LIMIT
+    assert sweep._DRAW_LIMIT == 1 << 32
+    assert repcount._POOL_GUARD < sweep._DRAW_LIMIT
 
 
 def test_a_pool_at_the_draw_limit_is_refused_with_one_line():
     with pytest.raises(StateSpaceTooLarge, match="32-bit") as info:
-        _Draws(0).below(repcount._DRAW_LIMIT, 1)
+        _Draws(0).below(sweep._DRAW_LIMIT, 1)
     assert "\n" not in str(info.value)
     space = _RepSpace(_ONE_LOCALIZED, 1, 3)
-    space.sizes["x"] = repcount._DRAW_LIMIT
+    space.sizes["x"] = sweep._DRAW_LIMIT
     with pytest.raises(StateSpaceTooLarge, match="32-bit"):
         _sweep(space, lambda idx, n: 0, 10, 0)
 
@@ -332,16 +333,16 @@ def _walk(quiver, W, omega, d, q):
 # (block size, slice size, monomial budget): settings that must not change a
 # count; every block and slice size on the numpy sweep (budget 0), then the
 # default budget, under which a d = 1 count or probe here is monomial
-SWEEP_CONFIGS = [*product((16, repcount._CHUNK), (5, repcount._SLICE), (0,)),
-                 (repcount._CHUNK, repcount._SLICE, repcount._MONOMIAL_BUDGET)]
+SWEEP_CONFIGS = [*product((16, sweep._CHUNK), (5, sweep._SLICE), (0,)),
+                 (sweep._CHUNK, sweep._SLICE, repcount._MONOMIAL_BUDGET)]
 
 
 def _check_against_walk(quiver, W, omega, d, q):
     assert state_space_size(quiver, d, q) <= 256
     walk = _walk(quiver, W, omega, d, q)
     for chunk, slice_, budget in SWEEP_CONFIGS:
-        with mock.patch.object(repcount, "_CHUNK", chunk), \
-                mock.patch.object(repcount, "_SLICE", slice_), \
+        with mock.patch.object(sweep, "_CHUNK", chunk), \
+                mock.patch.object(sweep, "_SLICE", slice_), \
                 mock.patch.object(repcount, "_MONOMIAL_BUDGET", budget):
             if walk["crit"] is None:
                 with pytest.raises(InverseOfNonLocalized):
@@ -434,7 +435,7 @@ def _outcome(route, count, *args, budget=None):
     if route == "monomial":
         budget = repcount._MONOMIAL_BUDGET if budget is None else budget
         patches = (mock.patch.object(repcount, "_MONOMIAL_BUDGET", budget),
-                   mock.patch.object(repcount, "_sweep", side_effect=(
+                   mock.patch.object(sweep, "_sweep", side_effect=(
                        AssertionError("_sweep ran"))))
     else:
         patches = (mock.patch.object(repcount, "_monomial_route",
@@ -980,9 +981,9 @@ def _check_lazy_against_walk(quiver, W, omega, d, q):
     the default slice and with 7-point slices, then with the default
     monomial budget, which takes a d = 1 count or probe here off numpy."""
     walk = _walk(quiver, W, omega, d, q)
-    for slice_, budget in ((repcount._SLICE, 0), (7, 0),
-                           (repcount._SLICE, repcount._MONOMIAL_BUDGET)):
-        with mock.patch.object(repcount, "_SLICE", slice_), \
+    for slice_, budget in ((sweep._SLICE, 0), (7, 0),
+                           (sweep._SLICE, repcount._MONOMIAL_BUDGET)):
+        with mock.patch.object(sweep, "_SLICE", slice_), \
                 mock.patch.object(repcount, "_MONOMIAL_BUDGET", budget):
             report = enumerate_reps(quiver, W, d, q)
             assert (report.histogram, report.critical) == (walk["hist"],
@@ -1088,12 +1089,11 @@ def test_entry_pools_hold_the_matrices_of_the_tuple_pools(d, q, invertible,
                                                           inverse):
     """An arrow's entry pool holds the matrices of its tuple pool, and the
     inverse pool of a localized arrow their inverses, in the same order."""
-    repcount._numpy()
-    pool = repcount._entry_pool(d, q, invertible)
-    mats = repcount._pool(d, q, invertible)
+    pool = sweep._entry_pool(d, q, invertible)
+    mats = matrixrep._pool(d, q, invertible)
     if inverse:
-        pool = repcount._inverse_entries(pool, d, q)
-        mats = [repcount._mat_inv(m, q) for m in mats]
+        pool = sweep._inverse_entries(pool, d, q)
+        mats = [matrixrep._mat_inv(m, q) for m in mats]
     assert pool.dtype == "int64" and pool.shape == (d * d, len(mats))
     assert pool.T.tolist() == [[x for row in m for x in row] for m in mats]
 
@@ -1124,7 +1124,7 @@ def test_the_sweep_builds_no_tuple_pool(capsys, args, golden):
     with contextlib.ExitStack() as stack:
         for name in ("_pool", "_mat_inv"):
             stack.enter_context(mock.patch.object(
-                repcount, name, side_effect=AssertionError(name)))
+                matrixrep, name, side_effect=AssertionError(name)))
         if args is None:
             probe = _on_numpy(conjecture_probe_d1, quiver, W, omega, 5)
             assert (probe.weight_total, probe.weight_nilpotent,
@@ -1148,14 +1148,14 @@ def _nilpotent_loops(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_a_d3_sample_matches_the_per_point_oracle_at_its_draws(q):
     """Each draw of ``randrange`` (:func:`reference_draws`) picks a matrix
-    of :func:`repcount._pool`, and :func:`trace_potential` and
+    of :func:`matrixrep._pool`, and :func:`trace_potential` and
     :func:`crit_check` read the point they make."""
     quiver, W = _nilpotent_loops(q)
     d, n, seed = 3, 1000, 11
     sizes = repcount._arrow_sizes(quiver, d, q)
     arrows = quiver.arrow_ids()
     draws = reference_draws(seed, [sizes[a] for a in arrows], [n])
-    pools = [repcount._pool(d, q, quiver.is_localized(a)) for a in arrows]
+    pools = [matrixrep._pool(d, q, quiver.is_localized(a)) for a in arrows]
     hist, crit = Counter({v: 0 for v in range(q)}), 0
     for point in zip(*draws):
         rep = repcount.MatrixRep(quiver, d, q, {
@@ -1209,8 +1209,8 @@ def test_a_w_whose_derivatives_vanish_mod_q_for_some_arrows(case):
 def test_a_count_without_a_live_arrow_adds_and_scales_no_batch(capsys):
     """Over F_2 every derivative of the bundled W is 0, so ``count --q 2
     --d 2`` multiplies out each term for its trace and forms no gradient."""
-    with mock.patch.object(_RepSpace, "add", side_effect=AssertionError(
-            "add")), mock.patch.object(_RepSpace, "scale",
+    with mock.patch.object(_Batches, "add", side_effect=AssertionError(
+            "add")), mock.patch.object(_Batches, "scale",
                                        side_effect=AssertionError("scale")):
         assert cli.main(["count", "--q", "2", "--d", "2"]) == 0
     golden = Path(__file__).resolve().parents[1] / "benchmarks" / "golden"

@@ -4,18 +4,23 @@ and the weighted degree-one probe."""
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tessella.repcount as repcount
+import tessella.matrixrep as matrixrep
+import tessella.sweep as sweep
 from tessella.pathalg import (
     Element,
     InverseOfNonLocalized,
@@ -385,11 +390,11 @@ def _coeff_mod_reference(c, q):
 
 def _word_matrix_reference(rep, letters):
     """``MatrixRep._word_matrix`` before it started from the first letter."""
-    out = repcount._eye(rep.d)
+    out = matrixrep._eye(rep.d)
     for a, e in letters:
         if e != 1 and not rep.quiver.is_localized(a):
             raise InverseOfNonLocalized(a)
-        m = rep.matrix(a) if e == 1 else repcount._mat_inv(rep.matrix(a), rep.q)
+        m = rep.matrix(a) if e == 1 else matrixrep._mat_inv(rep.matrix(a), rep.q)
         out = _mat_mul_reference(out, m, rep.q)
     return out
 
@@ -418,7 +423,7 @@ def _trace_gradient_reference(rep, W):
                     f"cannot differentiate through an inverse of {a!r}")
             m = _word_matrix_reference(rep, cyc[i + 1:] + cyc[:i])
             out[a] = _mat_add_reference(
-                out[a], _mat_scale_reference(cm, repcount._transpose(m), q), q)
+                out[a], _mat_scale_reference(cm, matrixrep._transpose(m), q), q)
     return out
 
 
@@ -429,7 +434,7 @@ def _crit_check_reference(rep, quiver, W):
     flat = True
     for a in quiver.arrow_ids():
         d_val = _evaluate_reference(rep, derivs[a])
-        if repcount._transpose(d_val) != grads[a]:
+        if matrixrep._transpose(d_val) != grads[a]:
             raise RuntimeError(f"gradient cross-check failed at arrow {a!r}")
         flat = flat and mat_is_zero(d_val)
     return flat
@@ -441,7 +446,7 @@ def _random_rep(quiver, d, q, rng):
         while True:
             m = tuple(tuple(rng.randrange(q) for _ in range(d))
                       for _ in range(d))
-            if not quiver.is_localized(a) or repcount._mat_det(m, q):
+            if not quiver.is_localized(a) or matrixrep._mat_det(m, q):
                 break
         mats[a] = m
     return MatrixRep(quiver, d, q, mats)
@@ -454,7 +459,7 @@ def test_mat_mul_matches_the_generator_form(d, q, seed):
     rng = random.Random(seed)
     a, b = ([[rng.randrange(q) for _ in range(d)] for _ in range(d)]
             for _ in range(2))
-    assert repcount._mat_mul(a, b, q) == _mat_mul_reference(a, b, q)
+    assert matrixrep._mat_mul(a, b, q) == _mat_mul_reference(a, b, q)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -496,13 +501,13 @@ def test_crit_check_raises_when_its_two_routes_disagree(monkeypatch, route):
     if route == "gradient":
         def planted(rep, W):
             grads = trace_gradient(rep, W)
-            grads["c"] = _mat_add_reference(grads["c"], repcount._eye(2), 3)
+            grads["c"] = _mat_add_reference(grads["c"], matrixrep._eye(2), 3)
             return grads
-        monkeypatch.setattr(repcount, "trace_gradient", planted)
+        monkeypatch.setattr(matrixrep, "trace_gradient", planted)
     else:
         table = derivatives(quiver, W)
         bump = Element.from_word(quiver.word((), at=2))
-        monkeypatch.setattr(repcount, "derivatives",
+        monkeypatch.setattr(matrixrep, "derivatives",
                             lambda quiver, W: {**table, "c": table["c"] + bump})
     with pytest.raises(RuntimeError, match="cross-check failed at arrow 'c'"):
         crit_check(rep, quiver, W)
@@ -572,10 +577,10 @@ def test_crit_check_repeats_its_products_and_shares_none(monkeypatch):
     derivs = derivatives(quiver, W)
     calls = Counter()
     for name in ("_mat_mul", "_add_product"):
-        def counted(*args, name=name, f=getattr(repcount, name)):
+        def counted(*args, name=name, f=getattr(matrixrep, name)):
             calls[name] += 1
             return f(*args)
-        monkeypatch.setattr(repcount, name, counted)
+        monkeypatch.setattr(matrixrep, name, counted)
 
     def products(f):
         calls.clear()
@@ -716,7 +721,7 @@ def test_chunking_and_threads_do_not_change_reports(monkeypatch):
     q = counting_quiver()
     W = counting_potential(q)
     base = enumerate_reps(q, W, 1, 3)
-    monkeypatch.setattr(repcount, "_CHUNK", 16)
+    monkeypatch.setattr(sweep, "_CHUNK", 16)
     monkeypatch.setenv("TESSELLA_THREADS", "3")
     assert enumerate_reps(q, W, 1, 3) == base
     monkeypatch.setenv("TESSELLA_THREADS", "not-a-number")
@@ -951,3 +956,39 @@ def test_probe_report_json():
     blob = conjecture_probe_d1(loop, Potential(), om, 3).to_json()
     assert blob["total_matches"] is True
     assert "heuristic" in blob["note"]
+
+
+# -- the per-point oracle's names on repcount --------------------------------
+
+_ORACLE_IMPORT = """
+import sys
+from tessella.repcount import (MatrixRep, crit_check, iter_reps, nth_rep,
+                               trace_gradient, trace_potential)
+from tessella import matrixrep
+names = ("MatrixRep", "crit_check", "iter_reps", "nth_rep", "trace_gradient",
+         "trace_potential")
+print(all(globals()[n] is getattr(matrixrep, n) for n in names),
+      sorted({"numpy", "tessella.sweep"} & set(sys.modules)))
+"""
+
+
+def test_repcount_serves_the_oracle_from_matrixrep_without_numpy():
+    """The oracle's public names import from :mod:`tessella.repcount` as
+    the objects of :mod:`tessella.matrixrep`, and loading them loads
+    neither numpy nor the numpy sweep."""
+    path = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _ORACLE_IMPORT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "True []\n"
+
+
+def test_repcount_serves_no_other_name():
+    from tessella import repcount
+
+    for name in ("no_such_name", "_pool", "_sweep"):
+        with pytest.raises(AttributeError, match=f"'tessella.repcount' has "
+                                                 f"no attribute '{name}'"):
+            getattr(repcount, name)
