@@ -34,7 +34,8 @@ Conventions
   tiling that ``validate_tiling`` rejects, a dehn-mode phi_star file for
   another genus than the tiling's, an automorphism that is not a
   symmetry, and a stuck equivariant dimer (``MatchingStuck``); 5 an
-  internal fault.
+  internal fault, a ``TypeError`` included, since no malformed input
+  lets one through.
 * A count sweeps its points on the calling thread, with elementwise
   products of int64 entry arrays that never reach BLAS, and a ``tessella``
   process (:func:`entry`) starts no OpenBLAS thread pool unless the caller
@@ -51,10 +52,11 @@ Conventions
     with it, only in sample mode, at d >= 2, or past the monomial budget
     of an exhaustive d = 1 count (``repcount._MONOMIAL_BUDGET``
     image-group elements, each stratum charged ``repcount._STRATUM_COST``
-    more).  So every exhaustive d = 1 count and probe of the bundled
-    example, ``count --q 37 --d 1`` and ``probe --q 37`` included, runs
-    without either.  No run imports the per-point oracle,
-    :mod:`tessella.matrixrep`.
+    more), and never once a guard refuses the count.  So every exhaustive
+    d = 1 count and probe of the bundled example, ``count --q 37 --d 1``
+    and ``probe --q 37`` included, runs without either, and so does
+    ``count --q 3 --d 2``, which the exhaustive guard refuses.  No run
+    imports the per-point oracle, :mod:`tessella.matrixrep`.
   - Only the stages from ``automorphism`` on import
     :mod:`tessella.equivariant` (:func:`_equivariant`), so ``dual``,
     ``gdga-check`` and ``--version`` run without it.  The two faults of
@@ -137,7 +139,7 @@ _BUNDLED = {"tiling": "genus2_tiling.json",
 _FAULTS = (
     ((NoChoiceFound,), EXIT_NO_CHOICE),
     ((InputError, StateSpaceTooLarge, MatchingStuck, OSError, ValueError,
-      KeyError, TypeError), EXIT_INPUT),
+      KeyError), EXIT_INPUT),
 )
 
 

@@ -15,21 +15,20 @@ normalizations (the half power of the ambient dimension, and the order of
 the gauge group GL_d per vertex) are reported symbolically alongside the
 tallies and never folded into them.
 
-The code sits in three modules, and a count compiles only the route it
-runs:
+The code sits in three modules, and a count compiles only the route that
+:func:`_tallies`, the one function that guards and routes every count and
+probe, picks for it:
 
 * this one holds the space (:class:`_RepSpace`: pool sizes, strides and
-  the gauge tree, no matrices), the guards, the reports, and the monomial
-  route (:func:`_monomial_route`).  :func:`enumerate_reps` and
-  :func:`conjecture_probe_d1` send an exhaustive count at d = 1 through
-  the monomial map: on the torus of nonzero arrows each word of W (and of
-  omega) is a monomial, so the route sums over the image group of that map,
-  stratum by stratum, in place of the points, on Python ints.
-* :mod:`tessella.sweep` holds the numpy batch sweep.  It runs, imported
-  with numpy only then, when the route's groups' elements, plus
-  ``_STRATUM_COST`` for each stratum, come to more than
-  ``_MONOMIAL_BUDGET``, and for every other count (sample mode and
-  d >= 2).  Both routes give the same tallies and raise the same errors.
+  the gauge tree, no matrices), the guards, the reports, :func:`_tallies`
+  and the monomial route (:func:`_monomial_route`) of an exhaustive d = 1
+  count: on the torus of nonzero arrows each word of W (and of omega) is a
+  monomial, so the route sums over the image group of that map, stratum by
+  stratum, in place of the points, on Python ints.
+* :mod:`tessella.sweep` holds the numpy batch sweep of every other count:
+  sample mode, d >= 2, and a d = 1 count past the route's budget.  It is
+  imported with numpy only then, never for a count that a guard refuses.
+  Both routes give the same tallies and raise the same errors.
 * :mod:`tessella.matrixrep` holds the per-point oracle of both routes,
   :class:`MatrixRep` with :func:`trace_potential`, :func:`trace_gradient`,
   :func:`crit_check`, :func:`nth_rep` and :func:`iter_reps`, which no count
@@ -176,15 +175,15 @@ class _RepSpace:
         for a in reversed(self.arrows):
             self.strides[a], acc = acc, acc * self.sizes[a]
 
-    def check_letter(self, letter) -> tuple:
-        """The letter, if its arrow has matrices here and it inverts only a
-        localized arrow; else the error reading its matrices raises."""
-        a, e = letter
-        if a not in self.sizes:
-            raise ShapeMismatch(f"no matrices for arrow {a!r}")
-        if e != 1 and not self.quiver.is_localized(a):
-            raise InverseOfNonLocalized(a)
-        return letter
+    def check_letters(self, letters) -> tuple:
+        """The letters, if each arrow has matrices here and only localized
+        arrows are inverted; else the first bad letter's error."""
+        for a, e in letters:
+            if a not in self.sizes:
+                raise ShapeMismatch(f"no matrices for arrow {a!r}")
+            if e != 1 and not self.quiver.is_localized(a):
+                raise InverseOfNonLocalized(a)
+        return letters
 
 
 def _gauge_tree(quiver: Quiver, omega: Element | None = None) -> tuple:
@@ -243,11 +242,10 @@ def _coefficients(W: Potential, d: int, q: int) -> list:
     return terms
 
 
-def _exponents(space: _RepSpace, letters) -> dict:
-    """Each arrow's exponent in the monomial a word is at d = 1, its letters
-    checked in order as :meth:`_RepSpace.check_letter` does."""
+def _exponents(letters) -> dict:
+    """Each arrow's exponent in the monomial a word is at d = 1."""
     exps: dict = {}
-    for a, e in map(space.check_letter, letters):
+    for a, e in letters:
         exps[a] = exps.get(a, 0) + e
     return exps
 
@@ -285,14 +283,12 @@ def _span(columns: list, size: int, m: int, room: int) -> list | None:
 
 
 def _monomial_route(space: _RepSpace, terms: list,
-                    omega: Element | None = None) -> list | None:
-    """The tallies the numpy sweep returns for an exhaustive d = 1 count
-    (the fibre count of each residue of Tr W, then the critical points) or,
-    with ``omega``, probe (the weight of the whole space, of the
-    omega-nilpotent and of the omega-invertible points), counted through
-    the monomial map without visiting a point.  None when the elements of
-    the image groups below, plus ``_STRATUM_COST`` for each stratum, come to
-    more than ``_MONOMIAL_BUDGET``.
+                    om_terms: list | None) -> list | None:
+    """The tallies of :func:`_tallies` for an exhaustive d = 1 count or,
+    with omega's terms ``om_terms``, probe, counted through the monomial
+    map without visiting a point.  None when the elements of the image
+    groups below, plus ``_STRATUM_COST`` for each stratum, come to more
+    than ``_MONOMIAL_BUDGET``.
 
     At d = 1 a word is a monomial in the arrows' scalars (an inverse letter
     adds -1 to its arrow's exponent).  The space splits into strata by which
@@ -316,20 +312,13 @@ def _monomial_route(space: _RepSpace, terms: list,
     than the budget.
 
     The gauge tree plays no part: the tallies are those of the full space,
-    and no pool of matrices is read.  The exhaustive guard still reads the
-    gauge slice's pool sizes, as the sweep does.  Errors come in order:
-    the guard, the letters of W, then omega's words, each word's letters
-    before its coefficient; the probe's sweep reads omega after this route."""
-    _check_guard(space)
+    and no pool of matrices is read."""
     q, m = space.q, space.q - 1
-    words = [(c, _exponents(space, cyc)) for c, cyc in terms]
-    for w in omega.words() if omega is not None else ():
-        exps = _exponents(space, w.letters)
-        words.append((_coeff_mod(omega.coeffs[w], q), exps))
+    words = [(c, _exponents(cyc)) for c, cyc in [*terms, *(om_terms or ())]]
     free = [a for a in space.arrows if not space.quiver.is_localized(a)]
     holders = [[i for i, (_, exps) in enumerate(words) if a in exps]
                for a in free]
-    dead = 2 if omega is None else 1  # zero letters that kill a word
+    dead = 2 if om_terms is None else 1  # zero letters that kill a word
     # a free arrow with a holder that the earlier free arrows can never kill
     # splits every stratum it meets, so there are at least 2^splits strata
     kills, splits = [0] * len(words), 0
@@ -369,12 +358,12 @@ def _monomial_route(space: _RepSpace, terms: list,
         groups.append((group, zeros, summed, hits, live, torus))
     g = _generator(q)
     power = {e: pow(g, e, q) for group, *_ in groups for h in group for e in h}
-    out = [0] * (q + 1 if omega is None else 3)
+    out = [0] * (q + 1 if om_terms is None else 3)
     for group, zeros, summed, hits, live, torus in groups:
         weight = q ** summed * m ** (len(torus) - summed) // len(group)
         whole = [(j, i) for j, i in enumerate(live) if hits[i] == 0]
         trace = [(words[i][0], j) for j, i in whole if i < len(terms)]
-        if omega is None:  # x_a dW/da for each a of the torus, then each zero
+        if om_terms is None:  # x_a dW/da for each torus arrow, then each zero
             eqs = [[(words[i][0] * words[i][1][a] % q, j) for j, i in whole
                     if a in words[i][1]] for a in torus]
             eqs += [[(words[i][0], j) for j, i in enumerate(live)
@@ -385,7 +374,7 @@ def _monomial_route(space: _RepSpace, terms: list,
         for h in group:
             y = [power[e] for e in h]
             f = sum([c * y[j] for c, j in trace]) % q
-            if omega is None:
+            if om_terms is None:
                 out[f] += weight
                 if all(sum([c * y[j] for c, j in eq]) % q == 0 for eq in eqs):
                     out[q] += weight
@@ -395,6 +384,40 @@ def _monomial_route(space: _RepSpace, terms: list,
                 out[0] += sign
                 out[1 if nilpotent else 2] += sign
     return out
+
+
+def _tallies(space: _RepSpace, terms: list, omega: Element | None = None,
+             live=frozenset(), draws=None, seed=None) -> list:
+    """The tallies of a count (the fibre count of each residue of Tr W, then
+    the critical points) or, with ``omega``, of the probe (the weight of the
+    whole space, of the omega-nilpotent and of the omega-invertible points),
+    over the space or over ``draws`` seeded points.
+
+    The one place that picks how a count runs, and so the order of its
+    errors.  An exhaustive count meets :func:`_check_guard` first, whatever
+    route would count it.  The probe then reads W's letters, then omega's
+    word by word, each word's letters before its coefficient (a count's W
+    has passed :func:`derivatives`).  An exhaustive count at d = 1 takes the
+    monomial route; what it declines, every sample and every count at
+    d >= 2 go to the numpy sweep, imported with numpy only then.  So a
+    refused count loads no numpy, and both routes raise the same errors."""
+    if draws is None:
+        _check_guard(space)
+    om_terms = None
+    if omega is not None:
+        for _, cyc in terms:
+            space.check_letters(cyc)
+        om_terms = []
+        for w in omega.words():
+            letters = space.check_letters(w.letters)
+            om_terms.append((_coeff_mod(omega.coeffs[w], space.q), letters))
+    if draws is None and space.d == 1:
+        tally = _monomial_route(space, terms, om_terms)
+        if tally is not None:
+            return tally
+    from .sweep import tallies  # loaded, with numpy, only to sweep
+
+    return tallies(space, terms, om_terms, live, draws, seed)
 
 
 def _normalization(quiver: Quiver, d: int, q: int) -> dict:
@@ -481,12 +504,7 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         sample_size = seed = None
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    tally = (_monomial_route(space, terms)
-             if mode == "exhaustive" and d == 1 else None)
-    if tally is None:
-        from .sweep import count_tallies  # loaded, with numpy, only to sweep
-
-        tally = count_tallies(space, terms, live, sample_size, seed)
+    tally = _tallies(space, terms, None, live, sample_size, seed)
     histogram = {v: int(tally[v]) for v in range(q)}
     return CountReport(
         q=q, d=d, mode=mode, total=sample_size or space.state_space,
@@ -541,14 +559,7 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
     space = _RepSpace(quiver, 1, q, _gauge_tree(quiver, omega))
     terms = _coefficients(W, 1, q)
     _check_int64(1, q, len(omega.coeffs))  # omega's trace sum, as W's
-    tally = _monomial_route(space, terms, omega)  # checks omega's words
-    if tally is None:
-        from .sweep import probe_tallies  # loaded, with numpy, only to sweep
-
-        tally = probe_tallies(space, terms, [
-            (_coeff_mod(omega.coeffs[w], q), w.letters)
-            for w in omega.words()])
-    w_total, w_nilp, w_inv = map(int, tally)
+    w_total, w_nilp, w_inv = map(int, _tallies(space, terms, omega))
     return ProbeReport(
         q=q, weight_total=w_total, weight_nilpotent=w_nilp,
         weight_invertible=w_inv, nilpotent_times_q=q * w_nilp,

@@ -1,11 +1,11 @@
 """The numpy batch sweep of :mod:`tessella.repcount`.
 
-:func:`tessella.repcount.enumerate_reps` and
-:func:`~tessella.repcount.conjecture_probe_d1` import this module, and with
-it numpy, only for a count that the monomial route does not take: sample
-mode, d >= 2, or an exhaustive d = 1 count past the route's budget.
-:func:`count_tallies` and :func:`probe_tallies` return the tallies that
-route returns.
+Its one entry, :func:`tallies`, counts what
+:func:`tessella.repcount._tallies` does not send through the monomial
+route (sample mode, d >= 2, and an exhaustive d = 1 count past the route's
+budget) and returns the tallies that route returns.  In the package only
+``_tallies`` imports this module, and numpy with it, once every guard has
+passed.
 
 The sweep runs over blocks of ``_CHUNK`` points: ranges of the
 lexicographic order (arrows by id, last arrow fastest) or seeded draws, one
@@ -39,7 +39,7 @@ from operator import add
 import numpy as np
 
 from .pathalg import StateSpaceTooLarge
-from .repcount import _RepSpace, _check_guard
+from .repcount import _RepSpace
 
 _CHUNK = 1 << 16  # points per block: the unit of index decoding and of draws
 _SLICE = 1 << 12  # points per kernel call: bounds the prefix/suffix arrays
@@ -124,8 +124,7 @@ class _Batches:
         of each, built once per kind of arrow and exponent: the identity
         alone for a gauge-tree arrow, :func:`_entry_pool` for an arrow's own
         letter, and those matrices' inverses for an inverse letter."""
-        space = self.space
-        a, e = space.check_letter(letter)
+        space, (a, e) = self.space, letter
         key = None if a in space.fixed else (space.quiver.is_localized(a), e)
         if key not in self._pools:
             self._pools[key] = (
@@ -273,7 +272,6 @@ def _sweep(space: _RepSpace, kernel, draws=None, seed=None):
         sizes = [min(_CHUNK, draws - lo) for lo in range(0, draws, _CHUNK)]
         return sum(tally({a: source.below(space.sizes[a], n)
                           for a in space.arrows}, n) for n in sizes)
-    _check_guard(space)
 
     def block(lo: int):
         hi = min(lo + _CHUNK, space.total)
@@ -339,32 +337,21 @@ def _evaluate(batches: _Batches, terms: list, idx: dict, n: int,
     return _mod(vals, batches.q), crit
 
 
-def count_tallies(space: _RepSpace, terms: list, live: frozenset,
-                  draws=None, seed=None) -> list:
-    """The tallies of :func:`tessella.repcount.enumerate_reps` on the sweep:
-    the fibre count of each residue of Tr W, then the critical points, over
-    the space or over ``draws`` seeded points."""
-    batches = _Batches(space)
-
-    def kernel(idx: dict, n: int) -> np.ndarray:
-        vals, crit = _evaluate(batches, terms, idx, n, live)
-        return np.append(np.bincount(vals, minlength=space.q), crit.sum())
-
-    return _sweep(space, kernel, draws, seed)
-
-
-def probe_tallies(space: _RepSpace, terms: list, om_terms: list) -> list:
-    """The tallies of :func:`tessella.repcount.conjecture_probe_d1` on the
-    sweep: the weight of the whole space, of the omega-nilpotent and of the
-    omega-invertible points, omega's value read through :func:`_evaluate`
+def tallies(space: _RepSpace, terms: list, om_terms: list | None,
+            live: frozenset, draws=None, seed=None) -> list:
+    """The tallies of :func:`tessella.repcount._tallies` on the sweep: the
+    count's, differentiating the arrows of ``live``, or with omega's terms
+    ``om_terms`` the probe's, omega's value read through :func:`_evaluate`
     (at d = 1 a trace is the value)."""
     batches = _Batches(space)
 
     def kernel(idx: dict, n: int) -> np.ndarray:
-        vals, _ = _evaluate(batches, terms, idx, n)
+        vals, crit = _evaluate(batches, terms, idx, n, live)
+        if om_terms is None:
+            return np.append(np.bincount(vals, minlength=space.q), crit.sum())
         weights = (vals == 0).astype(np.int64) - (vals == 1).astype(np.int64)
         om, _ = _evaluate(batches, om_terms, idx, n)
         return np.array([weights.sum(), weights[om == 0].sum(),
                          weights[om != 0].sum()])
 
-    return _sweep(space, kernel)
+    return _sweep(space, kernel, draws, seed)

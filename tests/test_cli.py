@@ -1126,19 +1126,23 @@ def test_the_count_defect_is_raised_by_the_derivative_check(tmp_path):
             cyclic_derivative(quiver, W, a)
 
 
+@pytest.mark.parametrize("fault", [RuntimeError, TypeError])
 def test_an_internal_fault_exits_5_from_both_drivers(tmp_path, monkeypatch,
-                                                     capsys):
+                                                     capsys, fault):
+    """A ``TypeError`` is a bug too: no malformed input lets one reach the
+    user (``test_malformed_inputs``), so it must not pass for bad input."""
     def boom(tiling, taut):
-        raise RuntimeError("boom")
+        raise fault("boom")
 
+    name = fault.__name__
     monkeypatch.setattr(equivariant, "refine_tiling", boom)
     assert run(["refine"], capsys) == (EXIT_INTERNAL, "",
-                                       "error: RuntimeError: boom\n")
+                                       f"error: {name}: boom\n")
     rc, out, _ = run(["pipeline", "--output-dir", str(tmp_path)], capsys)
     report = json.loads(out)
     assert rc == report["exit_code"] == EXIT_INTERNAL
     assert {"name": "refine", "status": "failed",
-            "detail": "RuntimeError: boom"} in report["stages"]
+            "detail": f"{name}: boom"} in report["stages"]
 
 
 def test_a_coefficient_not_defined_in_the_field_is_input_error(tmp_path,
@@ -1599,6 +1603,19 @@ def test_counts_that_take_the_monomial_route_build_no_pool(capsys):
         "error: StateSpaceTooLarge: 999982^4 * 999983 points to sweep (state "
         "space 999982^5 * 999983 modulo a gauge tree of 1 arrow) exceed the "
         "exhaustive guard 100000000\n")
+
+
+def test_a_count_the_guard_refuses_loads_no_numpy(capsys):
+    """The exhaustive guard runs before any route is picked, so a d = 2
+    count that it refuses exits 4 without importing the numpy sweep that
+    would have counted it."""
+    argv = ["count", "--q", "3", "--d", "2"]
+    rc, out, loaded = in_fresh_process(argv)
+    assert (rc, out, loaded) == (EXIT_INPUT, "", ROUTE)
+    assert run(argv, capsys) == (EXIT_INPUT, "", (
+        "error: StateSpaceTooLarge: 429981696 points to sweep (state space "
+        "20639121408 modulo a gauge tree of 1 arrow) exceed the exhaustive "
+        "guard 100000000\n"))
 
 
 def test_a_count_past_the_scalar_budget_loads_numpy():

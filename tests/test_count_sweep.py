@@ -877,6 +877,57 @@ def test_torus_cover_counts_at_d2_are_pinned(tmp_path, n, q):
     assert enumerate_reps(quiver, W, 2, q).to_json() == _COVER_D2[n, q]
 
 
+# -- (★) on torus covers: critical points against commuting triples -----------
+
+
+def _commuting(d: int, q: int) -> tuple:
+    """|GL_d(F_q)|, its commuting pairs and its commuting triples, with the
+    group enumerated as row-major entry tuples of nonzero determinant
+    (d <= 2)."""
+    def mul(x, y):
+        return tuple(sum(x[i * d + k] * y[k * d + j] for k in range(d)) % q
+                     for i in range(d) for j in range(d))
+
+    group = [x for x in product(range(q), repeat=d * d)
+             if (x[0] if d == 1 else x[0] * x[3] - x[1] * x[2]) % q]
+    centralizer = {x: {y for y in group if mul(x, y) == mul(y, x)}
+                   for x in group}
+    pairs = sum(map(len, centralizer.values()))
+    triples = sum(len(centralizer[x] & centralizer[y])
+                  for x in group for y in centralizer[x])
+    return len(group), pairs, triples
+
+
+# (d, q) -> (conjugacy classes of GL_d(F_q): q - 1 at d = 1 and q^2 - 1 at
+# d = 2, commuting triples)
+_GL_SIDE = {(1, 3): (2, 8), (1, 5): (4, 64), (2, 2): (3, 48),
+            (2, 3): (8, 2688)}
+
+
+@pytest.mark.parametrize("d, q", sorted(_GL_SIDE))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torus_cover_critical_points_count_commuting_triples(tmp_path, n, d,
+                                                             q):
+    """(★) on a torus cover: phi is a deck translation, so M = T^3 and
+    pi_1 M = Z^3.  With every arrow of the counting quiver localized, the
+    critical count is |GL_d(F_q)|^(V-1) times the number of commuting
+    triples in GL_d(F_q) when q does not divide n, and every point is
+    critical when it does.  The group side is checked against the class
+    equation: commuting pairs = |G| times the number of classes."""
+    quiver, W = _torus_cover_counting(n, tmp_path)
+    every = Quiver(quiver.vertices, quiver.arrows, quiver.arrow_ids())
+    report = enumerate_reps(every, W, d, q)
+    order, pairs, triples = _commuting(d, q)
+    classes, expected = _GL_SIDE[d, q]
+    assert (order, pairs, triples) == (repcount.gl_order(d, q),
+                                       order * classes, expected)
+    if n % q == 0:
+        assert report.critical == report.state_space
+    else:
+        gauge = order ** (len(quiver.vertices) - 1)
+        assert divmod(report.critical, gauge) == (triples, 0)
+
+
 GOLDEN_Q17 = Path(__file__).resolve().parent / "golden" / "count_q17_d1.out"
 
 
