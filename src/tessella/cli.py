@@ -24,18 +24,19 @@ Conventions
 -----------
 * All emitted JSON is byte-stable: sorted keys, two-space indent, trailing
   newline.  Two runs with the same inputs and seed write identical bytes.
-* Exit codes, from a subcommand and the pipeline alike (``_FAULTS``): 0
-  all checks pass; 2 a verification failed; 3 no admissible embedding
-  choice exists; 4 input/configuration error, including a count over its
-  state-space, pool or int64 guard, an empty ``field_sizes``, a sample
-  size below 1, an input file that is missing or not JSON, a file of the
-  wrong shape (the library parser that reads each format raises the
-  ``InputError``; only the pipeline config's shape is checked here), a
-  tiling that ``validate_tiling`` rejects, a dehn-mode phi_star file for
-  another genus than the tiling's, an automorphism that is not a
-  symmetry, and a stuck equivariant dimer (``MatchingStuck``); 5 an
-  internal fault, a ``TypeError`` included, since no malformed input
-  lets one through.
+* Exit codes, from a subcommand and the pipeline alike
+  (:func:`_exit_code`): 0 all checks pass; 2 a verification failed; 3 no
+  admissible embedding choice exists; 4 input/configuration error; 5 an
+  internal fault.  A fault's class carries its code (``exit_code``):
+  ``NoChoiceFound`` 3, and ``InputError`` 4, which every fault that input
+  can cause is, from a count over its state-space, pool or int64 guard
+  (``StateSpaceTooLarge``) or a file of the wrong shape (the library
+  parser that reads each format raises it; only the pipeline config's
+  shape is checked here) to an automorphism that is not a symmetry or a
+  stuck equivariant dimer (``MatchingStuck``).  An ``OSError``, such as an
+  unwritable ``-o`` path, is the user's: 4.  Any other fault, a bare
+  ``ValueError``, ``KeyError`` or ``TypeError`` included, is internal: no
+  malformed input lets one through.
 * A count sweeps its points on the calling thread, with elementwise
   products of int64 entry arrays that never reach BLAS, and a ``tessella``
   process (:func:`entry`) starts no OpenBLAS thread pool unless the caller
@@ -49,19 +50,16 @@ Conventions
     the reports and the monomial route; every other subcommand, and
     ``--version``, runs without it.
   - A count imports the numpy sweep (:mod:`tessella.sweep`), and numpy
-    with it, only in sample mode, at d >= 2, or past the monomial budget
-    of an exhaustive d = 1 count (``repcount._MONOMIAL_BUDGET``
-    image-group elements, each stratum charged ``repcount._STRATUM_COST``
-    more), and never once a guard refuses the count.  So every exhaustive
-    d = 1 count and probe of the bundled example, ``count --q 37 --d 1``
-    and ``probe --q 37`` included, runs without either, and so does
-    ``count --q 3 --d 2``, which the exhaustive guard refuses.  No run
-    imports the per-point oracle, :mod:`tessella.matrixrep`.
+    with it, only where ``repcount._tallies``, which picks how a count
+    runs, sends it there, and never once a guard refuses the count.  So
+    every exhaustive d = 1 count and probe of the bundled example,
+    ``count --q 37 --d 1`` and ``probe --q 37`` included, runs without
+    either, and so does ``count --q 3 --d 2``, which the exhaustive guard
+    refuses.  No run imports the per-point oracle,
+    :mod:`tessella.matrixrep`.
   - Only the stages from ``automorphism`` on import
     :mod:`tessella.equivariant` (:func:`_equivariant`), so ``dual``,
-    ``gdga-check`` and ``--version`` run without it.  The two faults of
-    those stages that ``_FAULTS`` names, ``NoChoiceFound`` and
-    ``MatchingStuck``, are defined in :mod:`tessella.pathalg`.
+    ``gdga-check`` and ``--version`` run without it.
   - :mod:`tessella.presentation` is imported at the top, although only the
     verification stages use it: ``benchmarks/tracer.py`` reads
     ``sys.modules["tessella.presentation"]`` in a process that has
@@ -88,10 +86,7 @@ from typing import Callable, NamedTuple, Optional
 from .datafiles import InputError, check_object, is_int, list_of, read_data
 from .pathalg import (
     Element,
-    MatchingStuck,
-    NoChoiceFound,
     Quiver,
-    StateSpaceTooLarge,
     _idkey,
     _is_prime,
     check_d_squared,
@@ -134,18 +129,12 @@ _BUNDLED = {"tiling": "genus2_tiling.json",
             "script": "genus2_derivation.json"}
 
 
-# (exception types, exit code): the first row that matches a fault decides,
-# in ``main`` and in ``run_pipeline``; a fault no row names is internal
-_FAULTS = (
-    ((NoChoiceFound,), EXIT_NO_CHOICE),
-    ((InputError, StateSpaceTooLarge, MatchingStuck, OSError, ValueError,
-      KeyError), EXIT_INPUT),
-)
-
-
 def _exit_code(exc: Exception) -> int:
-    return next((code for types, code in _FAULTS if isinstance(exc, types)),
-                EXIT_INTERNAL)
+    """The code a fault ends a run with: its class's ``exit_code``, 4 for an
+    ``OSError`` and 5 for any other fault."""
+    if isinstance(exc, OSError):
+        return EXIT_INPUT
+    return getattr(exc, "exit_code", EXIT_INTERNAL)
 
 
 def tool_version() -> str:
@@ -778,8 +767,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     Verification stages that complete with failing checks mark the stage
     failed (exit 2) but let later stages run; any other exception stops the
-    pipeline with the exit code ``_FAULTS`` gives it.  Every stage gets an
-    outcome either way.
+    pipeline with the exit code :func:`_exit_code` gives it.  Every stage
+    gets an outcome either way.
     """
     config.validate()
     outdir = Path(config.output_dir)

@@ -9,7 +9,10 @@ import json
 
 
 class InputError(ValueError):
-    """Bad paths, malformed files, or invalid option combinations."""
+    """Bad paths, malformed files, or invalid option combinations: every
+    fault that input can cause.  A run it stops exits with ``exit_code``."""
+
+    exit_code = 4
 
 
 def read_data(name: str) -> bytes:

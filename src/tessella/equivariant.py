@@ -39,10 +39,8 @@ from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .datafiles import InputError, check_object, is_id, is_int, list_of
-from .pathalg import (  # MatchingStuck and NoChoiceFound: re-exported
+from .pathalg import (
     Element,
-    MatchingStuck,
-    NoChoiceFound,
     NonComposable,
     Potential,
     Quiver,
@@ -65,24 +63,34 @@ from .surfacemap import (
 )
 
 
-class InvalidAutomorphism(ValueError):
+class InvalidAutomorphism(InputError):
     """The permutation data do not define a symmetry of the object."""
 
 
-class OrbitSizeViolation(ValueError):
+class OrbitSizeViolation(InputError):
     """A vertex orbit is smaller than the automorphism order."""
 
 
-class BadChoice(ValueError):
+class BadChoice(InputError):
     """An orbit choice breaks the one-generator-per-orbit/base-point rules."""
 
 
-class MixedInverseViolation(ValueError):
+class MixedInverseViolation(InputError):
     """An isomorphism arrow occurs with both signs in a transported potential."""
 
 
-class MalformedWord(ValueError):
+class MalformedWord(InputError):
     """The word cannot be factored over the chosen embedding."""
+
+
+class MatchingStuck(InputError):
+    """No co-facial edge insertion can complete the vertex matching."""
+
+
+class NoChoiceFound(RuntimeError):
+    """Exhaustive search found no admissible homogeneous choice."""
+
+    exit_code = 3
 
 
 def _perm_order(perms: Iterable[Mapping]) -> int:

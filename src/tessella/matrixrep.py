@@ -34,13 +34,13 @@ from .pathalg import (
     InverseOfNonLocalized,
     Potential,
     Quiver,
-    StateSpaceTooLarge,
     Word,
     _idkey,
     derivatives,
 )
 from .repcount import (
     ShapeMismatch,
+    StateSpaceTooLarge,
     _RepSpace,
     _coeff_mod,
     _require_dimension,

@@ -51,46 +51,24 @@ from .datafiles import (InputError, check_object, is_id, is_int, is_letter,
 Letter = tuple  # (arrow id, exponent in {+1, -1})
 
 
-class NonComposable(ValueError):
+class NonComposable(InputError):
     """Adjacent letters (or factors) do not concatenate."""
 
 
-class InverseOfNonLocalized(ValueError):
+class InverseOfNonLocalized(InputError):
     """Exponent -1 used on an arrow outside the localized set."""
 
 
-class UnknownArrow(KeyError):
+class UnknownArrow(InputError, KeyError):
     """Arrow id not present in the quiver."""
 
 
-class UnknownVertexError(KeyError):
+class UnknownVertexError(InputError, KeyError):
     """Vertex id not present in the quiver."""
 
 
-class LocalizedQuiverUnsupported(ValueError):
+class LocalizedQuiverUnsupported(InputError):
     """Operation defined only on quivers without localized arrows."""
-
-
-# The counting layer's guard error and field-size test live here, free of
-# numpy, so that the CLI can check count options and catch the guard
-# without importing :mod:`tessella.repcount`, which re-exports both.
-
-
-class StateSpaceTooLarge(RuntimeError):
-    """An exhaustive walk was requested over more points than the guard allows."""
-
-
-# Likewise the two faults of the symmetry stages that the CLI maps to exit
-# codes, so that it catches them without importing
-# :mod:`tessella.equivariant`, which raises and re-exports both.
-
-
-class NoChoiceFound(RuntimeError):
-    """Exhaustive search found no admissible homogeneous choice."""
-
-
-class MatchingStuck(RuntimeError):
-    """No co-facial edge insertion can complete the vertex matching."""
 
 
 def _is_prime(n: int) -> bool:
@@ -117,16 +95,20 @@ class Quiver:
     def __init__(self, vertices: Iterable, arrows: Iterable[tuple],
                  localized: Iterable = ()):
         self.vertices = tuple(vertices)
-        self._vset = set(self.vertices)
+        self._vset = set()
+        for v in self.vertices:
+            if v in self._vset:
+                raise InputError(f"duplicate vertex id {v!r}")
+            self._vset.add(v)
         self.arrows = tuple((a, s, t) for a, s, t in arrows)
         self.localized = frozenset(localized)
         self._src = {}
         self._tgt = {}
         for a, s, t in self.arrows:
             if a in self._src:
-                raise ValueError(f"duplicate arrow id {a!r}")
+                raise InputError(f"duplicate arrow id {a!r}")
             if s not in self._vset or t not in self._vset:
-                raise ValueError(f"arrow {a!r} references unknown vertex")
+                raise InputError(f"arrow {a!r} references unknown vertex")
             self._src[a] = s
             self._tgt[a] = t
         for a in self.localized:
@@ -181,7 +163,7 @@ class Quiver:
             if a not in self.localized:
                 raise InverseOfNonLocalized(a)
             return self.target(a), self.source(a)
-        raise ValueError(f"exponent must be +-1, got {e!r}")
+        raise InputError(f"exponent must be +-1, got {e!r}")
 
     def word(self, letters: Sequence[Letter] = (), at=None) -> "Word":
         """Build and normalize a word; ``at`` fixes the vertex of a constant."""
@@ -566,7 +548,7 @@ def derivatives(quiver: Quiver, W: Potential) -> Derivatives:
         try:
             w = normalize(quiver, cyc)
             closed = w.source == w.target
-        except (ValueError, KeyError):  # replayed per arrow when read
+        except InputError:  # replayed per arrow when read
             closed = False
         for x in held:
             if not closed or x in inverted:
@@ -648,7 +630,7 @@ def ginzburg_dga(quiver: Quiver, W: Potential) -> GinzburgDga:
     names = (set(map(_idkey, quiver._src)) | set(map(_idkey, star.values()))
              | set(map(_idkey, loop.values())))
     if len(names) != len(quiver._src) * 2 + len(quiver.vertices):
-        raise ValueError("arrow ids collide with generated star/loop names")
+        raise InputError("arrow ids collide with generated star/loop names")
     arrows = list(quiver.arrows)
     arrows += [(star[a], quiver.target(a), quiver.source(a)) for a, _, _ in quiver.arrows]
     arrows += [(loop[v], v, v) for v in quiver.vertices]
@@ -700,7 +682,7 @@ def commutator_sum(quiver: Quiver, W: Potential) -> Element:
 
 def parse_tokens(s: str) -> tuple[Letter, ...]:
     """Whitespace-separated tokens; ``tok^-1`` inverts and ``tok^1`` is
-    ``tok``.  ``""`` is empty; an empty name raises ``ValueError``."""
+    ``tok``.  ``""`` is empty; an empty name raises ``InputError``."""
     out = []
     for tok in s.split():
         if tok.endswith("^-1"):
@@ -708,7 +690,7 @@ def parse_tokens(s: str) -> tuple[Letter, ...]:
         else:
             name, exp = tok.removesuffix("^1"), 1
         if not name:
-            raise ValueError(f"empty generator name in token {tok!r}")
+            raise InputError(f"empty generator name in token {tok!r}")
         out.append((name, exp))
     return tuple(out)
 

@@ -66,15 +66,15 @@ from .pathalg import (
 Letter = tuple
 
 
-class GenusTooSmall(ValueError):
+class GenusTooSmall(InputError):
     """Dehn's algorithm needs a hyperbolic surface group (genus >= 2)."""
 
 
-class MissingPhiAction(ValueError):
+class MissingPhiAction(InputError):
     """Dehn-mode verification was requested without the surface-group action."""
 
 
-class NotInTreeClosure(KeyError):
+class NotInTreeClosure(InputError, KeyError):
     """A tree path t_v was needed for a vertex the tree does not reach."""
 
 
@@ -102,7 +102,7 @@ def as_group_letters(w) -> tuple[Letter, ...]:
     for a, e in w:
         e = int(e)
         if e not in (1, -1):
-            raise ValueError(f"exponent {e} on {a!r}; group letters carry +-1")
+            raise InputError(f"exponent {e} on {a!r}; group letters carry +-1")
         out.append((a, e))
     return tuple(out)
 
@@ -221,7 +221,7 @@ class PhiAction:
         self.pres = pres
         self.order = int(order)
         if self.order < 1:
-            raise ValueError(f"order must be a positive integer, got {order!r}")
+            raise InputError(f"order must be a positive integer, got {order!r}")
         # Wiman: a periodic mapping class of genus g >= 2 has order at most
         # 4g + 2; refused before any power of phi_star is taken
         if self.order > 4 * pres.genus + 2:
@@ -231,24 +231,24 @@ class PhiAction:
         known = set(pres.generators)
         extra = sorted(set(mapping) - known)
         if extra:
-            raise ValueError(f"phi_star maps unknown generators {extra}")
+            raise InputError(f"phi_star maps unknown generators {extra}")
         images = {}
         for g in pres.generators:
             if g not in mapping:
-                raise ValueError(f"phi_star must map every generator; {g!r} missing")
+                raise InputError(f"phi_star must map every generator; {g!r} missing")
             img = free_reduce(mapping[g])
             bad = sorted({a for a, _ in img} - known)
             if bad:
-                raise ValueError(f"phi_star({g!r}) uses unknown generators {bad}")
+                raise InputError(f"phi_star({g!r}) uses unknown generators {bad}")
             images[g] = img
         self.mapping = images
         image = self._apply_once(pres.relator)
         if dehn_reduce(image, pres):
-            raise ValueError("phi_star does not kill the surface relator")
+            raise InputError("phi_star does not kill the surface relator")
         for g in pres.generators:
             w = self._power(((g, 1),), self.order)
             if dehn_reduce(w + ((g, -1),), pres):
-                raise ValueError(
+                raise InputError(
                     f"phi^{self.order} does not fix {g!r} in the group")
         self.relator_conjugate = _wrap_reduce(image) in set(pres.rotations())
 
@@ -405,11 +405,11 @@ def _tree_paths(ctx, tree: tuple) -> dict:
         if not ctx.base.has_arrow(t):
             raise UnknownArrow(t)
         if ctx.arrow_degree(t) != 0:
-            raise ValueError(
+            raise InputError(
                 f"tree arrow {t!r} has transport degree {ctx.arrow_degree(t)}; "
                 "tree arrows must embed with degree 0")
         if not forest.join(t):
-            raise ValueError(f"tree arrows close a cycle at {t!r}")
+            raise InputError(f"tree arrows close a cycle at {t!r}")
 
     paths = {basepoint(ctx): ()}
     changed = True
@@ -621,27 +621,27 @@ def _face_certificate(loop: tuple, rots: frozenset) -> Optional[str]:
 
 def _psi_assignment_table(ctx, phi: PhiAction, assignment) -> dict:
     if assignment is None:
-        raise ValueError("Dehn mode needs an assignment mapping every orbit "
+        raise InputError("Dehn mode needs an assignment mapping every orbit "
                          "arrow to its (loop word, integer part) image")
     table = {}
     known = set(phi.pres.generators)
     for a in ctx.quiver.arrow_ids():
         if a not in assignment:
-            raise ValueError(f"assignment is missing arrow {a!r}")
+            raise InputError(f"assignment is missing arrow {a!r}")
         word, k = assignment[a]
         el = SemidirectElement(word, int(k))
         expected = -1 if ctx.quiver.is_localized(a) else 0
         if el.k != expected:
-            raise ValueError(
+            raise InputError(
                 f"assignment for {a!r} has integer part {el.k}; the grading "
                 f"forces {expected}")
         bad = sorted({s for s, _ in el.word} - known)
         if bad:
-            raise ValueError(f"assignment for {a!r} uses unknown generators {bad}")
+            raise InputError(f"assignment for {a!r} uses unknown generators {bad}")
         table[a] = semidirect_normalize(el, phi)
     extras = sorted(set(assignment) - set(ctx.quiver.arrow_ids()), key=_idkey)
     if extras:
-        raise ValueError(f"assignment names unknown arrows {extras}")
+        raise InputError(f"assignment names unknown arrows {extras}")
     return table
 
 
@@ -669,7 +669,7 @@ def verify_psi_relations(ctx, W: Potential, mode: str = "certificate",
     in the semidirect group, from an arrow assignment and a surface action.
     """
     if mode not in ("certificate", "dehn"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     table = None
     rots: frozenset = frozenset()
     if mode == "dehn":
@@ -796,14 +796,14 @@ def _script_word(quiver: Quiver, s) -> Word:
         return normalize(quiver, letters)
     if len(quiver.vertices) == 1:
         return normalize(quiver, (), at=quiver.vertices[0])
-    raise ValueError("an empty word side needs a one-vertex quiver")
+    raise InputError("an empty word side needs a one-vertex quiver")
 
 
 def _as_equation(rel, quiver: Quiver, label: str) -> tuple[Word, Word]:
     if isinstance(rel, Element):
         split = _binomial(rel)
         if split is None:
-            raise ValueError(f"{label} is not a difference of two paths")
+            raise InputError(f"{label} is not a difference of two paths")
         return split
     lhs, rhs = rel
     return _script_word(quiver, lhs), _script_word(quiver, rhs)
@@ -913,7 +913,7 @@ def check_derivation_script(relations, script, quiver: Quiver) -> ScriptReport:
                 return fail(idx, f"multiply needs side left/right, got {side!r}")
             try:
                 u = _script_word(quiver, move["word"])
-            except (KeyError, ValueError, NonComposable, UnknownArrow) as exc:
+            except (KeyError, ValueError) as exc:
                 return fail(idx, f"bad multiplier word: {exc}")
             bad = sorted({a for a, _ in u.letters
                           if not quiver.is_localized(a)}, key=_idkey)
@@ -967,7 +967,7 @@ def check_derivation_script(relations, script, quiver: Quiver) -> ScriptReport:
         try:
             target = (_script_word(quiver, raw["target"][0]),
                       _script_word(quiver, raw["target"][1]))
-        except (ValueError, NonComposable, UnknownArrow, IndexError) as exc:
+        except (ValueError, IndexError) as exc:
             return fail(idx, f"malformed target: {exc}")
         if _eq_key(target) not in {_eq_key(c) for c in candidates}:
             return fail(idx, "the declared move does not produce the target "

@@ -60,13 +60,12 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Mapping
 
-from .datafiles import is_int
+from .datafiles import InputError, is_int
 from .pathalg import (
     Element,
     InverseOfNonLocalized,
     Potential,
     Quiver,
-    StateSpaceTooLarge,  # defined in pathalg, which imports no numpy
     _Forest,
     _idkey,
     _is_prime,
@@ -84,8 +83,12 @@ _MONOMIAL_BUDGET = 1 << 16
 _STRATUM_COST = 8
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(InputError):
     """Representation data does not fit the quiver/dimension it claims."""
+
+
+class StateSpaceTooLarge(InputError):
+    """An exhaustive walk was requested over more points than the guard allows."""
 
 
 # -- prime-field scalars ------------------------------------------------------
@@ -93,12 +96,12 @@ class ShapeMismatch(ValueError):
 
 def _require_prime(q: int) -> None:
     if not isinstance(q, int) or not _is_prime(q):
-        raise ValueError(f"q must be a prime (entries live in F_q), got {q!r}")
+        raise InputError(f"q must be a prime (entries live in F_q), got {q!r}")
 
 
 def _require_dimension(d: int) -> None:
     if not is_int(d) or d < 1:  # a bool is not a dimension
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+        raise InputError(f"dimension must be a positive integer, got {d!r}")
 
 
 def _coeff_mod(c: Fraction, q: int) -> int:
@@ -107,7 +110,7 @@ def _coeff_mod(c: Fraction, q: int) -> int:
         c = Fraction(c)
     den = c.denominator % q
     if den == 0:
-        raise ValueError(f"coefficient {c} is not defined in F_{q}")
+        raise InputError(f"coefficient {c} is not defined in F_{q}")
     return c.numerator * pow(den, -1, q) % q
 
 
@@ -497,13 +500,13 @@ def enumerate_reps(quiver: Quiver, W: Potential, d: int, q: int,
         _coeff_mod(c, q) for c in derivs[a].coeffs.values()))
     if mode == "sample":
         if not is_int(sample_size) or sample_size < 1:
-            raise ValueError("sample mode needs an integer sample_size >= 1")
+            raise InputError("sample mode needs an integer sample_size >= 1")
         if not is_int(seed):
-            raise ValueError("sample mode needs an explicit integer seed")
+            raise InputError("sample mode needs an explicit integer seed")
     elif mode == "exhaustive":
         sample_size = seed = None
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     tally = _tallies(space, terms, None, live, sample_size, seed)
     histogram = {v: int(tally[v]) for v in range(q)}
     return CountReport(
@@ -554,7 +557,7 @@ def conjecture_probe_d1(quiver: Quiver, W: Potential, omega: Element,
     2 the even coefficients of the potential collapse and the probe reads 0.
     """
     if q == 2:
-        raise ValueError("the degree-one probe needs an odd prime q; "
+        raise InputError("the degree-one probe needs an odd prime q; "
                          "characteristic 2 collapses the even coefficients")
     space = _RepSpace(quiver, 1, q, _gauge_tree(quiver, omega))
     terms = _coefficients(W, 1, q)

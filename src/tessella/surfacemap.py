@@ -46,15 +46,15 @@ from .datafiles import (InputError, check_object, is_id, is_int, list_of,
 from .pathalg import Potential, Quiver
 
 
-class NonOrientableOrInvalid(ValueError):
+class NonOrientableOrInvalid(InputError):
     """The data do not describe a map on a closed oriented surface."""
 
 
-class InvalidTiling(ValueError):
+class InvalidTiling(InputError):
     """The map is not a valid black/white tiling (see ``validate_tiling``)."""
 
 
-class UnknownVertex(KeyError):
+class UnknownVertex(InputError, KeyError):
     """No tiling vertex with the requested handle."""
 
 

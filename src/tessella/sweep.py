@@ -38,8 +38,7 @@ from operator import add
 
 import numpy as np
 
-from .pathalg import StateSpaceTooLarge
-from .repcount import _RepSpace
+from .repcount import StateSpaceTooLarge, _RepSpace
 
 _CHUNK = 1 << 16  # points per block: the unit of index decoding and of draws
 _SLICE = 1 << 12  # points per kernel call: bounds the prefix/suffix arrays

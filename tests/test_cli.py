@@ -7,6 +7,7 @@ parsing, exit codes, and the emitted JSON exactly as a shell user would.
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import tessella
 from tessella import cli, equivariant
 from tessella.cli import (
     EXIT_INPUT,
@@ -439,7 +441,7 @@ def test_a_wrong_phi_star_order_within_the_bound_fails_at_once(tmp_path):
     path.write_text(json.dumps(_bundled_phi_star_with(order=9)))
     done = _capped_psi_verify(path)
     assert (done.returncode, done.stdout, done.stderr) == (
-        EXIT_INPUT, "", "error: ValueError: phi^9 does not fix 'x1' in the "
+        EXIT_INPUT, "", "error: InputError: phi^9 does not fix 'x1' in the "
         "group\n")
 
 
@@ -1054,7 +1056,7 @@ def test_pipeline_exit_code_mirrors_report(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one fault table for the subcommands and the pipeline
+# one exit code per fault class, from the subcommands and the pipeline alike
 
 
 def _cover_files(tmp_path, voltages) -> dict:
@@ -1126,28 +1128,30 @@ def test_the_count_defect_is_raised_by_the_derivative_check(tmp_path):
             cyclic_derivative(quiver, W, a)
 
 
-@pytest.mark.parametrize("fault", [RuntimeError, TypeError])
+@pytest.mark.parametrize("fault", [RuntimeError, TypeError, ValueError,
+                                   KeyError])
 def test_an_internal_fault_exits_5_from_both_drivers(tmp_path, monkeypatch,
                                                      capsys, fault):
-    """A ``TypeError`` is a bug too: no malformed input lets one reach the
-    user (``test_malformed_inputs``), so it must not pass for bad input."""
+    """A ``TypeError``, a bare ``ValueError`` or a bare ``KeyError`` is a bug
+    too: every fault that input can cause is an ``InputError``
+    (``test_malformed_inputs``), so none of them may pass for bad input."""
     def boom(tiling, taut):
         raise fault("boom")
 
-    name = fault.__name__
+    detail = f"{fault.__name__}: {fault('boom')}"  # a KeyError quotes 'boom'
     monkeypatch.setattr(equivariant, "refine_tiling", boom)
     assert run(["refine"], capsys) == (EXIT_INTERNAL, "",
-                                       f"error: {name}: boom\n")
+                                       f"error: {detail}\n")
     rc, out, _ = run(["pipeline", "--output-dir", str(tmp_path)], capsys)
     report = json.loads(out)
     assert rc == report["exit_code"] == EXIT_INTERNAL
     assert {"name": "refine", "status": "failed",
-            "detail": f"{name}: boom"} in report["stages"]
+            "detail": detail} in report["stages"]
 
 
 def test_a_coefficient_not_defined_in_the_field_is_input_error(tmp_path,
                                                                capsys):
-    message = "error: ValueError: coefficient 1/3 is not defined in F_3\n"
+    message = "error: InputError: coefficient 1/3 is not defined in F_3\n"
     quiver = genus2_quiver()
     payload = qpot_to_json(quiver, genus2_potential(quiver))
     payload["potential"][0]["coeff"] = "1/3"
@@ -1161,6 +1165,41 @@ def test_a_coefficient_not_defined_in_the_field_is_input_error(tmp_path,
          for c, w in (("1/3", "rere"), (1, "erer"))]))
     assert run(["probe", "--q", "3", "--omega", str(omega)], capsys) == (
         EXIT_INPUT, "", message)
+
+
+def _fault_classes() -> set:
+    """Every exception class that a module of the package defines."""
+    faults = set()
+    for info in pkgutil.iter_modules(tessella.__path__):
+        module = importlib.import_module(f"tessella.{info.name}")
+        faults.update(value for value in vars(module).values()
+                      if isinstance(value, type)
+                      and issubclass(value, BaseException)
+                      and value.__module__ == module.__name__)
+    return faults
+
+
+def test_a_fault_class_carries_its_exit_code():
+    """Every fault that the package defines is an ``InputError`` (exit 4),
+    but ``NoChoiceFound`` (exit 3) and the stage-internal
+    ``_VerificationFailed`` (exit 2, never raised out of a stage)."""
+    faults = _fault_classes()
+    others = {equivariant.NoChoiceFound, cli._VerificationFailed}
+    assert others <= faults
+    untyped = sorted(f.__name__ for f in faults - others
+                     if not issubclass(f, cli.InputError))
+    assert untyped == []
+    assert {cli._exit_code(f("x")) for f in faults - others} == {EXIT_INPUT}
+    assert cli._exit_code(equivariant.NoChoiceFound("x")) == EXIT_NO_CHOICE
+
+
+def test_an_os_error_exits_4(tmp_path, capsys):
+    """An ``OSError`` is the user's: an unwritable ``-o`` path or output
+    directory."""
+    assert cli._exit_code(PermissionError("x")) == EXIT_INPUT
+    rc, out, err = run(["dual", "-o", str(tmp_path)], capsys)
+    assert (rc, out, err.count("\n")) == (EXIT_INPUT, "", 1)
+    assert err.startswith("error: IsADirectoryError: ")
 
 
 def test_version_flag(capsys):
@@ -1675,18 +1714,6 @@ def test_only_a_run_that_reads_bundled_files_loads_importlib_resources(
     assert rc == EXIT_OK and out.encode() == (
         BENCHMARKS / "golden" / "dual.out").read_bytes()
     assert loaded == set(watched)
-
-
-def test_the_cli_catches_the_counting_guard_class():
-    from tessella import repcount
-    assert repcount.StateSpaceTooLarge is cli.StateSpaceTooLarge
-
-
-def test_the_cli_catches_the_symmetry_stage_faults():
-    """Both live in pathalg, so that ``cli`` names them in ``_FAULTS``
-    without importing equivariant, which raises them."""
-    assert equivariant.NoChoiceFound is cli.NoChoiceFound
-    assert equivariant.MatchingStuck is cli.MatchingStuck
 
 
 def test_the_cli_raises_and_catches_the_parsers_input_error():

@@ -900,12 +900,12 @@ def _commuting(d: int, q: int) -> tuple:
 
 # (d, q) -> (conjugacy classes of GL_d(F_q): q - 1 at d = 1 and q^2 - 1 at
 # d = 2, commuting triples)
-_GL_SIDE = {(1, 3): (2, 8), (1, 5): (4, 64), (2, 2): (3, 48),
-            (2, 3): (8, 2688)}
+_GL_SIDE = {(1, 2): (1, 1), (1, 3): (2, 8), (1, 5): (4, 64), (1, 7): (6, 216),
+            (2, 2): (3, 48), (2, 3): (8, 2688)}
 
 
 @pytest.mark.parametrize("d, q", sorted(_GL_SIDE))
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_torus_cover_critical_points_count_commuting_triples(tmp_path, n, d,
                                                              q):
     """(★) on a torus cover: phi is a deck translation, so M = T^3 and

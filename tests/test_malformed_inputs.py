@@ -127,3 +127,20 @@ def test_a_choice_base_that_names_no_vertex_is_named(capsys, tmp_path, bases,
     choice = dict(BASES["choice"][0], bases=bases)
     assert _outcome(capsys, tmp_path, "choice", choice) == (
         4, f"error: InputError: choice field 'bases' names no vertex: {bad}\n")
+
+
+@pytest.mark.parametrize("argv, qpot", [
+    (["count", "--q", "3"], {"vertices": [1, 1], "arrows": [],
+                             "potential": []}),
+    (["gdga-check"], {"vertices": [1, 1],
+                      "arrows": [{"id": "x", "src": 1, "tgt": 1}],
+                      "potential": [_term("xx")]}),
+], ids=["count", "gdga-check"])
+def test_a_repeated_vertex_id_is_named(capsys, tmp_path, argv, qpot):
+    """A quiver that lists a vertex twice is refused, as one that lists an
+    arrow twice is, before any stage counts it once or twice."""
+    path = tmp_path / "qpot.json"
+    path.write_text(json.dumps(qpot))
+    assert main([*argv, str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: InputError: duplicate vertex id 1\n")
