@@ -9,7 +9,8 @@ Submodules:
 * :mod:`tessella.repcount`     -- finite-field representation counts
 * :mod:`tessella.sweep`        -- the counts' numpy batch sweep
 * :mod:`tessella.matrixrep`    -- the counts' per-point oracle
-* :mod:`tessella.presentation` -- surface groups, Psi, derivation scripts
+* :mod:`tessella.presentation` -- surface-group words, Dehn's algorithm
+* :mod:`tessella.psi`          -- surface action, Psi, derivation scripts
 * :mod:`tessella.cli`          -- the ``tessella`` command
 """
 

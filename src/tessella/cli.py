@@ -60,11 +60,15 @@ Conventions
   - Only the stages from ``automorphism`` on import
     :mod:`tessella.equivariant` (:func:`_equivariant`), so ``dual``,
     ``gdga-check`` and ``--version`` run without it.
-  - :mod:`tessella.presentation` is imported at the top, although only the
-    verification stages use it: ``benchmarks/tracer.py`` reads
-    ``sys.modules["tessella.presentation"]`` in a process that has
-    imported this module and run counts only, which never load it
-    otherwise.
+  - Only the stages that verify the matrix-unit map and derivation
+    scripts (``surface_action`` in dehn mode, ``psi_relations`` and
+    ``derivation_script``) import :mod:`tessella.psi` (:func:`_psi`), so
+    only ``psi-verify``, ``check-script`` and the pipeline load it.
+  - :mod:`tessella.presentation` holds only the group words and Dehn's
+    algorithm.  It is imported at the top, for ``MissingPhiAction``, which
+    the pipeline config and the ``surface_action`` stage raise; and
+    ``benchmarks/tracer.py`` reads ``sys.modules["tessella.presentation"]``
+    in a process that has imported this module, counts included.
 * No process imports :mod:`importlib.metadata`: :func:`tool_version` reads
   the installed version from the metadata files on ``sys.path``.  Only the
   pipeline report, which records input digests, imports :mod:`hashlib`, and
@@ -98,16 +102,7 @@ from .pathalg import (
     qpot_from_json,
     qpot_to_json,
 )
-from .presentation import (
-    MissingPhiAction,
-    check_derivation_script,
-    check_phi_star,
-    contracted_relations,
-    derivation_script_from_json,
-    phi_action_from_json,
-    psi_assignment_from_json,
-    verify_psi_relations,
-)
+from .presentation import MissingPhiAction
 from .surfacemap import (
     dual_quiver,
     genus,
@@ -219,6 +214,15 @@ def _read_input(path: Optional[str],
     return raw, str(path)
 
 
+def _check_paths(opts: dict, keys) -> None:
+    """Each input file that ``opts`` names under ``keys`` exists (None
+    stands for the bundled file)."""
+    for key in keys:
+        path = opts[key]
+        if path is not None and not Path(path).exists():
+            raise InputError(f"{key} file {path} does not exist")
+
+
 def _input_digests(inputs: dict) -> dict:
     """The pipeline report's record of each input (key -> (bytes, source)):
     its source and sha256.  Only the pipeline imports :mod:`hashlib`."""
@@ -269,6 +273,15 @@ def _equivariant():
     from . import equivariant
 
     return equivariant
+
+
+def _psi():
+    """:mod:`tessella.psi`, imported by the stages that verify the
+    matrix-unit map and derivation scripts (``surface_action`` in dehn mode,
+    ``psi_relations`` and ``derivation_script``)."""
+    from . import psi
+
+    return psi
 
 
 def _counting_quiver(quiver: Quiver) -> Quiver:
@@ -323,43 +336,48 @@ def _d_squared(quiver, W) -> dict:
 
 
 def _surface_action(run) -> tuple:
-    """(PhiAction, psi assignment) in dehn mode, (None, None) otherwise."""
+    """(PhiAction, psi assignment) in dehn mode, (None, None) otherwise.  A
+    phi_star path must exist in either mode, as in a pipeline config."""
+    _check_paths(run.opts, ("phi_star",))
     if run.opts["psi_mode"] != "dehn":
         return None, None
     if run.opts["phi_star"] is None and not run.opts.get("bundled_phi_star"):
         raise MissingPhiAction(
             "psi-verify in dehn mode needs a surface-action config "
             "(--phi-star FILE, or --bundled-phi-star for the packaged one)")
+    psi = _psi()
     cfg = run.load("phi_star")
-    check_phi_star(cfg)
+    psi.check_phi_star(cfg)
     # before the presentation, whose size grows with the file's genus
     surface = genus(run["tiling"].map)
     if cfg["genus"] != surface:
         raise InputError(f"the phi_star file is for genus {cfg['genus']}, "
                          f"but the tiling has genus {surface}")
-    phi = phi_action_from_json(cfg)
+    phi = psi.phi_action_from_json(cfg)
     if "psi_assignment" not in cfg:
         raise InputError("the surface-action config lacks a psi_assignment "
                          "table, which dehn mode needs")
-    return phi, psi_assignment_from_json(cfg["psi_assignment"])
+    return phi, psi.psi_assignment_from_json(cfg["psi_assignment"])
 
 
 def _psi_relations(run, action, c: _Choice, tp) -> dict:
     phi, assignment = action
-    return verify_psi_relations(c.ctx, tp.potential, mode=run.opts["psi_mode"],
-                                phi=phi, assignment=assignment).to_json()
+    return _psi().verify_psi_relations(
+        c.ctx, tp.potential, mode=run.opts["psi_mode"], phi=phi,
+        assignment=assignment).to_json()
 
 
 def _derivation_script(run, c: _Choice, tp) -> dict:
-    script = derivation_script_from_json(run.load("script"))
+    psi = _psi()
+    script = psi.derivation_script_from_json(run.load("script"))
     contract = script.get("contract", ())
     unknown = [a for a in contract if not c.ctx.quiver.has_arrow(a)]
     if unknown:
         raise InputError(f"derivation script field 'contract' names arrows "
                          f"{unknown} that the orbit quiver does not have")
-    quiver, relations = contracted_relations(c.ctx.quiver, tp.potential,
-                                             contract)
-    return check_derivation_script(relations, script, quiver).to_json()
+    quiver, relations = psi.contracted_relations(c.ctx.quiver, tp.potential,
+                                                 contract)
+    return psi.check_derivation_script(relations, script, quiver).to_json()
 
 
 def _verify(run, transport_identity, d_squared, psi_relations) -> dict:
@@ -716,11 +734,9 @@ class PipelineConfig(NamedTuple):
         return PipelineConfig(**kwargs)
 
     def validate(self) -> None:
-        for key in ("tiling", "automorphism", "phi_star", "script"):
-            path = getattr(self, key)
-            if path is not None and not Path(path).exists():
-                raise InputError(f"{key} file {path} does not exist")
-        _check_counting(self._asdict())
+        opts = self._asdict()
+        _check_paths(opts, ("tiling", "automorphism", "phi_star", "script"))
+        _check_counting(opts)
         if self.psi_mode not in ("certificate", "dehn"):
             raise InputError(f"unknown psi_mode {self.psi_mode!r}")
         if self.psi_mode == "dehn" and self.phi_star is None:

@@ -9,7 +9,7 @@ Conventions, fixed once and used everywhere:
 * ``multiply(x, y)`` is literal concatenation of written forms: the result of
   ``x * y`` applies ``y`` first.  This is the same order as matrix
   multiplication, which is what makes the matrix-unit homomorphism in
-  :mod:`tessella.presentation` a homomorphism.
+  :mod:`tessella.psi` a homomorphism.
 * A potential is a rational combination of *cyclic* words (exponent-free).
   Cycles enter only through ``Potential.build``, which checks each once and
   keys it by its lexicographically minimal rotation; keys are canonical.

@@ -355,6 +355,22 @@ def test_a_copy_of_the_bundled_phi_star_file_still_loads(tmp_path, capsys):
                             "--bundled-phi-star"], capsys)
 
 
+@pytest.mark.parametrize("mode", ["certificate", "dehn"])
+def test_psi_verify_refuses_a_missing_phi_star_file_in_either_mode(
+        tmp_path, capsys, mode):
+    """As a pipeline config does, whose ``validate`` prints the same line;
+    certificate mode reads no surface action, but a path that names no file
+    is still bad input."""
+    missing = tmp_path / "nothere.json"
+    line = f"error: InputError: phi_star file {missing} does not exist\n"
+    assert run(["psi-verify", "--mode", mode, "--phi-star", str(missing)],
+               capsys) == (EXIT_INPUT, "", line)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"phi_star": str(missing), "psi_mode": mode}))
+    assert run(["pipeline", "--config", str(config), "--output-dir",
+                str(tmp_path / "out")], capsys) == (EXIT_INPUT, "", line)
+
+
 def test_a_phi_star_file_for_a_huge_genus_fails_at_once(tmp_path):
     """The genus is compared before the presentation, 8g rotations of
     length 4g, is built.  The child's address space is capped, so that a
@@ -1534,13 +1550,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # with a count that sweeps (sample mode, d >= 2, or past the monomial budget
 # at d = 1); the per-point oracle with no CLI run; the symmetry stages with
 # every stage from the automorphism on, so not with dual or gdga-check;
+# the matrix-unit map and derivation scripts only with psi-verify,
+# check-script and the pipeline;
 # hashlib only with the pipeline report's input digests;
 # importlib.metadata and dataclasses with nothing: the version is read from
 # the metadata file, and no record generates code at import.
 # inspect is not listed: from Python 3.12 importlib.resources imports it.
 HEAVY = ("numpy", "tessella.repcount", "tessella.sweep", "tessella.matrixrep",
-         "tessella.equivariant", "hashlib", "importlib.metadata",
-         "dataclasses")
+         "tessella.equivariant", "tessella.psi", "hashlib",
+         "importlib.metadata", "dataclasses")
 # what a count or probe of the bundled example loads of HEAVY on the monomial
 # route: the chain up to the counting quiver, and the counting kernel
 ROUTE = {"tessella.equivariant", "tessella.repcount"}
@@ -1575,11 +1593,16 @@ def in_fresh_process(argv, flags=(), watched=HEAVY) -> tuple:
                           "check-script"])
 def test_a_subcommand_that_does_not_count_loads_no_numpy(subcommand):
     """``dual`` and ``gdga-check`` read no symmetry, so they load no
-    :mod:`tessella.equivariant` either."""
+    :mod:`tessella.equivariant` either; only ``psi-verify`` and
+    ``check-script`` load :mod:`tessella.psi`."""
     rc, out, loaded = in_fresh_process([subcommand])
     assert rc == EXIT_OK and out
-    assert loaded == (set() if subcommand in ("dual", "gdga-check")
-                      else {"tessella.equivariant"})
+    if subcommand in ("dual", "gdga-check"):
+        assert loaded == set()
+    elif subcommand in ("psi-verify", "check-script"):
+        assert loaded == {"tessella.equivariant", "tessella.psi"}
+    else:
+        assert loaded == {"tessella.equivariant"}
 
 
 def test_count_loads_the_counting_kernel():
@@ -1690,7 +1713,7 @@ def test_the_pipeline_hashes_its_inputs_but_reads_no_installed_metadata(
     report = json.loads(out)
     assert rc == EXIT_OK and report["version"] == cli.tool_version()
     assert set(report["input_digests"]) == {"tiling", "automorphism"}
-    assert loaded == ROUTE | {"hashlib"}
+    assert loaded == ROUTE | {"hashlib", "tessella.psi"}
 
 
 def test_only_a_run_that_reads_bundled_files_loads_importlib_resources(
@@ -1809,6 +1832,33 @@ def test_a_count_starts_no_thread_and_imports_no_pool():
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout == f"{EXIT_OK} [] False\n"
+
+
+_TRACED_NAMES = """
+import contextlib, io, sys
+from tessella.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["count", "--q", "11", "--d", "1"])
+counted = "tessella.psi" in sys.modules
+sys.path.insert(0, sys.argv[1])
+from layers import SPECS
+for module, function, *_ in SPECS:
+    getattr(sys.modules[module], function)
+print(rc, counted, "tessella.psi" in sys.modules)
+"""
+
+
+def test_every_traced_function_resolves_after_a_count():
+    """The traced benchmark imports ``tessella.cli``, runs counts in
+    process and then reads each function it wraps from ``sys.modules``.
+    A count loads no :mod:`tessella.psi`, and ``tessella.presentation``,
+    which ``cli`` imports, serves the psi functions the tracer names."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _TRACED_NAMES,
+                           str(BENCHMARKS)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == f"{EXIT_OK} False True\n"
 
 
 def test_the_counting_kernel_does_not_import_presentation():

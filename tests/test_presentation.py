@@ -2,9 +2,14 @@
 derivation-script checking, exercised on the order-2 genus-2 running example."""
 
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +22,7 @@ from conftest import (
     genus2_quiver,
     square_torus_covers,
 )
-from tessella.datafiles import load_data
+from tessella.datafiles import InputError, load_data
 from tessella.equivariant import (
     ChoiceSearch,
     MatchingStuck,
@@ -196,6 +201,27 @@ def test_as_group_letters_validation():
     assert as_group_letters([("a", 1), ("b", -1)]) == (("a", 1), ("b", -1))
     with pytest.raises(ValueError):
         as_group_letters([("a", 2)])
+
+
+@pytest.mark.parametrize("exponent", [1.5, -1.5, True, "a"])
+@pytest.mark.parametrize("entry", [as_group_letters,
+                                   lambda w: dehn_reduce(w, PRES2)])
+def test_an_exponent_that_is_not_an_int_is_refused(entry, exponent):
+    """An exponent is the int 1 or -1: a float, a bool or a string is an
+    input error that names the letter, never a coerced or truncated
+    exponent, here and in Dehn reduction, which checks every word."""
+    with pytest.raises(InputError) as caught:
+        entry([("y1", 1), ("x1", exponent)])
+    assert str(caught.value) == (f"exponent {exponent!r} on 'x1'; group "
+                                 "letters carry the integer 1 or -1")
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "1"])
+def test_a_semidirect_power_that_is_not_an_int_is_refused(k):
+    with pytest.raises(InputError,
+                       match=f"^semidirect power {re.escape(repr(k))} is "
+                             "not an integer$"):
+        SemidirectElement((("x1", 1),), k)
 
 
 def test_free_reduce_and_cyclic_core():
@@ -484,9 +510,9 @@ def test_semidirect_element_normal_form():
 
 
 def test_records_normalize_their_fields_when_built():
-    """The constructors free-reduce ``word``, make ``k`` an int and
+    """The constructors free-reduce ``word``, keep the int ``k`` and make
     ``coeff`` a Fraction, and the reprs name every field."""
-    x = SemidirectElement(word=[("x1", 1), ("y1", 1), ("y1", -1)], k=2.0)
+    x = SemidirectElement(word=[("x1", 1), ("y1", 1), ("y1", -1)], k=2)
     assert x.word == (("x1", 1),) and type(x.word) is tuple
     assert x.k == 2 and type(x.k) is int
     assert SemidirectElement() == SemidirectElement((), 0)
@@ -705,8 +731,10 @@ def test_verify_certificate_running_example(ctx, wprime):
 def test_certificate_mode_trusts_the_letters_it_builds(ctx, wprime, capsys,
                                                        monkeypatch):
     """Every word certificate mode handles comes from the letter kernel, so
-    no letter is validated again, in the library or through the CLI."""
-    from tessella import cli, presentation
+    no letter is validated again, in the library or through the CLI: not by
+    :mod:`tessella.psi`, where the check runs, nor by the word helpers of
+    :mod:`tessella.presentation` that it calls."""
+    from tessella import cli, presentation, psi
 
     report = verify_psi_relations(ctx, wprime)
     assert cli.main(["psi-verify"]) == 0
@@ -714,7 +742,8 @@ def test_certificate_mode_trusts_the_letters_it_builds(ctx, wprime, capsys,
 
     def refuse(w):
         raise AssertionError(f"letters of {w!r} validated again")
-    monkeypatch.setattr(presentation, "as_group_letters", refuse)
+    for module in (psi, presentation):
+        monkeypatch.setattr(module, "as_group_letters", refuse)
     assert verify_psi_relations(ctx, wprime) == report
     assert cli.main(["psi-verify"]) == 0
     assert capsys.readouterr().out == printed
@@ -754,7 +783,7 @@ def test_certificates_need_no_conjugator(ctx, wprime, monkeypatch):
     p q^-1 is a product of two face boundaries with no conjugation.  So the
     search over conjugators never passes its first entry, and only Dehn
     mode decides the loop on the surface."""
-    from tessella import presentation
+    from tessella import psi
 
     calls = []
 
@@ -763,8 +792,8 @@ def test_certificates_need_no_conjugator(ctx, wprime, monkeypatch):
         calls.append((loop, rots, method))
         return method
 
-    face_certificate = presentation._face_certificate
-    monkeypatch.setattr(presentation, "_face_certificate", recorded)
+    face_certificate = psi._face_certificate
+    monkeypatch.setattr(psi, "_face_certificate", recorded)
     reports = [verify_psi_relations(ctx, wprime)]
     reports += [verify_psi_relations(octx, Wp)
                 for octx, Wp in transported_covers()]
@@ -1006,3 +1035,50 @@ def test_derivation_script_field_validation():
                                 q)
     report = check_derivation_script([("u v", "v u")], {"steps": []}, q)
     assert report.ok and report.steps_total == 0
+
+
+# -- the verifying code's names on presentation --------------------------------
+
+_PSI_IMPORT = """
+import sys
+import tessella.presentation as presentation
+light = "tessella.psi" not in sys.modules
+from tessella.presentation import check_derivation_script, verify_psi_relations
+from tessella import psi
+print(light, check_derivation_script is psi.check_derivation_script,
+      verify_psi_relations is psi.verify_psi_relations,
+      presentation.verify_psi_relations is psi.verify_psi_relations)
+"""
+
+
+def test_presentation_loads_psi_on_the_first_read_of_a_psi_name():
+    path = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PSI_IMPORT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "True True True True\n"
+
+
+def test_presentation_serves_every_public_name_of_psi():
+    """The served names are exactly the public names that :mod:`tessella.psi`
+    defines, each as the object of that module."""
+    from tessella import presentation, psi
+
+    defined = {name for name, value in vars(psi).items()
+               if not name.startswith("_")
+               and getattr(value, "__module__", None) == psi.__name__}
+    assert presentation._PSI == defined
+    for name in sorted(defined):
+        assert getattr(presentation, name) is getattr(psi, name), name
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_face_certificate",
+                                  "_tree_paths", "_psi_setup", "Mapping"])
+def test_presentation_serves_no_other_name(name):
+    from tessella import presentation
+
+    with pytest.raises(AttributeError, match=f"'tessella.presentation' has "
+                                             f"no attribute '{name}'"):
+        getattr(presentation, name)
